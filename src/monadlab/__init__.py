@@ -14,14 +14,13 @@ from .invariant import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY,
                         OrthogonalVerdict, QMatrix, SyzygyMatrix, SyzygyReport,
                         build_q, build_syzygy, det_q, dimension_identity,
                         orthogonal_verdict, verify_syzygy)
-from .monad import (CUSTOM, ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
+from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
                     PairingForm, Point, RankCounterexample, RankProbeVerdict,
-                    assemble_m, canonical_j, chern_coefficients, defects_vanish,
-                    evaluate_a, evaluate_b, format_monad, max_rank_probe,
-                    parse_monad, quadratic_defect, random_point)
+                    canonical_j, chern_coefficients, defects_vanish, evaluate_a,
+                    format_monad, max_rank_probe, parse_monad, quadratic_defect,
+                    random_point)
 from .symcomb import (Monomial, QLayout, SymBasis, layout_csv, layout_table,
-                      monomial_degree, monomial_index, monomial_label,
-                      multiply_by_var, q_layout, sym_basis)
+                      monomial_label, multiply_by_var, q_layout, sym_basis)
 
 __version__ = "0.1.0"
 
@@ -34,12 +33,11 @@ __all__ = [
     "DEFECT_NONZERO", "DEGENERATE", "DET_ZERO_BY_SYZYGY", "OrthogonalVerdict",
     "QMatrix", "SyzygyMatrix", "SyzygyReport", "build_q", "build_syzygy",
     "det_q", "dimension_identity", "orthogonal_verdict", "verify_syzygy",
-    "CUSTOM", "ORTHOGONAL_IDENTITY", "SYMPLECTIC_CANONICAL", "MonadData",
+    "ORTHOGONAL_IDENTITY", "SYMPLECTIC_CANONICAL", "MonadData",
     "PairingForm", "Point", "RankCounterexample", "RankProbeVerdict",
-    "assemble_m", "canonical_j", "chern_coefficients", "defects_vanish",
-    "evaluate_a", "evaluate_b", "format_monad", "max_rank_probe", "parse_monad",
-    "quadratic_defect", "random_point",
+    "canonical_j", "chern_coefficients", "defects_vanish", "evaluate_a",
+    "format_monad", "max_rank_probe", "parse_monad", "quadratic_defect",
+    "random_point",
     "Monomial", "QLayout", "SymBasis", "layout_csv", "layout_table",
-    "monomial_degree", "monomial_index", "monomial_label", "multiply_by_var",
-    "q_layout", "sym_basis",
+    "monomial_label", "multiply_by_var", "q_layout", "sym_basis",
 ]

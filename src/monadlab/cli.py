@@ -139,8 +139,8 @@ def _cmd_syzygy(args) -> int:
         sys.stdout.write(format_matrix(build_syzygy(data).matrix))
         return 0
     report = verify_syzygy(data)
-    s = build_syzygy(data).matrix
-    print(f"S shape: {s.rows}x{s.cols}")
+    rows, cols = report.residual.shape  # Q is square, so Q*S has the shape of S
+    print(f"S shape: {rows}x{cols}")
     print(f"S nonzero: {_yes(not report.syzygy_is_zero)}")
     print(f"residual Q*S zero: {_yes(report.residual_is_zero)}")
     print(f"orthogonal defects zero: {_yes(report.defects_all_zero)}")

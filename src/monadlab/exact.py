@@ -5,11 +5,16 @@ Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 representatives in ``[0, p)`` over GF(p).  Matrices are immutable after
 construction.  GF(p) data lives in int64 numpy arrays with the prime bounded
 by 2**31 so every intermediate product fits in 64-bit arithmetic; rational
-data lives in object arrays of Fractions.
+data lives in object arrays of Fractions.  :class:`Field` owns everything
+that differs between the two: storage, reduction, products and elimination.
 
-Determinants over the rationals use fraction-free (Bareiss) elimination on a
-denominator-cleared integer matrix, which keeps intermediate entries at minor
-size instead of exploding; over GF(p) plain elimination is exact already.
+Each field has one forward elimination, returning the echelon form, the
+pivot columns and the determinant; ``det``, ``rank`` and ``kernel_basis``
+read what they need from it.  Over GF(p) it is ordinary elimination that
+touches only the rows with a nonzero entry in the pivot column.  Over the
+rationals it is fraction-free (Bareiss) elimination on a denominator-cleared
+integer matrix, which keeps intermediate entries at minor size instead of
+exploding and gives the rank as well as the determinant.
 """
 
 from __future__ import annotations
@@ -44,7 +49,11 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """An exact coefficient field: the rationals or GF(p) for an odd prime p."""
+    """An exact coefficient field: the rationals or GF(p) for an odd prime p.
+
+    Besides scalars, a field owns the storage of matrices over it: the array
+    type, reduction to canonical entries, products and elimination.
+    """
 
     __slots__ = ("p",)
 
@@ -65,26 +74,71 @@ class Field:
 
     def coerce(self, x):
         """Canonical field element from an int, Fraction or string token."""
-        if self.p is not None:
-            if isinstance(x, str):
-                x = int(x)
-            elif isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"cannot coerce {x} into GF({self.p})")
-                x = x.numerator
-            return int(x) % self.p
-        if isinstance(x, str):
+        if self.p is None:
             return Fraction(x)
-        return Fraction(x)
+        if isinstance(x, str):
+            x = int(x)
+        elif isinstance(x, Fraction):
+            if x.denominator != 1:
+                raise ValueError(f"cannot coerce {x} into GF({self.p})")
+            x = x.numerator
+        return int(x) % self.p
 
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return self.coerce(0)
 
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return self.coerce(1)
+
+    def div(self, x, y):
+        """x / y for integers or field elements x and y != 0."""
+        if self.p is None:
+            return Fraction(x) / y
+        return x * pow(y, -1, self.p) % self.p
 
     def format(self, x) -> str:
         return str(x)
+
+    def sample(self, rng: np.random.Generator, size, box: int) -> np.ndarray:
+        """Uniform storage array: all of GF(p), or integers in [-box, box] over Q."""
+        if self.p is not None:
+            return rng.integers(0, self.p, size=size, dtype=np.int64)
+        ints = rng.integers(-box, box + 1, size=size)
+        fractions = [Fraction(x) for x in ints.ravel().tolist()]
+        return np.array(fractions, dtype=object).reshape(ints.shape)
+
+    # -- storage arrays ---------------------------------------------------------
+
+    def zeros(self, rows: int, cols: int) -> np.ndarray:
+        """Zero storage array: int64 over GF(p), Fractions over Q."""
+        if self.p is None:
+            return np.full((rows, cols), Fraction(0), dtype=object)
+        return np.zeros((rows, cols), dtype=np.int64)
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """Make the entries of a sum, difference or scalar product canonical, in place."""
+        if self.p is not None:
+            a %= self.p
+        return a
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.shape[1] == 0:
+            return self.zeros(a.shape[0], b.shape[1])
+        if self.p is None:
+            return a @ b
+        return _matmul_gf(a, b, self.p)
+
+    def echelon(self, a: np.ndarray, det_only: bool = False):
+        """Forward elimination: (echelon form, pivot columns, determinant).
+
+        The echelon form has the right kernel of ``a``; its first
+        ``len(pivots)`` rows hold the pivots.  The determinant is only
+        meaningful for square ``a``, and is zero when a column has no pivot;
+        with ``det_only`` elimination stops at that column.
+        """
+        if self.p is None:
+            return _echelon_qq(a, det_only)
+        return _echelon_gf(a, self.p, det_only)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -131,15 +185,9 @@ class ExactMatrix:
         rows = [list(r) for r in rows]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        data = [[field.coerce(x) for x in r] for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if field.is_prime_field:
-            a = np.array(data, dtype=np.int64).reshape(len(rows), ncols)
-        else:
-            a = np.empty((len(rows), ncols), dtype=object)
-            for i, r in enumerate(data):
-                for j, x in enumerate(r):
-                    a[i, j] = x
+        a = field.zeros(len(rows), len(rows[0]) if rows else 0)
+        if rows:
+            a[...] = [[field.coerce(x) for x in r] for r in rows]
         self.field = field
         self._a = a
         a.flags.writeable = False
@@ -157,19 +205,12 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "ExactMatrix":
-        if field.is_prime_field:
-            a = np.zeros((rows, cols), dtype=np.int64)
-        else:
-            a = np.empty((rows, cols), dtype=object)
-            a[...] = Fraction(0)
-        return cls._wrap(field, a)
+        return cls._wrap(field, field.zeros(rows, cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        m = cls.zeros(field, n, n)
-        a = m._a.copy()
-        for i in range(n):
-            a[i, i] = field.one()
+        a = field.zeros(n, n)
+        np.fill_diagonal(a, field.one())
         return cls._wrap(field, a)
 
     @classmethod
@@ -178,11 +219,7 @@ class ExactMatrix:
         """Assemble a block matrix; ``None`` cells are zero blocks."""
         nbr = len(grid)
         nbc = len(grid[0]) if nbr else 0
-        if field.is_prime_field:
-            a = np.zeros((nbr * block_rows, nbc * block_cols), dtype=np.int64)
-        else:
-            a = np.empty((nbr * block_rows, nbc * block_cols), dtype=object)
-            a[...] = Fraction(0)
+        a = field.zeros(nbr * block_rows, nbc * block_cols)
         for i, row in enumerate(grid):
             if len(row) != nbc:
                 raise ValueError("ragged block grid")
@@ -202,11 +239,7 @@ class ExactMatrix:
     def random(cls, field: Field, rows: int, cols: int, rng: np.random.Generator,
                box: int = 10) -> "ExactMatrix":
         """Uniform entries: all of GF(p), or integers in [-box, box] over Q."""
-        if field.is_prime_field:
-            return cls._wrap(field, rng.integers(0, field.p, size=(rows, cols),
-                                                 dtype=np.int64))
-        ints = rng.integers(-box, box + 1, size=(rows, cols))
-        return cls(field, ints.tolist())
+        return cls._wrap(field, field.sample(rng, (rows, cols), box))
 
     # -- shape and access --------------------------------------------------
 
@@ -223,15 +256,13 @@ class ExactMatrix:
         return self._a.shape  # type: ignore[return-value]
 
     def __getitem__(self, ij):
-        i, j = ij
-        x = self._a[i, j]
-        return int(x) if self.field.is_prime_field else x
+        return self._a.item(*ij)
 
     def row_list(self, i: int) -> list:
-        return [self[i, j] for j in range(self.cols)]
+        return self._a[i].tolist()
 
     def tolist(self) -> list[list]:
-        return [self.row_list(i) for i in range(self.rows)]
+        return self._a.tolist()
 
     def block(self, i: int, j: int, block_rows: int, block_cols: int) -> "ExactMatrix":
         """The (i, j) block (0-based) of the block partition with given sizes."""
@@ -245,55 +276,33 @@ class ExactMatrix:
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        if self.field.is_prime_field:
-            return ExactMatrix._wrap(self.field,
-                                     _matmul_gf(self._a, other._a, self.field.p))
-        return ExactMatrix._wrap(self.field, _matmul_object(self._a, other._a))
+        return ExactMatrix._wrap(self.field, self.field.matmul(self._a, other._a))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         _check_same_field(self, other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        a = self._a + other._a
-        if self.field.is_prime_field:
-            a %= self.field.p
-        return ExactMatrix._wrap(self.field, a)
+        return ExactMatrix._wrap(self.field, self.field.reduce(self._a + other._a))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         _check_same_field(self, other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} - {other.shape}")
-        a = self._a - other._a
-        if self.field.is_prime_field:
-            a %= self.field.p
-        return ExactMatrix._wrap(self.field, a)
+        return ExactMatrix._wrap(self.field, self.field.reduce(self._a - other._a))
 
     def __neg__(self) -> "ExactMatrix":
-        a = -self._a
-        if self.field.is_prime_field:
-            a %= self.field.p
-        return ExactMatrix._wrap(self.field, a)
+        return ExactMatrix._wrap(self.field, self.field.reduce(-self._a))
 
     def scale(self, s) -> "ExactMatrix":
-        s = self.field.coerce(s)
-        a = self._a * s
-        if self.field.is_prime_field:
-            a %= self.field.p
-        return ExactMatrix._wrap(self.field, a)
+        return ExactMatrix._wrap(self.field, self.field.reduce(self._a * self.field.coerce(s)))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._wrap(self.field, self._a.T.copy())
 
-    @property
-    def T(self) -> "ExactMatrix":
-        return self.transpose()
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.field.is_prime_field:
-            return not np.any(self._a)
-        return all(x == 0 for x in self._a.flat)
+        return not self._a.any()
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -310,46 +319,29 @@ class ExactMatrix:
     # -- elimination-based operations -----------------------------------------
 
     def det(self):
-        """Exact determinant (Bareiss over Q, ordinary elimination over GF(p))."""
+        """Exact determinant; elimination stops at the first column without a pivot."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.shape} matrix")
-        if self.rows == 0:
-            return self.field.one()
-        if self.field.is_prime_field:
-            return _det_gf(self._a, self.field.p)
-        return _det_rational(self.tolist())
+        return self.field.echelon(self._a, det_only=True)[2]
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if self.field.is_prime_field:
-            return len(_rref_gf(self._a, self.field.p)[1])
-        return len(_rref_rational(self.tolist())[1])
+        return len(self.field.echelon(self._a)[1])
 
     def kernel_basis(self) -> list["ExactMatrix"]:
-        """Basis of the right null space, as column vectors; [] iff full column rank."""
-        n = self.cols
-        if n == 0:
-            return []
-        if self.rows == 0:
-            return [ExactMatrix.identity(self.field, n).block(0, j, n, 1)
-                    for j in range(n)]
-        if self.field.is_prime_field:
-            r, pivots = _rref_gf(self._a, self.field.p)
-            rr = r.tolist()
-            neg = lambda x: (-x) % self.field.p
-        else:
-            rr, pivots = _rref_rational(self.tolist())
-            neg = lambda x: -x
-        pivot_set = set(pivots)
+        """Basis of the right null space, as column vectors; [] iff full column rank.
+
+        One vector per free column f: entry f is 1, the other free entries are
+        0, and the pivot entries follow by back-substitution.
+        """
+        echelon, pivots, _ = self.field.echelon(self._a)
+        rows = echelon[:len(pivots)].tolist()
         basis = []
-        for f in range(n):
-            if f in pivot_set:
-                continue
-            v = [self.field.zero()] * n
-            v[f] = self.field.one()
-            for r_i, c in enumerate(pivots):
-                v[c] = neg(rr[r_i][f])
+        for f in sorted(set(range(self.cols)) - set(pivots)):
+            v = [0] * self.cols
+            v[f] = 1
+            for row, c in reversed(list(zip(rows, pivots))):
+                tail = sum(x * y for x, y in zip(row[c + 1:], v[c + 1:]))
+                v[c] = self.field.div(-tail, row[c])
             basis.append(ExactMatrix(self.field, [[x] for x in v]))
         return basis
 
@@ -377,8 +369,6 @@ def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 
 def _matmul_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[1]
-    if n == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     chunk = max(1, _INT64_BUDGET // ((p - 1) ** 2))
     if chunk >= n:
         return (a @ b) % p
@@ -388,124 +378,82 @@ def _matmul_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _matmul_object(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] == 0:
-        out = np.empty((a.shape[0], b.shape[1]), dtype=object)
-        out[...] = Fraction(0)
-        return out
-    return a @ b
-
-
-def _det_gf(a: np.ndarray, p: int) -> int:
-    a = a.copy()
-    n = a.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        r = c + int(nz[0])
-        if r != c:
-            a[[c, r]] = a[[r, c]]
-            det = p - det
-        piv = int(a[c, c])
-        det = det * piv % p
-        if c + 1 < n:
-            inv = pow(piv, -1, p)
-            factors = a[c + 1:, c] * inv % p
-            a[c + 1:, c:] = (a[c + 1:, c:] - np.outer(factors, a[c, c:])) % p
-    return det
-
-
-def _rref_gf(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns over GF(p)."""
+def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list[int], int]:
+    """Row echelon form over GF(p); see :meth:`Field.echelon`."""
     a = a.copy()
     rows, cols = a.shape
     pivots: list[int] = []
-    r = 0
+    det = 1
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
+            det = 0
+            if det_only:
+                break
             continue
-        i = r + int(nz[0])
-        if i != r:
+        if nz[0]:
+            i = r + int(nz[0])
             a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+            det = -det
+        piv = int(a[r, c])
+        det = det * piv % p
+        # after the swap the rows below r with a nonzero in column c are
+        # exactly r + nz[1:]; every other row is left as it is
+        below = r + nz[1:]
+        if below.size:
+            factors = a[below, c] * pow(piv, -1, p) % p
+            a[below, c:] = (a[below, c:] - np.outer(factors, a[r, c:])) % p
         pivots.append(c)
-        r += 1
-    return a, pivots
+    return a, pivots, det
 
 
-# -- rational kernels -----------------------------------------------------------
+# -- rational kernel -------------------------------------------------------------
 
 
-def _det_rational(rows: list[list[Fraction]]) -> Fraction:
+def _echelon_qq(a: np.ndarray, det_only: bool) -> tuple[np.ndarray, list[int], Fraction]:
+    """Fraction-free (Bareiss) row echelon form over Q; see :meth:`Field.echelon`.
+
+    Each row is first scaled by the lcm of its denominators, which keeps the
+    kernel and multiplies the determinant by the product of the scales.  The
+    echelon entries are integers.
+    """
+    rows, cols = a.shape
+    m: list[list[int]] = []
     denom = 1
-    int_rows: list[list[int]] = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        int_rows.append([int(x * scale) for x in row])
+    for row in a.tolist():
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
         denom *= scale
-    return Fraction(_det_bareiss_int(int_rows), denom)
-
-
-def _det_bareiss_int(a: list[list[int]]) -> int:
-    n = len(a)
-    if n == 0:
-        return 1
-    a = [row[:] for row in a]
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    a[c], a[r] = a[r], a[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[c][c]
-        for r in range(c + 1, n):
-            arc = a[r][c]
-            row_r = a[r]
-            row_c = a[c]
-            for j in range(c + 1, n):
-                # exact division: the quotient is a minor determinant
-                row_r[j] = (row_r[j] * piv - arc * row_c[j]) // prev
-            row_r[c] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
-def _rref_rational(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    a = [row[:] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
             break
-        i = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        i = next((i for i in range(r, rows) if m[i][c]), None)
         if i is None:
+            if det_only:
+                break
             continue
-        a[r], a[i] = a[i], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        row_r = m[r]
+        piv = row_r[c]
+        for row in m[r + 1:]:
+            x = row[c]
+            for j in range(c + 1, cols):
+                # exact division: the quotient is a minor determinant
+                row[j] = (row[j] * piv - x * row_r[j]) // prev
+            row[c] = 0
+        prev = piv
         pivots.append(c)
-        r += 1
-    return a, pivots
+    det = sign * prev if len(pivots) == rows == cols else 0
+    return np.array(m, dtype=object).reshape(rows, cols), pivots, Fraction(det, denom)
 
 
 # -- text format ------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .exact import (ExactMatrix, Field, MatrixFormatError, content_lines,
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -71,21 +70,10 @@ class PairingForm:
     matrix: ExactMatrix
 
     def __post_init__(self):
-        if self.kind not in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, CUSTOM):
+        if self.kind not in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
             raise ValueError(f"unknown pairing kind {self.kind!r}")
-        m = self.matrix
-        if m.rows != m.cols:
+        if self.matrix.rows != self.matrix.cols:
             raise ValueError("pairing matrix must be square")
-        if self.kind == CUSTOM:
-            t = m.transpose()
-            if m != t and m != -t:
-                raise ValueError("custom pairing must be symmetric or skew-symmetric")
-            if m.rank() != m.rows:
-                raise ValueError("pairing matrix must be invertible")
-
-    @property
-    def is_skew(self) -> bool:
-        return self.matrix.transpose() == -self.matrix
 
 
 def canonical_j(kind: str, n: int, k: int, field: Field) -> PairingForm:
@@ -124,11 +112,6 @@ class Point:
 # -- operations -----------------------------------------------------------------
 
 
-def assemble_m(d: MonadData) -> ExactMatrix:
-    """Stack the blocks into the (k(2n+2)) x (2n+2k) matrix M."""
-    return vstack(list(d.blocks))
-
-
 def evaluate_a(d: MonadData, x: Point) -> ExactMatrix:
     """The k x (2n+2k) matrix A(x): row j is x^t * M_j."""
     if x.field != d.field:
@@ -137,11 +120,6 @@ def evaluate_a(d: MonadData, x: Point) -> ExactMatrix:
         raise ValueError(f"point has {len(x.coords)} coordinates, expected {d.block_rows}")
     row = x.as_row()
     return vstack([row @ b for b in d.blocks])
-
-
-def evaluate_b(d: MonadData, j: PairingForm, x: Point) -> ExactMatrix:
-    """B(x) = A(x) * J."""
-    return evaluate_a(d, x) @ j.matrix
 
 
 def quadratic_defect(d: MonadData, j: PairingForm) -> list[tuple[int, int, ExactMatrix]]:
@@ -184,11 +162,8 @@ class RankProbeVerdict:
 def random_point(field: Field, dim: int, rng: np.random.Generator, box: int = 10) -> Point:
     """A nonzero point: uniform coordinates over GF(p), integers in [-box, box] over Q."""
     while True:
-        if field.is_prime_field:
-            coords = rng.integers(0, field.p, size=dim, dtype=np.int64)
-        else:
-            coords = rng.integers(-box, box + 1, size=dim)
-        if np.any(coords):
+        coords = field.sample(rng, dim, box)
+        if coords.any():
             return Point.of(field, coords.tolist())
 
 
@@ -201,6 +176,8 @@ def max_rank_probe(d: MonadData, j: PairingForm, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if box < 1:
+        raise ValueError(f"point box must be >= 1, got {box}")
     rng = np.random.default_rng(seed)
     seen: set[tuple] = set()
     tested = 0

@@ -21,10 +21,6 @@ from itertools import combinations_with_replacement
 Monomial = tuple[int, ...]
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def multiply_by_var(m: Monomial, alpha: int) -> Monomial:
     """Multiply by the variable i_alpha (1-based)."""
     if not 1 <= alpha <= len(m):
@@ -64,7 +60,7 @@ class SymBasis:
 
     def index(self, m: Monomial) -> int:
         """1-based position of ``m``; errors if degree or arity mismatch."""
-        if len(m) != self.k or monomial_degree(m) != self.degree:
+        if len(m) != self.k or sum(m) != self.degree:
             raise ValueError(f"monomial {m} is not in the ({self.k}, {self.degree}) basis")
         return self._index[m]
 
@@ -88,10 +84,6 @@ def sym_basis(k: int, d: int) -> SymBasis:
     basis._index.update({m: i for i, m in enumerate(monomials, start=1)})
     assert len(basis) == math.comb(k + d - 1, d)
     return basis
-
-
-def monomial_index(basis: SymBasis, m: Monomial) -> int:
-    return basis.index(m)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """CLI subcommands: output, exit codes, round trips, golden layout."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import monadlab
 from monadlab import format_monad, gen_special_symplectic, parse_monad, GF
 from monadlab.cli import run
 
@@ -154,6 +158,24 @@ def test_check_rational_field_and_box_override(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setenv("MONADLAB_POINT_BOX", "not-a-number")
     assert run(["check", "--in", str(sp), "--form", "symplectic"]) == 2
+
+
+@pytest.mark.parametrize("box", ["0", "-1"])
+def test_check_rejects_point_box_below_one(tmp_path, capsys, box):
+    # over Q a box of 0 only ever draws the zero point, so the probe used to
+    # redraw forever; a subprocess with a timeout turns a hang into a failure
+    sp = tmp_path / "sp.mnd"
+    assert run(["gen", "special", "--n", "1", "--k", "1",
+                "--field", "rational", "--out", str(sp)]) == 0
+    capsys.readouterr()
+    env = {**os.environ, "MONADLAB_POINT_BOX": box,
+           "PYTHONPATH": str(Path(monadlab.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "monadlab.cli", "check", "--in", str(sp),
+         "--form", "symplectic"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: point box must be >= 1, got {box}\n"
 
 
 def test_truncated_monad_file_exit_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, format_matrix,
                       parse_field, parse_matrix)
@@ -184,6 +185,92 @@ def test_rank_nullity_random(field):
         if basis:
             stacked = ExactMatrix(field, [[v[i, 0] for v in basis] for i in range(c)])
             assert stacked.rank() == len(basis)
+
+
+def test_det_stops_at_zero_first_column():
+    for field in (QQ, GF101):
+        m = ExactMatrix(field, [[0, 1, 2], [0, 3, 4], [0, 5, 7]])
+        det = m.det()
+        assert det == 0 == det_cofactor(m)
+        assert type(det) is type(field.zero())
+        assert m.rank() == 2
+
+
+# -- sympy as an independent det, rank and nullspace oracle ---------------------
+
+ORACLE_FIELDS = [QQ, GF(7), GF101]
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Dense, rank-deficient and all-zero matrices, zero-size shapes included."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(0, 6))
+    if field.p is None:
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1)
+    entry = st.one_of(st.just(0), entry)  # zeros make columns without a pivot
+
+    def dense(r, c):
+        if r == 0:
+            return ExactMatrix.zeros(field, 0, c)
+        row = st.lists(entry, min_size=c, max_size=c)
+        return ExactMatrix(field, draw(st.lists(row, min_size=r, max_size=r)))
+
+    kind = draw(st.sampled_from(["dense", "rank-deficient", "zero"]))
+    if kind == "zero":
+        return ExactMatrix.zeros(field, rows, cols)
+    if kind == "rank-deficient" and min(rows, cols) >= 2:
+        inner = draw(st.integers(1, min(rows, cols) - 1))
+        return dense(rows, inner) @ dense(inner, cols)
+    return dense(rows, cols)
+
+
+@pytest.fixture(scope="module")
+def sympy_oracle():
+    """(to_sympy, from_sympy) converting matrices and scalars for DomainMatrix."""
+    pytest.importorskip("sympy")
+    from sympy import GF as SymGF, QQ as SymQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(m):
+        if m.field.p is None:
+            dom, elem = SymQQ, lambda x: SymQQ(x.numerator, x.denominator)
+        else:
+            dom = elem = SymGF(m.field.p)
+        return DomainMatrix([[elem(x) for x in row] for row in m.tolist()], m.shape, dom)
+
+    def from_sympy(field, x):
+        if field.p is None:
+            return Fraction(int(x.numerator), int(x.denominator))
+        return int(x) % field.p
+
+    return to_sympy, from_sympy
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrices(square=True))
+def test_det_matches_sympy(sympy_oracle, m):
+    to_sympy, from_sympy = sympy_oracle
+    assert m.det() == from_sympy(m.field, to_sympy(m).det())
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrices())
+def test_rank_and_kernel_basis_match_sympy(sympy_oracle, m):
+    # both bases have one vector per free column f, zero at the other free
+    # columns and at every column after f; sympy may scale a vector, so its
+    # last nonzero entry (at f) is divided out to get 1 there as ours has
+    to_sympy, from_sympy = sympy_oracle
+    dm = to_sympy(m)
+    assert m.rank() == dm.rank()
+    expected = []
+    for row in dm.nullspace().to_list():
+        last = next(x for x in reversed(row) if x)
+        expected.append([from_sympy(m.field, x / last) for x in row])
+    assert [v.transpose().row_list(0) for v in m.kernel_basis()] == expected
 
 
 def test_block_helpers():

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
-                      PairingForm, Point, assemble_m, canonical_j,
-                      chern_coefficients, defects_vanish, evaluate_a,
-                      evaluate_b, format_monad, max_rank_probe, parse_monad,
-                      quadratic_defect, random_point)
+                      PairingForm, Point, canonical_j, chern_coefficients,
+                      defects_vanish, evaluate_a, format_monad, max_rank_probe,
+                      parse_monad, quadratic_defect, random_point, vstack)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
 
 GF101 = GF(101)
@@ -36,21 +35,6 @@ def test_monad_data_validation():
         MonadData(1, 1, GF101, (ExactMatrix.zeros(GF101, 4, 5),))
     with pytest.raises(ValueError):
         MonadData(1, 1, GF101, (ExactMatrix.zeros(QQ, 4, 4),))
-
-
-def test_assemble_m_shapes():
-    rng = np.random.default_rng(1)
-    d = random_data(2, 4, GF101, rng)
-    m = assemble_m(d)
-    assert m.shape == (24, 12)
-    for j in range(4):
-        assert m.block(j, 0, 6, 12) == d.blocks[j]
-
-    single = random_data(1, 1, QQ, rng)
-    assert assemble_m(single) == single.blocks[0]
-
-    assert assemble_m(zero_data(1, 3)).is_zero()
-    assert assemble_m(zero_data(1, 3)).shape == (12, 8)
 
 
 def test_evaluate_a_identity_block():
@@ -85,7 +69,7 @@ def test_evaluate_a_against_assembled_matrix():
         xr = x.as_row()
         grid = [[xr if i == j else None for j in range(3)] for i in range(3)]
         selector = ExactMatrix.from_blocks(field, grid, 1, 6)
-        assert evaluate_a(d, x) == selector @ assemble_m(d)
+        assert evaluate_a(d, x) == selector @ vstack(list(d.blocks))
 
 
 def test_evaluate_a_errors():
@@ -101,26 +85,6 @@ def test_point_validation():
         Point.of(QQ, [0, 0, 0])
     with pytest.raises(ValueError):
         Point.of(GF101, [101, 202])  # zero after reduction
-
-
-def test_evaluate_b():
-    rng = np.random.default_rng(4)
-    d = random_data(1, 2, GF101, rng)
-    x = random_point(GF101, 4, rng)
-    eye = canonical_j(ORTHOGONAL_IDENTITY, 1, 2, GF101)
-    assert evaluate_b(d, eye, x) == evaluate_a(d, x)
-
-    skew = canonical_j(SYMPLECTIC_CANONICAL, 1, 2, GF101)
-    a = evaluate_a(d, x)
-    b = evaluate_b(d, skew, x)
-    half = 3
-    for i in range(2):
-        arow, brow = a.row_list(i), b.row_list(i)
-        u, v = arow[:half], arow[half:]
-        assert brow == [(-t) % 101 for t in v] + u
-
-    zd = zero_data(1, 2)
-    assert evaluate_b(zd, skew, x).is_zero()
 
 
 def test_quadratic_defect_zero_data():
@@ -254,7 +218,6 @@ def test_canonical_j_forms():
     skew = canonical_j(SYMPLECTIC_CANONICAL, 1, 1, QQ)
     assert skew.matrix.tolist() == [
         [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-    assert skew.is_skew
     assert skew.matrix.transpose() == -skew.matrix
 
     for n, k in [(1, 1), (1, 2), (2, 4)]:
@@ -263,15 +226,13 @@ def test_canonical_j_forms():
             assert det in (1, -1)
 
 
-def test_custom_pairing_validation():
+def test_pairing_form_validation():
     sym = ExactMatrix(QQ, [[2, 1], [1, 2]])
-    PairingForm("custom", sym)  # fine: symmetric, invertible
+    for kind in ("custom", "diagonal"):  # only the two canonical kinds exist
+        with pytest.raises(ValueError):
+            PairingForm(kind, sym)
     with pytest.raises(ValueError):
-        PairingForm("custom", ExactMatrix(QQ, [[1, 2], [3, 4]]))  # neither
-    with pytest.raises(ValueError):
-        PairingForm("custom", ExactMatrix(QQ, [[1, 1], [1, 1]]))  # singular
-    with pytest.raises(ValueError):
-        PairingForm("diagonal", sym)  # unknown kind
+        PairingForm(ORTHOGONAL_IDENTITY, ExactMatrix.zeros(QQ, 2, 3))  # not square
 
 
 # -- interchange format ------------------------------------------------------------
