@@ -15,10 +15,10 @@ from pathlib import Path
 from .exact import MatrixFormatError, format_matrix, parse_field
 from .gens import (GeneratorError, gen_isotropic_orthogonal,
                    gen_special_symplectic, search_orthogonal)
-from .invariant import (DEFECT_NONZERO, build_q, build_syzygy, det_q,
-                        dimension_identity, orthogonal_verdict, verify_syzygy)
-from .monad import (SYMPLECTIC_CANONICAL, canonical_j, chern_coefficients,
-                    defects_vanish, format_monad, max_rank_probe, parse_monad,
+from .invariant import (DEFECT_NONZERO, _orthogonal_verdict, build_q, build_syzygy,
+                        det_q, dimension_identity, verify_syzygy)
+from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, canonical_j,
+                    chern_coefficients, format_monad, max_rank_probe, parse_monad,
                     quadratic_defect)
 from .symcomb import layout_csv, layout_table, q_layout
 
@@ -156,13 +156,11 @@ def _cmd_syzygy(args) -> int:
 def _cmd_check(args) -> int:
     data = _read_monad(args.infile)
     box = int(os.environ.get(BOX_ENV, "10"))
-    if args.form == "orthogonal":
-        verdict = orthogonal_verdict(data)
-        form = canonical_j("orthogonal-identity", data.n, data.k, data.field)
-    else:
-        form = canonical_j(SYMPLECTIC_CANONICAL, data.n, data.k, data.field)
-        verdict = None
+    kind = ORTHOGONAL_IDENTITY if args.form == "orthogonal" else SYMPLECTIC_CANONICAL
+    form = canonical_j(kind, data.n, data.k, data.field)
     defects = quadratic_defect(data, form)
+    if args.form == "orthogonal":
+        verdict = _orthogonal_verdict(data, defects)
     bad = [(a, b) for a, b, m in defects if not m.is_zero()]
     if bad:
         print(f"defects nonzero at: {' '.join(f'({a},{b})' for a, b in bad)}")

@@ -410,6 +410,30 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
     return a, pivots, det
 
 
+def _full_row_rank_gf(a: np.ndarray, p: int) -> np.ndarray:
+    """For a stack of T matrices (T x r x c, entries in [0, p)): which have rank r.
+
+    One elimination for the whole stack, r row steps and no row swaps: step i
+    takes the first nonzero entry of row i as its pivot and clears that column
+    from the rows below by row <- piv * row - x * (row i).  Scaling a row by
+    the nonzero pivot keeps the row span, so no pivot inverse is needed, and
+    both products stay below 2**62.  A row that is zero when its step comes
+    is a combination of the rows above it.
+    """
+    a = a.copy()
+    t = np.arange(a.shape[0])
+    full = np.ones(a.shape[0], dtype=bool)
+    for i in range(a.shape[1]):
+        row = a[:, i, :]
+        col = (row != 0).argmax(axis=1)
+        piv = row[t, col]
+        full &= piv != 0
+        below = a[:, i + 1:, :]
+        x = below[t, :, col]
+        below[...] = (piv[:, None, None] * below - x[:, :, None] * row[:, None, :]) % p
+    return full
+
+
 # -- rational kernel -------------------------------------------------------------
 
 

@@ -201,6 +201,15 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int,
     symmetrised conditions.  The determinant is always computed: the syzygy
     forces it to zero, and that is re-verified here.
     """
+    data, form, det = _isotropic_draw(n, k, p, seed)
+    probe = max_rank_probe(data, form, probe_trials, seed)
+    return GeneratorReport(data, form, True, probe, det)
+
+
+def _isotropic_draw(n: int, k: int, p: int,
+                    seed: int) -> tuple[MonadData, PairingForm, object]:
+    """The data of :func:`gen_isotropic_orthogonal`, its form and det Q,
+    with the defects and the determinant verified but no rank probe."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     field = GF(p)
@@ -214,15 +223,13 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int,
         raise GeneratorError("could not draw nonzero blocks")
     data = MonadData(n, k, field, blocks)
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
-    defects_ok = defects_vanish(quadratic_defect(data, form))
-    if not defects_ok:
+    if not defects_vanish(quadratic_defect(data, form)):
         raise GeneratorError("isotropic construction has a nonzero defect")
     det = det_q(data)
     if det != 0:
         raise GeneratorError("isotropic construction has nonzero determinant; "
                              "the syzygy argument should force zero")
-    probe = max_rank_probe(data, form, probe_trials, seed)
-    return GeneratorReport(data, form, defects_ok, probe, det)
+    return data, form, det
 
 
 # -- orthogonal search harness -----------------------------------------------------------
@@ -271,20 +278,22 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
     rows = []
     for t in range(trials):
         trial_seed = seed + t
-        report = gen_isotropic_orthogonal(n, k, p, trial_seed)
         perturbed = t % 2 == 1
         if perturbed:
+            # the draw keeps its self-checks; its probe would be discarded
+            drawn = _isotropic_draw(n, k, p, trial_seed)[0]
             # row operations inside the isotropic span keep the conditions exact
             rng = np.random.default_rng(trial_seed + 0x5EED)
             blocks = tuple(
                 random_sl(field, 2 * n + 2, rng) @ b + mix
-                for b, mix in zip(report.data.blocks, _blocks_in_span(n, k, span, rng))
+                for b, mix in zip(drawn.blocks, _blocks_in_span(n, k, span, rng))
             )
             data = MonadData(n, k, field, blocks)
             defects_ok = defects_vanish(quadratic_defect(data, form))
             det = det_q(data)
             probe = max_rank_probe(data, form, 20, trial_seed)
         else:
+            report = gen_isotropic_orthogonal(n, k, p, trial_seed)
             defects_ok = report.defects_ok
             det = report.det_q_value
             probe = report.rank_probe

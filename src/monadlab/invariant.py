@@ -128,9 +128,16 @@ def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
     candidate fails the non-degeneracy requirement and cannot define an
     instanton bundle.  Otherwise the violated condition is reported.
     """
+    return _orthogonal_verdict(d, None)
+
+
+def _orthogonal_verdict(d: MonadData, defects) -> OrthogonalVerdict:
+    """:func:`orthogonal_verdict`, given the identity-pairing defects of d
+    when the caller has them already, or None."""
     if d.is_zero():
         return OrthogonalVerdict(DEGENERATE, "degenerate: A = 0, never of maximal rank")
-    defects = quadratic_defect(d, canonical_j(ORTHOGONAL_IDENTITY, d.n, d.k, d.field))
+    if defects is None:
+        defects = quadratic_defect(d, canonical_j(ORTHOGONAL_IDENTITY, d.n, d.k, d.field))
     for a, b, mat in defects:
         if not mat.is_zero():
             return OrthogonalVerdict(

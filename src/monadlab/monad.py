@@ -11,6 +11,17 @@ or skew pairing) holds identically in x iff every symmetrised block product
 vanishes; those defects are what :func:`quadratic_defect` computes.  Maximal
 rank of A and B = A*J on all of projective space is probed at random points
 only: a passing probe is evidence, a failing point is a certificate.
+
+The probe works on batches: it draws all its points as one integer array,
+evaluates A at every point with one product against the stacked blocks,
+multiplies by J, and tests full row rank of the whole stack with one
+elimination modulo a prime q.  Over GF(p), q = p and the batch test is
+exact.  Over Q, q is a fixed 31-bit prime and the batch test is a screen:
+full rank mod q implies full rank over Q, and a point that fails it (or all
+points, if q divides a denominator of the data) is tested again exactly.
+Either way the first point in draw order that fails goes through
+:func:`evaluate_a` and exact elimination, so a counterexample is still an
+exact certificate, with exact field-element coordinates.
 """
 
 from __future__ import annotations
@@ -18,15 +29,21 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .exact import (ExactMatrix, Field, MatrixFormatError, content_lines,
-                    hstack, parse_entry_row, parse_field, vstack)
+from .exact import (ExactMatrix, Field, MatrixFormatError, _full_row_rank_gf,
+                    _matmul_gf, content_lines, hstack, parse_entry_row, parse_field,
+                    vstack)
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
+
+# Over Q the probe screens modulo this prime (the largest below 2**31).
+_SCREEN_PRIME = 2**31 - 1
+# Points screened per elimination; bounds the probe's working memory.
+_PROBE_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -122,15 +139,19 @@ def evaluate_a(d: MonadData, x: Point) -> ExactMatrix:
     return vstack([row @ b for b in d.blocks])
 
 
+def _check_pairing(d: MonadData, j: PairingForm):
+    if j.matrix.rows != d.block_cols:
+        raise ValueError(f"pairing has size {j.matrix.rows}, expected {d.block_cols}")
+    if j.matrix.field != d.field:
+        raise ValueError(f"pairing is over {j.matrix.field}, data over {d.field}")
+
+
 def quadratic_defect(d: MonadData, j: PairingForm) -> list[tuple[int, int, ExactMatrix]]:
     """Defects D_ab = sym(M_a * J * M_b^t) for 1 <= a <= b <= k.
 
     All defects vanish iff A * J * A^t = 0 identically in the coordinates.
     """
-    if j.matrix.rows != d.block_cols:
-        raise ValueError(f"pairing has size {j.matrix.rows}, expected {d.block_cols}")
-    if j.matrix.field != d.field:
-        raise ValueError(f"pairing is over {j.matrix.field}, data over {d.field}")
+    _check_pairing(d, j)
     transposed = [b.transpose() for b in d.blocks]
     out = []
     for a in range(1, d.k + 1):
@@ -161,10 +182,67 @@ class RankProbeVerdict:
 
 def random_point(field: Field, dim: int, rng: np.random.Generator, box: int = 10) -> Point:
     """A nonzero point: uniform coordinates over GF(p), integers in [-box, box] over Q."""
-    while True:
-        coords = field.sample(rng, dim, box)
-        if coords.any():
-            return Point.of(field, coords.tolist())
+    return Point.of(field, _draw_points(field, dim, rng, box, 1, 1)[0].tolist())
+
+
+def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
+                 count: int, max_attempts: int) -> np.ndarray:
+    """The first ``count`` distinct points among the first ``max_attempts``
+    nonzero draws, in draw order, as a (points x dim) int64 array.
+
+    Zero draws are skipped without counting as attempts; duplicates count.
+    Coordinates are canonical over GF(p) and integers in [-box, box] over Q.
+    Draws come in batches, which consume the generator exactly as one draw
+    per point would.
+    """
+    if box < 1:
+        raise ValueError(f"point box must be >= 1, got {box}")
+    low, high = (0, field.p) if field.is_prime_field else (-box, box + 1)
+    drawn = np.empty((0, dim), dtype=np.int64)
+    first = np.empty(0, dtype=np.intp)  # where each distinct point was first drawn
+    key = np.dtype((np.void, drawn.itemsize * dim))  # one key per point
+    while len(first) < count and len(drawn) < max_attempts:
+        size = min(max(count - len(first), len(drawn)), max_attempts - len(drawn))
+        batch = rng.integers(low, high, size=(size, dim), dtype=np.int64)
+        drawn = np.concatenate([drawn, batch[batch.any(axis=1)]])
+        first = np.sort(np.unique(drawn.view(key).ravel(), return_index=True)[1])
+    return drawn[first[:count]]
+
+
+def _residues(m: ExactMatrix, q: int) -> Optional[np.ndarray]:
+    """Entries of m modulo the prime q as int64, or None if q divides a denominator."""
+    if m.field.is_prime_field:
+        return m._a
+    rows = m.tolist()
+    if any(x.denominator % q == 0 for r in rows for x in r):
+        return None
+    return np.array([[x.numerator * pow(x.denominator, -1, q) % q for x in r] for r in rows],
+                    dtype=np.int64)
+
+
+def _screen_failures(d: MonadData, j: PairingForm, points: np.ndarray) -> Iterator[int]:
+    """Indices, in order, of the points where A(x) or B(x) = A(x) * J has
+    rank below k modulo q; lazily, one batch of points at a time.
+
+    q is p over GF(p), where this is the exact answer, and _SCREEN_PRIME over
+    Q, where full rank mod q certifies full rank (a nonzero k x k minor mod q
+    is nonzero over Q) and a failure only says the point needs the exact test.
+    Data with a denominator that q divides fails at every point.
+    """
+    q = d.field.p or _SCREEN_PRIME
+    blocks = [_residues(b, q) for b in d.blocks]
+    jm = _residues(j.matrix, q)
+    if jm is None or any(b is None for b in blocks):
+        yield from range(len(points))
+        return
+    stacked = np.hstack(blocks)  # row j of A(x) is x^t * M_j
+    k, c = d.k, d.block_cols
+    for start in range(0, len(points), _PROBE_BATCH):
+        x = points[start:start + _PROBE_BATCH] % q
+        a = _matmul_gf(x, stacked, q).reshape(len(x) * k, c)
+        b = _matmul_gf(a, jm, q)
+        full = _full_row_rank_gf(np.concatenate([a, b]).reshape(2 * len(x), k, c), q)
+        yield from (start + np.flatnonzero(~(full[:len(x)] & full[len(x):]))).tolist()
 
 
 def max_rank_probe(d: MonadData, j: PairingForm, trials: int, seed: int,
@@ -173,31 +251,24 @@ def max_rank_probe(d: MonadData, j: PairingForm, trials: int, seed: int,
 
     A returned counterexample is an exact certificate that the data fails the
     everywhere-maximal-rank requirement; ``ok`` is probabilistic evidence only.
+    The points are screened in batches; only the screen's failures, in draw
+    order, get the exact test, up to the first that fails it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if box < 1:
-        raise ValueError(f"point box must be >= 1, got {box}")
+    _check_pairing(d, j)
     rng = np.random.default_rng(seed)
-    seen: set[tuple] = set()
-    tested = 0
-    attempts = 0
-    max_attempts = 50 * trials + 100
-    while tested < trials and attempts < max_attempts:
-        attempts += 1
-        x = random_point(d.field, d.block_rows, rng, box=box)
-        if x.coords in seen:
-            continue
-        seen.add(x.coords)
-        tested += 1
+    points = _draw_points(d.field, d.block_rows, rng, box, trials, 50 * trials + 100)
+    for i in _screen_failures(d, j, points):
+        x = Point.of(d.field, points[i].tolist())
         a = evaluate_a(d, x)
         ra = a.rank()
         if ra != d.k:
-            return RankProbeVerdict(False, tested, RankCounterexample(x, "alpha", ra))
+            return RankProbeVerdict(False, i + 1, RankCounterexample(x, "alpha", ra))
         rb = (a @ j.matrix).rank()
         if rb != d.k:
-            return RankProbeVerdict(False, tested, RankCounterexample(x, "beta", rb))
-    return RankProbeVerdict(True, tested)
+            return RankProbeVerdict(False, i + 1, RankCounterexample(x, "beta", rb))
+    return RankProbeVerdict(True, len(points))
 
 
 def chern_coefficients(k: int, terms: int) -> list[int]:

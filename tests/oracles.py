@@ -2,13 +2,17 @@
 
 Nothing here goes through the code paths under test: determinants come from
 Laplace expansion, products from the definition, monomial enumerations from a
-recursive generator, and the 20x10 block table for n=2, k=4 was worked out by
-hand from the single-variable multiplication rule.
+recursive generator, rank probes from one draw and one exact test per point,
+and the 20x10 block table for n=2, k=4 was worked out by hand from the
+single-variable multiplication rule.
 """
 
 from fractions import Fraction
 
-from monadlab import ExactMatrix
+import numpy as np
+
+from monadlab import (ExactMatrix, Point, RankCounterexample, RankProbeVerdict,
+                      evaluate_a)
 
 
 def det_cofactor(m: ExactMatrix):
@@ -104,3 +108,47 @@ KNOWN_COL_LABELS = [
 
 def frac_matrix(rows) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def distinct_points_pointwise(field, dim: int, rng, box: int, count: int,
+                              max_attempts: int) -> list[tuple]:
+    """Draw one point at a time; keep the first ``count`` distinct ones among
+    the first ``max_attempts`` nonzero draws."""
+    seen: list[tuple] = []
+    attempts = 0
+    while len(seen) < count and attempts < max_attempts:
+        coords = tuple(field.sample(rng, dim, box).tolist())
+        if not any(coords):
+            continue
+        attempts += 1
+        if coords not in seen:
+            seen.append(coords)
+    return seen
+
+
+def rank_probe_pointwise(d, j, trials: int, seed: int, box: int = 10) -> RankProbeVerdict:
+    """``max_rank_probe`` one point at a time: draw, skip zeros and repeats, and
+    test A(x) and A(x) * J by exact elimination."""
+    rng = np.random.default_rng(seed)
+    seen: set[tuple] = set()
+    tested = 0
+    attempts = 0
+    max_attempts = 50 * trials + 100
+    while tested < trials and attempts < max_attempts:
+        coords = d.field.sample(rng, d.block_rows, box)
+        if not coords.any():
+            continue
+        attempts += 1
+        x = Point.of(d.field, coords.tolist())
+        if x.coords in seen:
+            continue
+        seen.add(x.coords)
+        tested += 1
+        a = evaluate_a(d, x)
+        ra = a.rank()
+        if ra != d.k:
+            return RankProbeVerdict(False, tested, RankCounterexample(x, "alpha", ra))
+        rb = (a @ j.matrix).rank()
+        if rb != d.k:
+            return RankProbeVerdict(False, tested, RankCounterexample(x, "beta", rb))
+    return RankProbeVerdict(True, tested)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, format_matrix,
                       parse_field, parse_matrix)
+from monadlab.exact import _full_row_rank_gf
 from oracles import det_cofactor, matmul_naive
 
 GF101 = GF(101)
@@ -319,3 +320,24 @@ def test_rational_entries_always_canonical():
     m = parse_matrix("matrix rows=1 cols=2 field=rational\n2/4 -6/3\n")
     assert m[0, 0] == Fraction(1, 2)
     assert format_matrix(m).splitlines()[1] == "1/2 -2"
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([3, 7, 101, 2147483629]), r=st.integers(1, 4), c=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_full_row_rank_gf_matches_rank(p, r, c, seed):
+    # a stack of dense, sparse and low-rank r x c matrices, one elimination for all
+    field = GF(p)
+    rng = np.random.default_rng(seed)
+    stack = []
+    for kind in rng.integers(0, 3, size=40):
+        m = ExactMatrix.random(field, r, c, rng)
+        if kind == 1:
+            m = ExactMatrix(field, np.where(rng.random((r, c)) < 0.7, 0, m.tolist()).tolist())
+        elif kind == 2 and r > 1:
+            inner = int(rng.integers(1, r))
+            left = ExactMatrix.random(field, r, inner, rng)
+            m = left @ ExactMatrix.random(field, inner, c, rng)
+        stack.append(m)
+    full = _full_row_rank_gf(np.array([m.tolist() for m in stack], dtype=np.int64), p)
+    assert full.tolist() == [m.rank() == r for m in stack]

@@ -124,6 +124,19 @@ def test_isotropic_candidate_always_fails_some_requirement():
     assert report.rank_probe.counterexample.observed_rank < 1
 
 
+@pytest.mark.parametrize("k,seed,points,rank,coords", [
+    (3, 31295, 7, 2, (42, 42, 28, 57)),
+    (4, 18179, 8, 3, (55, 6, 14, 73)),
+])
+def test_isotropic_probe_point_stream_pinned(k, seed, points, rank, coords):
+    # the two counterexamples the benchmark records for the orthogonal sweep;
+    # a change in how probe points are drawn moves them
+    probe = gen_isotropic_orthogonal(1, k, 101, seed).rank_probe
+    assert not probe.ok and probe.points_tested == points
+    ce = probe.counterexample
+    assert (ce.which_map, ce.observed_rank, ce.point.coords) == ("alpha", rank, coords)
+
+
 def test_generator_determinism():
     a = format_monad(gen_isotropic_orthogonal(2, 3, 101, seed=9).data)
     b = format_monad(gen_isotropic_orthogonal(2, 3, 101, seed=9).data)

@@ -1,16 +1,25 @@
 """Monad data model: assembly, evaluation, defects, probes, Chern series, I/O."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import monadlab
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
-                      PairingForm, Point, canonical_j, chern_coefficients,
+                      PairingForm, Point, RankProbeVerdict, canonical_j, chern_coefficients,
                       defects_vanish, evaluate_a, format_monad, max_rank_probe,
                       parse_monad, quadratic_defect, random_point, vstack)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
+from monadlab.monad import _SCREEN_PRIME, _draw_points
+
+from oracles import distinct_points_pointwise, rank_probe_pointwise
 
 GF101 = GF(101)
 
@@ -186,6 +195,124 @@ def test_max_rank_probe_deterministic():
     v1 = max_rank_probe(d, j, trials=25, seed=99)
     v2 = max_rank_probe(d, j, trials=25, seed=99)
     assert v1 == v2
+
+
+def test_random_point_rejects_box_below_one():
+    # over Q a box of 0 only ever draws the zero point, which random_point
+    # used to redraw forever; a subprocess with a timeout turns a hang into a failure
+    code = ("import numpy as np; from monadlab import QQ, random_point; "
+            "random_point(QQ, 4, np.random.default_rng(0), box=0)")
+    env = {**os.environ, "PYTHONPATH": str(Path(monadlab.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ValueError: point box must be >= 1, got 0"
+
+
+@st.composite
+def probe_cases(draw):
+    """Monad data, a pairing form, trials and box for comparing rank probes.
+
+    Sparse blocks drop rank at some points, a block that is a multiple of
+    another drops it at every point (alpha), and a pairing matrix with zeroed
+    columns is singular (beta).  Over Q, entries may be multiples of the
+    screening prime or have it as a denominator; over GF(3) with n = 1 there
+    are only 80 distinct points, so larger trial counts hit the attempts cap.
+    """
+    field = draw(st.sampled_from([GF(3), GF(7), GF(101), GF(2147483629), QQ]))
+    n = 1 if field.p == 3 else draw(st.integers(1, 2))
+    k = draw(st.integers(1, 3))
+    rows, cols = 2 * n + 2, 2 * n + 2 * k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    # over Q: whether entries may be multiples of the screening prime, or have
+    # it as a denominator (which sends every point to the exact test)
+    multiples = [_SCREEN_PRIME, -2 * _SCREEN_PRIME]
+    nums = [-3, -2, -1, 1, 2, 3] + draw(st.sampled_from([[], multiples]))
+    dens = [1, 1, 2, 3] + draw(st.sampled_from([[], [], [_SCREEN_PRIME]]))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if field.is_prime_field:
+            return int(rng.integers(0, field.p))
+        return Fraction(int(rng.choice(nums)), int(rng.choice(dens)))
+
+    blocks = [ExactMatrix(field, [[entry() for _ in range(cols)] for _ in range(rows)])
+              for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        num, den = draw(st.sampled_from([(1, 1), (-1, 2), (2, 5)]))
+        blocks[-1] = blocks[0].scale(field.div(num, den))
+    kind = draw(st.sampled_from([ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL]))
+    j = canonical_j(kind, n, k, field)
+    if draw(st.booleans()):
+        keep = rng.random(cols) < draw(st.sampled_from([0.2, 0.5]))
+        rows_j = [[x if keep[c] else 0 for c, x in enumerate(r)] for r in j.matrix.tolist()]
+        j = PairingForm(kind, ExactMatrix(field, rows_j))
+    trials = draw(st.integers(1, 40) | st.integers(81, 120))
+    box = draw(st.sampled_from([1, 2, 10]))
+    return MonadData(n, k, field, tuple(blocks)), j, trials, box
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=probe_cases(), seed=st.integers(0, 2**32 - 1))
+def test_max_rank_probe_matches_pointwise_oracle(case, seed):
+    d, j, trials, box = case
+    expected = rank_probe_pointwise(d, j, trials, seed, box)
+    assert max_rank_probe(d, j, trials, seed, box=box) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from([GF(3), GF(101), QQ]), dim=st.integers(4, 6),
+       box=st.integers(1, 2), count=st.integers(1, 90), max_attempts=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_draw_points_matches_pointwise_draws(field, dim, box, count, max_attempts, seed):
+    points = _draw_points(field, dim, np.random.default_rng(seed), box, count, max_attempts)
+    expected = distinct_points_pointwise(field, dim, np.random.default_rng(seed), box,
+                                         count, max_attempts)
+    assert [tuple(p) for p in points.tolist()] == expected
+
+
+def test_max_rank_probe_stops_at_attempt_cap():
+    # A(x) = x: every nonzero point passes, and GF(3)^4 has only 80 of them
+    d = MonadData(1, 1, GF(3), (ExactMatrix.identity(GF(3), 4),))
+    j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, GF(3))
+    verdict = max_rank_probe(d, j, trials=100, seed=4)
+    assert verdict == RankProbeVerdict(True, 80)
+    assert verdict == rank_probe_pointwise(d, j, 100, 4)
+
+
+def test_max_rank_probe_finds_rare_failure_past_the_first_batch():
+    # A(x) = (x_0, x_1, 0, 0) vanishes only where x_0 = x_1 = 0; at this seed
+    # the first such point is the 1988th, past the first batch of screened points
+    f = GF(101)
+    d = MonadData(1, 1, f, (ExactMatrix(f, [[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4]),))
+    j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, f)
+    verdict = max_rank_probe(d, j, trials=3000, seed=15)
+    assert verdict.points_tested == 1988 and verdict.counterexample.point.coords[:2] == (0, 0)
+    assert verdict == rank_probe_pointwise(d, j, 3000, 15)
+
+
+@pytest.mark.parametrize("entry", [Fraction(_SCREEN_PRIME), Fraction(1, _SCREEN_PRIME)])
+def test_max_rank_probe_over_q_rechecks_what_the_screen_cannot_decide(entry):
+    # A(x) = entry * x has rank 1 over Q at every point, but is zero modulo
+    # the screening prime, or cannot be reduced modulo it
+    eye = ExactMatrix.identity(QQ, 4)
+    d = MonadData(1, 1, QQ, (eye.scale(entry),))
+    j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, QQ)
+    assert max_rank_probe(d, j, trials=30, seed=2) == RankProbeVerdict(True, 30)
+
+
+def test_max_rank_probe_over_q_finds_a_dependence_through_fractions():
+    # M_2 = -M_1 / 2 makes the rows of A proportional over Q; the screen
+    # must reduce -1/2 to its residue, not to its numerator, to see that
+    rng = np.random.default_rng(5)
+    m1 = ExactMatrix(QQ, rng.integers(-3, 4, size=(4, 6)).tolist())
+    d = MonadData(1, 2, QQ, (m1, m1.scale(Fraction(-1, 2))))
+    j = canonical_j(SYMPLECTIC_CANONICAL, 1, 2, QQ)
+    verdict = max_rank_probe(d, j, trials=20, seed=0)
+    assert not verdict.ok and verdict.points_tested == 1
+    assert verdict == rank_probe_pointwise(d, j, 20, 0)
 
 
 def test_chern_coefficients():
