@@ -11,7 +11,10 @@ that differs between the two: storage, reduction, products and elimination.
 Each field has one forward elimination, returning the echelon form, the
 pivot columns and the determinant; ``det``, ``rank`` and ``kernel_basis``
 read what they need from it.  Over GF(p) it is ordinary elimination that
-touches only the rows with a nonzero entry in the pivot column.  Over the
+touches only the rows with a nonzero entry in the pivot column, with
+delayed modular reduction: the rank-1 updates accumulate in int64 and the
+trailing block is reduced mod p only when one more update could overflow
+(Dumas, Giorgi and Pernet, FFLAS-FFPACK, arXiv:cs/0601133).  Over the
 rationals it is fraction-free (Bareiss) elimination on a denominator-cleared
 integer matrix, which keeps intermediate entries at minor size instead of
 exploding and gives the rank as well as the determinant.
@@ -100,7 +103,8 @@ class Field:
         return str(x)
 
     def sample(self, rng: np.random.Generator, size, box: int) -> np.ndarray:
-        """Uniform storage array: all of GF(p), or integers in [-box, box] over Q."""
+        """Uniform entries of shape ``size`` (one entry for None): all of GF(p),
+        or integers in [-box, box] over Q."""
         if self.p is not None:
             return rng.integers(0, self.p, size=size, dtype=np.int64)
         ints = rng.integers(-box, box + 1, size=size)
@@ -134,7 +138,8 @@ class Field:
         The echelon form has the right kernel of ``a``; its first
         ``len(pivots)`` rows hold the pivots.  The determinant is only
         meaningful for square ``a``, and is zero when a column has no pivot;
-        with ``det_only`` elimination stops at that column.
+        with ``det_only`` elimination stops at that column, and over GF(p)
+        the rows below the last pivot may then hold entries outside [0, p).
         """
         if self.p is None:
             return _echelon_qq(a, det_only)
@@ -379,16 +384,48 @@ def _matmul_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list[int], int]:
-    """Row echelon form over GF(p); see :meth:`Field.echelon`."""
+    """Row echelon form over GF(p); see :meth:`Field.echelon`.
+
+    Delayed reduction: the rank-1 update subtracts factor * pivot row with
+    no ``% p``.  Both are canonical, so an update moves an entry by less than
+    p**2, and ``budget`` updates fit in int64 on top of a canonical entry
+    (about 9e9 at p = 32003, 8 just below 2**30, 2 just below 2**31).
+    ``pending`` counts updates since the trailing block was last canonical;
+    before the update that would exceed the budget the trailing block is
+    reduced.  Sooner than that, only what elimination reads is reduced:
+
+    - the stored nonzeros of the pivot column, since a nonzero multiple of
+      p is zero and must not become the pivot (when nothing is pending the
+      entries are canonical and this is skipped);
+    - the pivot row, if an update touched it since it was last canonical.
+
+    Entries that elimination makes zero are stored as exact zeros: the
+    eliminated column of the updated rows, and pivot-column entries that
+    reduce to zero.  Pivot rows are canonical once chosen and every other
+    entry is such a zero, so the result needs no final reduction and is the
+    array that reducing at every step gives.  When ``det_only`` stops early,
+    the rows it did not finish are left as they are, right only mod p.
+    """
     a = a.copy()
     rows, cols = a.shape
+    budget = (2**63 - 1 - p) // p**2
+    pending = 0  # updates since the trailing block was last reduced
+    touched = np.zeros(rows, dtype=bool)  # rows updated since then
     pivots: list[int] = []
     det = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        nz = a[r:, c].nonzero()[0]
+        col = a[r:, c]
+        nz = col.nonzero()[0]
+        vals = col[nz]
+        if pending:
+            vals %= p
+            keep = vals.nonzero()[0]
+            if keep.size < nz.size:
+                col[nz] = vals
+                nz, vals = nz[keep], vals[keep]
         if nz.size == 0:
             det = 0
             if det_only:
@@ -396,16 +433,31 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
             continue
         if nz[0]:
             i = r + int(nz[0])
-            a[[r, i]] = a[[i, r]]
+            row = a[i, c:].copy()
+            a[i, c:] = a[r, c:]
+            a[r, c:] = row
+            touched[r], touched[i] = touched[i], touched[r]
             det = -det
-        piv = int(a[r, c])
+        if touched[r]:
+            a[r, c:] %= p
+        piv = int(vals[0])
         det = det * piv % p
-        # after the swap the rows below r with a nonzero in column c are
-        # exactly r + nz[1:]; every other row is left as it is
-        below = r + nz[1:]
-        if below.size:
-            factors = a[below, c] * pow(piv, -1, p) % p
-            a[below, c:] = (a[below, c:] - np.outer(factors, a[r, c:])) % p
+        if nz.size > 1:
+            if pending == budget:
+                a[r + 1:, c + 1:] %= p
+                pending = 0
+                touched[:] = False
+            # after the swap the rows below r with a nonzero in column c are
+            # exactly r + nz[1:]; every other row is left as it is.  A run of
+            # consecutive rows is updated through a view, with no gather
+            below = r + nz[1:]
+            if below[-1] - below[0] == below.size - 1:
+                below = slice(below[0], below[-1] + 1)
+            factors = vals[1:] * pow(piv, -1, p) % p
+            a[below, c + 1:] -= factors[:, None] * a[r, c + 1:]
+            col[nz[1:]] = 0
+            pending += 1
+            touched[below] = True
         pivots.append(c)
     return a, pivots, det
 

@@ -43,12 +43,8 @@ def random_sl(field: Field, size: int, rng: np.random.Generator,
         j = int(rng.integers(0, size - 1))
         if j >= i:
             j += 1
-        if field.is_prime_field:
-            lam = int(rng.integers(0, field.p))
-            a[i] = (a[i] + lam * a[j]) % field.p
-        else:
-            lam = field.coerce(int(rng.integers(-3, 4)))
-            a[i] = a[i] + lam * a[j]
+        lam = field.sample(rng, None, 3)
+        a[i] = field.reduce(a[i] + lam * a[j])
     return ExactMatrix._wrap(field, a)
 
 

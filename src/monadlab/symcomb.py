@@ -14,6 +14,7 @@ nonzero-block pattern of the big multiplication matrix built in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -116,8 +117,12 @@ class QLayout:
         return sorted((i, a) for (i, c), a in self.entries.items() if c == j)
 
 
+@functools.lru_cache(maxsize=32)
 def q_layout(n: int, k: int) -> QLayout:
-    """Layout induced by multiplication from degree n to degree n+1."""
+    """Layout induced by multiplication from degree n to degree n+1.
+
+    Memoised on (n, k): callers share one layout and must not mutate it.
+    """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     cols = sym_basis(k, n)

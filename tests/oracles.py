@@ -3,6 +3,7 @@
 Nothing here goes through the code paths under test: determinants come from
 Laplace expansion, products from the definition, monomial enumerations from a
 recursive generator, rank probes from one draw and one exact test per point,
+GF(p) echelon forms from elimination that reduces every entry at every step,
 and the 20x10 block table for n=2, k=4 was worked out by hand from the
 single-variable multiplication rule.
 """
@@ -152,3 +153,34 @@ def rank_probe_pointwise(d, j, trials: int, seed: int, box: int = 10) -> RankPro
         if rb != d.k:
             return RankProbeVerdict(False, tested, RankCounterexample(x, "beta", rb))
     return RankProbeVerdict(True, tested)
+
+
+def echelon_gf_reference(a: np.ndarray, p: int, det_only: bool):
+    """GF(p) forward elimination reducing the updated rows mod p at every step:
+    (echelon form, pivot columns, determinant), as ``Field.echelon``."""
+    a = a.copy()
+    rows, cols = a.shape
+    pivots: list[int] = []
+    det = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            det = 0
+            if det_only:
+                break
+            continue
+        if nz[0]:
+            i = r + int(nz[0])
+            a[[r, i]] = a[[i, r]]
+            det = -det
+        piv = int(a[r, c])
+        det = det * piv % p
+        below = r + nz[1:]
+        if below.size:
+            factors = a[below, c] * pow(piv, -1, p) % p
+            a[below, c:] = (a[below, c:] - np.outer(factors, a[r, c:])) % p
+        pivots.append(c)
+    return a, pivots, det

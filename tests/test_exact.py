@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, format_matrix,
-                      parse_field, parse_matrix)
-from monadlab.exact import _full_row_rank_gf
-from oracles import det_cofactor, matmul_naive
+from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData, build_q,
+                      format_matrix, parse_field, parse_matrix)
+from monadlab.exact import _echelon_gf, _full_row_rank_gf
+from oracles import det_cofactor, echelon_gf_reference, matmul_naive
 
 GF101 = GF(101)
 
@@ -341,3 +341,56 @@ def test_full_row_rank_gf_matches_rank(p, r, c, seed):
         stack.append(m)
     full = _full_row_rank_gf(np.array([m.tolist() for m in stack], dtype=np.int64), p)
     assert full.tolist() == [m.rank() == r for m in stack]
+
+
+# -- delayed reduction in GF(p) elimination against reduction at every step ------
+
+P30 = 2**30 - 35  # largest prime below 2**30: an overflow budget of 8 updates
+
+
+def assert_echelon_gf_matches_reference(a, p):
+    # with det_only an early stop leaves the unfinished rows unreduced; nothing
+    # reads them, but they must still be right mod p
+    for det_only in (False, True):
+        echelon, pivots, det = _echelon_gf(a, p, det_only)
+        expected, expected_pivots, expected_det = echelon_gf_reference(a, p, det_only)
+        if det_only:
+            echelon = echelon % p
+        assert echelon.tolist() == expected.tolist()
+        assert (pivots, det) == (expected_pivots, expected_det)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 101, 32003, P30, 2147483629]), rows=st.integers(0, 24),
+       cols=st.integers(0, 24), kind=st.sampled_from(["dense", "sparse", "product", "repeats"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_echelon_gf_matches_reference(p, rows, cols, kind, seed):
+    # budgets: 1e18 / 9e14 / 9e9 / 8 / 2 updates, so at the two largest primes
+    # the trailing block is reduced mid-elimination; products and repeated
+    # rows cancel to nonzero multiples of p that must not become pivots
+    field = GF(p)
+    rng = np.random.default_rng(seed)
+    a = field.sample(rng, (rows, cols), 0)
+    if kind == "sparse":
+        a[rng.random(a.shape) < 0.6] = 0
+        if cols:
+            a[:, rng.integers(0, cols, size=2)] = 0
+    elif kind == "product" and min(rows, cols) >= 2:
+        inner = int(rng.integers(1, min(rows, cols)))
+        a = field.matmul(field.sample(rng, (rows, inner), 0), field.sample(rng, (inner, cols), 0))
+    elif kind == "repeats" and rows >= 2:
+        for i in rng.integers(0, rows, size=rows // 2):
+            j = int(rng.integers(0, rows))
+            a[i] = a[j] * int(rng.integers(1, p)) % p
+    assert_echelon_gf_matches_reference(a, p)
+
+
+def test_echelon_gf_matches_reference_on_filled_in_q():
+    # random blocks fill Q in during elimination: hundreds of updates reach the
+    # same entries, so the budget of 8 forces many reductions of the trailing block
+    field = GF(P30)
+    rng = np.random.default_rng(7)
+    blocks = tuple(ExactMatrix.random(field, 8, 14, rng) for _ in range(4))
+    q = build_q(MonadData(3, 4, field, blocks)).matrix
+    assert q.shape == (280, 280)
+    assert_echelon_gf_matches_reference(q._a, P30)
