@@ -129,7 +129,7 @@ def _cmd_build_q(args) -> int:
 def _cmd_det_q(args) -> int:
     data = _read_monad(args.infile)
     det = det_q(data)
-    print(data.field.format(det))
+    print(det)
     return 0 if det != 0 else 1
 
 
@@ -177,7 +177,7 @@ def _cmd_check(args) -> int:
         print(f"verdict: {verdict.message}")
         return 0 if verdict.status != DEFECT_NONZERO else 1
     det = det_q(data)
-    print(f"detQ: {data.field.format(det)}")
+    print(f"detQ: {det}")
     ok = not bad and probe.ok
     print(f"verdict: {'symplectic conditions verified' if ok else 'not a symplectic candidate'}")
     return 0 if ok else 1
@@ -195,8 +195,7 @@ def _cmd_gen(args) -> int:
     print(f"wrote {args.out}")
     print(f"defects_ok: {_yes(report.defects_ok)}")
     print(f"rank_probe: {'ok' if report.rank_probe.ok else 'counterexample'}")
-    det = report.det_q_value
-    print(f"detQ: {'not computed' if det is None else report.data.field.format(det)}")
+    print(f"detQ: {report.det_q_value}")
     return 0
 
 

@@ -99,9 +99,6 @@ class Field:
             return Fraction(x) / y
         return x * pow(y, -1, self.p) % self.p
 
-    def format(self, x) -> str:
-        return str(x)
-
     def sample(self, rng: np.random.Generator, size, box: int) -> np.ndarray:
         """Uniform entries of shape ``size`` (one entry for None): all of GF(p),
         or integers in [-box, box] over Q."""
@@ -216,28 +213,6 @@ class ExactMatrix:
     def identity(cls, field: Field, n: int) -> "ExactMatrix":
         a = field.zeros(n, n)
         np.fill_diagonal(a, field.one())
-        return cls._wrap(field, a)
-
-    @classmethod
-    def from_blocks(cls, field: Field, grid: Sequence[Sequence["ExactMatrix | None"]],
-                    block_rows: int, block_cols: int) -> "ExactMatrix":
-        """Assemble a block matrix; ``None`` cells are zero blocks."""
-        nbr = len(grid)
-        nbc = len(grid[0]) if nbr else 0
-        a = field.zeros(nbr * block_rows, nbc * block_cols)
-        for i, row in enumerate(grid):
-            if len(row) != nbc:
-                raise ValueError("ragged block grid")
-            for j, blk in enumerate(row):
-                if blk is None:
-                    continue
-                if blk.field != field:
-                    raise ValueError(f"field mismatch: {blk.field} vs {field}")
-                if blk.shape != (block_rows, block_cols):
-                    raise ValueError(f"block ({i},{j}) has shape {blk.shape}, "
-                                     f"expected {(block_rows, block_cols)}")
-                a[i * block_rows:(i + 1) * block_rows,
-                  j * block_cols:(j + 1) * block_cols] = blk._a
         return cls._wrap(field, a)
 
     @classmethod
@@ -543,7 +518,7 @@ _MATRIX_HEADER = re.compile(r"matrix rows=(\d+) cols=(\d+) field=(\S+)")
 def format_matrix(m: ExactMatrix) -> str:
     lines = [f"matrix rows={m.rows} cols={m.cols} field={m.field.spec}"]
     for i in range(m.rows):
-        lines.append(" ".join(m.field.format(x) for x in m.row_list(i)))
+        lines.append(" ".join(map(str, m.row_list(i))))
     return "\n".join(lines) + "\n"
 
 

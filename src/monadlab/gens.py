@@ -32,13 +32,10 @@ class GeneratorReport:
     det_q_value: object = None  # None when not computed
 
 
-def random_sl(field: Field, size: int, rng: np.random.Generator,
-              steps: int | None = None) -> ExactMatrix:
-    """Unit-determinant matrix built as a product of random transvections."""
-    if steps is None:
-        steps = 3 * size
+def random_sl(field: Field, size: int, rng: np.random.Generator) -> ExactMatrix:
+    """Unit-determinant matrix built as a product of 3 * size random transvections."""
     a = ExactMatrix.identity(field, size)._a.copy()
-    for _ in range(steps):
+    for _ in range(3 * size):
         i = int(rng.integers(0, size))
         j = int(rng.integers(0, size - 1))
         if j >= i:
@@ -180,12 +177,19 @@ def _sum_of_squares_minus_one(p: int) -> tuple[int, int]:
 def _blocks_in_span(n: int, k: int, span: ExactMatrix,
                     rng: np.random.Generator) -> tuple[ExactMatrix, ...]:
     """Random blocks whose rows are combinations of the span's rows."""
-    field = span.field
-    blocks = tuple(
-        ExactMatrix.random(field, 2 * n + 2, span.rows, rng) @ span
-        for _ in range(k)
-    )
-    return blocks
+    return tuple(ExactMatrix.random(span.field, 2 * n + 2, span.rows, rng) @ span
+                 for _ in range(k))
+
+
+def _nonzero_blocks_in_span(n: int, k: int, span: ExactMatrix,
+                            seed: int) -> tuple[ExactMatrix, ...]:
+    """The first draw of :func:`_blocks_in_span` from ``seed`` with a nonzero block."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        blocks = _blocks_in_span(n, k, span, rng)
+        if not all(b.is_zero() for b in blocks):
+            return blocks
+    raise GeneratorError("could not draw nonzero blocks")
 
 
 def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int,
@@ -197,27 +201,11 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int,
     symmetrised conditions.  The determinant is always computed: the syzygy
     forces it to zero, and that is re-verified here.
     """
-    data, form, det = _isotropic_draw(n, k, p, seed)
-    probe = max_rank_probe(data, form, probe_trials, seed)
-    return GeneratorReport(data, form, True, probe, det)
-
-
-def _isotropic_draw(n: int, k: int, p: int,
-                    seed: int) -> tuple[MonadData, PairingForm, object]:
-    """The data of :func:`gen_isotropic_orthogonal`, its form and det Q,
-    with the defects and the determinant verified but no rank probe."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     field = GF(p)
     span = isotropic_basis(field, 2 * n + 2 * k)
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        blocks = _blocks_in_span(n, k, span, rng)
-        if not all(b.is_zero() for b in blocks):
-            break
-    else:
-        raise GeneratorError("could not draw nonzero blocks")
-    data = MonadData(n, k, field, blocks)
+    data = MonadData(n, k, field, _nonzero_blocks_in_span(n, k, span, seed))
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
     if not defects_vanish(quadratic_defect(data, form)):
         raise GeneratorError("isotropic construction has a nonzero defect")
@@ -225,7 +213,8 @@ def _isotropic_draw(n: int, k: int, p: int,
     if det != 0:
         raise GeneratorError("isotropic construction has nonzero determinant; "
                              "the syzygy argument should force zero")
-    return data, form, det
+    probe = max_rank_probe(data, form, probe_trials, seed)
+    return GeneratorReport(data, form, True, probe, det)
 
 
 # -- orthogonal search harness -----------------------------------------------------------
@@ -276,13 +265,13 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
         trial_seed = seed + t
         perturbed = t % 2 == 1
         if perturbed:
-            # the draw keeps its self-checks; its probe would be discarded
-            drawn = _isotropic_draw(n, k, p, trial_seed)[0]
-            # row operations inside the isotropic span keep the conditions exact
+            # the generator's draw, perturbed by row operations inside the
+            # isotropic span, which keep the conditions exact
+            drawn = _nonzero_blocks_in_span(n, k, span, trial_seed)
             rng = np.random.default_rng(trial_seed + 0x5EED)
             blocks = tuple(
                 random_sl(field, 2 * n + 2, rng) @ b + mix
-                for b, mix in zip(drawn.blocks, _blocks_in_span(n, k, span, rng))
+                for b, mix in zip(drawn, _blocks_in_span(n, k, span, rng))
             )
             data = MonadData(n, k, field, blocks)
             defects_ok = defects_vanish(quadratic_defect(data, form))

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .exact import ExactMatrix, vstack
 from .monad import (ORTHOGONAL_IDENTITY, MonadData, canonical_j, defects_vanish,
                     quadratic_defect)
@@ -47,14 +49,19 @@ class SyzygyMatrix:
 
 
 def build_q(d: MonadData) -> QMatrix:
-    """Assemble the square matrix from the sparse block layout."""
+    """Assemble the square matrix from the sparse block layout.
+
+    The blocks go in with one assignment on Q's storage viewed as
+    (block row, row, block column, column).
+    """
     layout = q_layout(d.n, d.k)
-    grid = [[None] * layout.block_cols for _ in range(layout.block_rows)]
-    for (i, j), alpha in layout.entries.items():
-        grid[i - 1][j - 1] = d.blocks[alpha - 1]
-    matrix = ExactMatrix.from_blocks(d.field, grid, d.block_rows, d.block_cols)
-    assert matrix.rows == matrix.cols
-    return QMatrix(d.n, d.k, layout, matrix)
+    br, bc = d.block_rows, d.block_cols
+    rows, cols, alphas = np.array([(*ij, alpha) for ij, alpha in layout.entries.items()]).T - 1
+    a = d.field.zeros(layout.block_rows * br, layout.block_cols * bc)
+    a.reshape(layout.block_rows, br, layout.block_cols, bc)[rows, :, cols, :] = \
+        np.array([b._a for b in d.blocks])[alphas]
+    assert a.shape[0] == a.shape[1]
+    return QMatrix(d.n, d.k, layout, ExactMatrix._wrap(d.field, a))
 
 
 def det_q(d: MonadData):

@@ -16,9 +16,9 @@ The probe works on batches: it draws all its points as one integer array,
 evaluates A at every point with one product against the stacked blocks,
 multiplies by J, and tests full row rank of the whole stack with one
 elimination modulo a prime q.  Over GF(p), q = p and the batch test is
-exact.  Over Q, q is a fixed 31-bit prime and the batch test is a screen:
-full rank mod q implies full rank over Q, and a point that fails it (or all
-points, if q divides a denominator of the data) is tested again exactly.
+exact.  Over Q, q is a fixed 31-bit prime and the batch test is a screen
+on the data cleared of denominators: full rank mod q implies full rank over
+Q, and a point that fails it is tested again exactly.
 Either way the first point in draw order that fails goes through
 :func:`evaluate_a` and exact elimination, so a counterexample is still an
 exact certificate, with exact field-element coordinates.
@@ -209,14 +209,14 @@ def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
     return drawn[first[:count]]
 
 
-def _residues(m: ExactMatrix, q: int) -> Optional[np.ndarray]:
-    """Entries of m modulo the prime q as int64, or None if q divides a denominator."""
+def _residues(m: ExactMatrix, q: int) -> np.ndarray:
+    """Entries of m modulo the prime q as int64; over Q, of m times the lcm
+    of its denominators, a nonzero scalar that leaves every rank unchanged."""
     if m.field.is_prime_field:
         return m._a
     rows = m.tolist()
-    if any(x.denominator % q == 0 for r in rows for x in r):
-        return None
-    return np.array([[x.numerator * pow(x.denominator, -1, q) % q for x in r] for r in rows],
+    scale = math.lcm(*(x.denominator for r in rows for x in r))
+    return np.array([[x.numerator * (scale // x.denominator) % q for x in r] for r in rows],
                     dtype=np.int64)
 
 
@@ -227,15 +227,12 @@ def _screen_failures(d: MonadData, j: PairingForm, points: np.ndarray) -> Iterat
     q is p over GF(p), where this is the exact answer, and _SCREEN_PRIME over
     Q, where full rank mod q certifies full rank (a nonzero k x k minor mod q
     is nonzero over Q) and a failure only says the point needs the exact test.
-    Data with a denominator that q divides fails at every point.
+    Over Q each block and J are cleared of denominators first, which
+    multiplies each row of A(x) and of B(x) by a nonzero constant.
     """
     q = d.field.p or _SCREEN_PRIME
-    blocks = [_residues(b, q) for b in d.blocks]
+    stacked = np.hstack([_residues(b, q) for b in d.blocks])  # row j of A(x) is x^t * M_j
     jm = _residues(j.matrix, q)
-    if jm is None or any(b is None for b in blocks):
-        yield from range(len(points))
-        return
-    stacked = np.hstack(blocks)  # row j of A(x) is x^t * M_j
     k, c = d.k, d.block_cols
     for start in range(0, len(points), _PROBE_BATCH):
         x = points[start:start + _PROBE_BATCH] % q
@@ -291,7 +288,7 @@ def format_monad(d: MonadData) -> str:
     for j, b in enumerate(d.blocks, start=1):
         lines.append(f"block {j}")
         for i in range(b.rows):
-            lines.append(" ".join(d.field.format(x) for x in b.row_list(i)))
+            lines.append(" ".join(map(str, b.row_list(i))))
     return "\n".join(lines) + "\n"
 
 

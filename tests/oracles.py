@@ -4,8 +4,9 @@ Nothing here goes through the code paths under test: determinants come from
 Laplace expansion, products from the definition, monomial enumerations from a
 recursive generator, rank probes from one draw and one exact test per point,
 GF(p) echelon forms from elimination that reduces every entry at every step,
-and the 20x10 block table for n=2, k=4 was worked out by hand from the
-single-variable multiplication rule.
+Q entry by entry from the monomial bases with plain loops, and the 20x10
+block table for n=2, k=4 was worked out by hand from the single-variable
+multiplication rule.
 """
 
 from fractions import Fraction
@@ -67,6 +68,25 @@ def enum_monomials_brute(k: int, d: int) -> list[tuple[int, ...]]:
 
     rec((), d, k)
     return sorted(out, reverse=True)
+
+
+def build_q_blockwise(d) -> ExactMatrix:
+    """Q entry by entry: block (i, j) is M_alpha when the i-th degree-(n+1)
+    monomial is the j-th degree-n monomial times i_alpha, zero otherwise."""
+    br, bc = d.block_rows, d.block_cols
+    row_monomials = enum_monomials_brute(d.k, d.n + 1)
+    col_monomials = enum_monomials_brute(d.k, d.n)
+    rows = [[0] * (len(col_monomials) * bc) for _ in range(len(row_monomials) * br)]
+    for i, eta in enumerate(row_monomials):
+        for j, zeta in enumerate(col_monomials):
+            diff = [e - z for e, z in zip(eta, zeta)]
+            if sorted(diff) != [0] * (d.k - 1) + [1]:
+                continue
+            block = d.blocks[diff.index(1)].tolist()
+            for r in range(br):
+                for c in range(bc):
+                    rows[i * br + r][j * bc + c] = block[r][c]
+    return ExactMatrix(d.field, rows)
 
 
 # Hand-worked 20x10 block pattern for n=2, k=4:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData, build_q,
-                      format_matrix, parse_field, parse_matrix)
+                      format_matrix, hstack, parse_field, parse_matrix, vstack)
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
 from oracles import det_cofactor, echelon_gf_reference, matmul_naive
 
@@ -276,10 +276,12 @@ def test_rank_and_kernel_basis_match_sympy(sympy_oracle, m):
 
 def test_block_helpers():
     a = ExactMatrix(QQ, [[1, 2], [3, 4]])
-    grid = [[a, None], [None, a]]
-    big = ExactMatrix.from_blocks(QQ, grid, 2, 2)
+    b = ExactMatrix(QQ, [["1/2", 0], [5, -1]])
+    z = ExactMatrix.zeros(QQ, 2, 2)
+    big = vstack([hstack([a, z]), hstack([b, a])])
     assert big.block(0, 0, 2, 2) == a
     assert big.block(0, 1, 2, 2).is_zero()
+    assert big.block(1, 0, 2, 2) == b
     assert big.block(1, 1, 2, 2) == a
 
 

@@ -7,9 +7,11 @@ diagonal) and every other row block must vanish, for arbitrary data.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
                       ExactMatrix, MonadData, build_q, build_syzygy, det_q,
@@ -17,6 +19,8 @@ from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
                       gen_special_symplectic, isotropic_basis,
                       orthogonal_verdict, q_layout, random_sl, transform_monad,
                       verify_syzygy)
+
+from oracles import build_q_blockwise
 
 GF101 = GF(101)
 
@@ -77,6 +81,30 @@ def test_build_q_block_pattern():
                 assert blk.is_zero()
             else:
                 assert blk == d.blocks[alpha - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([QQ, GF(3), GF(101), GF(2147483629)]), n=st.integers(1, 3),
+       k=st.integers(1, 4), zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(field=QQ, n=1, k=1, zero=False, seed=0)
+@example(field=QQ, n=2, k=3, zero=True, seed=0)
+@example(field=GF(2147483629), n=3, k=4, zero=False, seed=1)
+def test_build_q_matches_blockwise_oracle(field, n, k, zero, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2 * n + 2, 2 * n + 2 * k)
+
+    def block():
+        if zero:
+            return ExactMatrix.zeros(field, *shape)
+        if field.is_prime_field:
+            return ExactMatrix.random(field, *shape, rng)
+        nums = rng.integers(-9, 10, size=shape).tolist()
+        dens = rng.integers(1, 8, size=shape).tolist()
+        return ExactMatrix(field, [[Fraction(a, b) for a, b in zip(*r)]
+                                   for r in zip(nums, dens)])
+
+    d = MonadData(n, k, field, tuple(block() for _ in range(k)))
+    assert build_q(d).matrix == build_q_blockwise(d)
 
 
 def test_build_q_k1_is_single_block():

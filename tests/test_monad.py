@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 import monadlab
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
                       PairingForm, Point, RankProbeVerdict, canonical_j, chern_coefficients,
-                      defects_vanish, evaluate_a, format_monad, max_rank_probe,
+                      defects_vanish, evaluate_a, format_monad, hstack, max_rank_probe,
                       parse_monad, quadratic_defect, random_point, vstack)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
+from monadlab import monad
 from monadlab.monad import _SCREEN_PRIME, _draw_points
 
 from oracles import distinct_points_pointwise, rank_probe_pointwise
@@ -76,8 +77,9 @@ def test_evaluate_a_against_assembled_matrix():
         d = random_data(2, 3, field, rng)
         x = random_point(field, 6, rng)
         xr = x.as_row()
-        grid = [[xr if i == j else None for j in range(3)] for i in range(3)]
-        selector = ExactMatrix.from_blocks(field, grid, 1, 6)
+        zero = ExactMatrix.zeros(field, 1, 6)
+        selector = vstack([hstack([xr if i == j else zero for j in range(3)])
+                           for i in range(3)])
         assert evaluate_a(d, x) == selector @ vstack(list(d.blocks))
 
 
@@ -226,7 +228,7 @@ def probe_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.1, 0.3, 1.0]))
     # over Q: whether entries may be multiples of the screening prime, or have
-    # it as a denominator (which sends every point to the exact test)
+    # it as a denominator (which the screen clears before reducing)
     multiples = [_SCREEN_PRIME, -2 * _SCREEN_PRIME]
     nums = [-3, -2, -1, 1, 2, 3] + draw(st.sampled_from([[], multiples]))
     dens = [1, 1, 2, 3] + draw(st.sampled_from([[], [], [_SCREEN_PRIME]]))
@@ -295,12 +297,27 @@ def test_max_rank_probe_finds_rare_failure_past_the_first_batch():
 
 @pytest.mark.parametrize("entry", [Fraction(_SCREEN_PRIME), Fraction(1, _SCREEN_PRIME)])
 def test_max_rank_probe_over_q_rechecks_what_the_screen_cannot_decide(entry):
-    # A(x) = entry * x has rank 1 over Q at every point, but is zero modulo
-    # the screening prime, or cannot be reduced modulo it
+    # A(x) = entry * x has rank 1 over Q at every point; modulo the screening
+    # prime it is zero (entry = q, which the exact test must overrule) or,
+    # once cleared of its denominator, x itself (entry = 1/q)
     eye = ExactMatrix.identity(QQ, 4)
     d = MonadData(1, 1, QQ, (eye.scale(entry),))
     j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, QQ)
     assert max_rank_probe(d, j, trials=30, seed=2) == RankProbeVerdict(True, 30)
+
+
+def test_max_rank_probe_over_q_screens_data_with_the_screening_prime_as_denominator(
+        monkeypatch):
+    # A(x) = x / (2**31 - 1): clearing the denominator leaves A(x) = x modulo
+    # the screening prime, so the screen decides every point on its own
+    d = MonadData(1, 1, QQ, (ExactMatrix.identity(QQ, 4).scale(Fraction(1, 2**31 - 1)),))
+    j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, QQ)
+
+    def exact_test(*args):
+        raise AssertionError("a point that passes the screen went to the exact test")
+
+    monkeypatch.setattr(monad, "evaluate_a", exact_test)
+    assert max_rank_probe(d, j, 30, 2) == RankProbeVerdict(True, 30)
 
 
 def test_max_rank_probe_over_q_finds_a_dependence_through_fractions():
