@@ -144,7 +144,7 @@ def _cmd_syzygy(args) -> int:
     print(f"S nonzero: {_yes(not report.syzygy_is_zero)}")
     print(f"residual Q*S zero: {_yes(report.residual_is_zero)}")
     print(f"orthogonal defects zero: {_yes(report.defects_all_zero)}")
-    if report.degenerate:
+    if report.syzygy_is_zero:
         print("verdict: degenerate (all blocks zero)")
     elif report.det_zero_forced:
         print("verdict: det Q = 0 forced")
@@ -159,24 +159,25 @@ def _cmd_check(args) -> int:
     kind = ORTHOGONAL_IDENTITY if args.form == "orthogonal" else SYMPLECTIC_CANONICAL
     form = canonical_j(kind, data.n, data.k, data.field)
     defects = quadratic_defect(data, form)
+    bad = [(a, b) for a, b, m in defects if not m.is_zero()]
+    probe = max_rank_probe(data, form, args.trials, args.seed, box=box)
     if args.form == "orthogonal":
         verdict = _orthogonal_verdict(data, defects)
-    bad = [(a, b) for a, b, m in defects if not m.is_zero()]
+    else:
+        det = det_q(data)
     if bad:
         print(f"defects nonzero at: {' '.join(f'({a},{b})' for a, b in bad)}")
     else:
         print("defects: all zero")
-    probe = max_rank_probe(data, form, args.trials, args.seed, box=box)
     if probe.ok:
         print(f"rank probe: ok at {probe.points_tested} points")
     else:
         ce = probe.counterexample
         print(f"rank probe: counterexample, map {ce.which_map} has rank "
-              f"{ce.observed_rank} at {list(ce.point.coords)}")
+              f"{ce.observed_rank} at [{', '.join(map(str, ce.point.coords))}]")
     if args.form == "orthogonal":
         print(f"verdict: {verdict.message}")
         return 0 if verdict.status != DEFECT_NONZERO else 1
-    det = det_q(data)
     print(f"detQ: {det}")
     ok = not bad and probe.ok
     print(f"verdict: {'symplectic conditions verified' if ok else 'not a symplectic candidate'}")

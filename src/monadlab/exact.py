@@ -366,8 +366,9 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
     p**2, and ``budget`` updates fit in int64 on top of a canonical entry
     (about 9e9 at p = 32003, 8 just below 2**30, 2 just below 2**31).
     ``pending`` counts updates since the trailing block was last canonical;
-    before the update that would exceed the budget the trailing block is
-    reduced.  Sooner than that, only what elimination reads is reduced:
+    before the update that would exceed the budget the trailing block's
+    ``touched`` rows, the only ones an update has moved, are reduced.
+    Sooner than that, only what elimination reads is reduced:
 
     - the stored nonzeros of the pivot column, since a nonzero multiple of
       p is zero and must not become the pivot (when nothing is pending the
@@ -419,7 +420,8 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
         det = det * piv % p
         if nz.size > 1:
             if pending == budget:
-                a[r + 1:, c + 1:] %= p
+                stale = r + 1 + np.flatnonzero(touched[r + 1:])
+                a[stale, c + 1:] %= p
                 pending = 0
                 touched[:] = False
             # after the swap the rows below r with a nonzero in column c are

@@ -1,9 +1,10 @@
 """Generators for test data: symplectic instanton families, isotropic
 orthogonal candidates, and the randomized orthogonal-search harness.
 
-Every generator re-verifies its own claims through the public defect, probe
-and determinant operations before returning; a failed self-check raises
-:class:`GeneratorError` and is never an accepted outcome.
+Every generator re-verifies its own claims before returning, the isotropic
+one through :func:`orthogonal_verdict`; a failed self-check raises
+:class:`GeneratorError` and is never an accepted outcome.  The search draws
+its trials as the isotropic generator does, but tabulates instead of raising.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import GF, ExactMatrix, Field
-from .invariant import det_q
+from .invariant import DET_ZERO_BY_SYZYGY, det_q, orthogonal_verdict
 from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
                     PairingForm, RankProbeVerdict, canonical_j, defects_vanish,
                     max_rank_probe, quadratic_defect)
@@ -181,15 +182,23 @@ def _blocks_in_span(n: int, k: int, span: ExactMatrix,
                  for _ in range(k))
 
 
-def _nonzero_blocks_in_span(n: int, k: int, span: ExactMatrix,
-                            seed: int) -> tuple[ExactMatrix, ...]:
-    """The first draw of :func:`_blocks_in_span` from ``seed`` with a nonzero block."""
+def _isotropic_data(n: int, k: int, span: ExactMatrix, seed: int,
+                    perturbed: bool) -> MonadData:
+    """The first draw of :func:`_blocks_in_span` from ``seed`` with a nonzero
+    block; if ``perturbed``, moved by row operations inside the span, which
+    keep every product M_a * M_b^t zero."""
     rng = np.random.default_rng(seed)
     for _ in range(100):
         blocks = _blocks_in_span(n, k, span, rng)
         if not all(b.is_zero() for b in blocks):
-            return blocks
-    raise GeneratorError("could not draw nonzero blocks")
+            break
+    else:
+        raise GeneratorError("could not draw nonzero blocks")
+    if perturbed:
+        rng = np.random.default_rng(seed + 0x5EED)
+        blocks = tuple(random_sl(span.field, 2 * n + 2, rng) @ b + mix
+                       for b, mix in zip(blocks, _blocks_in_span(n, k, span, rng)))
+    return MonadData(n, k, span.field, blocks)
 
 
 def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int,
@@ -198,23 +207,19 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int,
 
     All block rows are drawn from one totally isotropic subspace, so every
     product M_a * M_b^t vanishes outright, which is stronger than the
-    symmetrised conditions.  The determinant is always computed: the syzygy
-    forces it to zero, and that is re-verified here.
+    symmetrised conditions.  The data must pass :func:`orthogonal_verdict`
+    as excluded by the syzygy, which computes the determinant exactly.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     field = GF(p)
-    span = isotropic_basis(field, 2 * n + 2 * k)
-    data = MonadData(n, k, field, _nonzero_blocks_in_span(n, k, span, seed))
+    data = _isotropic_data(n, k, isotropic_basis(field, 2 * n + 2 * k), seed, False)
+    verdict = orthogonal_verdict(data)
+    if verdict.status != DET_ZERO_BY_SYZYGY:
+        raise GeneratorError(f"isotropic construction failed its verdict: {verdict.message}")
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
-    if not defects_vanish(quadratic_defect(data, form)):
-        raise GeneratorError("isotropic construction has a nonzero defect")
-    det = det_q(data)
-    if det != 0:
-        raise GeneratorError("isotropic construction has nonzero determinant; "
-                             "the syzygy argument should force zero")
     probe = max_rank_probe(data, form, probe_trials, seed)
-    return GeneratorReport(data, form, True, probe, det)
+    return GeneratorReport(data, form, True, probe, verdict.det_value)
 
 
 # -- orthogonal search harness -----------------------------------------------------------
@@ -260,27 +265,15 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
     field = GF(p)
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
     span = isotropic_basis(field, 2 * n + 2 * k)
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     rows = []
     for t in range(trials):
         trial_seed = seed + t
         perturbed = t % 2 == 1
-        if perturbed:
-            # the generator's draw, perturbed by row operations inside the
-            # isotropic span, which keep the conditions exact
-            drawn = _nonzero_blocks_in_span(n, k, span, trial_seed)
-            rng = np.random.default_rng(trial_seed + 0x5EED)
-            blocks = tuple(
-                random_sl(field, 2 * n + 2, rng) @ b + mix
-                for b, mix in zip(drawn, _blocks_in_span(n, k, span, rng))
-            )
-            data = MonadData(n, k, field, blocks)
-            defects_ok = defects_vanish(quadratic_defect(data, form))
-            det = det_q(data)
-            probe = max_rank_probe(data, form, 20, trial_seed)
-        else:
-            report = gen_isotropic_orthogonal(n, k, p, trial_seed)
-            defects_ok = report.defects_ok
-            det = report.det_q_value
-            probe = report.rank_probe
+        data = _isotropic_data(n, k, span, trial_seed, perturbed)
+        defects_ok = defects_vanish(quadratic_defect(data, form))
+        det = det_q(data)
+        probe = max_rank_probe(data, form, 20, trial_seed)
         rows.append(TrialRow(trial_seed, perturbed, defects_ok, det == 0, not probe.ok))
     return SearchSummary(n, k, p, trials, tuple(rows))

@@ -81,10 +81,8 @@ def build_syzygy(d: MonadData) -> SyzygyMatrix:
 class SyzygyReport:
     residual: ExactMatrix
     residual_is_zero: bool
-    syzygy_is_zero: bool
-    defects: list[tuple[int, int, ExactMatrix]]
+    syzygy_is_zero: bool  # all blocks zero: the singularity argument is vacuous
     defects_all_zero: bool
-    degenerate: bool  # all blocks zero: S = 0 and the singularity argument is vacuous
 
     @property
     def det_zero_forced(self) -> bool:
@@ -101,9 +99,7 @@ def verify_syzygy(d: MonadData) -> SyzygyReport:
         residual=residual,
         residual_is_zero=residual.is_zero(),
         syzygy_is_zero=s.matrix.is_zero(),
-        defects=defects,
         defects_all_zero=defects_vanish(defects),
-        degenerate=d.is_zero(),
     )
 
 

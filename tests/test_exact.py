@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData, build_q,
-                      format_matrix, hstack, parse_field, parse_matrix, vstack)
+                      format_matrix, gen_special_symplectic, hstack, parse_field,
+                      parse_matrix, vstack)
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
 from oracles import det_cofactor, echelon_gf_reference, matmul_naive
 
@@ -396,3 +397,14 @@ def test_echelon_gf_matches_reference_on_filled_in_q():
     q = build_q(MonadData(3, 4, field, blocks)).matrix
     assert q.shape == (280, 280)
     assert_echelon_gf_matches_reference(q._a, P30)
+
+
+def test_echelon_gf_matches_reference_on_special_q_near_2_31():
+    # the banded special family at order 1260 just below 2**31, a budget of 2
+    # updates: the trailing block is reduced about every other update, each
+    # time through the rows an update touched and no others
+    p = 2147483629
+    data = gen_special_symplectic(4, 5, GF(p), probe_trials=1, compute_det=False).data
+    q = build_q(data).matrix
+    assert q.shape == (1260, 1260)
+    assert_echelon_gf_matches_reference(q._a, p)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
                       ExactMatrix, MonadData, build_q, build_syzygy, det_q,
@@ -177,7 +177,6 @@ def test_verify_syzygy_isotropic_gf7():
     assert r.residual_is_zero
     assert not r.syzygy_is_zero
     assert r.defects_all_zero
-    assert not r.degenerate
     assert r.det_zero_forced
 
 
@@ -193,7 +192,6 @@ def test_verify_syzygy_degenerate():
     r = verify_syzygy(zero_data(1, 2))
     assert r.residual_is_zero
     assert r.syzygy_is_zero
-    assert r.degenerate
     assert not r.det_zero_forced
 
 
@@ -262,6 +260,29 @@ def test_sl_invariance_of_det():
         assert det_q(transform_monad(d, on_v=h)) == base
         assert det_q(transform_monad(d, on_i=c)) == base
         assert det_q(transform_monad(d, on_w=g, on_v=h, on_i=c)) == base
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from([GF101, QQ]), nk=st.sampled_from([(1, 1), (1, 2), (2, 1),
+                                                               (2, 2), (1, 3), (2, 3)]),
+       seed=st.integers(0, 2**32 - 1))
+@example(field=QQ, nk=(2, 3), seed=0)
+def test_det_q_full_gl_character(field, nk, seed):
+    # det Q(h M g mixed by c) = det(h)^C(k+n,n+1) det(g)^C(k+n-1,n) det(c)^(N/k) det Q(M):
+    # unlike the unit-determinant check, a wrong exponent or a transposed
+    # layout changes the value
+    n, k = nk
+    rng = np.random.default_rng(seed)
+    d = random_data(n, k, field, rng)
+    base = det_q(d)
+    assume(base != 0)
+    g, h, c = (ExactMatrix.random(field, size, size, rng, box=3)
+               for size in (d.block_cols, d.block_rows, k))
+    assume(g.det() != 0 and h.det() != 0 and c.det() != 0)
+    order = build_q(d).matrix.rows
+    expected = (h.det() ** math.comb(k + n, n + 1) * g.det() ** math.comb(k + n - 1, n)
+                * c.det() ** (order // k) * base)
+    assert det_q(transform_monad(d, on_w=g, on_v=h, on_i=c)) == field.coerce(expected)
 
 
 def test_random_sl_has_unit_determinant():
