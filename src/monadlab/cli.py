@@ -13,13 +13,11 @@ import sys
 from pathlib import Path
 
 from .exact import MatrixFormatError, format_matrix, parse_field
-from .gens import (GeneratorError, gen_isotropic_orthogonal,
-                   gen_special_symplectic, search_orthogonal)
-from .invariant import (DEFECT_NONZERO, _orthogonal_verdict, build_q, build_syzygy,
-                        det_q, dimension_identity, verify_syzygy)
-from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, canonical_j,
-                    chern_coefficients, format_monad, max_rank_probe, parse_monad,
-                    quadratic_defect)
+from .gens import gen_isotropic_orthogonal, gen_special_symplectic, search_orthogonal
+from .invariant import (DEFECT_NONZERO, build_q, build_syzygy, det_q, dimension_identity,
+                        orthogonal_verdict, verify_syzygy)
+from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, _nonzero_defects, canonical_j,
+                    chern_coefficients, format_monad, max_rank_probe, parse_monad)
 from .symcomb import layout_csv, layout_table, q_layout
 
 BOX_ENV = "MONADLAB_POINT_BOX"
@@ -158,11 +156,10 @@ def _cmd_check(args) -> int:
     box = int(os.environ.get(BOX_ENV, "10"))
     kind = ORTHOGONAL_IDENTITY if args.form == "orthogonal" else SYMPLECTIC_CANONICAL
     form = canonical_j(kind, data.n, data.k, data.field)
-    defects = quadratic_defect(data, form)
-    bad = [(a, b) for a, b, m in defects if not m.is_zero()]
+    bad = _nonzero_defects(data, kind)
     probe = max_rank_probe(data, form, args.trials, args.seed, box=box)
     if args.form == "orthogonal":
-        verdict = _orthogonal_verdict(data, defects)
+        verdict = orthogonal_verdict(data)
     else:
         det = det_q(data)
     if bad:
@@ -241,7 +238,7 @@ def run(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         return _HANDLERS[args.command](args)
-    except (MatrixFormatError, GeneratorError, ValueError, OSError) as e:
+    except (MatrixFormatError, RuntimeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,9 @@ trailing block is reduced mod p only when one more update could overflow
 (Dumas, Giorgi and Pernet, FFLAS-FFPACK, arXiv:cs/0601133).  Over the
 rationals it is fraction-free (Bareiss) elimination on a denominator-cleared
 integer matrix, which keeps intermediate entries at minor size instead of
-exploding and gives the rank as well as the determinant.
+exploding and gives the rank as well as the determinant.  A matrix keeps the
+scalars of its first elimination, never the echelon array, so ``det`` and
+``rank`` of one matrix eliminate it once unless ``det`` stopped early.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def _check_same_field(a: "ExactMatrix", b: "ExactMatrix"):
 class ExactMatrix:
     """Immutable dense matrix with all entries in one exact field."""
 
-    __slots__ = ("field", "_a")
+    __slots__ = ("field", "_a", "_elim")  # _elim: see _eliminate
 
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         rows = [list(r) for r in rows]
@@ -190,17 +192,19 @@ class ExactMatrix:
         a = field.zeros(len(rows), len(rows[0]) if rows else 0)
         if rows:
             a[...] = [[field.coerce(x) for x in r] for r in rows]
+        self._adopt(field, a)
+
+    def _adopt(self, field: Field, a: np.ndarray):
         self.field = field
         self._a = a
+        self._elim = None
         a.flags.writeable = False
 
     @classmethod
     def _wrap(cls, field: Field, a: np.ndarray) -> "ExactMatrix":
         """Adopt an ndarray that is already canonical for ``field``."""
         m = cls.__new__(cls)
-        m.field = field
-        m._a = a
-        a.flags.writeable = False
+        m._adopt(field, a)
         return m
 
     # -- constructors -----------------------------------------------------
@@ -298,14 +302,24 @@ class ExactMatrix:
 
     # -- elimination-based operations -----------------------------------------
 
+    def _eliminate(self, det_only: bool = False):
+        """(echelon, pivots); keeps (pivot count, det, pivot count is rank) in ``_elim``."""
+        echelon, pivots, det = self.field.echelon(self._a, det_only)
+        self._elim = (len(pivots), det, not det_only or len(pivots) == self.rows)
+        return echelon, pivots
+
     def det(self):
         """Exact determinant; elimination stops at the first column without a pivot."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.shape} matrix")
-        return self.field.echelon(self._a, det_only=True)[2]
+        if self._elim is None:
+            self._eliminate(det_only=True)
+        return self._elim[1]
 
     def rank(self) -> int:
-        return len(self.field.echelon(self._a)[1])
+        if self._elim is None or not self._elim[2]:
+            self._eliminate()
+        return self._elim[0]
 
     def kernel_basis(self) -> list["ExactMatrix"]:
         """Basis of the right null space, as column vectors; [] iff full column rank.
@@ -313,7 +327,7 @@ class ExactMatrix:
         One vector per free column f: entry f is 1, the other free entries are
         0, and the pivot entries follow by back-substitution.
         """
-        echelon, pivots, _ = self.field.echelon(self._a)
+        echelon, pivots = self._eliminate()
         rows = echelon[:len(pivots)].tolist()
         basis = []
         for f in sorted(set(range(self.cols)) - set(pivots)):

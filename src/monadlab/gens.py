@@ -15,9 +15,8 @@ import numpy as np
 
 from .exact import GF, ExactMatrix, Field
 from .invariant import DET_ZERO_BY_SYZYGY, det_q, orthogonal_verdict
-from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
-                    PairingForm, RankProbeVerdict, canonical_j, defects_vanish,
-                    max_rank_probe, quadratic_defect)
+from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData, PairingForm,
+                    RankProbeVerdict, _nonzero_defects, canonical_j, max_rank_probe)
 
 
 class GeneratorError(RuntimeError):
@@ -109,15 +108,14 @@ def gen_special_symplectic(n: int, k: int, field: Field, probe_trials: int = 50,
         raise ValueError("need n >= 1 and k >= 1")
     data = MonadData(n, k, field, _special_blocks(n, k, field))
     form = canonical_j(SYMPLECTIC_CANONICAL, n, k, field)
-    defects_ok = defects_vanish(quadratic_defect(data, form))
-    if not defects_ok:
+    if _nonzero_defects(data, SYMPLECTIC_CANONICAL):
         raise GeneratorError("special symplectic construction has a nonzero defect")
     probe = max_rank_probe(data, form, probe_trials, seed)
     if not probe.ok:
         raise GeneratorError(f"special symplectic construction dropped rank at "
                              f"{probe.counterexample.point.coords}")
     det = det_q(data) if compute_det else None
-    return GeneratorReport(data, form, defects_ok, probe, det)
+    return GeneratorReport(data, form, True, probe, det)
 
 
 # -- isotropic orthogonal candidates --------------------------------------------------
@@ -260,19 +258,19 @@ class SearchSummary:
 def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchSummary:
     """Run seeded isotropic draws, perturbing every other one within the
     isotropic subspace, and tabulate how each candidate fails."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     field = GF(p)
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
     span = isotropic_basis(field, 2 * n + 2 * k)
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
     rows = []
     for t in range(trials):
         trial_seed = seed + t
         perturbed = t % 2 == 1
         data = _isotropic_data(n, k, span, trial_seed, perturbed)
-        defects_ok = defects_vanish(quadratic_defect(data, form))
+        defects_ok = not _nonzero_defects(data, ORTHOGONAL_IDENTITY)
         det = det_q(data)
         probe = max_rank_probe(data, form, 20, trial_seed)
         rows.append(TrialRow(trial_seed, perturbed, defects_ok, det == 0, not probe.ok))

@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import ExactMatrix, vstack
-from .monad import (ORTHOGONAL_IDENTITY, MonadData, canonical_j, defects_vanish,
-                    quadratic_defect)
+from .monad import ORTHOGONAL_IDENTITY, MonadData, _nonzero_defects
 from .symcomb import QLayout, q_layout
 
 
@@ -56,17 +55,19 @@ def build_q(d: MonadData) -> QMatrix:
     """
     layout = q_layout(d.n, d.k)
     br, bc = d.block_rows, d.block_cols
-    rows, cols, alphas = np.array([(*ij, alpha) for ij, alpha in layout.entries.items()]).T - 1
+    rows, cols, alphas = layout._entry_index
     a = d.field.zeros(layout.block_rows * br, layout.block_cols * bc)
     a.reshape(layout.block_rows, br, layout.block_cols, bc)[rows, :, cols, :] = \
-        np.array([b._a for b in d.blocks])[alphas]
+        np.array([b._a for b in d.blocks]).take(alphas, axis=0)
     assert a.shape[0] == a.shape[1]
     return QMatrix(d.n, d.k, layout, ExactMatrix._wrap(d.field, a))
 
 
 def det_q(d: MonadData):
-    """Exact determinant of the assembled matrix."""
-    return build_q(d).matrix.det()
+    """Exact determinant of the assembled matrix; computed once per data."""
+    if "det_q" not in d._memo:
+        d._memo["det_q"] = build_q(d).matrix.det()
+    return d._memo["det_q"]
 
 
 def build_syzygy(d: MonadData) -> SyzygyMatrix:
@@ -94,12 +95,11 @@ def verify_syzygy(d: MonadData) -> SyzygyReport:
     q = build_q(d)
     s = build_syzygy(d)
     residual = q.matrix @ s.matrix
-    defects = quadratic_defect(d, canonical_j(ORTHOGONAL_IDENTITY, d.n, d.k, d.field))
     return SyzygyReport(
         residual=residual,
         residual_is_zero=residual.is_zero(),
         syzygy_is_zero=s.matrix.is_zero(),
-        defects_all_zero=defects_vanish(defects),
+        defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
     )
 
 
@@ -131,29 +131,16 @@ def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
     candidate fails the non-degeneracy requirement and cannot define an
     instanton bundle.  Otherwise the violated condition is reported.
     """
-    return _orthogonal_verdict(d, None)
-
-
-def _orthogonal_verdict(d: MonadData, defects) -> OrthogonalVerdict:
-    """:func:`orthogonal_verdict`, given the identity-pairing defects of d
-    when the caller has them already, or None."""
     if d.is_zero():
         return OrthogonalVerdict(DEGENERATE, "degenerate: A = 0, never of maximal rank")
-    if defects is None:
-        defects = quadratic_defect(d, canonical_j(ORTHOGONAL_IDENTITY, d.n, d.k, d.field))
-    for a, b, mat in defects:
-        if not mat.is_zero():
-            return OrthogonalVerdict(
-                DEFECT_NONZERO,
-                f"orthogonal conditions violated at (alpha,beta)=({a},{b})",
-                first_bad_pair=(a, b),
-            )
+    bad = _nonzero_defects(d, ORTHOGONAL_IDENTITY)
+    if bad:
+        a, b = bad[0]
+        return OrthogonalVerdict(DEFECT_NONZERO, "orthogonal conditions violated at "
+                                 f"(alpha,beta)=({a},{b})", first_bad_pair=(a, b))
     det = det_q(d)
     if det != 0:
         raise RuntimeError("syzygy argument violated: quadratic conditions hold "
                            f"but det = {det}; this is a bug")
-    return OrthogonalVerdict(
-        DET_ZERO_BY_SYZYGY,
-        "not an instanton: det Q = 0 by syzygy",
-        det_value=det,
-    )
+    return OrthogonalVerdict(DET_ZERO_BY_SYZYGY, "not an instanton: det Q = 0 by syzygy",
+                             det_value=det)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -54,6 +54,8 @@ class MonadData:
     k: int
     field: Field
     blocks: tuple[ExactMatrix, ...]
+    # det Q and the nonzero canonical defects once computed; never a matrix
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
@@ -164,6 +166,14 @@ def quadratic_defect(d: MonadData, j: PairingForm) -> list[tuple[int, int, Exact
 
 def defects_vanish(defects: list[tuple[int, int, ExactMatrix]]) -> bool:
     return all(mat.is_zero() for _, _, mat in defects)
+
+
+def _nonzero_defects(d: MonadData, kind: str) -> tuple[tuple[int, int], ...]:
+    """Pairs (a, b), in order, with D_ab != 0 for the canonical ``kind`` pairing."""
+    if kind not in d._memo:
+        defects = quadratic_defect(d, canonical_j(kind, d.n, d.k, d.field))
+        d._memo[kind] = tuple((a, b) for a, b, mat in defects if not mat.is_zero())
+    return d._memo[kind]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 Monomial = tuple[int, ...]
 
 
@@ -104,6 +106,13 @@ class QLayout:
     @property
     def block_cols(self) -> int:
         return len(self.col_basis)
+
+    @functools.cached_property
+    def _entry_index(self) -> np.ndarray:
+        """Read-only rows of 0-based block rows, block columns and alphas."""
+        index = np.array([(*ij, alpha) for ij, alpha in self.entries.items()]).T - 1
+        index.flags.writeable = False
+        return index
 
     def entry(self, i: int, j: int) -> int | None:
         return self.entries.get((i, j))

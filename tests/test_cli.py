@@ -178,6 +178,18 @@ def test_check_rejects_point_box_below_one(tmp_path, capsys, box):
     assert proc.stderr == f"error: point box must be >= 1, got {box}\n"
 
 
+def test_runtime_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    iso = tmp_path / "iso.mnd"
+    assert run(["gen", "isotropic", "--n", "1", "--k", "2", "--out", str(iso)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(monadlab.invariant, "det_q", lambda d: 1)
+    assert run(["check", "--in", str(iso), "--form", "orthogonal"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: syzygy argument violated: quadratic conditions hold "
+                   "but det = 1; this is a bug\n")
+
+
 def test_truncated_monad_file_exit_2(tmp_path, capsys):
     sp = tmp_path / "sp.mnd"
     run(["gen", "special", "--n", "1", "--k", "2", "--field", "gf:101",

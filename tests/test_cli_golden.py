@@ -106,6 +106,7 @@ CASES = [
     ("search-n0k0", ["search-orthogonal", "--n", "0", "--k", "0", "--trials", "3"], None, []),
     ("search-n0k1", ["search-orthogonal", "--n", "0", "--k", "1", "--trials", "3"], None, []),
     ("search-n1k0", ["search-orthogonal", "--n", "1", "--k", "0", "--trials", "3"], None, []),
+    ("search-n1k-2", ["search-orthogonal", "--n", "1", "--k", "-2", "--trials", "3"], None, []),
     ("search-rational", ["search-orthogonal", "--n", "1", "--k", "1", "--field", "rational",
                          "--trials", "2"], None, []),
 ]

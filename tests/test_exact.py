@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData, build_q,
+from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
                       format_matrix, gen_special_symplectic, hstack, parse_field,
                       parse_matrix, vstack)
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
@@ -273,6 +273,81 @@ def test_rank_and_kernel_basis_match_sympy(sympy_oracle, m):
         last = next(x for x in reversed(row) if x)
         expected.append([from_sympy(m.field, x / last) for x in row])
     assert [v.transpose().row_list(0) for v in m.kernel_basis()] == expected
+
+
+# -- the scalars an elimination leaves on the matrix ------------------------------
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """The det_only flag of every Field.echelon call from here on."""
+    calls = []
+    original = Field.echelon
+
+    def counting(self, a, det_only=False):
+        calls.append(det_only)
+        return original(self, a, det_only)
+
+    monkeypatch.setattr(Field, "echelon", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF101])
+def test_det_then_rank_of_nonsingular_matrix_eliminates_once(echelon_calls, field):
+    m = ExactMatrix(field, [[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    assert m.det() == det_cofactor(m) != 0
+    assert m.rank() == 3
+    assert m.det() == det_cofactor(m)
+    assert echelon_calls == [True]
+
+
+def test_rank_after_det_of_singular_matrix_eliminates_fully(echelon_calls):
+    # det stops at the first column without a pivot, before the rank is known
+    rng = np.random.default_rng(3)
+    for size, inner in [(3, 1), (6, 4), (9, 5), (9, 8)]:
+        a = GF101.matmul(GF101.sample(rng, (size, inner), 0), GF101.sample(rng, (inner, size), 0))
+        m = ExactMatrix(GF101, a.tolist())
+        del echelon_calls[:]
+        assert m.det() == 0
+        assert m.rank() == len(echelon_gf_reference(a, 101, False)[1]) == inner
+        assert m.rank() == inner and m.det() == 0
+        assert echelon_calls == [True, False]
+    m = ExactMatrix(QQ, [[0, 1, 2], [0, 3, 4], [0, 5, 7]])
+    del echelon_calls[:]
+    assert m.det() == 0 == det_cofactor(m)
+    assert m.rank() == 2
+    assert echelon_calls == [True, False]
+
+
+def test_kernel_basis_leaves_rank_and_det():
+    m = ExactMatrix(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert len(m.kernel_basis()) == 1
+    assert m._elim[:2] == (2, 0)
+    assert m.rank() == 2 and m.det() == 0 == det_cofactor(m)
+
+
+ELIMINATION_OPS = ["det", "rank", "kernel_basis"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrices(), order=st.lists(st.sampled_from(ELIMINATION_OPS), max_size=6))
+def test_any_call_order_matches_a_fresh_matrix(m, order):
+    for name in order:
+        if name == "det" and m.rows != m.cols:
+            continue
+        fresh = ExactMatrix._wrap(m.field, m._a.copy())
+        assert getattr(m, name)() == getattr(fresh, name)()
+
+
+def test_elimination_keeps_no_array():
+    data = gen_special_symplectic(2, 3, GF(32003), probe_trials=1, compute_det=False).data
+    for m in (build_q(data).matrix, ExactMatrix(QQ, [[1, 2], [2, 4]])):
+        m.det()
+        m.rank()
+        m.kernel_basis()
+        count, det, complete = m._elim
+        assert type(count) is int and type(complete) is bool
+        assert type(det) in (int, Fraction)
 
 
 def test_block_helpers():

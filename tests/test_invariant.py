@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import monadlab.monad
 from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
-                      ExactMatrix, MonadData, build_q, build_syzygy, det_q,
+                      ExactMatrix, Field, MonadData, build_q, build_syzygy, det_q,
                       dimension_identity, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis,
                       orthogonal_verdict, q_layout, random_sl, transform_monad,
@@ -306,3 +307,36 @@ def test_orthogonal_verdict_cases():
     v = orthogonal_verdict(zero_data(1, 1))
     assert v.status == DEGENERATE
     assert v.excluded
+
+
+def test_orthogonal_verdict_twice_eliminates_q_once(monkeypatch):
+    made = gen_isotropic_orthogonal(1, 2, 101, seed=4).data
+    d = MonadData(made.n, made.k, made.field, made.blocks)  # nothing computed yet
+    calls = {"echelon": 0, "defects": 0}
+    echelon, defects = Field.echelon, monadlab.monad.quadratic_defect
+
+    def counting_echelon(*args, **kwargs):
+        calls["echelon"] += 1
+        return echelon(*args, **kwargs)
+
+    def counting_defects(*args):
+        calls["defects"] += 1
+        return defects(*args)
+
+    monkeypatch.setattr(Field, "echelon", counting_echelon)
+    monkeypatch.setattr(monadlab.monad, "quadratic_defect", counting_defects)
+    first, second = orthogonal_verdict(d), orthogonal_verdict(d)
+    assert first == second
+    assert first.status == DET_ZERO_BY_SYZYGY
+    assert det_q(d) == 0
+    assert verify_syzygy(d).defects_all_zero
+    assert calls == {"echelon": 1, "defects": 1}
+
+
+def test_memo_leaves_equality_and_hash_alone():
+    made = gen_isotropic_orthogonal(1, 2, 101, seed=4).data  # its verdict filled the memo
+    fresh = MonadData(made.n, made.k, made.field, made.blocks)
+    assert made._memo and not fresh._memo
+    assert made == fresh
+    assert hash(made) == hash(fresh)
+    assert repr(made) == repr(fresh)
