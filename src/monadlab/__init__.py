@@ -15,7 +15,7 @@ from .invariant import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY,
                         build_q, build_syzygy, det_q, dimension_identity,
                         orthogonal_verdict, verify_syzygy)
 from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
-                    PairingForm, Point, RankCounterexample, RankProbeVerdict,
+                    Point, RankCounterexample, RankProbeVerdict,
                     canonical_j, chern_coefficients, defects_vanish, evaluate_a,
                     format_monad, max_rank_probe, parse_monad, quadratic_defect,
                     random_point)
@@ -34,7 +34,7 @@ __all__ = [
     "QMatrix", "SyzygyMatrix", "SyzygyReport", "build_q", "build_syzygy",
     "det_q", "dimension_identity", "orthogonal_verdict", "verify_syzygy",
     "ORTHOGONAL_IDENTITY", "SYMPLECTIC_CANONICAL", "MonadData",
-    "PairingForm", "Point", "RankCounterexample", "RankProbeVerdict",
+    "Point", "RankCounterexample", "RankProbeVerdict",
     "canonical_j", "chern_coefficients", "defects_vanish", "evaluate_a",
     "format_monad", "max_rank_probe", "parse_monad", "quadratic_defect",
     "random_point",

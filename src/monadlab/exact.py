@@ -89,9 +89,6 @@ class Field:
             x = x.numerator
         return int(x) % self.p
 
-    def zero(self):
-        return self.coerce(0)
-
     def one(self):
         return self.coerce(1)
 
@@ -340,22 +337,22 @@ class ExactMatrix:
         return basis
 
 
-def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
+def _stack(mats: Sequence[ExactMatrix], axis: int, mismatch: str) -> ExactMatrix:
+    """Join matrices along ``axis``; the other dimension must agree."""
     first = mats[0]
     for m in mats[1:]:
         _check_same_field(first, m)
-        if m.rows != first.rows:
-            raise ValueError("hstack row mismatch")
-    return ExactMatrix._wrap(first.field, np.hstack([m._a for m in mats]))
+        if m.shape[1 - axis] != first.shape[1 - axis]:
+            raise ValueError(mismatch)
+    return ExactMatrix._wrap(first.field, np.concatenate([m._a for m in mats], axis=axis))
+
+
+def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
+    return _stack(mats, 1, "hstack row mismatch")
 
 
 def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    first = mats[0]
-    for m in mats[1:]:
-        _check_same_field(first, m)
-        if m.cols != first.cols:
-            raise ValueError("vstack column mismatch")
-    return ExactMatrix._wrap(first.field, np.vstack([m._a for m in mats]))
+    return _stack(mats, 0, "vstack column mismatch")
 
 
 # -- GF(p) kernels -------------------------------------------------------------

@@ -9,13 +9,14 @@ its trials as the isotropic generator does, but tabulates instead of raising.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import GF, ExactMatrix, Field
 from .invariant import DET_ZERO_BY_SYZYGY, det_q, orthogonal_verdict
-from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData, PairingForm,
+from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
                     RankProbeVerdict, _nonzero_defects, canonical_j, max_rank_probe)
 
 
@@ -26,7 +27,7 @@ class GeneratorError(RuntimeError):
 @dataclass(frozen=True)
 class GeneratorReport:
     data: MonadData
-    form: PairingForm
+    form: ExactMatrix          # the pairing matrix J the rank probe used
     defects_ok: bool           # recomputed from data, never trusted from the construction
     rank_probe: RankProbeVerdict
     det_q_value: object = None  # None when not computed
@@ -121,6 +122,7 @@ def gen_special_symplectic(n: int, k: int, field: Field, probe_trials: int = 50,
 # -- isotropic orthogonal candidates --------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def isotropic_basis(field: Field, dim: int) -> ExactMatrix:
     """Rows spanning a maximal totally isotropic subspace for the dot product.
 
@@ -128,7 +130,8 @@ def isotropic_basis(field: Field, dim: int) -> ExactMatrix:
     dimension dim/2; for p = 3 mod 4 each group of four coordinates carries
     two isotropic rows built from a solution of a^2 + b^2 = -1, giving the
     Witt index in all cases.  The standard form is anisotropic over the
-    rationals, so only prime fields are supported.
+    rationals, so only prime fields are supported.  Memoised on (field,
+    dim): callers share one immutable matrix, built and self-checked once.
     """
     if not field.is_prime_field:
         raise GeneratorError("the dot product has no isotropic vectors over the rationals")

@@ -27,6 +27,8 @@ from .symcomb import QLayout, q_layout
 
 def dimension_identity(n: int, k: int) -> tuple[int, int, bool]:
     """Dimensions of both sides of the map; they agree for every n, k >= 1."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     lhs = (2 * n + 2 * k) * math.comb(k + n - 1, n)
     rhs = (2 * n + 2) * math.comb(k + n, n + 1)
     return lhs, rhs, lhs == rhs

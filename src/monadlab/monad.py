@@ -1,10 +1,12 @@
-"""Monad block data, pairing forms, quadratic conditions and rank probes.
+"""Monad block data, the pairing matrix J, quadratic conditions and rank probes.
 
 The central object is :class:`MonadData`: k blocks M_1, ..., M_k, each a
 (2n+2) x (2n+2k) matrix over an exact field.  Block j packages row j of the
 linear-form matrix A via  row_j(A) = x^t * M_j,  where x runs over the 2n+2
-homogeneous coordinates.  The quadratic condition A*J*A^t = 0 (J a symmetric
-or skew pairing) holds identically in x iff every symmetrised block product
+homogeneous coordinates.  A pairing is given by its matrix J alone, an
+:class:`ExactMatrix`: the identity for orthogonal data, the canonical skew
+form for symplectic data (:func:`canonical_j`).  The quadratic condition
+A*J*A^t = 0 holds identically in x iff every symmetrised block product
 
     D_ab = M_a * J * M_b^t + (M_a * J * M_b^t)^t
 
@@ -26,6 +28,7 @@ exact certificate, with exact field-element coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -81,31 +84,20 @@ class MonadData:
         return all(b.is_zero() for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class PairingForm:
-    """Non-degenerate symmetric or skew-symmetric (2n+2k) x (2n+2k) matrix."""
+@functools.lru_cache(maxsize=32)
+def canonical_j(kind: str, n: int, k: int, field: Field) -> ExactMatrix:
+    """The identity pairing, or the canonical skew block form [[0, I], [-I, 0]].
 
-    kind: str
-    matrix: ExactMatrix
-
-    def __post_init__(self):
-        if self.kind not in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
-            raise ValueError(f"unknown pairing kind {self.kind!r}")
-        if self.matrix.rows != self.matrix.cols:
-            raise ValueError("pairing matrix must be square")
-
-
-def canonical_j(kind: str, n: int, k: int, field: Field) -> PairingForm:
-    """The identity pairing, or the canonical skew block form [[0, I], [-I, 0]]."""
+    Memoised on its arguments: callers share one immutable matrix per shape.
+    """
     size = 2 * n + 2 * k
     if kind == ORTHOGONAL_IDENTITY:
-        return PairingForm(kind, ExactMatrix.identity(field, size))
+        return ExactMatrix.identity(field, size)
     if kind == SYMPLECTIC_CANONICAL:
         half = size // 2
         eye = ExactMatrix.identity(field, half)
         zero = ExactMatrix.zeros(field, half, half)
-        mat = vstack([hstack([zero, eye]), hstack([-eye, zero])])
-        return PairingForm(kind, mat)
+        return vstack([hstack([zero, eye]), hstack([-eye, zero])])
     raise ValueError(f"no canonical pairing of kind {kind!r}")
 
 
@@ -124,9 +116,6 @@ class Point:
     def of(cls, field: Field, values) -> "Point":
         return cls(field, tuple(field.coerce(v) for v in values))
 
-    def as_row(self) -> ExactMatrix:
-        return ExactMatrix(self.field, [list(self.coords)])
-
 
 # -- operations -----------------------------------------------------------------
 
@@ -137,18 +126,20 @@ def evaluate_a(d: MonadData, x: Point) -> ExactMatrix:
         raise ValueError(f"point is over {x.field}, data over {d.field}")
     if len(x.coords) != d.block_rows:
         raise ValueError(f"point has {len(x.coords)} coordinates, expected {d.block_rows}")
-    row = x.as_row()
+    row = ExactMatrix(x.field, [x.coords])
     return vstack([row @ b for b in d.blocks])
 
 
-def _check_pairing(d: MonadData, j: PairingForm):
-    if j.matrix.rows != d.block_cols:
-        raise ValueError(f"pairing has size {j.matrix.rows}, expected {d.block_cols}")
-    if j.matrix.field != d.field:
-        raise ValueError(f"pairing is over {j.matrix.field}, data over {d.field}")
+def _check_pairing(d: MonadData, j: ExactMatrix):
+    """J must be (2n+2k) x (2n+2k) over the data's field."""
+    size = d.block_cols
+    if j.shape != (size, size):
+        raise ValueError(f"pairing has shape {j.shape}, expected ({size}, {size})")
+    if j.field != d.field:
+        raise ValueError(f"pairing is over {j.field}, data over {d.field}")
 
 
-def quadratic_defect(d: MonadData, j: PairingForm) -> list[tuple[int, int, ExactMatrix]]:
+def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, ExactMatrix]]:
     """Defects D_ab = sym(M_a * J * M_b^t) for 1 <= a <= b <= k.
 
     All defects vanish iff A * J * A^t = 0 identically in the coordinates.
@@ -157,7 +148,7 @@ def quadratic_defect(d: MonadData, j: PairingForm) -> list[tuple[int, int, Exact
     transposed = [b.transpose() for b in d.blocks]
     out = []
     for a in range(1, d.k + 1):
-        left = d.blocks[a - 1] @ j.matrix
+        left = d.blocks[a - 1] @ j
         for b in range(a, d.k + 1):
             x = left @ transposed[b - 1]
             out.append((a, b, x + x.transpose()))
@@ -230,7 +221,7 @@ def _residues(m: ExactMatrix, q: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _screen_failures(d: MonadData, j: PairingForm, points: np.ndarray) -> Iterator[int]:
+def _screen_failures(d: MonadData, j: ExactMatrix, points: np.ndarray) -> Iterator[int]:
     """Indices, in order, of the points where A(x) or B(x) = A(x) * J has
     rank below k modulo q; lazily, one batch of points at a time.
 
@@ -242,7 +233,7 @@ def _screen_failures(d: MonadData, j: PairingForm, points: np.ndarray) -> Iterat
     """
     q = d.field.p or _SCREEN_PRIME
     stacked = np.hstack([_residues(b, q) for b in d.blocks])  # row j of A(x) is x^t * M_j
-    jm = _residues(j.matrix, q)
+    jm = _residues(j, q)
     k, c = d.k, d.block_cols
     for start in range(0, len(points), _PROBE_BATCH):
         x = points[start:start + _PROBE_BATCH] % q
@@ -252,7 +243,7 @@ def _screen_failures(d: MonadData, j: PairingForm, points: np.ndarray) -> Iterat
         yield from (start + np.flatnonzero(~(full[:len(x)] & full[len(x):]))).tolist()
 
 
-def max_rank_probe(d: MonadData, j: PairingForm, trials: int, seed: int,
+def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
                    box: int = 10) -> RankProbeVerdict:
     """Check rank A(x) = rank B(x) = k at ``trials`` distinct random points.
 
@@ -272,7 +263,7 @@ def max_rank_probe(d: MonadData, j: PairingForm, trials: int, seed: int,
         ra = a.rank()
         if ra != d.k:
             return RankProbeVerdict(False, i + 1, RankCounterexample(x, "alpha", ra))
-        rb = (a @ j.matrix).rank()
+        rb = (a @ j).rank()
         if rb != d.k:
             return RankProbeVerdict(False, i + 1, RankCounterexample(x, "beta", rb))
     return RankProbeVerdict(True, len(points))

@@ -169,7 +169,7 @@ def rank_probe_pointwise(d, j, trials: int, seed: int, box: int = 10) -> RankPro
         ra = a.rank()
         if ra != d.k:
             return RankProbeVerdict(False, tested, RankCounterexample(x, "alpha", ra))
-        rb = (a @ j.matrix).rank()
+        rb = (a @ j).rank()
         if rb != d.k:
             return RankProbeVerdict(False, tested, RankCounterexample(x, "beta", rb))
     return RankProbeVerdict(True, tested)

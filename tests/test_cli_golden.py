@@ -109,6 +109,9 @@ CASES = [
     ("search-n1k-2", ["search-orthogonal", "--n", "1", "--k", "-2", "--trials", "3"], None, []),
     ("search-rational", ["search-orthogonal", "--n", "1", "--k", "1", "--field", "rational",
                          "--trials", "2"], None, []),
+    ("dims-n0k3", ["dims", "--n", "0", "--k", "3"], None, []),
+    ("dims-n2k0", ["dims", "--n", "2", "--k", "0"], None, []),
+    ("dims-n1k-1", ["dims", "--n", "1", "--k", "-1"], None, []),
 ]
 
 

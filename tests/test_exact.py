@@ -194,7 +194,7 @@ def test_det_stops_at_zero_first_column():
         m = ExactMatrix(field, [[0, 1, 2], [0, 3, 4], [0, 5, 7]])
         det = m.det()
         assert det == 0 == det_cofactor(m)
-        assert type(det) is type(field.zero())
+        assert type(det) is type(field.coerce(0))
         assert m.rank() == 2
 
 
@@ -359,6 +359,12 @@ def test_block_helpers():
     assert big.block(0, 1, 2, 2).is_zero()
     assert big.block(1, 0, 2, 2) == b
     assert big.block(1, 1, 2, 2) == a
+    with pytest.raises(ValueError, match="hstack row mismatch"):
+        hstack([a, ExactMatrix.zeros(QQ, 3, 2)])
+    with pytest.raises(ValueError, match="vstack column mismatch"):
+        vstack([a, ExactMatrix.zeros(QQ, 2, 3)])
+    with pytest.raises(ValueError, match="field mismatch"):
+        hstack([a, ExactMatrix.zeros(GF101, 2, 2)])
 
 
 # -- text format ---------------------------------------------------------------

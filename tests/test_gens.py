@@ -18,7 +18,7 @@ def test_special_symplectic_n1_k1_structure():
     report = gen_special_symplectic(1, 1, QQ)
     assert report.defects_ok
     assert report.rank_probe.ok
-    assert report.form.kind == SYMPLECTIC_CANONICAL
+    assert report.form is canonical_j(SYMPLECTIC_CANONICAL, 1, 1, QQ)
     # single row: A = (x_0, x_1, y_1, y_0); the lone skew defect is zero
     block = report.data.blocks[0]
     assert block.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0],
@@ -52,7 +52,7 @@ def test_special_symplectic_quadratic_identity(n, k):
     for _ in range(10):
         x = random_point(QQ, 2 * n + 2, rng)
         a = evaluate_a(report.data, x)
-        assert (a @ j.matrix @ a.transpose()).is_zero()
+        assert (a @ j @ a.transpose()).is_zero()
 
 
 def test_special_symplectic_pipeline_n2_k2():
@@ -85,6 +85,7 @@ def test_isotropic_basis_dimension(p, dim, expected):
     assert basis.rows == expected
     assert basis.rank() == expected
     assert (basis @ basis.transpose()).is_zero()
+    assert isotropic_basis(GF(p), dim) is basis  # memoised per (field, dim)
 
 
 def test_isotropic_basis_gf5_contains_classic_vector():
@@ -93,8 +94,9 @@ def test_isotropic_basis_gf5_contains_classic_vector():
 
 
 def test_isotropic_basis_needs_prime_field():
-    with pytest.raises(GeneratorError):
-        isotropic_basis(QQ, 6)
+    for _ in range(2):  # a failed construction is not memoised: it raises every time
+        with pytest.raises(GeneratorError):
+            isotropic_basis(QQ, 6)
 
 
 def test_isotropic_orthogonal_gf5():

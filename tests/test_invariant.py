@@ -56,6 +56,9 @@ def test_dimension_identity_examples():
     assert dimension_identity(2, 4) == (120, 120, True)
     assert dimension_identity(1, 1) == (4, 4, True)
     assert dimension_identity(3, 5) == (560, 560, True)
+    for n, k in [(0, 3), (2, 0), (0, 0), (1, -1)]:
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
+            dimension_identity(n, k)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import monadlab
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
-                      PairingForm, Point, RankProbeVerdict, canonical_j, chern_coefficients,
+                      Point, RankProbeVerdict, canonical_j, chern_coefficients,
                       defects_vanish, evaluate_a, format_monad, hstack, max_rank_probe,
                       parse_monad, quadratic_defect, random_point, vstack)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
@@ -55,7 +55,7 @@ def test_evaluate_a_identity_block():
 
 def test_evaluate_a_symplectic_block():
     j = canonical_j(SYMPLECTIC_CANONICAL, 1, 1, QQ)
-    d = MonadData(1, 1, QQ, (j.matrix,))
+    d = MonadData(1, 1, QQ, (j,))
     x = Point.of(QQ, [3, 4, 5, 6])
     # x^t [[0, I], [-I, 0]] = (-x_2, -x_3, x_0, x_1)
     assert evaluate_a(d, x).tolist() == [[-5, -6, 3, 4]]
@@ -76,7 +76,7 @@ def test_evaluate_a_against_assembled_matrix():
     for field in (GF101, QQ):
         d = random_data(2, 3, field, rng)
         x = random_point(field, 6, rng)
-        xr = x.as_row()
+        xr = ExactMatrix(field, [x.coords])
         zero = ExactMatrix.zeros(field, 1, 6)
         selector = vstack([hstack([xr if i == j else zero for j in range(3)])
                            for i in range(3)])
@@ -129,7 +129,7 @@ def _pointwise_values(d, j, rng, count):
     out = []
     for _ in range(count):
         a = evaluate_a(d, random_point(d.field, d.block_rows, rng))
-        out.append(a @ j.matrix @ a.transpose())
+        out.append(a @ j @ a.transpose())
     return out
 
 
@@ -213,7 +213,7 @@ def test_random_point_rejects_box_below_one():
 
 @st.composite
 def probe_cases(draw):
-    """Monad data, a pairing form, trials and box for comparing rank probes.
+    """Monad data, a pairing matrix J, trials and box for comparing rank probes.
 
     Sparse blocks drop rank at some points, a block that is a multiple of
     another drops it at every point (alpha), and a pairing matrix with zeroed
@@ -249,8 +249,8 @@ def probe_cases(draw):
     j = canonical_j(kind, n, k, field)
     if draw(st.booleans()):
         keep = rng.random(cols) < draw(st.sampled_from([0.2, 0.5]))
-        rows_j = [[x if keep[c] else 0 for c, x in enumerate(r)] for r in j.matrix.tolist()]
-        j = PairingForm(kind, ExactMatrix(field, rows_j))
+        rows_j = [[x if keep[c] else 0 for c, x in enumerate(r)] for r in j.tolist()]
+        j = ExactMatrix(field, rows_j)
     trials = draw(st.integers(1, 40) | st.integers(81, 120))
     box = draw(st.sampled_from([1, 2, 10]))
     return MonadData(n, k, field, tuple(blocks)), j, trials, box
@@ -357,26 +357,34 @@ def test_chern_series_times_inverse_is_one():
 
 def test_canonical_j_forms():
     eye = canonical_j(ORTHOGONAL_IDENTITY, 2, 3, QQ)
-    assert eye.matrix == ExactMatrix.identity(QQ, 10)
+    assert eye == ExactMatrix.identity(QQ, 10)
 
     skew = canonical_j(SYMPLECTIC_CANONICAL, 1, 1, QQ)
-    assert skew.matrix.tolist() == [
+    assert skew.tolist() == [
         [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-    assert skew.matrix.transpose() == -skew.matrix
 
-    for n, k in [(1, 1), (1, 2), (2, 4)]:
-        for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
-            det = canonical_j(kind, n, k, QQ).matrix.det()
-            assert det in (1, -1)
-
-
-def test_pairing_form_validation():
-    sym = ExactMatrix(QQ, [[2, 1], [1, 2]])
-    for kind in ("custom", "diagonal"):  # only the two canonical kinds exist
+    for field in (QQ, GF(7), GF101):
+        for n, k in [(1, 1), (1, 2), (2, 4)]:
+            for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
+                j = canonical_j(kind, n, k, field)
+                assert canonical_j(kind, n, k, field) is j  # memoised per shape
+                assert j.transpose() == (j if kind == ORTHOGONAL_IDENTITY else -j)
+                assert j.det() in (field.coerce(1), field.coerce(-1))
+    for _ in range(2):  # an unknown kind is not memoised: it raises every time
         with pytest.raises(ValueError):
-            PairingForm(kind, sym)
-    with pytest.raises(ValueError):
-        PairingForm(ORTHOGONAL_IDENTITY, ExactMatrix.zeros(QQ, 2, 3))  # not square
+            canonical_j("diagonal", 1, 1, QQ)
+
+
+@pytest.mark.parametrize("j", [ExactMatrix.zeros(GF101, 6, 5), ExactMatrix.zeros(GF101, 5, 6),
+                               ExactMatrix.identity(GF101, 4), ExactMatrix.identity(GF(7), 6),
+                               ExactMatrix.identity(QQ, 6)],
+                         ids=["6x5", "5x6", "wrong-size", "other-prime", "rational"])
+def test_pairing_must_be_square_of_block_width_over_the_data_field(j):
+    d = zero_data(1, 2)  # blocks 4 x 6 over GF(101), so J must be 6 x 6 over GF(101)
+    with pytest.raises(ValueError, match="pairing"):
+        quadratic_defect(d, j)
+    with pytest.raises(ValueError, match="pairing"):
+        max_rank_probe(d, j, trials=5, seed=0)
 
 
 # -- interchange format ------------------------------------------------------------
