@@ -17,8 +17,7 @@ from .invariant import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY,
 from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
                     Point, RankCounterexample, RankProbeVerdict,
                     canonical_j, chern_coefficients, defects_vanish, evaluate_a,
-                    format_monad, max_rank_probe, parse_monad, quadratic_defect,
-                    random_point)
+                    format_monad, max_rank_probe, parse_monad, quadratic_defect)
 from .symcomb import (Monomial, QLayout, SymBasis, layout_csv, layout_table,
                       monomial_label, multiply_by_var, q_layout, sym_basis)
 
@@ -37,7 +36,6 @@ __all__ = [
     "Point", "RankCounterexample", "RankProbeVerdict",
     "canonical_j", "chern_coefficients", "defects_vanish", "evaluate_a",
     "format_monad", "max_rank_probe", "parse_monad", "quadratic_defect",
-    "random_point",
     "Monomial", "QLayout", "SymBasis", "layout_csv", "layout_table",
     "monomial_label", "multiply_by_var", "q_layout", "sym_basis",
 ]

@@ -206,7 +206,7 @@ def _cmd_search(args) -> int:
     for row in summary.rows:
         print(f"{row.seed} {_yes(row.defects_ok)} {_yes(row.det_q_zero)} "
               f"{_yes(row.rank_counterexample)}")
-    print(f"trials={summary.trials} detQ_zero={summary.det_zero_count} "
+    print(f"trials={len(summary.rows)} detQ_zero={summary.det_zero_count} "
           f"rank_counterexamples={summary.rank_counterexample_count} "
           f"instanton_candidates={summary.instanton_candidates}")
     return 0

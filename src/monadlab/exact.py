@@ -81,9 +81,7 @@ class Field:
         """Canonical field element from an int, Fraction or string token."""
         if self.p is None:
             return Fraction(x)
-        if isinstance(x, str):
-            x = int(x)
-        elif isinstance(x, Fraction):
+        if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError(f"cannot coerce {x} into GF({self.p})")
             x = x.numerator
@@ -264,12 +262,6 @@ class ExactMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
         return ExactMatrix._wrap(self.field, self.field.reduce(self._a + other._a))
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        _check_same_field(self, other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} - {other.shape}")
-        return ExactMatrix._wrap(self.field, self.field.reduce(self._a - other._a))
 
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix._wrap(self.field, self.field.reduce(-self._a))
@@ -524,8 +516,13 @@ def _echelon_qq(a: np.ndarray, det_only: bool) -> tuple[np.ndarray, list[int], F
 #
 # line 1:  matrix rows=<R> cols=<C> field=<rational|gf:P>
 # then R lines of C whitespace-separated entries; '#' lines are comments.
+# An entry is an integer over GF(p), and an integer or a/b over Q.
 
 _MATRIX_HEADER = re.compile(r"matrix rows=(\d+) cols=(\d+) field=(\S+)")
+# one entry and one row of entries, keyed by Field.is_prime_field
+_ENTRY = {True: re.compile(r"-?[0-9]+"), False: re.compile(r"-?[0-9]+(?:/[0-9]+)?")}
+_ENTRY_ROW = {prime: re.compile(rf"{e.pattern}(?:\s+{e.pattern})*")
+              for prime, e in _ENTRY.items()}
 
 
 def format_matrix(m: ExactMatrix) -> str:
@@ -546,12 +543,17 @@ def content_lines(text: str) -> list[str]:
 
 
 def parse_entry_row(field: Field, line: str, expected: int) -> list:
+    """The entries of one stripped line; the whole row is matched at once."""
     toks = line.split()
     if len(toks) != expected:
         raise MatrixFormatError(f"expected {expected} entries, got {len(toks)}: {line!r}")
+    prime = field.is_prime_field
+    if not _ENTRY_ROW[prime].fullmatch(line):
+        bad = next(t for t in toks if not _ENTRY[prime].fullmatch(t))
+        raise MatrixFormatError(f"bad entry {bad!r} in {line!r}")
     try:
         return [field.coerce(t) for t in toks]
-    except (ValueError, ZeroDivisionError) as e:
+    except ZeroDivisionError as e:
         raise MatrixFormatError(f"bad entry in {line!r}: {e}") from None
 
 

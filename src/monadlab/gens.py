@@ -27,8 +27,7 @@ class GeneratorError(RuntimeError):
 @dataclass(frozen=True)
 class GeneratorReport:
     data: MonadData
-    form: ExactMatrix          # the pairing matrix J the rank probe used
-    defects_ok: bool           # recomputed from data, never trusted from the construction
+    defects_ok: bool           # always True: set only once the self-check has passed
     rank_probe: RankProbeVerdict
     det_q_value: object = None  # None when not computed
 
@@ -116,10 +115,13 @@ def gen_special_symplectic(n: int, k: int, field: Field, probe_trials: int = 50,
         raise GeneratorError(f"special symplectic construction dropped rank at "
                              f"{probe.counterexample.point.coords}")
     det = det_q(data) if compute_det else None
-    return GeneratorReport(data, form, True, probe, det)
+    return GeneratorReport(data, True, probe, det)
 
 
 # -- isotropic orthogonal candidates --------------------------------------------------
+
+# Rank-probe points per isotropic candidate, in the generator and the search alike.
+_ISOTROPIC_PROBE_TRIALS = 20
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,8 +204,7 @@ def _isotropic_data(n: int, k: int, span: ExactMatrix, seed: int,
     return MonadData(n, k, span.field, blocks)
 
 
-def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int,
-                             probe_trials: int = 20) -> GeneratorReport:
+def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int) -> GeneratorReport:
     """Nonzero data satisfying the identity-pairing quadratic conditions.
 
     All block rows are drawn from one totally isotropic subspace, so every
@@ -219,8 +220,8 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int,
     if verdict.status != DET_ZERO_BY_SYZYGY:
         raise GeneratorError(f"isotropic construction failed its verdict: {verdict.message}")
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
-    probe = max_rank_probe(data, form, probe_trials, seed)
-    return GeneratorReport(data, form, True, probe, verdict.det_value)
+    probe = max_rank_probe(data, form, _ISOTROPIC_PROBE_TRIALS, seed)
+    return GeneratorReport(data, True, probe, verdict.det_value)
 
 
 # -- orthogonal search harness -----------------------------------------------------------
@@ -237,10 +238,6 @@ class TrialRow:
 
 @dataclass(frozen=True)
 class SearchSummary:
-    n: int
-    k: int
-    p: int
-    trials: int
     rows: tuple[TrialRow, ...]
 
     @property
@@ -275,6 +272,6 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
         data = _isotropic_data(n, k, span, trial_seed, perturbed)
         defects_ok = not _nonzero_defects(data, ORTHOGONAL_IDENTITY)
         det = det_q(data)
-        probe = max_rank_probe(data, form, 20, trial_seed)
+        probe = max_rank_probe(data, form, _ISOTROPIC_PROBE_TRIALS, trial_seed)
         rows.append(TrialRow(trial_seed, perturbed, defects_ok, det == 0, not probe.ok))
-    return SearchSummary(n, k, p, trials, tuple(rows))
+    return SearchSummary(tuple(rows))

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .exact import ExactMatrix, vstack
 from .monad import ORTHOGONAL_IDENTITY, MonadData, _nonzero_defects
-from .symcomb import QLayout, q_layout
+from .symcomb import q_layout
 
 
 def dimension_identity(n: int, k: int) -> tuple[int, int, bool]:
@@ -36,16 +35,11 @@ def dimension_identity(n: int, k: int) -> tuple[int, int, bool]:
 
 @dataclass(frozen=True)
 class QMatrix:
-    n: int
-    k: int
-    layout: QLayout
     matrix: ExactMatrix
 
 
 @dataclass(frozen=True)
 class SyzygyMatrix:
-    n: int
-    k: int
     matrix: ExactMatrix
 
 
@@ -62,7 +56,7 @@ def build_q(d: MonadData) -> QMatrix:
     a.reshape(layout.block_rows, br, layout.block_cols, bc)[rows, :, cols, :] = \
         np.array([b._a for b in d.blocks]).take(alphas, axis=0)
     assert a.shape[0] == a.shape[1]
-    return QMatrix(d.n, d.k, layout, ExactMatrix._wrap(d.field, a))
+    return QMatrix(ExactMatrix._wrap(d.field, a))
 
 
 def det_q(d: MonadData):
@@ -77,7 +71,7 @@ def build_syzygy(d: MonadData) -> SyzygyMatrix:
     s = math.comb(d.k + d.n - 1, d.n)
     zero = ExactMatrix.zeros(d.field, d.block_cols, d.block_rows)
     parts = [b.transpose() for b in d.blocks] + [zero] * (s - d.k)
-    return SyzygyMatrix(d.n, d.k, vstack(parts))
+    return SyzygyMatrix(vstack(parts))
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,6 @@ class OrthogonalVerdict:
 
     status: str
     message: str
-    first_bad_pair: Optional[tuple[int, int]] = None
     det_value: object = None
 
     @property
@@ -139,7 +132,7 @@ def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
     if bad:
         a, b = bad[0]
         return OrthogonalVerdict(DEFECT_NONZERO, "orthogonal conditions violated at "
-                                 f"(alpha,beta)=({a},{b})", first_bad_pair=(a, b))
+                                 f"(alpha,beta)=({a},{b})")
     det = det_q(d)
     if det != 0:
         raise RuntimeError("syzygy argument violated: quadratic conditions hold "

@@ -181,11 +181,6 @@ class RankProbeVerdict:
     counterexample: Optional[RankCounterexample] = None
 
 
-def random_point(field: Field, dim: int, rng: np.random.Generator, box: int = 10) -> Point:
-    """A nonzero point: uniform coordinates over GF(p), integers in [-box, box] over Q."""
-    return Point.of(field, _draw_points(field, dim, rng, box, 1, 1)[0].tolist())
-
-
 def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
                  count: int, max_attempts: int) -> np.ndarray:
     """The first ``count`` distinct points among the first ``max_attempts``

@@ -121,10 +121,6 @@ class QLayout:
         """Sorted (j, alpha) pairs present in block row i."""
         return sorted((j, a) for (r, j), a in self.entries.items() if r == i)
 
-    def col_entries(self, j: int) -> list[tuple[int, int]]:
-        """Sorted (i, alpha) pairs present in block column j."""
-        return sorted((i, a) for (i, c), a in self.entries.items() if c == j)
-
 
 @functools.lru_cache(maxsize=32)
 def q_layout(n: int, k: int) -> QLayout:

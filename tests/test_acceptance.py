@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from monadlab import (GF, QQ, ExactMatrix, build_q, build_syzygy,
-                      chern_coefficients, defects_vanish, det_q,
+from monadlab import (GF, QQ, SYMPLECTIC_CANONICAL, ExactMatrix, build_q, build_syzygy,
+                      canonical_j, chern_coefficients, defects_vanish, det_q,
                       dimension_identity, gen_isotropic_orthogonal,
                       gen_special_symplectic, q_layout, quadratic_defect,
                       random_sl, transform_monad)
@@ -90,7 +90,8 @@ def test_criterion_5_symplectic_positive_control():
         nonzero = 0
         for p in primes:
             report = gen_special_symplectic(n, k, GF(p), probe_trials=50, seed=4)
-            defects = quadratic_defect(report.data, report.form)
+            skew = canonical_j(SYMPLECTIC_CANONICAL, n, k, GF(p))
+            defects = quadratic_defect(report.data, skew)
             assert defects_vanish(defects)
             assert report.rank_probe.ok
             assert report.rank_probe.points_tested == 50

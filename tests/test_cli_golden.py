@@ -67,6 +67,8 @@ CASES = [
     ("det-q-scaled-rational", ["det-q", "--in", SCALED_Q], None, []),
     ("det-q-random-rational", ["det-q", "--in", RANDOM_Q], None, []),
     ("det-q-missing-file", ["det-q", "--in", "missing.mnd"], None, []),
+    ("det-q-decimal-rational", ["det-q", "--in", "decimal_n1k1_rational.mnd"], None, []),
+    ("det-q-underscore-gf7", ["det-q", "--in", "underscore_n1k1_gf7.mnd"], None, []),
     ("syzygy-verify-isotropic-n2k2", ["syzygy", "--in", ISO_22, "--verify"], None, []),
     ("syzygy-verify-special-n1k2", ["syzygy", "--in", SPECIAL_12, "--verify"], None, []),
     ("syzygy-verify-zero", ["syzygy", "--in", ZERO_12, "--verify"], None, []),
@@ -153,6 +155,11 @@ def transcript(argv: list[str], box: str | None, files: list[str], workdir: Path
 def test_cli_transcript_matches_golden(tmp_path, name, argv, box, files):
     golden = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="ascii")
     assert transcript(argv, box, files, tmp_path) == golden
+
+
+def test_golden_files_are_the_cases():
+    # a renamed or removed case must not leave its golden file behind
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.txt")) == sorted(c[0] for c in CASES)
 
 
 def _record():

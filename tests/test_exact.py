@@ -1,5 +1,6 @@
 """Exact field and matrix arithmetic, determinants, rank, kernels, text format."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -398,6 +399,31 @@ def test_matrix_format_comments_and_errors():
         parse_matrix("matrix rows=1 cols=1 field=gf:6\n1\n")
     with pytest.raises(MatrixFormatError):
         parse_field("real")
+
+
+@pytest.mark.parametrize("spec, row, bad", [
+    ("rational", "0.5 1e3 1_000", "0.5"),
+    ("rational", "1/2 1e3 1_000", "1e3"),
+    ("rational", "1/2 -3 +4", "+4"),
+    ("rational", "1/-2 0 0", "1/-2"),
+    ("rational", "1/2/3 0 0", "1/2/3"),
+    ("gf:7", "1_0 +3 0", "1_0"),
+    ("gf:7", "1 2/4 0", "2/4"),
+    ("gf:7", "1 2 -", "-"),
+])
+def test_matrix_entries_outside_the_grammar_are_rejected(spec, row, bad):
+    # int() and Fraction() alone would accept decimals, exponents, underscores and '+'
+    text = f"matrix rows=1 cols=3 field={spec}\n{row}\n"
+    with pytest.raises(MatrixFormatError, match=f"^bad entry {re.escape(repr(bad))} in "):
+        parse_matrix(text)
+
+
+def test_matrix_entries_in_the_grammar_parse():
+    assert parse_matrix("matrix rows=1 cols=3 field=rational\n-2/4 007 0/5\n").tolist() == \
+        [[Fraction(-1, 2), 7, 0]]
+    assert parse_matrix("matrix rows=1 cols=3 field=gf:7\n-1   10\t0\n").tolist() == [[6, 3, 0]]
+    with pytest.raises(MatrixFormatError, match="bad entry in"):
+        parse_matrix("matrix rows=1 cols=3 field=rational\n1/0 0 0\n")
 
 
 def test_rational_entries_always_canonical():

@@ -7,10 +7,10 @@ import pytest
 
 from monadlab import gens
 from monadlab import (GF, QQ, ExactMatrix, GeneratorError, MonadData,
-                      SYMPLECTIC_CANONICAL, canonical_j, det_q, evaluate_a,
+                      ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, canonical_j, det_q, evaluate_a,
                       format_monad, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
-                      quadratic_defect, random_point, search_orthogonal,
+                      Point, quadratic_defect, search_orthogonal,
                       verify_syzygy)
 
 
@@ -18,12 +18,11 @@ def test_special_symplectic_n1_k1_structure():
     report = gen_special_symplectic(1, 1, QQ)
     assert report.defects_ok
     assert report.rank_probe.ok
-    assert report.form is canonical_j(SYMPLECTIC_CANONICAL, 1, 1, QQ)
     # single row: A = (x_0, x_1, y_1, y_0); the lone skew defect is zero
     block = report.data.blocks[0]
     assert block.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0],
                               [0, 0, 0, 1], [0, 0, 1, 0]]
-    ((a, b, mat),) = quadratic_defect(report.data, report.form)
+    ((a, b, mat),) = quadratic_defect(report.data, canonical_j(SYMPLECTIC_CANONICAL, 1, 1, QQ))
     assert (a, b) == (1, 1) and mat.is_zero()
 
 
@@ -47,10 +46,10 @@ def test_special_symplectic_quadratic_identity(n, k):
     # defects vanish as matrices, hence A J A^t = 0 at every sampled point
     report = gen_special_symplectic(n, k, QQ, probe_trials=10)
     assert report.defects_ok
-    j = report.form
+    j = canonical_j(SYMPLECTIC_CANONICAL, n, k, QQ)
     rng = np.random.default_rng(6)
     for _ in range(10):
-        x = random_point(QQ, 2 * n + 2, rng)
+        x = Point.of(QQ, rng.integers(1, 11, size=2 * n + 2).tolist())
         a = evaluate_a(report.data, x)
         assert (a @ j @ a.transpose()).is_zero()
 
@@ -120,13 +119,16 @@ def test_isotropic_orthogonal_syzygy_chain(n, k, p, seed):
 
 def test_isotropic_candidate_always_fails_some_requirement():
     # rank certificate or singular invariant: never both requirements pass
+    eye = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, GF(5))
     for seed in range(6):
-        report = gen_isotropic_orthogonal(1, 1, 5, seed=seed, probe_trials=30)
-        assert (not report.rank_probe.ok) or report.det_q_value == 0
+        report = gen_isotropic_orthogonal(1, 1, 5, seed=seed)
+        probe = max_rank_probe(report.data, eye, 30, seed)
+        assert (not probe.ok) or report.det_q_value == 0
     # seed 0 is a pinned case where the probe itself finds the certificate
-    report = gen_isotropic_orthogonal(1, 1, 5, seed=0, probe_trials=30)
-    assert not report.rank_probe.ok
-    assert report.rank_probe.counterexample.observed_rank < 1
+    data = gen_isotropic_orthogonal(1, 1, 5, seed=0).data
+    probe = max_rank_probe(data, eye, 30, 0)
+    assert not probe.ok
+    assert probe.counterexample.observed_rank < 1
 
 
 @pytest.mark.parametrize("k,seed,points,rank,coords", [
@@ -155,7 +157,7 @@ def test_generator_determinism():
 
 def test_search_orthogonal_counts():
     summary = search_orthogonal(1, 1, 7, trials=10, seed=0)
-    assert summary.trials == 10
+    assert len(summary.rows) == 10
     assert summary.det_zero_count == 10
     assert summary.instanton_candidates == 0
     assert all(r.defects_ok for r in summary.rows)
@@ -177,6 +179,17 @@ def test_search_orthogonal_deterministic():
     s1 = search_orthogonal(1, 2, 13, trials=4, seed=2)
     s2 = search_orthogonal(1, 2, 13, trials=4, seed=2)
     assert s1 == s2
+
+
+# over GF(7) at n = k = 2, seeds 12 and 56 give a rank counterexample within
+# 20 points, and seeds 20 and 38 only within 40
+@pytest.mark.parametrize("n, k, p, seed", [(1, 2, 101, 0), (1, 2, 101, 2), (1, 2, 101, 4),
+                                           (2, 2, 7, 12), (2, 2, 7, 20), (2, 2, 7, 38),
+                                           (2, 2, 7, 56)])
+def test_search_and_generator_probe_alike(n, k, p, seed):
+    # a search's first trial is the generator's draw, probed at as many points
+    row = search_orthogonal(n, k, p, 1, seed).rows[0]
+    assert row.rank_counterexample == (not gen_isotropic_orthogonal(n, k, p, seed).rank_probe.ok)
 
 
 def test_search_orthogonal_rejects_zero_trials():

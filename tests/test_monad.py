@@ -1,21 +1,16 @@
 """Monad data model: assembly, evaluation, defects, probes, Chern series, I/O."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import monadlab
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
                       Point, RankProbeVerdict, canonical_j, chern_coefficients,
                       defects_vanish, evaluate_a, format_monad, hstack, max_rank_probe,
-                      parse_monad, quadratic_defect, random_point, vstack)
+                      parse_monad, quadratic_defect, vstack)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
 from monadlab import monad
 from monadlab.monad import _SCREEN_PRIME, _draw_points
@@ -75,7 +70,7 @@ def test_evaluate_a_against_assembled_matrix():
     rng = np.random.default_rng(3)
     for field in (GF101, QQ):
         d = random_data(2, 3, field, rng)
-        x = random_point(field, 6, rng)
+        x = Point.of(field, rng.integers(1, 11, size=6).tolist())
         xr = ExactMatrix(field, [x.coords])
         zero = ExactMatrix.zeros(field, 1, 6)
         selector = vstack([hstack([xr if i == j else zero for j in range(3)])
@@ -128,7 +123,8 @@ def test_quadratic_defect_isotropic_row_gf5():
 def _pointwise_values(d, j, rng, count):
     out = []
     for _ in range(count):
-        a = evaluate_a(d, random_point(d.field, d.block_rows, rng))
+        x = Point.of(d.field, rng.integers(1, 11, size=d.block_rows).tolist())
+        a = evaluate_a(d, x)
         out.append(a @ j @ a.transpose())
     return out
 
@@ -143,9 +139,10 @@ def test_vanishing_defects_imply_pointwise_zero():
     assert defects_vanish(quadratic_defect(iso, eye))
     assert all(v.is_zero() for v in _pointwise_values(iso, eye, rng, 20))
 
-    rep = gen_special_symplectic(1, 2, GF(11), probe_trials=5)
-    assert defects_vanish(quadratic_defect(rep.data, rep.form))
-    assert all(v.is_zero() for v in _pointwise_values(rep.data, rep.form, rng, 20))
+    sp = gen_special_symplectic(1, 2, GF(11), probe_trials=5).data
+    skew = canonical_j(SYMPLECTIC_CANONICAL, 1, 2, sp.field)
+    assert defects_vanish(quadratic_defect(sp, skew))
+    assert all(v.is_zero() for v in _pointwise_values(sp, skew, rng, 20))
 
 
 @pytest.mark.parametrize("kind", [ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL])
@@ -197,18 +194,6 @@ def test_max_rank_probe_deterministic():
     v1 = max_rank_probe(d, j, trials=25, seed=99)
     v2 = max_rank_probe(d, j, trials=25, seed=99)
     assert v1 == v2
-
-
-def test_random_point_rejects_box_below_one():
-    # over Q a box of 0 only ever draws the zero point, which random_point
-    # used to redraw forever; a subprocess with a timeout turns a hang into a failure
-    code = ("import numpy as np; from monadlab import QQ, random_point; "
-            "random_point(QQ, 4, np.random.default_rng(0), box=0)")
-    env = {**os.environ, "PYTHONPATH": str(Path(monadlab.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1] == "ValueError: point box must be >= 1, got 0"
 
 
 @st.composite
@@ -413,3 +398,8 @@ def test_monad_format_errors():
         parse_monad(good.replace("block 1", "block 1\n0 0 0 0"))
     with pytest.raises(MatrixFormatError):
         parse_monad("monad n=0 k=1 field=gf:101\n")
+    with pytest.raises(MatrixFormatError, match="^bad entry '1_0' in '0 1_0 0 0'$"):
+        parse_monad(good.replace("0 0 0 0", "0 1_0 0 0", 1))
+    rational = format_monad(zero_data(1, 1, QQ))
+    with pytest.raises(MatrixFormatError, match=r"^bad entry '0\.5' in '0 0\.5 0 0'$"):
+        parse_monad(rational.replace("0 0 0 0", "0 0.5 0 0", 1))

@@ -96,7 +96,7 @@ def test_layout_matches_hand_worked_table():
 def test_layout_regularity(n, k):
     lay = q_layout(n, k)
     for j in range(1, lay.block_cols + 1):
-        entries = lay.col_entries(j)
+        entries = [(i, a) for (i, c), a in lay.entries.items() if c == j]
         assert len(entries) == k
         assert sorted(a for _, a in entries) == list(range(1, k + 1))
         assert len({i for i, _ in entries}) == k
