@@ -36,9 +36,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .exact import (ExactMatrix, Field, MatrixFormatError, _full_row_rank_gf,
-                    _matmul_gf, content_lines, hstack, parse_entry_row, parse_field,
-                    vstack)
+from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows,
+                    _full_row_rank_gf, _matmul_gf, content_lines, hstack, parse_entry_row,
+                    parse_field, vstack)
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
@@ -210,9 +210,9 @@ def _residues(m: ExactMatrix, q: int) -> np.ndarray:
     of its denominators, a nonzero scalar that leaves every rank unchanged."""
     if m.field.is_prime_field:
         return m._a
-    rows = m.tolist()
-    scale = math.lcm(*(x.denominator for r in rows for x in r))
-    return np.array([[x.numerator * (scale // x.denominator) % q for x in r] for r in rows],
+    rows, scales = _cleared_rows(m._a)
+    scale = math.lcm(*scales)
+    return np.array([[x * (scale // s) % q for x in r] for r, s in zip(rows, scales)],
                     dtype=np.int64)
 
 
@@ -311,7 +311,7 @@ def parse_monad(text: str) -> MonadData:
         if pos + rows_per_block > len(lines):
             raise MatrixFormatError(f"block {j} is truncated")
         data = [parse_entry_row(field, lines[pos + i], cols) for i in range(rows_per_block)]
-        blocks.append(ExactMatrix(field, data))
+        blocks.append(ExactMatrix._wrap(field, field.array(data, cols)))
         pos += rows_per_block
     if pos != len(lines):
         raise MatrixFormatError(f"trailing content after block {k}: {lines[pos]!r}")

@@ -1,5 +1,6 @@
 """Exact field and matrix arithmetic, determinants, rank, kernels, text format."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -79,6 +80,57 @@ def test_mat_mul_large_prime_chunking():
     a = ExactMatrix.random(p, 4, 30, rng)
     b = ExactMatrix.random(p, 30, 4, rng)
     assert (a @ b).tolist() == matmul_naive(a, b)
+
+
+def rational_matrix(rng, rows, cols):
+    """Entries n/d with n in [-20, 20] and d in [1, 12], mixed within rows and columns."""
+    if rows == 0:
+        return ExactMatrix.zeros(QQ, 0, cols)
+    nums = rng.integers(-20, 21, size=(rows, cols)).tolist()
+    dens = rng.integers(1, 13, size=(rows, cols)).tolist()
+    return ExactMatrix(QQ, [[Fraction(n, d) for n, d in zip(rn, rd)]
+                            for rn, rd in zip(nums, dens)])
+
+
+def assert_canonical_fractions(m):
+    for x in m._a.flat:
+        assert type(x) is Fraction
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 4, 4), (5, 1, 2), (0, 3, 4), (3, 4, 0),
+                                   (3, 0, 4), (0, 0, 0), (0, 3, 0)])
+def test_mat_mul_qq_mixed_denominators_matches_oracle(shape):
+    r, c, c2 = shape
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(10):
+        a = rational_matrix(rng, r, c)
+        b = rational_matrix(rng, c, c2)
+        got = a @ b
+        assert got.shape == (r, c2)
+        assert got.tolist() == matmul_naive(a, b)
+        assert_canonical_fractions(got)
+
+
+@pytest.mark.parametrize("field", [GF101, GF(2147483629)])
+@pytest.mark.parametrize("shape", [(3, 0, 4), (0, 3, 4), (3, 4, 0), (0, 0, 0)])
+def test_mat_mul_gf_zero_sizes(field, shape):
+    r, c, c2 = shape
+    rng = np.random.default_rng(0)
+    got = ExactMatrix.random(field, r, c, rng) @ ExactMatrix.random(field, c, c2, rng)
+    assert got == ExactMatrix.zeros(field, r, c2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 5))
+def test_det_of_rational_product_is_product_of_dets(data, n):
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    a, b = (ExactMatrix(QQ, data.draw(square)) if n else ExactMatrix.zeros(QQ, 0, 0)
+            for _ in range(2))
+    product = a @ b
+    assert_canonical_fractions(product)
+    assert product.det() == a.det() * b.det()
 
 
 def test_transpose():

@@ -174,6 +174,32 @@ def test_residual_matches_blockwise_formula(n, k):
             assert got == expected_residual_block(d, lay.row_basis.monomial(i))
 
 
+@pytest.mark.parametrize("denominators", [False, True])
+def test_rational_residual_at_order_280_reduces_to_the_gf_residual(denominators):
+    # the Fraction oracle would take seconds at this size; two primes are cheap
+    rng = np.random.default_rng(280)
+    n, k = 3, 4
+    blocks = [rng.integers(-10, 11, size=(2 * n + 2, 2 * n + 2 * k)).tolist()
+              for _ in range(k)]
+    if denominators:  # a different denominator in each block, none divisible by p
+        blocks = [[[Fraction(x, j + 2) for x in row] for row in b]
+                  for j, b in enumerate(blocks)]
+    rational = verify_syzygy(MonadData(n, k, QQ, tuple(ExactMatrix(QQ, b) for b in blocks)))
+    assert rational.residual.shape == (280, 2 * n + 2)
+    assert not rational.residual_is_zero
+    for p in (101, 32003):
+        def mod_p(x):
+            x = Fraction(x)
+            return x.numerator * pow(x.denominator, -1, p) % p
+
+        field = GF(p)
+        reduced = tuple(ExactMatrix(field, [[mod_p(x) for x in row] for row in b])
+                        for b in blocks)
+        modular = verify_syzygy(MonadData(n, k, field, reduced)).residual
+        assert [[mod_p(x) for x in row] for row in rational.residual.tolist()] \
+            == modular.tolist()
+
+
 def test_verify_syzygy_isotropic_gf7():
     report = gen_isotropic_orthogonal(1, 2, 7, seed=5)
     r = verify_syzygy(report.data)

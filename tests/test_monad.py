@@ -317,6 +317,20 @@ def test_max_rank_probe_over_q_finds_a_dependence_through_fractions():
     assert verdict == rank_probe_pointwise(d, j, 20, 0)
 
 
+def test_max_rank_probe_over_q_clears_each_block_by_one_scale():
+    # M_1's rows have denominators 1, 2, 3, 1 and M_2 = 2 * M_1, so A has rank
+    # 1 at every point; clearing row by row would leave M_2's second row at
+    # M_1's, not twice it, and the screen would pass every point
+    rng = np.random.default_rng(5)
+    odd = (2 * rng.integers(-3, 4, size=(4, 6)) + 1).tolist()
+    m1 = ExactMatrix(QQ, [[Fraction(x, den) for x in row] for row, den in zip(odd, (1, 2, 3, 1))])
+    d = MonadData(1, 2, QQ, (m1, m1.scale(2)))
+    j = canonical_j(SYMPLECTIC_CANONICAL, 1, 2, QQ)
+    verdict = max_rank_probe(d, j, trials=20, seed=0)
+    assert not verdict.ok and verdict.points_tested == 1
+    assert verdict == rank_probe_pointwise(d, j, 20, 0)
+
+
 def test_chern_coefficients():
     for k in range(1, 11):
         coeffs = chern_coefficients(k, 5)

@@ -1,0 +1,19 @@
+"""Every fenced ``python`` block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                    flags=re.DOTALL | re.MULTILINE)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme"})
