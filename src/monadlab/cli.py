@@ -241,6 +241,9 @@ def run(argv=None) -> int:
     except (MatrixFormatError, RuntimeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None):

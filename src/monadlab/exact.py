@@ -18,13 +18,16 @@ a Fraction operation for every scalar step.
 Each field has one forward elimination, returning the echelon form, the
 pivot columns and the determinant; ``det``, ``rank`` and ``kernel_basis``
 read what they need from it.  Over GF(p) it is ordinary elimination that
-touches only the rows with a nonzero entry in the pivot column, with
-delayed modular reduction: the rank-1 updates accumulate in int64 and the
-trailing block is reduced mod p only when one more update could overflow
-(Dumas, Giorgi and Pernet, FFLAS-FFPACK, arXiv:cs/0601133).  Over the
-rationals it is fraction-free (Bareiss) elimination on a denominator-cleared
-integer matrix, which keeps intermediate entries at minor size instead of
-exploding and gives the rank as well as the determinant.  A matrix keeps the
+touches only the rows with a nonzero entry in the pivot column, and in
+them only the columns between the pivot row's first and last nonzero right
+of the pivot (the envelope of George and Liu's profile elimination; Q's
+blocks leave most of a row zero).  Reduction is delayed: the rank-1 updates
+accumulate in int64 and the trailing block is reduced mod p only when one
+more update could overflow (Dumas, Giorgi and Pernet, FFLAS-FFPACK,
+arXiv:cs/0601133).  Over the rationals it is fraction-free (Bareiss)
+elimination on a denominator-cleared integer matrix, which keeps
+intermediate entries at minor size instead of exploding and gives the rank
+as well as the determinant.  A matrix keeps the
 scalars of its first elimination, never the echelon array, so ``det`` and
 ``rank`` of one matrix eliminate it once unless ``det`` stopped early.
 """
@@ -374,6 +377,12 @@ def _matmul_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list[int], int]:
     """Row echelon form over GF(p); see :meth:`Field.echelon`.
 
+    The rank-1 update of the rows below covers only the columns [lo, hi)
+    from the pivot row's first to its last nonzero right of the pivot: the
+    pivot row is canonical, so elsewhere it would subtract factor * 0.  A
+    pivot row with no such nonzero updates nothing, and only the pivot
+    column of the rows below is cleared.
+
     Delayed reduction: the rank-1 update subtracts factor * pivot row with
     no ``% p``.  Both are canonical, so an update moves an entry by less than
     p**2, and ``budget`` updates fit in int64 on top of a canonical entry
@@ -432,22 +441,27 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
         piv = int(vals[0])
         det = det * piv % p
         if nz.size > 1:
-            if pending == budget:
-                stale = r + 1 + np.flatnonzero(touched[r + 1:])
-                a[stale, c + 1:] %= p
-                pending = 0
-                touched[:] = False
-            # after the swap the rows below r with a nonzero in column c are
-            # exactly r + nz[1:]; every other row is left as it is.  A run of
-            # consecutive rows is updated through a view, with no gather
-            below = r + nz[1:]
-            if below[-1] - below[0] == below.size - 1:
-                below = slice(below[0], below[-1] + 1)
-            factors = vals[1:] * pow(piv, -1, p) % p
-            a[below, c + 1:] -= factors[:, None] * a[r, c + 1:]
+            # the pivot row is canonical, so its zeros are exact: the update
+            # only moves the columns [lo, hi) of its nonzero span
+            span = np.flatnonzero(a[r, c + 1:])
+            if span.size:
+                lo, hi = c + 1 + int(span[0]), c + 2 + int(span[-1])
+                if pending == budget:
+                    stale = r + 1 + np.flatnonzero(touched[r + 1:])
+                    a[stale, c + 1:] %= p
+                    pending = 0
+                    touched[:] = False
+                # after the swap the rows below r with a nonzero in column c
+                # are exactly r + nz[1:]; every other row is left as it is.  A
+                # run of consecutive rows is updated through a view, with no gather
+                below = r + nz[1:]
+                if below[-1] - below[0] == below.size - 1:
+                    below = slice(below[0], below[-1] + 1)
+                factors = vals[1:] * pow(piv, -1, p) % p
+                a[below, lo:hi] -= factors[:, None] * a[r, lo:hi]
+                pending += 1
+                touched[below] = True
             col[nz[1:]] = 0
-            pending += 1
-            touched[below] = True
         pivots.append(c)
     return a, pivots, det
 

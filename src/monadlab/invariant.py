@@ -5,7 +5,8 @@ induced by the block data: in the block partition indexed by the two monomial
 bases, block (i, j) is M_alpha when eta_i = zeta_j * i_alpha and zero
 otherwise.  Both sides have dimension (2n+2k)*C(k+n-1, n) = (2n+2)*C(k+n, n+1).
 
-The syzygy S stacks M_1^t..M_k^t over zero blocks.  Row block i of Q*S equals
+The syzygy S stacks M_1^t..M_k^t over zero blocks, so Q*S needs only Q's
+first k block columns; the rest meet zero rows of S.  Row block i of Q*S equals
 M_a*M_b^t + M_b*M_a^t (or M_a*M_a^t on the diagonal) for the rows indexed by
 monomials i_1^{n-1} i_a i_b, and vanishes identically elsewhere; hence when
 the identity-pairing quadratic conditions hold, Q*S = 0 with S != 0 and Q is
@@ -87,14 +88,21 @@ class SyzygyReport:
 
 
 def verify_syzygy(d: MonadData) -> SyzygyReport:
-    """Residual Q*S, identity-pairing defects, and whether singularity is forced."""
-    q = build_q(d)
-    s = build_syzygy(d)
-    residual = q.matrix @ s.matrix
+    """Residual Q*S, identity-pairing defects, and whether singularity is forced.
+
+    S is zero below its first k block rows, so Q*S is the product of Q's
+    first k block columns and those rows alone: for n=4, k=5 that is 90 of
+    Q's 1260 columns.
+    """
+    q = build_q(d).matrix
+    s = build_syzygy(d).matrix
+    # S is zero below its first k block rows, i.e. below row m
+    m = d.k * d.block_cols
+    residual = q.block(0, 0, q.rows, m) @ s.block(0, 0, m, s.cols)
     return SyzygyReport(
         residual=residual,
         residual_is_zero=residual.is_zero(),
-        syzygy_is_zero=s.matrix.is_zero(),
+        syzygy_is_zero=s.is_zero(),
         defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
     )
 

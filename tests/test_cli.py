@@ -190,6 +190,19 @@ def test_runtime_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
                    "but det = 1; this is a bug\n")
 
 
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    # a failed allocation, e.g. det-q on a huge monad, is a message, not a traceback
+    def fail(args):
+        raise MemoryError("Unable to allocate 18.0 GiB")
+
+    monkeypatch.setitem(monadlab.cli._HANDLERS, "dims", fail)
+    assert run(["dims", "--n", "2", "--k", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 18.0 GiB\n"
+    assert "Traceback" not in err
+
+
 def test_truncated_monad_file_exit_2(tmp_path, capsys):
     sp = tmp_path / "sp.mnd"
     run(["gen", "special", "--n", "1", "--k", "2", "--field", "gf:101",

@@ -524,7 +524,8 @@ def assert_echelon_gf_matches_reference(a, p):
 
 @settings(max_examples=200, deadline=None)
 @given(p=st.sampled_from([3, 101, 32003, P30, 2147483629]), rows=st.integers(0, 24),
-       cols=st.integers(0, 24), kind=st.sampled_from(["dense", "sparse", "product", "repeats"]),
+       cols=st.integers(0, 24),
+       kind=st.sampled_from(["dense", "sparse", "product", "repeats", "staircase"]),
        seed=st.integers(0, 2**32 - 1))
 def test_echelon_gf_matches_reference(p, rows, cols, kind, seed):
     # budgets: 1e18 / 9e14 / 9e9 / 8 / 2 updates, so at the two largest primes
@@ -544,6 +545,14 @@ def test_echelon_gf_matches_reference(p, rows, cols, kind, seed):
         for i in rng.integers(0, rows, size=rows // 2):
             j = int(rng.integers(0, rows))
             a[i] = a[j] * int(rng.integers(1, p)) % p
+    elif kind == "staircase" and cols:
+        # each row's nonzeros end at a random column and a third of the rows
+        # hold one entry: update spans that start late, stop early or are empty
+        for i, end in enumerate(rng.integers(1, cols + 1, size=rows)):
+            a[i, end:] = 0
+            if rng.random() < 0.3:
+                a[i, :end - 1] = 0
+        a[rng.random(a.shape) < 0.3] = 0
     assert_echelon_gf_matches_reference(a, p)
 
 

@@ -161,13 +161,16 @@ def test_build_syzygy_shapes():
     assert build_syzygy(zero_data(1, 2)).matrix.is_zero()
 
 
-@pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
 def test_residual_matches_blockwise_formula(n, k):
-    # arbitrary data: the residual's row blocks follow the two-case formula
+    # arbitrary data: the residual's row blocks follow the two-case formula, and
+    # verify_syzygy's product over Q's first k block columns is the whole Q*S
+    # (at n = 1, s = k and S has no zero block rows)
     rng = np.random.default_rng(100 * n + k)
-    for field in (GF101, GF(7)):
+    for field in (GF101, GF(7), QQ):
         d = random_data(n, k, field, rng)
         residual = build_q(d).matrix @ build_syzygy(d).matrix
+        assert verify_syzygy(d).residual == residual
         lay = q_layout(n, k)
         for i in range(1, lay.block_rows + 1):
             got = residual.block(i - 1, 0, d.block_rows, d.block_rows)
