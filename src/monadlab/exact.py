@@ -27,9 +27,9 @@ more update could overflow (Dumas, Giorgi and Pernet, FFLAS-FFPACK,
 arXiv:cs/0601133).  Over the rationals it is fraction-free (Bareiss)
 elimination on a denominator-cleared integer matrix, which keeps
 intermediate entries at minor size instead of exploding and gives the rank
-as well as the determinant.  A matrix keeps the
-scalars of its first elimination, never the echelon array, so ``det`` and
-``rank`` of one matrix eliminate it once unless ``det`` stopped early.
+as well as the determinant.  A matrix keeps the scalars of its first
+elimination, never the echelon array, so ``det`` and ``rank`` of one matrix
+eliminate it once unless ``det`` stopped early.
 """
 
 from __future__ import annotations
@@ -441,9 +441,7 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
         piv = int(vals[0])
         det = det * piv % p
         if nz.size > 1:
-            # the pivot row is canonical, so its zeros are exact: the update
-            # only moves the columns [lo, hi) of its nonzero span
-            span = np.flatnonzero(a[r, c + 1:])
+            span = a[r, c + 1:].nonzero()[0]
             if span.size:
                 lo, hi = c + 1 + int(span[0]), c + 2 + int(span[-1])
                 if pending == budget:

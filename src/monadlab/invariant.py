@@ -90,14 +90,12 @@ class SyzygyReport:
 def verify_syzygy(d: MonadData) -> SyzygyReport:
     """Residual Q*S, identity-pairing defects, and whether singularity is forced.
 
-    S is zero below its first k block rows, so Q*S is the product of Q's
-    first k block columns and those rows alone: for n=4, k=5 that is 90 of
-    Q's 1260 columns.
+    Only Q's first k block columns are multiplied, since the rest meet zero
+    rows of S: for n=4, k=5 that is 90 of Q's 1260 columns.
     """
     q = build_q(d).matrix
     s = build_syzygy(d).matrix
-    # S is zero below its first k block rows, i.e. below row m
-    m = d.k * d.block_cols
+    m = d.k * d.block_cols  # S is zero below its first k block rows, i.e. row m on
     residual = q.block(0, 0, q.rows, m) @ s.block(0, 0, m, s.cols)
     return SyzygyReport(
         residual=residual,
