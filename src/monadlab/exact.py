@@ -26,14 +26,25 @@ accumulate in int64 and the trailing block is reduced mod p only when one
 more update could overflow (Dumas, Giorgi and Pernet, FFLAS-FFPACK,
 arXiv:cs/0601133).  Over the rationals it is fraction-free (Bareiss)
 elimination on a denominator-cleared integer matrix, which keeps
-intermediate entries at minor size instead of exploding and gives the rank
-as well as the determinant.  A matrix keeps the scalars of its first
-elimination, never the echelon array, so ``det`` and ``rank`` of one matrix
-eliminate it once unless ``det`` stopped early.
+intermediate entries at minor size instead of exploding; ``rank`` and
+``kernel_basis`` use it.
+
+``det`` has one path per field.  Over GF(p) it is the elimination above,
+stopped at the first column without a pivot.  Over the rationals it is the
+Chinese remainder theorem on that GF(p) determinant for as many primes as
+the Hadamard bound of the cleared integer matrix needs (Abbott, Bronstein
+and Mulders, ISSAC 1999): 51 primes below 2**29 and about 0.6 s for the
+random order-280 Q, whose 1208-bit determinant took Bareiss about 4 s.
+Every prime the bound asks for is used, so the result is exact.
+
+A matrix keeps the scalars of its first elimination, never the echelon
+array.  A nonzero determinant shows full rank, so ``rank`` after ``det``
+eliminates again only when the determinant is zero.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -50,16 +61,29 @@ class MatrixFormatError(ValueError):
     """Malformed matrix or monad text input."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, ..., 37, which is exact for every
+    n < 3.3 * 10**24; fields and CRT primes stay below 2**31."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -141,18 +165,24 @@ class Field:
             return _matmul_qq(a, b)
         return _matmul_gf(a, b, self.p)
 
-    def echelon(self, a: np.ndarray, det_only: bool = False):
+    def det(self, a: np.ndarray):
+        """Determinant of a square storage array: GF(p) elimination that stops
+        at the first column without a pivot, or over Q the Chinese remainder
+        theorem on such determinants."""
+        if self.p is None:
+            return _det_qq(a)
+        return _echelon_gf(a, self.p, det_only=True)[2]
+
+    def echelon(self, a: np.ndarray):
         """Forward elimination: (echelon form, pivot columns, determinant).
 
         The echelon form has the right kernel of ``a``; its first
         ``len(pivots)`` rows hold the pivots.  The determinant is only
-        meaningful for square ``a``, and is zero when a column has no pivot;
-        with ``det_only`` elimination stops at that column, and over GF(p)
-        the rows below the last pivot may then hold entries outside [0, p).
+        meaningful for square ``a``, and is zero when a column has no pivot.
         """
         if self.p is None:
-            return _echelon_qq(a, det_only)
-        return _echelon_gf(a, self.p, det_only)
+            return _echelon_qq(a)
+        return _echelon_gf(a, self.p, det_only=False)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -304,18 +334,20 @@ class ExactMatrix:
 
     # -- elimination-based operations -----------------------------------------
 
-    def _eliminate(self, det_only: bool = False):
+    def _eliminate(self):
         """(echelon, pivots); keeps (pivot count, det, pivot count is rank) in ``_elim``."""
-        echelon, pivots, det = self.field.echelon(self._a, det_only)
-        self._elim = (len(pivots), det, not det_only or len(pivots) == self.rows)
+        echelon, pivots, det = self.field.echelon(self._a)
+        self._elim = (len(pivots), det, True)
         return echelon, pivots
 
     def det(self):
-        """Exact determinant; elimination stops at the first column without a pivot."""
+        """Exact determinant, by :meth:`Field.det` unless an elimination already
+        gave it.  A nonzero one also gives the rank; a zero one does not."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.shape} matrix")
         if self._elim is None:
-            self._eliminate(det_only=True)
+            det = self.field.det(self._a)
+            self._elim = (self.rows, det, True) if det else (0, det, False)
         return self._elim[1]
 
     def rank(self) -> int:
@@ -518,7 +550,7 @@ def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=object).reshape(prod.shape)
 
 
-def _echelon_qq(a: np.ndarray, det_only: bool) -> tuple[np.ndarray, list[int], Fraction]:
+def _echelon_qq(a: np.ndarray) -> tuple[np.ndarray, list[int], Fraction]:
     """Fraction-free (Bareiss) row echelon form over Q; see :meth:`Field.echelon`.
 
     Each row is first scaled by the lcm of its denominators, which keeps the
@@ -537,8 +569,6 @@ def _echelon_qq(a: np.ndarray, det_only: bool) -> tuple[np.ndarray, list[int], F
             break
         i = next((i for i in range(r, rows) if m[i][c]), None)
         if i is None:
-            if det_only:
-                break
             continue
         if i != r:
             m[r], m[i] = m[i], m[r]
@@ -555,6 +585,60 @@ def _echelon_qq(a: np.ndarray, det_only: bool) -> tuple[np.ndarray, list[int], F
         pivots.append(c)
     det = sign * prev if len(pivots) == rows == cols else 0
     return np.array(m, dtype=object).reshape(rows, cols), pivots, Fraction(det, denom)
+
+
+# CRT primes: the largest primes below this bound, in descending order.  Of
+# 2**27 to 2**31 it gave the fastest order-280 det; its elimination budget is
+# 32 delayed updates, against 2 just below 2**31.
+_CRT_PRIME_TOP = 2**29
+_CRT_PRIMES: list[int] = []
+
+
+def _crt_primes():
+    """The CRT primes one after another; the ones found are kept for the next call."""
+    for i in itertools.count():
+        if i == len(_CRT_PRIMES):
+            q = (_CRT_PRIMES[-1] if _CRT_PRIMES else _CRT_PRIME_TOP + 1) - 2
+            while not _is_prime(q):
+                q -= 2
+            _CRT_PRIMES.append(q)
+        yield _CRT_PRIMES[i]
+
+
+def _det_qq(a: np.ndarray) -> Fraction:
+    """Determinant over Q from determinants over GF(p) and the Chinese
+    remainder theorem (Abbott, Bronstein and Mulders, ISSAC 1999).
+
+    Each row is cleared by the lcm of its denominators, which multiplies the
+    determinant by the product of the scales.  The integer determinant D has
+    |D| at most the Hadamard bound, here the product over the rows of
+    isqrt(row norm**2) + 1.  Primes are taken until their product m exceeds
+    twice the bound; D mod m then lies in (-m/2, m/2] and is D.  Every prime
+    is used, so the result is exact, not probable.
+    """
+    rows, scales = _cleared_rows(a)
+    n = len(rows)
+    index, values = [], []
+    bound = 1
+    for i, row in enumerate(rows):
+        nz = [j for j, x in enumerate(row) if x]
+        if not nz:
+            return Fraction(0)
+        bound *= math.isqrt(sum(row[j] ** 2 for j in nz)) + 1
+        index.extend(i * n + j for j in nz)
+        values.extend(row[j] for j in nz)
+    det, m = 0, 1
+    for p in _crt_primes():
+        if m > 2 * bound:
+            break
+        residues = np.zeros(n * n, dtype=np.int64)
+        residues[index] = [x % p for x in values]
+        r = _echelon_gf(residues.reshape(n, n), p, det_only=True)[2]
+        det += m * ((r - det) * pow(m, -1, p) % p)
+        m *= p
+    if det > m // 2:
+        det -= m
+    return Fraction(det, math.prod(scales))
 
 
 # -- text format ------------------------------------------------------------------

@@ -4,6 +4,7 @@ Nothing here goes through the code paths under test: determinants come from
 Laplace expansion, products from the definition, monomial enumerations from a
 recursive generator, rank probes from one draw and one exact test per point,
 GF(p) echelon forms from elimination that reduces every entry at every step,
+primality from trial division, 0/1 determinants from a triangular order,
 Q entry by entry from the monomial bases with plain loops, and the 20x10
 block table for n=2, k=4 was worked out by hand from the single-variable
 multiplication rule.
@@ -204,3 +205,74 @@ def echelon_gf_reference(a: np.ndarray, p: int, det_only: bool):
             a[below, c:] = (a[below, c:] - np.outer(factors, a[r, c:])) % p
         pivots.append(c)
     return a, pivots, det
+
+
+def is_prime_trial(n: int) -> bool:
+    """Trial division by 2 and the odd numbers up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def unitriangular_det(m: ExactMatrix):
+    """det over Z of a square 0/1 matrix whose rows and columns permute to
+    lower unitriangular form, or None if they do not (or an entry is not 0/1).
+
+    Kahn-style peeling on the bipartite pattern: take a row with exactly one
+    nonzero left among the remaining columns, order it and that column next,
+    and remove both.  Row t of the peeled order then has no nonzero in the
+    columns ordered after its own, so the permuted matrix is lower
+    triangular with ones on the diagonal, and det = sign(rows) * sign(cols).
+    """
+    a = m._a
+    nz = a != 0
+    ii, jj = nz.nonzero()
+    if m.rows != m.cols or not (a[ii, jj] == 1).all():
+        return None
+    left = [set() for _ in range(m.rows)]  # each row's remaining columns
+    col_rows = [[] for _ in range(m.cols)]
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        left[i].add(j)
+        col_rows[j].append(i)
+    ready = [i for i, cols in enumerate(left) if len(cols) == 1]
+    rows, cols = [], []
+    while ready:
+        i = ready.pop()
+        if len(left[i]) != 1:
+            continue  # an earlier step took its last column: the matrix is singular
+        c = left[i].pop()
+        rows.append(i)
+        cols.append(c)
+        for r in col_rows[c]:
+            left[r].discard(c)
+            if len(left[r]) == 1:
+                ready.append(r)
+    if len(rows) < m.rows:
+        return None
+    rank_of_row, rank_of_col = np.empty(m.rows, int), np.empty(m.cols, int)
+    rank_of_row[rows] = rank_of_col[cols] = np.arange(m.rows)
+    assert (rank_of_row[ii] >= rank_of_col[jj]).all()  # lower triangular
+    return _permutation_sign(rows) * _permutation_sign(cols)
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    """+1 or -1: each cycle of even length flips the sign."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0 and length:
+            sign = -sign
+    return sign

@@ -1,5 +1,6 @@
 """Exact field and matrix arithmetic, determinants, rank, kernels, text format."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
                       format_matrix, gen_special_symplectic, hstack, parse_field,
                       parse_matrix, vstack)
+from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
-from oracles import det_cofactor, echelon_gf_reference, matmul_naive
+from oracles import det_cofactor, echelon_gf_reference, is_prime_trial, matmul_naive
 
 GF101 = GF(101)
 
@@ -251,6 +253,96 @@ def test_det_stops_at_zero_first_column():
         assert m.rank() == 2
 
 
+# -- primes and the rational determinant by the Chinese remainder theorem --------
+
+
+def test_is_prime_matches_trial_division():
+    assert ([n for n in range(10**5) if exact._is_prime(n)]
+            == [n for n in range(10**5) if is_prime_trial(n)])
+
+
+@pytest.mark.parametrize("n, prime", [
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2..7; 2..11
+    (2047, False), (1373653, False), (25326001, False), (3215031751, False),
+    (2152302898747, False),
+    (561, False), (41041, False),  # Carmichael numbers
+    (2147483629, True), (2**31 - 1, True),
+])
+def test_is_prime_on_pseudoprimes_and_large_primes(n, prime):
+    assert exact._is_prime(n) is prime
+    assert is_prime_trial(n) is prime
+
+
+def test_crt_primes_are_the_largest_primes_below_the_top():
+    primes = list(itertools.islice(exact._crt_primes(), 60))
+    top = exact._CRT_PRIME_TOP
+    assert primes == [q for q in range(top - 1, primes[-1] - 1, -1) if is_prime_trial(q)]
+
+
+@st.composite
+def rational_squares(draw):
+    """Square matrices over Q of order 0 to 5: mixed denominators, entries
+    above 2**63, a zero row or column, and rank-deficient products."""
+    n = draw(st.integers(0, 5))
+    huge = st.integers(2**63, 2**90) | st.integers(-2**90, -2**63)
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+                      st.builds(Fraction, huge, st.sampled_from([1, 5, 2**64 + 13])))
+
+    def dense(r, c):
+        return ExactMatrix(QQ, [[draw(entry) for _ in range(c)] for _ in range(r)])
+
+    kind = draw(st.sampled_from(["dense", "zero row", "zero column", "product"]))
+    if n == 0:
+        return ExactMatrix.zeros(QQ, 0, 0)
+    if kind == "product" and n >= 2:
+        inner = draw(st.integers(1, n - 1))
+        return dense(n, inner) @ dense(inner, n)
+    rows = dense(n, n).tolist()
+    i = draw(st.integers(0, n - 1))
+    if kind == "zero row":
+        rows[i] = [0] * n
+    elif kind == "zero column":
+        for row in rows:
+            row[i] = 0
+    return ExactMatrix(QQ, rows)
+
+
+def _no_bareiss(a):
+    raise AssertionError("det reached Bareiss")
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rational_squares())
+def test_crt_det_matches_bareiss_and_cofactor(m):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_echelon_qq", _no_bareiss)
+        det = m.det()
+    assert det == exact._echelon_qq(m._a)[2] == det_cofactor(m)
+    if m.rows >= 2:  # swapping two rows negates the determinant
+        rows = m.tolist()
+        rows[0], rows[1] = rows[1], rows[0]
+        assert ExactMatrix(QQ, rows).det() == -det
+
+
+def sylvester_hadamard(order: int) -> list[list[int]]:
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+@pytest.mark.parametrize("scale", [1, Fraction(-3, 7)])
+def test_crt_det_of_hadamard_matrix_reaches_the_hadamard_bound(order, scale):
+    # orthogonal rows of equal length: |det| is the product of the row norms,
+    # so every prime the bound asks for is needed
+    m = ExactMatrix(QQ, [[scale * x for x in row] for row in sylvester_hadamard(order)])
+    det = m.det()
+    assert abs(det) == order ** (order // 2) * abs(scale) ** order
+    assert det == exact._echelon_qq(m._a)[2]
+
+
 # -- sympy as an independent det, rank and nullspace oracle ---------------------
 
 ORACLE_FIELDS = [QQ, GF(7), GF101]
@@ -332,44 +424,58 @@ def test_rank_and_kernel_basis_match_sympy(sympy_oracle, m):
 
 
 @pytest.fixture
-def echelon_calls(monkeypatch):
-    """The det_only flag of every Field.echelon call from here on."""
+def eliminations(monkeypatch):
+    """The elimination kernels run from here on: "bareiss", "gf" or "gf det"."""
     calls = []
-    original = Field.echelon
+    gf, bareiss = exact._echelon_gf, exact._echelon_qq
 
-    def counting(self, a, det_only=False):
-        calls.append(det_only)
-        return original(self, a, det_only)
+    def counting_gf(a, p, det_only):
+        calls.append("gf det" if det_only else "gf")
+        return gf(a, p, det_only)
 
-    monkeypatch.setattr(Field, "echelon", counting)
+    def counting_bareiss(a):
+        calls.append("bareiss")
+        return bareiss(a)
+
+    monkeypatch.setattr(exact, "_echelon_gf", counting_gf)
+    monkeypatch.setattr(exact, "_echelon_qq", counting_bareiss)
     return calls
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])
-def test_det_then_rank_of_nonsingular_matrix_eliminates_once(echelon_calls, field):
+def test_det_then_rank_of_nonsingular_matrix_eliminates_once(eliminations, field):
     m = ExactMatrix(field, [[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     assert m.det() == det_cofactor(m) != 0
     assert m.rank() == 3
     assert m.det() == det_cofactor(m)
-    assert echelon_calls == [True]
+    # over Q one prime exceeds twice the Hadamard bound 3 * 4 * 5; no Bareiss runs
+    assert eliminations == ["gf det"]
 
 
-def test_rank_after_det_of_singular_matrix_eliminates_fully(echelon_calls):
-    # det stops at the first column without a pivot, before the rank is known
+def test_rank_after_det_of_singular_matrix_eliminates_fully(eliminations):
+    # a zero det leaves the rank open: over GF(p) it stops at the first column
+    # without a pivot, over Q it is the CRT on such dets; rank eliminates fully,
+    # by Bareiss over Q
     rng = np.random.default_rng(3)
-    for size, inner in [(3, 1), (6, 4), (9, 5), (9, 8)]:
-        a = GF101.matmul(GF101.sample(rng, (size, inner), 0), GF101.sample(rng, (inner, size), 0))
-        m = ExactMatrix(GF101, a.tolist())
-        del echelon_calls[:]
-        assert m.det() == 0
-        assert m.rank() == len(echelon_gf_reference(a, 101, False)[1]) == inner
-        assert m.rank() == inner and m.det() == 0
-        assert echelon_calls == [True, False]
-    m = ExactMatrix(QQ, [[0, 1, 2], [0, 3, 4], [0, 5, 7]])
-    del echelon_calls[:]
-    assert m.det() == 0 == det_cofactor(m)
-    assert m.rank() == 2
-    assert echelon_calls == [True, False]
+    for field, full in ((GF101, "gf"), (QQ, "bareiss")):
+        for size, inner in [(3, 1), (6, 4), (9, 5), (9, 8)]:
+            a = field.matmul(field.sample(rng, (size, inner), 3),
+                             field.sample(rng, (inner, size), 3))
+            m = ExactMatrix(field, a.tolist())
+            del eliminations[:]
+            assert m.det() == 0
+            assert m.rank() == inner
+            assert m.rank() == inner and m.det() == 0
+            # one GF(p) det per CRT prime over Q; none when a row is zero
+            assert eliminations == ["gf det"] * (len(eliminations) - 1) + [full]
+            if field is GF101:
+                assert len(eliminations) == 2
+                assert inner == len(echelon_gf_reference(a, 101, False)[1])
+        m = ExactMatrix(field, [[0, 1, 2], [0, 3, 4], [0, 5, 7]])
+        del eliminations[:]
+        assert m.det() == 0 == det_cofactor(m)
+        assert m.rank() == 2
+        assert eliminations == ["gf det", full]
 
 
 def test_kernel_basis_leaves_rank_and_det():

@@ -13,15 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import monadlab.exact
 import monadlab.monad
 from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
-                      ExactMatrix, Field, MonadData, build_q, build_syzygy, det_q,
+                      ExactMatrix, MonadData, build_q, build_syzygy, det_q,
                       dimension_identity, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis,
                       orthogonal_verdict, q_layout, random_sl, transform_monad,
                       verify_syzygy)
 
-from oracles import build_q_blockwise
+from monadlab.gens import _special_blocks
+from oracles import build_q_blockwise, unitriangular_det
 
 GF101 = GF(101)
 
@@ -137,6 +139,30 @@ def test_det_q_special_symplectic_n2_k2():
     assert report.det_q_value == 1
     for p in (101, 32003, 65537):
         assert det_q(gen_special_symplectic(2, 2, GF(p), probe_trials=5).data) == 1
+
+
+# det Q over Z of the special family, by the peeling certificate: SPECIAL_DET_SIGNS[k]
+# holds the sign at n = 1, 2, ... for every n <= 24 with order at most 1260
+SPECIAL_DET_SIGNS = {
+    1: "--++--++--++--++--++--++", 2: "-+++-+++-+++-+++-+++-++", 3: "++++++++",
+    4: "+++++", 5: "--++", 6: "-++", 7: "++", 8: "++", 9: "--",
+    **{k: "-" if k % 4 in (1, 2) else "+" for k in range(10, 25)},
+}
+P31 = 2147483629
+
+
+@pytest.mark.parametrize("k", sorted(SPECIAL_DET_SIGNS))
+def test_special_family_q_is_permuted_unitriangular(k):
+    # k = 1 stops at n = 24: its Q is the single block M_1, and the 605 dense
+    # ones up to order 1260 would cost seconds for no new pattern
+    signs = SPECIAL_DET_SIGNS[k]
+    assert dimension_identity(len(signs) + 1, k)[0] > 1260 or len(signs) == 24
+    for n, sign in enumerate(signs, start=1):
+        order = dimension_identity(n, k)[0]
+        field = QQ if order <= 280 else GF(P31)
+        q = build_q(MonadData(n, k, field, _special_blocks(n, k, field))).matrix
+        assert unitriangular_det(q) == (1 if sign == "+" else -1), (n, k)
+        assert q.det() == field.coerce(unitriangular_det(q)), (n, k)
 
 
 def test_det_q_zero_for_orthogonal_candidates():
@@ -344,7 +370,7 @@ def test_orthogonal_verdict_twice_eliminates_q_once(monkeypatch):
     made = gen_isotropic_orthogonal(1, 2, 101, seed=4).data
     d = MonadData(made.n, made.k, made.field, made.blocks)  # nothing computed yet
     calls = {"echelon": 0, "defects": 0}
-    echelon, defects = Field.echelon, monadlab.monad.quadratic_defect
+    echelon, defects = monadlab.exact._echelon_gf, monadlab.monad.quadratic_defect
 
     def counting_echelon(*args, **kwargs):
         calls["echelon"] += 1
@@ -354,7 +380,7 @@ def test_orthogonal_verdict_twice_eliminates_q_once(monkeypatch):
         calls["defects"] += 1
         return defects(*args)
 
-    monkeypatch.setattr(Field, "echelon", counting_echelon)
+    monkeypatch.setattr(monadlab.exact, "_echelon_gf", counting_echelon)
     monkeypatch.setattr(monadlab.monad, "quadratic_defect", counting_defects)
     first, second = orthogonal_verdict(d), orthogonal_verdict(d)
     assert first == second
