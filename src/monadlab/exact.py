@@ -29,16 +29,12 @@ elimination on a denominator-cleared integer matrix, which keeps
 intermediate entries at minor size instead of exploding; ``rank`` and
 ``kernel_basis`` use it.
 
-``det`` has one path per field.  Over GF(p) it is the elimination above,
-stopped at the first column without a pivot.  Over the rationals it is the
-Chinese remainder theorem on that GF(p) determinant for as many primes as
-the Hadamard bound of the cleared integer matrix needs (Abbott, Bronstein
-and Mulders, ISSAC 1999): 51 primes below 2**29 and about 0.6 s for the
-random order-280 Q, whose 1208-bit determinant took Bareiss about 4 s.
-Every prime the bound asks for is used, so the result is exact.
-
+``det`` has one path per field: the GF(p) elimination stopped at the first
+column without a pivot, and over the rationals the Chinese remainder theorem
+on such determinants, for every prime the Hadamard bound asks for (for the
+random order-280 Q, 51 primes and about 0.6 s against about 4 s by Bareiss).
 A matrix keeps the scalars of its first elimination, never the echelon
-array.  A nonzero determinant shows full rank, so ``rank`` after ``det``
+array; a nonzero determinant shows full rank, so ``rank`` after ``det``
 eliminates again only when the determinant is zero.
 """
 
@@ -72,7 +68,9 @@ def _is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    s = ((n - 1) & (1 - n)).bit_length() - 1
+    if n < _MR_BASES[-1] ** 2:  # no prime factor up to its square root
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
     d = (n - 1) >> s
     for b in _MR_BASES:
         x = pow(b, d, n)

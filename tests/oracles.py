@@ -256,9 +256,9 @@ def unitriangular_det(m: ExactMatrix):
                 ready.append(r)
     if len(rows) < m.rows:
         return None
-    rank_of_row, rank_of_col = np.empty(m.rows, int), np.empty(m.cols, int)
-    rank_of_row[rows] = rank_of_col[cols] = np.arange(m.rows)
-    assert (rank_of_row[ii] >= rank_of_col[jj]).all()  # lower triangular
+    row_place, col_place = np.empty(m.rows, int), np.empty(m.cols, int)
+    row_place[rows] = col_place[cols] = np.arange(m.rows)
+    assert (row_place[ii] >= col_place[jj]).all()  # lower triangular
     return _permutation_sign(rows) * _permutation_sign(cols)
 
 
@@ -267,12 +267,13 @@ def _permutation_sign(perm: list[int]) -> int:
     seen = [False] * len(perm)
     sign = 1
     for start in range(len(perm)):
-        length = 0
-        j = start
+        if seen[start]:
+            continue
+        j, length = start, 0
         while not seen[j]:
             seen[j] = True
             j = perm[j]
             length += 1
-        if length % 2 == 0 and length:
+        if length % 2 == 0:
             sign = -sign
     return sign

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
+from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData, build_q,
                       format_matrix, gen_special_symplectic, hstack, parse_field,
                       parse_matrix, vstack)
 from monadlab import exact

@@ -23,7 +23,7 @@ from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
                       verify_syzygy)
 
 from monadlab.gens import _special_blocks
-from oracles import build_q_blockwise, unitriangular_det
+from oracles import build_q_blockwise, det_cofactor, unitriangular_det
 
 GF101 = GF(101)
 
@@ -163,6 +163,20 @@ def test_special_family_q_is_permuted_unitriangular(k):
         q = build_q(MonadData(n, k, field, _special_blocks(n, k, field))).matrix
         assert unitriangular_det(q) == (1 if sign == "+" else -1), (n, k)
         assert q.det() == field.coerce(unitriangular_det(q)), (n, k)
+
+
+def test_unitriangular_det_matches_cofactor_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        lower = np.tril(rng.integers(0, 2, (n, n)), -1) + np.eye(n, dtype=int)
+        a = lower[rng.permutation(n)][:, rng.permutation(n)]
+        m = ExactMatrix(QQ, a.tolist())
+        assert unitriangular_det(m) == det_cofactor(m)
+        m = ExactMatrix(QQ, (a | (rng.random((n, n)) < 0.3)).tolist())
+        assert unitriangular_det(m) in (None, det_cofactor(m))
+    assert unitriangular_det(ExactMatrix(QQ, [[1, 1], [1, 1]])) is None
+    assert unitriangular_det(ExactMatrix(QQ, [[2]])) is None
 
 
 def test_det_q_zero_for_orthogonal_candidates():
