@@ -15,27 +15,27 @@ multiplied, and only the entries of the result become Fractions.  For the
 order-280 Q times its syzygy S that is about 60 ms, against about 3 s with
 a Fraction operation for every scalar step.
 
-Each field has one forward elimination, returning the echelon form, the
-pivot columns and the determinant; ``det``, ``rank`` and ``kernel_basis``
-read what they need from it.  Over GF(p) it is ordinary elimination that
-touches only the rows with a nonzero entry in the pivot column, and in
-them only the columns between the pivot row's first and last nonzero right
-of the pivot (the envelope of George and Liu's profile elimination; Q's
-blocks leave most of a row zero).  Reduction is delayed: the rank-1 updates
-accumulate in int64 and the trailing block is reduced mod p only when one
-more update could overflow (Dumas, Giorgi and Pernet, FFLAS-FFPACK,
-arXiv:cs/0601133).  Over the rationals it is fraction-free (Bareiss)
-elimination on a denominator-cleared integer matrix, which keeps
-intermediate entries at minor size instead of exploding; ``rank`` and
-``kernel_basis`` use it.
+Each field has one forward elimination, returning the echelon form and the
+pivot columns; ``rank`` and ``kernel_basis`` read them.  Over GF(p) it is
+ordinary elimination that touches only the rows with a nonzero entry in the
+pivot column, and in them only the columns between the pivot row's first
+and last nonzero right of the pivot (the envelope of George and Liu's
+profile elimination; Q's blocks leave most of a row zero).  Reduction is
+delayed: the rank-1 updates accumulate in int64 and the trailing block is
+reduced mod p only when one more update could overflow (Dumas, Giorgi and
+Pernet, FFLAS-FFPACK, arXiv:cs/0601133).  Over the rationals it is
+fraction-free (Bareiss) elimination on a denominator-cleared integer
+matrix, which keeps intermediate entries at minor size instead of
+exploding.
 
-``det`` has one path per field: the GF(p) elimination stopped at the first
-column without a pivot, and over the rationals the Chinese remainder theorem
-on such determinants, for every prime the Hadamard bound asks for (for the
-random order-280 Q, 51 primes and about 0.6 s against about 4 s by Bareiss).
-A matrix keeps the scalars of its first elimination, never the echelon
-array; a nonzero determinant shows full rank, so ``rank`` after ``det``
-eliminates again only when the determinant is zero.
+``det`` has one path per field, whatever ran before it: the GF(p)
+elimination stopped at the first column without a pivot, and over the
+rationals the Chinese remainder theorem on such determinants, for every
+prime the Hadamard bound asks for (for the random order-280 Q, 51 primes
+and about 0.6 s against about 4 s by Bareiss).  A matrix keeps its
+determinant and its rank once computed, never the echelon array; a nonzero
+determinant shows full rank, so ``rank`` after ``det`` eliminates again
+only when the determinant is zero.
 """
 
 from __future__ import annotations
@@ -171,16 +171,15 @@ class Field:
             return _det_qq(a)
         return _echelon_gf(a, self.p, det_only=True)[2]
 
-    def echelon(self, a: np.ndarray):
-        """Forward elimination: (echelon form, pivot columns, determinant).
+    def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Forward elimination: (echelon form, pivot columns).
 
         The echelon form has the right kernel of ``a``; its first
-        ``len(pivots)`` rows hold the pivots.  The determinant is only
-        meaningful for square ``a``, and is zero when a column has no pivot.
+        ``len(pivots)`` rows hold the pivots.
         """
         if self.p is None:
             return _echelon_qq(a)
-        return _echelon_gf(a, self.p, det_only=False)
+        return _echelon_gf(a, self.p, det_only=False)[:2]
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -221,7 +220,7 @@ def _check_same_field(a: "ExactMatrix", b: "ExactMatrix"):
 class ExactMatrix:
     """Immutable dense matrix with all entries in one exact field."""
 
-    __slots__ = ("field", "_a", "_elim")  # _elim: see _eliminate
+    __slots__ = ("field", "_a", "_det", "_rank")  # scalars kept once computed
 
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         rows = [list(r) for r in rows]
@@ -233,7 +232,7 @@ class ExactMatrix:
     def _adopt(self, field: Field, a: np.ndarray):
         self.field = field
         self._a = a
-        self._elim = None
+        self._det = self._rank = None
         a.flags.writeable = False
 
     @classmethod
@@ -332,26 +331,22 @@ class ExactMatrix:
 
     # -- elimination-based operations -----------------------------------------
 
-    def _eliminate(self):
-        """(echelon, pivots); keeps (pivot count, det, pivot count is rank) in ``_elim``."""
-        echelon, pivots, det = self.field.echelon(self._a)
-        self._elim = (len(pivots), det, True)
-        return echelon, pivots
-
     def det(self):
-        """Exact determinant, by :meth:`Field.det` unless an elimination already
-        gave it.  A nonzero one also gives the rank; a zero one does not."""
+        """Exact determinant by :meth:`Field.det`, kept once computed; a nonzero
+        one also gives the rank.  It is never read off the elimination ``rank``
+        runs, so over GF(p) ``rank`` then ``det`` eliminates twice."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.shape} matrix")
-        if self._elim is None:
-            det = self.field.det(self._a)
-            self._elim = (self.rows, det, True) if det else (0, det, False)
-        return self._elim[1]
+        if self._det is None:
+            self._det = self.field.det(self._a)
+            if self._det:
+                self._rank = self.rows
+        return self._det
 
     def rank(self) -> int:
-        if self._elim is None or not self._elim[2]:
-            self._eliminate()
-        return self._elim[0]
+        if self._rank is None:
+            self._rank = len(self.field.echelon(self._a)[1])
+        return self._rank
 
     def kernel_basis(self) -> list["ExactMatrix"]:
         """Basis of the right null space, as column vectors; [] iff full column rank.
@@ -359,7 +354,8 @@ class ExactMatrix:
         One vector per free column f: entry f is 1, the other free entries are
         0, and the pivot entries follow by back-substitution.
         """
-        echelon, pivots = self._eliminate()
+        echelon, pivots = self.field.echelon(self._a)
+        self._rank = len(pivots)
         rows = echelon[:len(pivots)].tolist()
         basis = []
         for f in sorted(set(range(self.cols)) - set(pivots)):
@@ -405,7 +401,8 @@ def _matmul_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list[int], int]:
-    """Row echelon form over GF(p); see :meth:`Field.echelon`.
+    """Row echelon form over GF(p), pivot columns and, for square ``a``, the
+    determinant (zero once a column has no pivot); see :meth:`Field.echelon`.
 
     The rank-1 update of the rows below covers only the columns [lo, hi)
     from the pivot row's first to its last nonzero right of the pivot: the
@@ -548,18 +545,15 @@ def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=object).reshape(prod.shape)
 
 
-def _echelon_qq(a: np.ndarray) -> tuple[np.ndarray, list[int], Fraction]:
+def _echelon_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Fraction-free (Bareiss) row echelon form over Q; see :meth:`Field.echelon`.
 
     Each row is first scaled by the lcm of its denominators, which keeps the
-    kernel and multiplies the determinant by the product of the scales.  The
-    echelon entries are integers.
+    kernel.  The echelon entries are integers.
     """
     rows, cols = a.shape
-    m, scales = _cleared_rows(a)
-    denom = math.prod(scales)
+    m = _cleared_rows(a)[0]
     pivots: list[int] = []
-    sign = 1
     prev = 1
     for c in range(cols):
         r = len(pivots)
@@ -568,9 +562,7 @@ def _echelon_qq(a: np.ndarray) -> tuple[np.ndarray, list[int], Fraction]:
         i = next((i for i in range(r, rows) if m[i][c]), None)
         if i is None:
             continue
-        if i != r:
-            m[r], m[i] = m[i], m[r]
-            sign = -sign
+        m[r], m[i] = m[i], m[r]
         row_r = m[r]
         piv = row_r[c]
         for row in m[r + 1:]:
@@ -581,8 +573,7 @@ def _echelon_qq(a: np.ndarray) -> tuple[np.ndarray, list[int], Fraction]:
             row[c] = 0
         prev = piv
         pivots.append(c)
-    det = sign * prev if len(pivots) == rows == cols else 0
-    return np.array(m, dtype=object).reshape(rows, cols), pivots, Fraction(det, denom)
+    return np.array(m, dtype=object).reshape(rows, cols), pivots
 
 
 # CRT primes: the largest primes below this bound, in descending order.  Of

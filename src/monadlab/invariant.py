@@ -90,17 +90,16 @@ class SyzygyReport:
 def verify_syzygy(d: MonadData) -> SyzygyReport:
     """Residual Q*S, identity-pairing defects, and whether singularity is forced.
 
-    Only Q's first k block columns are multiplied, since the rest meet zero
-    rows of S: for n=4, k=5 that is 90 of Q's 1260 columns.
+    Only Q's first k block columns meet S's nonzero rows, M_1^t..M_k^t, so
+    only they are multiplied: for n=4, k=5, 90 of Q's 1260 columns.
     """
     q = build_q(d).matrix
-    s = build_syzygy(d).matrix
-    m = d.k * d.block_cols  # S is zero below its first k block rows, i.e. row m on
-    residual = q.block(0, 0, q.rows, m) @ s.block(0, 0, m, s.cols)
+    m = d.k * d.block_cols  # Q's first k block columns
+    residual = q.block(0, 0, q.rows, m) @ vstack([b.transpose() for b in d.blocks])
     return SyzygyReport(
         residual=residual,
         residual_is_zero=residual.is_zero(),
-        syzygy_is_zero=s.is_zero(),
+        syzygy_is_zero=d.is_zero(),
         defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
     )
 

@@ -140,19 +140,16 @@ def _check_pairing(d: MonadData, j: ExactMatrix):
 
 
 def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, ExactMatrix]]:
-    """Defects D_ab = sym(M_a * J * M_b^t) for 1 <= a <= b <= k.
+    """Defects D_ab = sym(M_a * J * M_b^t) for 1 <= a <= b <= k, read off the
+    blocks of the one product V * J * V^t, where V stacks the blocks.
 
     All defects vanish iff A * J * A^t = 0 identically in the coordinates.
     """
     _check_pairing(d, j)
-    transposed = [b.transpose() for b in d.blocks]
-    out = []
-    for a in range(1, d.k + 1):
-        left = d.blocks[a - 1] @ j
-        for b in range(a, d.k + 1):
-            x = left @ transposed[b - 1]
-            out.append((a, b, x + x.transpose()))
-    return out
+    v = vstack(d.blocks)
+    x, r = v @ j @ v.transpose(), d.block_rows
+    pairs = [(a, b, x.block(a, b, r, r)) for a in range(d.k) for b in range(a, d.k)]
+    return [(a + 1, b + 1, xab + xab.transpose()) for a, b, xab in pairs]
 
 
 def defects_vanish(defects: list[tuple[int, int, ExactMatrix]]) -> bool:

@@ -1,15 +1,16 @@
 """Independent oracles and hand-frozen reference data for the test suite.
 
 Nothing here goes through the code paths under test: determinants come from
-Laplace expansion, products from the definition, monomial enumerations from a
-recursive generator, rank probes from one draw and one exact test per point,
-GF(p) echelon forms from elimination that reduces every entry at every step,
-primality from trial division, 0/1 determinants from a triangular order,
-Q entry by entry from the monomial bases with plain loops, and the 20x10
-block table for n=2, k=4 was worked out by hand from the single-variable
-multiplication rule.
+Laplace expansion or fraction-free (Bareiss) elimination, products from the
+definition, monomial enumerations from a recursive generator, rank probes
+from one draw and one exact test per point, GF(p) echelon forms from
+elimination that reduces every entry at every step, primality from trial
+division, 0/1 determinants from a triangular order, Q entry by entry from
+the monomial bases with plain loops, and the 20x10 block table for n=2, k=4
+was worked out by hand from the single-variable multiplication rule.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,36 @@ def _det_cofactor_rows(rows):
         term = rows[0][j] * _det_cofactor_rows(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def bareiss_det(m: ExactMatrix) -> Fraction:
+    """det over Q by fraction-free (Bareiss) elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    multiplies the det by the product of the scales.  Step c replaces each
+    entry below and right of the pivot by the 2x2 minor with the pivot,
+    divided exactly by the previous pivot; the last pivot is the det.
+    """
+    rows, scale = [], 1
+    for row in m.tolist():
+        s = math.lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(x * s) for x in row])
+        scale *= s
+    n, sign, prev = len(rows), 1, 1
+    for c in range(n):
+        i = next((i for i in range(c, n) if rows[i][c]), None)
+        if i is None:
+            return Fraction(0)
+        if i != c:
+            rows[c], rows[i] = rows[i], rows[c]
+            sign = -sign
+        piv = rows[c][c]
+        for row in rows[c + 1:]:
+            row[c + 1:] = [(x * piv - row[c] * y) // prev
+                           for x, y in zip(row[c + 1:], rows[c][c + 1:])]
+            row[c] = 0
+        prev = piv
+    return Fraction(sign * prev, scale)
 
 
 def matmul_naive(a: ExactMatrix, b: ExactMatrix) -> list:

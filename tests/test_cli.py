@@ -1,5 +1,6 @@
 """CLI subcommands: output, exit codes, round trips, golden layout."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -176,6 +177,21 @@ def test_check_rejects_point_box_below_one(tmp_path, capsys, box):
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr == f"error: point box must be >= 1, got {box}\n"
+
+
+def test_console_script_target_runs():
+    # pyproject's [project.scripts] entry names a callable that exists, and
+    # the module it lives in runs as a program with the same main
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"monadlab": "monadlab.cli:main"}
+    module, name = scripts["monadlab"].split(":")
+    assert getattr(importlib.import_module(module), name) is monadlab.cli.main
+    env = {**os.environ, "PYTHONPATH": str(Path(monadlab.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", module, "dims", "--n", "2", "--k", "4"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "120 = 120\n", "")
 
 
 def test_runtime_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

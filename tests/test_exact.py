@@ -14,7 +14,8 @@ from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData, build_q
                       parse_matrix, vstack)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
-from oracles import det_cofactor, echelon_gf_reference, is_prime_trial, matmul_naive
+from oracles import (bareiss_det, det_cofactor, echelon_gf_reference, is_prime_trial,
+                     matmul_naive, unitriangular_det)
 
 GF101 = GF(101)
 
@@ -37,6 +38,23 @@ def test_scalar_canonicalization():
     assert QQ.coerce("4/6") == Fraction(2, 3)
     m = ExactMatrix(GF101, [[-5, 300]])
     assert m.tolist() == [[96, 98]]
+
+
+def test_fraction_into_prime_field():
+    # an integral Fraction is its numerator mod p; any other has no image
+    assert GF101.coerce(Fraction(-6, 3)) == 99
+    with pytest.raises(ValueError, match=r"^cannot coerce 1/2 into GF\(101\)$"):
+        GF101.coerce(Fraction(1, 2))
+
+
+def test_construction_sum_and_comparison_errors():
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        ExactMatrix(QQ, [[1, 2], [3]])
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 2\) \+ \(2, 1\)$"):
+        ExactMatrix(QQ, [[1, 2]]) + ExactMatrix(QQ, [[1], [2]])
+    one = ExactMatrix(QQ, [[1]])
+    assert one.__eq__(1) is NotImplemented
+    assert (one == 1) is False and one != 1
 
 
 def test_mat_mul_identity_and_zero():
@@ -318,7 +336,7 @@ def test_crt_det_matches_bareiss_and_cofactor(m):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact, "_echelon_qq", _no_bareiss)
         det = m.det()
-    assert det == exact._echelon_qq(m._a)[2] == det_cofactor(m)
+    assert det == bareiss_det(m) == det_cofactor(m)
     if m.rows >= 2:  # swapping two rows negates the determinant
         rows = m.tolist()
         rows[0], rows[1] = rows[1], rows[0]
@@ -340,7 +358,7 @@ def test_crt_det_of_hadamard_matrix_reaches_the_hadamard_bound(order, scale):
     m = ExactMatrix(QQ, [[scale * x for x in row] for row in sylvester_hadamard(order)])
     det = m.det()
     assert abs(det) == order ** (order // 2) * abs(scale) ** order
-    assert det == exact._echelon_qq(m._a)[2]
+    assert det == bareiss_det(m)
 
 
 # -- sympy as an independent det, rank and nullspace oracle ---------------------
@@ -481,8 +499,25 @@ def test_rank_after_det_of_singular_matrix_eliminates_fully(eliminations):
 def test_kernel_basis_leaves_rank_and_det():
     m = ExactMatrix(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert len(m.kernel_basis()) == 1
-    assert m._elim[:2] == (2, 0)
+    assert (m._rank, m._det) == (2, None)
     assert m.rank() == 2 and m.det() == 0 == det_cofactor(m)
+    assert (m._rank, m._det) == (2, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF101])
+def test_det_after_rank_runs_the_det_path(eliminations, field):
+    # det never reads the elimination that rank ran: over Q it is the CRT on
+    # GF(p) dets, one per prime, and over GF(p) a second, det-only elimination
+    m = ExactMatrix(field, [["1/2", 3, -7], [2, "-5/3", 4], [9, 1, "11/4"]]
+                    if field is QQ else [[1, 3, -7], [2, -5, 4], [9, 1, 11]])
+    assert m.rank() == 3
+    assert m.det() == det_cofactor(m) != 0
+    if field is QQ:
+        # one prime exceeds twice the Hadamard bound of the cleared rows
+        assert m.det() == bareiss_det(m)
+        assert eliminations == ["bareiss", "gf det"]
+    else:
+        assert eliminations == ["gf", "gf det"]
 
 
 ELIMINATION_OPS = ["det", "rank", "kernel_basis"]
@@ -500,13 +535,14 @@ def test_any_call_order_matches_a_fresh_matrix(m, order):
 
 def test_elimination_keeps_no_array():
     data = gen_special_symplectic(2, 3, GF(32003), probe_trials=1, compute_det=False).data
-    for m in (build_q(data).matrix, ExactMatrix(QQ, [[1, 2], [2, 4]])):
+    q = build_q(data).matrix
+    for m, det, rank in ((q, unitriangular_det(q) % 32003, q.rows),
+                         (ExactMatrix(QQ, [[1, 2], [2, 4]]), 0, 1)):
         m.det()
         m.rank()
         m.kernel_basis()
-        count, det, complete = m._elim
-        assert type(count) is int and type(complete) is bool
-        assert type(det) in (int, Fraction)
+        assert type(m._rank) is int and m._rank == rank
+        assert type(m._det) in (int, Fraction) and m._det == det
 
 
 def test_block_helpers():
@@ -547,6 +583,8 @@ def test_matrix_format_comments_and_errors():
     m = parse_matrix(text)
     assert m.tolist() == [[3, 4]]
 
+    with pytest.raises(MatrixFormatError, match="^empty matrix input$"):
+        parse_matrix("# only comments\n\n   # and blanks\n")
     with pytest.raises(MatrixFormatError):
         parse_matrix("not a matrix\n1 2\n")
     with pytest.raises(MatrixFormatError):

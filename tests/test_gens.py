@@ -10,7 +10,7 @@ from monadlab import (GF, QQ, ExactMatrix, GeneratorError, MonadData,
                       ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, canonical_j, det_q, evaluate_a,
                       format_monad, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
-                      Point, quadratic_defect, search_orthogonal,
+                      Point, quadratic_defect, search_orthogonal, transform_monad,
                       verify_syzygy)
 
 
@@ -96,6 +96,13 @@ def test_isotropic_basis_needs_prime_field():
     for _ in range(2):  # a failed construction is not memoised: it raises every time
         with pytest.raises(GeneratorError):
             isotropic_basis(QQ, 6)
+
+
+def test_transform_monad_rejects_a_wrong_size_block_mix():
+    d = gen_special_symplectic(1, 2, GF(101), probe_trials=1, compute_det=False).data
+    for size in (1, 3):
+        with pytest.raises(ValueError, match="^block-mixing matrix must be 2 x 2$"):
+            transform_monad(d, on_i=ExactMatrix.identity(GF(101), size))
 
 
 def test_isotropic_orthogonal_gf5():

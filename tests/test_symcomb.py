@@ -31,6 +31,8 @@ def test_sym_basis_k4_d3_matches_known_labels():
 def test_sym_basis_errors_and_edge():
     with pytest.raises(ValueError):
         sym_basis(0, 2)
+    with pytest.raises(ValueError, match="^degree must be non-negative$"):
+        sym_basis(3, -1)
     degree_zero = sym_basis(3, 0)
     assert list(degree_zero) == [(0, 0, 0)]
     assert monomial_label((0, 0, 0)) == "1"
