@@ -148,7 +148,7 @@ def _cmd_syzygy(args) -> int:
         print("verdict: det Q = 0 forced")
     else:
         print("verdict: syzygy does not annihilate Q")
-    return 0 if report.residual_is_zero and not report.syzygy_is_zero else 1
+    return 0 if report.det_zero_forced else 1
 
 
 def _cmd_check(args) -> int:

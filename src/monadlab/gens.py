@@ -54,22 +54,14 @@ def transform_monad(d: MonadData, on_w: ExactMatrix | None = None,
     if on_i is not None:
         if on_i.shape != (d.k, d.k):
             raise ValueError(f"block-mixing matrix must be {d.k} x {d.k}")
-        blocks = [
-            _linear_mix([on_i[a, j] for j in range(d.k)], blocks)
-            for a in range(d.k)
-        ]
+        flat = ExactMatrix._wrap(d.field, np.array([b._a.ravel() for b in blocks]))
+        blocks = [ExactMatrix._wrap(d.field, row.reshape(d.block_rows, d.block_cols))
+                  for row in (on_i @ flat)._a]
     if on_v is not None:
         blocks = [on_v @ b for b in blocks]
     if on_w is not None:
         blocks = [b @ on_w for b in blocks]
     return MonadData(d.n, d.k, d.field, tuple(blocks))
-
-
-def _linear_mix(coeffs, mats: list[ExactMatrix]) -> ExactMatrix:
-    out = mats[0].scale(coeffs[0])
-    for c, m in zip(coeffs[1:], mats[1:]):
-        out = out + m.scale(c)
-    return out
 
 
 # -- special symplectic family -----------------------------------------------------
@@ -87,7 +79,7 @@ def _special_blocks(n: int, k: int, field: Field) -> tuple[ExactMatrix, ...]:
     half = n + k
     blocks = []
     for j in range(k):
-        a = ExactMatrix.zeros(field, 2 * n + 2, 2 * n + 2 * k)._a.copy()
+        a = field.zeros(2 * n + 2, 2 * n + 2 * k)
         one = field.one()
         for c in range(n + 1):
             a[c, j + c] = one

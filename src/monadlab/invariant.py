@@ -6,11 +6,12 @@ bases, block (i, j) is M_alpha when eta_i = zeta_j * i_alpha and zero
 otherwise.  Both sides have dimension (2n+2k)*C(k+n-1, n) = (2n+2)*C(k+n, n+1).
 
 The syzygy S stacks M_1^t..M_k^t over zero blocks, so Q*S needs only Q's
-first k block columns; the rest meet zero rows of S.  Row block i of Q*S equals
-M_a*M_b^t + M_b*M_a^t (or M_a*M_a^t on the diagonal) for the rows indexed by
-monomials i_1^{n-1} i_a i_b, and vanishes identically elsewhere; hence when
-the identity-pairing quadratic conditions hold, Q*S = 0 with S != 0 and Q is
-singular.  :func:`orthogonal_verdict` packages that chain of implications.
+first k block columns, and only those are assembled for it; the rest meet
+zero rows of S.  Row block i of Q*S equals M_a*M_b^t + M_b*M_a^t (or
+M_a*M_a^t on the diagonal) for the rows indexed by monomials i_1^{n-1} i_a i_b,
+and vanishes identically elsewhere; hence when the identity-pairing quadratic
+conditions hold, Q*S = 0 with S != 0 and Q is singular.
+:func:`orthogonal_verdict` packages that chain of implications.
 """
 
 from __future__ import annotations
@@ -44,20 +45,25 @@ class SyzygyMatrix:
     matrix: ExactMatrix
 
 
-def build_q(d: MonadData) -> QMatrix:
-    """Assemble the square matrix from the sparse block layout.
+def _q_columns(d: MonadData, count: int) -> ExactMatrix:
+    """Q's first ``count`` block columns.
 
-    The blocks go in with one assignment on Q's storage viewed as
-    (block row, row, block column, column).
+    Block column j holds M_alpha in the block row of zeta_j * i_alpha for
+    every alpha, so all blocks go in with one broadcast assignment on the
+    storage viewed as (block row, row, block column, column).
     """
     layout = q_layout(d.n, d.k)
     br, bc = d.block_rows, d.block_cols
-    rows, cols, alphas = layout._entry_index
-    a = d.field.zeros(layout.block_rows * br, layout.block_cols * bc)
-    a.reshape(layout.block_rows, br, layout.block_cols, bc)[rows, :, cols, :] = \
-        np.array([b._a for b in d.blocks]).take(alphas, axis=0)
-    assert a.shape[0] == a.shape[1]
-    return QMatrix(ExactMatrix._wrap(d.field, a))
+    a = d.field.zeros(layout.block_rows * br, count * bc)
+    a.reshape(layout.block_rows, br, count, bc)[
+        layout._entry_index[:count], :, np.arange(count)[:, None], :] = \
+        np.array([b._a for b in d.blocks])
+    return ExactMatrix._wrap(d.field, a)
+
+
+def build_q(d: MonadData) -> QMatrix:
+    """Assemble the square matrix: all of its block columns."""
+    return QMatrix(_q_columns(d, math.comb(d.k + d.n - 1, d.n)))
 
 
 def det_q(d: MonadData):
@@ -90,12 +96,10 @@ class SyzygyReport:
 def verify_syzygy(d: MonadData) -> SyzygyReport:
     """Residual Q*S, identity-pairing defects, and whether singularity is forced.
 
-    Only Q's first k block columns meet S's nonzero rows, M_1^t..M_k^t, so
-    only they are multiplied: for n=4, k=5, 90 of Q's 1260 columns.
+    Only Q's first k block columns meet S's nonzero rows, M_1^t..M_k^t, so only
+    they are assembled and multiplied: at n=4, k=5, 90 of Q's 1260 columns.
     """
-    q = build_q(d).matrix
-    m = d.k * d.block_cols  # Q's first k block columns
-    residual = q.block(0, 0, q.rows, m) @ vstack([b.transpose() for b in d.blocks])
+    residual = _q_columns(d, d.k) @ vstack([b.transpose() for b in d.blocks])
     return SyzygyReport(
         residual=residual,
         residual_is_zero=residual.is_zero(),

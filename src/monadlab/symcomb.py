@@ -109,10 +109,13 @@ class QLayout:
 
     @functools.cached_property
     def _entry_index(self) -> np.ndarray:
-        """Read-only rows of 0-based block rows, block columns and alphas."""
-        index = np.array([(*ij, alpha) for ij, alpha in self.entries.items()]).T - 1
-        index.flags.writeable = False
-        return index
+        """Read-only (s x k) table, 0-based: (j, alpha) -> block row of zeta_j * i_alpha.
+
+        q_layout adds the entries block column by block column, with alpha = 1..k
+        inside each column, so their block rows fill the table row by row."""
+        table = np.array([i for i, _ in self.entries]).reshape(self.block_cols, self.k) - 1
+        table.flags.writeable = False
+        return table
 
     def entry(self, i: int, j: int) -> int | None:
         return self.entries.get((i, j))

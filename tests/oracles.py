@@ -6,8 +6,9 @@ definition, monomial enumerations from a recursive generator, rank probes
 from one draw and one exact test per point, GF(p) echelon forms from
 elimination that reduces every entry at every step, primality from trial
 division, 0/1 determinants from a triangular order, Q entry by entry from
-the monomial bases with plain loops, and the 20x10 block table for n=2, k=4
-was worked out by hand from the single-variable multiplication rule.
+the monomial bases with plain loops, block mixes as sums of scaled blocks,
+and the 20x10 block table for n=2, k=4 was worked out by hand from the
+single-variable multiplication rule.
 """
 
 import math
@@ -119,6 +120,17 @@ def build_q_blockwise(d) -> ExactMatrix:
                 for c in range(bc):
                     rows[i * br + r][j * bc + c] = block[r][c]
     return ExactMatrix(d.field, rows)
+
+
+def mix_blocks_sum(c: ExactMatrix, blocks) -> list[ExactMatrix]:
+    """Block a of the mix is the sum over j of c[a, j] * M_j, term by term."""
+    out = []
+    for a in range(c.rows):
+        mix = blocks[0].scale(c[a, 0])
+        for j in range(1, c.cols):
+            mix = mix + blocks[j].scale(c[a, j])
+        out.append(mix)
+    return out
 
 
 # Hand-worked 20x10 block pattern for n=2, k=4:

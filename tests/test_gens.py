@@ -1,6 +1,7 @@
 """Generator self-verification, isotropic constructions, and the search harness."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from monadlab import (GF, QQ, ExactMatrix, GeneratorError, MonadData,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
                       Point, quadratic_defect, search_orthogonal, transform_monad,
                       verify_syzygy)
+
+from oracles import mix_blocks_sum
 
 
 def test_special_symplectic_n1_k1_structure():
@@ -103,6 +106,18 @@ def test_transform_monad_rejects_a_wrong_size_block_mix():
     for size in (1, 3):
         with pytest.raises(ValueError, match="^block-mixing matrix must be 2 x 2$"):
             transform_monad(d, on_i=ExactMatrix.identity(GF(101), size))
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2)])
+def test_transform_monad_mixes_blocks_as_sums(field, n, k):
+    rng = np.random.default_rng(7 * n + k)
+    blocks = tuple(ExactMatrix.random(field, 2 * n + 2, 2 * n + 2 * k, rng) for _ in range(k))
+    c = ExactMatrix.random(field, k, k, rng)
+    if not field.is_prime_field:  # non-integer coefficients
+        c = c.scale(Fraction(1, 3))
+    mixed = transform_monad(MonadData(n, k, field, blocks), on_i=c)
+    assert list(mixed.blocks) == mix_blocks_sum(c, blocks)
 
 
 def test_isotropic_orthogonal_gf5():

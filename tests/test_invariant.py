@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import monadlab.exact
+import monadlab.invariant
 import monadlab.monad
 from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
                       ExactMatrix, MonadData, build_q, build_syzygy, det_q,
@@ -22,6 +23,7 @@ from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
                       orthogonal_verdict, q_layout, random_sl, transform_monad,
                       verify_syzygy)
 from monadlab.gens import _special_blocks
+from monadlab.invariant import _q_columns
 
 from oracles import build_q_blockwise, det_cofactor, unitriangular_det
 
@@ -110,6 +112,15 @@ def test_build_q_matches_blockwise_oracle(field, n, k, zero, seed):
 
     d = MonadData(n, k, field, tuple(block() for _ in range(k)))
     assert build_q(d).matrix == build_q_blockwise(d)
+
+
+@pytest.mark.parametrize("field", [GF101, QQ])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (3, 2)])
+def test_q_columns_are_the_first_block_columns_of_q(field, n, k):
+    d = random_data(n, k, field, np.random.default_rng(10 * n + k))
+    q = build_q_blockwise(d)
+    for count in range(1, math.comb(k + n - 1, n) + 1):
+        assert _q_columns(d, count) == q.block(0, 0, q.rows, count * d.block_cols)
 
 
 def test_build_q_k1_is_single_block():
@@ -242,6 +253,18 @@ def test_rational_residual_at_order_280_reduces_to_the_gf_residual(denominators)
         modular = verify_syzygy(MonadData(n, k, field, reduced)).residual
         assert [[mod_p(x) for x in row] for row in rational.residual.tolist()] \
             == modular.tolist()
+
+
+def test_verify_syzygy_does_not_build_all_of_q(monkeypatch):
+    def refuse(d):
+        raise AssertionError("verify_syzygy built all of Q")
+
+    for field in (GF101, QQ):
+        d = random_data(2, 3, field, np.random.default_rng(23))
+        residual = build_q_blockwise(d) @ build_syzygy(d).matrix
+        with monkeypatch.context() as m:
+            m.setattr(monadlab.invariant, "build_q", refuse)
+            assert verify_syzygy(d).residual == residual
 
 
 def test_verify_syzygy_isotropic_gf7():
