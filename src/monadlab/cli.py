@@ -8,6 +8,7 @@ input or malformed file.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from .symcomb import layout_csv, layout_table, q_layout
 BOX_ENV = "MONADLAB_POINT_BOX"
 
 
+@functools.cache  # the parser depends on nothing in argv, so one serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monadlab",

@@ -16,7 +16,7 @@ order-280 Q times its syzygy S that is about 60 ms, against about 3 s with
 a Fraction operation for every scalar step.
 
 Each field has one forward elimination, returning the echelon form and the
-pivot columns; ``rank`` and ``kernel_basis`` read them.  Over GF(p) it is
+pivot columns; ``kernel_basis`` reads both.  Over GF(p) it is
 ordinary elimination that touches only the rows with a nonzero entry in the
 pivot column, and in them only the columns between the pivot row's first
 and last nonzero right of the pivot (the envelope of George and Liu's
@@ -25,17 +25,17 @@ delayed: the rank-1 updates accumulate in int64 and the trailing block is
 reduced mod p only when one more update could overflow (Dumas, Giorgi and
 Pernet, FFLAS-FFPACK, arXiv:cs/0601133).  Over the rationals it is
 fraction-free (Bareiss) elimination on a denominator-cleared integer
-matrix, which keeps intermediate entries at minor size instead of
-exploding.
+matrix, which keeps intermediate entries at minor size; only
+``kernel_basis`` runs it.
 
-``det`` has one path per field, whatever ran before it: the GF(p)
-elimination stopped at the first column without a pivot, and over the
-rationals the Chinese remainder theorem on such determinants, for every
-prime the Hadamard bound asks for (for the random order-280 Q, 51 primes
-and about 0.6 s against about 4 s by Bareiss).  A matrix keeps its
-determinant and its rank once computed, never the echelon array; a nonzero
-determinant shows full rank, so ``rank`` after ``det`` eliminates again
-only when the determinant is zero.
+``det`` and ``rank`` have one path per field, whatever ran before them:
+GF(p) elimination, and over the rationals that elimination modulo each CRT
+prime the Hadamard bound B of the cleared rows asks for.  ``det`` joins the
+determinants by the CRT (for the random order-280 Q, 51 primes, about 0.6 s
+against about 4 s by Bareiss); ``rank`` is the largest rank over the primes,
+exact since no nonzero minor, at most B, is divisible by all of them.  A
+matrix keeps its det and rank, never the echelon array; a nonzero det shows
+full rank, so ``rank`` after ``det`` eliminates again only when det is zero.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -171,11 +171,17 @@ class Field:
             return _det_qq(a)
         return _echelon_gf(a, self.p, det_only=True)[2]
 
+    def rank(self, a: np.ndarray) -> int:
+        """GF(p) elimination's pivot count, or over Q the exact ``_rank_qq``."""
+        if self.p is None:
+            return _rank_qq(a)
+        return len(_echelon_gf(a, self.p, det_only=False)[1])
+
     def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Forward elimination: (echelon form, pivot columns).
+        """Forward elimination for ``kernel_basis``: (echelon form, pivot columns).
 
         The echelon form has the right kernel of ``a``; its first
-        ``len(pivots)`` rows hold the pivots.
+        ``len(pivots)`` rows hold the pivots.  Over Q it is Bareiss elimination.
         """
         if self.p is None:
             return _echelon_qq(a)
@@ -344,8 +350,9 @@ class ExactMatrix:
         return self._det
 
     def rank(self) -> int:
+        """Exact rank by :meth:`Field.rank` (modular over Q), kept once computed."""
         if self._rank is None:
-            self._rank = len(self.field.echelon(self._a)[1])
+            self._rank = self.field.rank(self._a)
         return self._rank
 
     def kernel_basis(self) -> list["ExactMatrix"]:
@@ -520,11 +527,12 @@ def _full_row_rank_gf(a: np.ndarray, p: int) -> np.ndarray:
 
 def _cleared_rows(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
     """Each row of a Fraction array times the lcm of its denominators: the
-    integer rows and, for each, its lcm."""
+    integer rows and, for each, its lcm.  Each entry is read once."""
     rows, scales = [], []
     for row in a.tolist():
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        nums, dens = list(zip(*map(Fraction.as_integer_ratio, row))) or ((), ())
+        scale = math.lcm(*dens)
+        rows.append([n * (scale // d) for n, d in zip(nums, dens)] if scale > 1 else list(nums))
         scales.append(scale)
     return rows, scales
 
@@ -594,40 +602,53 @@ def _crt_primes():
         yield _CRT_PRIMES[i]
 
 
+def _crt_images(rows: list[list[int]], shape: tuple) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, ``rows`` mod p) for CRT prime after prime until their product exceeds
+    2B, where B = prod(isqrt(row norm**2) + 1) bounds every minor (Hadamard)."""
+    flat = list(itertools.chain.from_iterable(rows))
+    index = [i for i, x in enumerate(flat) if x]
+    values = [flat[i] for i in index]
+    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
+    m = 1
+    for p in _crt_primes():
+        if m > 2 * bound:
+            return
+        residues = np.zeros(len(flat), dtype=np.int64)
+        residues[index] = [x % p for x in values]
+        yield p, residues.reshape(shape)
+        m *= p
+
+
 def _det_qq(a: np.ndarray) -> Fraction:
     """Determinant over Q from determinants over GF(p) and the Chinese
     remainder theorem (Abbott, Bronstein and Mulders, ISSAC 1999).
 
-    Each row is cleared by the lcm of its denominators, which multiplies the
-    determinant by the product of the scales.  The integer determinant D has
-    |D| at most the Hadamard bound, here the product over the rows of
-    isqrt(row norm**2) + 1.  Primes are taken until their product m exceeds
-    twice the bound; D mod m then lies in (-m/2, m/2] and is D.  Every prime
-    is used, so the result is exact, not probable.
-    """
+    Clearing the rows multiplies det by the scales.  The integer det D has
+    |D| <= B, so once the primes' product m exceeds 2B, D mod m in (-m/2, m/2]
+    is D: the result is exact."""
     rows, scales = _cleared_rows(a)
-    n = len(rows)
-    index, values = [], []
-    bound = 1
-    for i, row in enumerate(rows):
-        nz = [j for j, x in enumerate(row) if x]
-        if not nz:
-            return Fraction(0)
-        bound *= math.isqrt(sum(row[j] ** 2 for j in nz)) + 1
-        index.extend(i * n + j for j in nz)
-        values.extend(row[j] for j in nz)
+    if not all(map(any, rows)):
+        return Fraction(0)
     det, m = 0, 1
-    for p in _crt_primes():
-        if m > 2 * bound:
-            break
-        residues = np.zeros(n * n, dtype=np.int64)
-        residues[index] = [x % p for x in values]
-        r = _echelon_gf(residues.reshape(n, n), p, det_only=True)[2]
+    for p, residues in _crt_images(rows, a.shape):
+        r = _echelon_gf(residues, p, det_only=True)[2]
         det += m * ((r - det) * pow(m, -1, p) % p)
         m *= p
     if det > m // 2:
         det -= m
     return Fraction(det, math.prod(scales))
+
+
+def _rank_qq(a: np.ndarray) -> int:
+    """Rank over Q: the largest rank of the cleared rows over the CRT primes, or
+    min(rows, cols) once reached.  Exact: no rank mod p exceeds the rank r, and a
+    nonzero r x r minor, at most B, is not divisible by all the primes (> 2B)."""
+    rank = 0
+    for p, residues in _crt_images(_cleared_rows(a)[0], a.shape):
+        rank = max(rank, len(_echelon_gf(residues, p, det_only=False)[1]))
+        if rank == min(a.shape):
+            break
+    return rank
 
 
 # -- text format ------------------------------------------------------------------

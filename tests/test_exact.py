@@ -298,10 +298,11 @@ def test_crt_primes_are_the_largest_primes_below_the_top():
 
 
 @st.composite
-def rational_squares(draw):
-    """Square matrices over Q of order 0 to 5: mixed denominators, entries
-    above 2**63, a zero row or column, and rank-deficient products."""
-    n = draw(st.integers(0, 5))
+def rational_matrices(draw, square=True):
+    """Matrices over Q with 0 to 5 rows and columns: mixed denominators,
+    entries above 2**63, a zero row or column, and rank-deficient products."""
+    r = draw(st.integers(0, 5))
+    c = r if square else draw(st.integers(0, 5))
     huge = st.integers(2**63, 2**90) | st.integers(-2**90, -2**63)
     entry = st.one_of(st.just(Fraction(0)),
                       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
@@ -311,27 +312,27 @@ def rational_squares(draw):
         return ExactMatrix(QQ, [[draw(entry) for _ in range(c)] for _ in range(r)])
 
     kind = draw(st.sampled_from(["dense", "zero row", "zero column", "product"]))
-    if n == 0:
-        return ExactMatrix.zeros(QQ, 0, 0)
-    if kind == "product" and n >= 2:
-        inner = draw(st.integers(1, n - 1))
-        return dense(n, inner) @ dense(inner, n)
-    rows = dense(n, n).tolist()
-    i = draw(st.integers(0, n - 1))
+    if min(r, c) == 0:
+        return ExactMatrix.zeros(QQ, r, c)
+    if kind == "product" and min(r, c) >= 2:
+        inner = draw(st.integers(1, min(r, c) - 1))
+        return dense(r, inner) @ dense(inner, c)
+    rows = dense(r, c).tolist()
     if kind == "zero row":
-        rows[i] = [0] * n
+        rows[draw(st.integers(0, r - 1))] = [0] * c
     elif kind == "zero column":
+        j = draw(st.integers(0, c - 1))
         for row in rows:
-            row[i] = 0
+            row[j] = 0
     return ExactMatrix(QQ, rows)
 
 
 def _no_bareiss(a):
-    raise AssertionError("det reached Bareiss")
+    raise AssertionError("Bareiss ran")
 
 
 @settings(max_examples=200, deadline=None)
-@given(m=rational_squares())
+@given(m=rational_matrices())
 def test_crt_det_matches_bareiss_and_cofactor(m):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact, "_echelon_qq", _no_bareiss)
@@ -359,6 +360,39 @@ def test_crt_det_of_hadamard_matrix_reaches_the_hadamard_bound(order, scale):
     det = m.det()
     assert abs(det) == order ** (order // 2) * abs(scale) ** order
     assert det == bareiss_det(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rational_matrices(square=False))
+def test_crt_rank_matches_bareiss(m):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_echelon_qq", _no_bareiss)
+        rank = m.rank()
+    assert rank == len(exact._echelon_qq(m._a)[1])
+
+
+def test_kernel_basis_still_runs_bareiss(monkeypatch):
+    m = ExactMatrix(QQ, [[1, 2, 3], [2, 4, 6], ["1/2", 0, 1]])
+    monkeypatch.setattr(exact, "_echelon_qq", _no_bareiss)
+    assert m.rank() == 2
+    with pytest.raises(AssertionError, match="^Bareiss ran$"):
+        m.kernel_basis()
+
+
+def test_crt_rank_survives_primes_that_lower_it(eliminations):
+    # modulo the first CRT prime, or the first two, the rank is below the rank
+    # over Q; the bound asks for the prime that shows it.  In the 3 x 3 case
+    # the only nonzero 2 x 2 minor is p1 * p2 (times 4 when scaled by 2/7)
+    p1, p2 = itertools.islice(exact._crt_primes(), 2)
+    minor = [[1, 1, 0], [1, 1 + p1 * p2, 0], [0, 0, 0]]
+    for rows, scale, rank, primes in [([[p1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 3, 2),
+                                      (minor, 1, 2, 3), (minor, Fraction(2, 7), 2, 3)]:
+        for p in (p1, p2)[:primes - 1]:
+            assert ExactMatrix(GF(p), rows).rank() < rank
+        m = ExactMatrix(QQ, rows).scale(scale)
+        del eliminations[:]
+        assert m.rank() == rank
+        assert eliminations == ["gf"] * primes
 
 
 # -- sympy as an independent det, rank and nullspace oracle ---------------------
@@ -422,6 +456,12 @@ def test_det_matches_sympy(sympy_oracle, m):
     assert m.det() == from_sympy(m.field, to_sympy(m).det())
 
 
+@settings(max_examples=100, deadline=None)
+@given(m=rational_matrices(square=False))
+def test_crt_rank_matches_sympy(sympy_oracle, m):
+    assert m.rank() == sympy_oracle[0](m).rank()
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=matrices())
 def test_rank_and_kernel_basis_match_sympy(sympy_oracle, m):
@@ -473,9 +513,9 @@ def test_det_then_rank_of_nonsingular_matrix_eliminates_once(eliminations, field
 def test_rank_after_det_of_singular_matrix_eliminates_fully(eliminations):
     # a zero det leaves the rank open: over GF(p) it stops at the first column
     # without a pivot, over Q it is the CRT on such dets; rank eliminates fully,
-    # by Bareiss over Q
+    # over Q once per CRT prime, as a rank below full never stops it early
     rng = np.random.default_rng(3)
-    for field, full in ((GF101, "gf"), (QQ, "bareiss")):
+    for field in (GF101, QQ):
         for size, inner in [(3, 1), (6, 4), (9, 5), (9, 8)]:
             a = field.matmul(field.sample(rng, (size, inner), 3),
                              field.sample(rng, (inner, size), 3))
@@ -484,8 +524,12 @@ def test_rank_after_det_of_singular_matrix_eliminates_fully(eliminations):
             assert m.det() == 0
             assert m.rank() == inner
             assert m.rank() == inner and m.det() == 0
-            # one GF(p) det per CRT prime over Q; none when a row is zero
-            assert eliminations == ["gf det"] * (len(eliminations) - 1) + [full]
+            # det and rank share the primes over Q, but det runs none when a
+            # row is zero
+            primes = eliminations.count("gf")
+            dets = len(eliminations) - primes
+            assert eliminations == ["gf det"] * dets + ["gf"] * primes
+            assert dets in (0, primes)
             if field is GF101:
                 assert len(eliminations) == 2
                 assert inner == len(echelon_gf_reference(a, 101, False)[1])
@@ -493,7 +537,7 @@ def test_rank_after_det_of_singular_matrix_eliminates_fully(eliminations):
         del eliminations[:]
         assert m.det() == 0 == det_cofactor(m)
         assert m.rank() == 2
-        assert eliminations == ["gf det", full]
+        assert eliminations == ["gf det", "gf"]
 
 
 def test_kernel_basis_leaves_rank_and_det():
@@ -513,11 +557,10 @@ def test_det_after_rank_runs_the_det_path(eliminations, field):
     assert m.rank() == 3
     assert m.det() == det_cofactor(m) != 0
     if field is QQ:
-        # one prime exceeds twice the Hadamard bound of the cleared rows
         assert m.det() == bareiss_det(m)
-        assert eliminations == ["bareiss", "gf det"]
-    else:
-        assert eliminations == ["gf", "gf det"]
+    # over Q one prime exceeds twice the Hadamard bound of the cleared rows,
+    # and rank stops at the first prime that shows full rank anyway
+    assert eliminations == ["gf", "gf det"]
 
 
 ELIMINATION_OPS = ["det", "rank", "kernel_basis"]
