@@ -11,9 +11,9 @@ that differs between the two: storage, reduction, products and elimination.
 Rational products are computed over Z, as FLINT's ``fmpq_mat_mul_cleared``
 does: each row of the left factor and each column of the right one is
 multiplied by the lcm of its denominators, the integer arrays are
-multiplied, and only the entries of the result become Fractions.  For the
-order-280 Q times its syzygy S that is about 60 ms, against about 3 s with
-a Fraction operation for every scalar step.
+multiplied, and only the nonzero entries of the result become Fractions.
+For the 80 x 56 part of the order-280 Q that meets its syzygy S, times S,
+that is about 3-4 ms.
 
 Each field has one forward elimination, returning the echelon form and the
 pivot columns; ``kernel_basis`` reads both.  Over GF(p) it is
@@ -542,13 +542,14 @@ def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Row i of ``a`` is cleared by r_i and column j of ``b`` by c_j, so entry
     (i, j) of the integer product is r_i * c_j times that of ``a @ b``; only
-    the result's entries become Fractions.
+    the result's nonzero entries become new Fractions, the zeros share one.
     """
     ia, row_scales = _cleared_rows(a)
     ib, col_scales = _cleared_rows(b.T)
     prod = (np.array(ia, dtype=object).reshape(a.shape)
             @ np.array(ib, dtype=object).reshape(b.shape[::-1]).T)
-    out = [[Fraction(x, r * c) for x, c in zip(row, col_scales)]
+    zero = Fraction(0)
+    out = [[Fraction(x, r * c) if x else zero for x, c in zip(row, col_scales)]
            for row, r in zip(prod.tolist(), row_scales)]
     return np.array(out, dtype=object).reshape(prod.shape)
 

@@ -18,9 +18,9 @@ The probe works on batches: it draws all its points as one integer array,
 evaluates A at every point with one product against the stacked blocks,
 multiplies by J, and tests full row rank of the whole stack with one
 elimination modulo a prime q.  Over GF(p), q = p and the batch test is
-exact.  Over Q, q is a fixed 31-bit prime and the batch test is a screen
-on the data cleared of denominators: full rank mod q implies full rank over
-Q, and a point that fails it is tested again exactly.
+exact.  Over Q, q is the largest prime below 2**29 and the batch test is a
+screen on the data cleared of denominators: full rank mod q implies full
+rank over Q, and a point that fails it is tested again exactly.
 Either way the first point in draw order that fails goes through
 :func:`evaluate_a` and exact elimination, so a counterexample is still an
 exact certificate, with exact field-element coordinates.
@@ -36,15 +36,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows,
+from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows, _crt_primes,
                     _full_row_rank_gf, _matmul_gf, content_lines, hstack, parse_entry_row,
                     parse_field, vstack)
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
 
-# Over Q the probe screens modulo this prime (the largest below 2**31).
-_SCREEN_PRIME = 2**31 - 1
+# Over Q the probe screens modulo the first CRT prime, the largest below 2**29,
+# so ``_matmul_gf`` sums 16 residue products per int64 step (1 below 2**31).
+_SCREEN_PRIME = next(_crt_primes())
 # Points screened per elimination; bounds the probe's working memory.
 _PROBE_BATCH = 1024
 

@@ -105,11 +105,16 @@ def enum_monomials_brute(k: int, d: int) -> list[tuple[int, ...]]:
 
 def build_q_blockwise(d) -> ExactMatrix:
     """Q entry by entry: block (i, j) is M_alpha when the i-th degree-(n+1)
-    monomial is the j-th degree-n monomial times i_alpha, zero otherwise."""
+    monomial is the j-th degree-n monomial times i_alpha, zero otherwise.
+
+    Every entry is a canonical zero or a canonical block entry, so the rows
+    become storage as they are, without coercing each of the order**2 entries."""
     br, bc = d.block_rows, d.block_cols
     row_monomials = enum_monomials_brute(d.k, d.n + 1)
     col_monomials = enum_monomials_brute(d.k, d.n)
-    rows = [[0] * (len(col_monomials) * bc) for _ in range(len(row_monomials) * br)]
+    cols = len(col_monomials) * bc
+    zero = d.field.coerce(0)
+    rows = [[zero] * cols for _ in range(len(row_monomials) * br)]
     for i, eta in enumerate(row_monomials):
         for j, zeta in enumerate(col_monomials):
             diff = [e - z for e, z in zip(eta, zeta)]
@@ -119,7 +124,7 @@ def build_q_blockwise(d) -> ExactMatrix:
             for r in range(br):
                 for c in range(bc):
                     rows[i * br + r][j * bc + c] = block[r][c]
-    return ExactMatrix(d.field, rows)
+    return ExactMatrix._wrap(d.field, d.field.array(rows, cols))
 
 
 def mix_blocks_sum(c: ExactMatrix, blocks) -> list[ExactMatrix]:

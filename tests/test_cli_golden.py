@@ -3,7 +3,7 @@
 Each case runs ``monadlab.cli.run`` in-process in a fresh directory holding a
 copy of ``golden/cli/inputs``, and its transcript must equal
 ``golden/cli/<case>.txt``.  The inputs cover GF(101), GF(7) and rational data
-whose denominators include 2**31 - 1, the prime the rank probe screens with.
+whose denominators include the large prime 2**31 - 1.
 
 To re-record after an intended output change, run this file as a script:
 ``python tests/test_cli_golden.py``.

@@ -14,6 +14,7 @@ from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData, build_q
                       parse_matrix, vstack)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
+from monadlab.monad import _SCREEN_PRIME
 from oracles import (bareiss_det, det_cofactor, echelon_gf_reference, is_prime_trial,
                      matmul_naive, unitriangular_det)
 
@@ -93,12 +94,16 @@ def test_mat_mul_matches_oracle_random(field):
         assert (a @ b).tolist() == matmul_naive(a, b)
 
 
-def test_mat_mul_large_prime_chunking():
-    # near the 2**31 modulus bound, dot products must not overflow int64
-    p = GF(2147483629)
-    rng = np.random.default_rng(5)
-    a = ExactMatrix.random(p, 4, 30, rng)
-    b = ExactMatrix.random(p, 30, 4, rng)
+@pytest.mark.parametrize("inner", [1, 2, 16, 17, 33])
+@pytest.mark.parametrize("p", [2147483629, _SCREEN_PRIME])
+def test_mat_mul_large_prime_chunking(p, inner):
+    # dot products must not overflow int64: just below 2**31 the contraction
+    # runs one inner index at a time, at the rational probe's screening prime
+    # 16 at a time, so 16 and 17 fill one chunk and spill into a second
+    field = GF(p)
+    rng = np.random.default_rng(inner)
+    a = ExactMatrix.random(field, 4, inner, rng)
+    b = ExactMatrix.random(field, inner, 4, rng)
     assert (a @ b).tolist() == matmul_naive(a, b)
 
 
@@ -669,6 +674,14 @@ def test_rational_entries_always_canonical():
     m = parse_matrix("matrix rows=1 cols=2 field=rational\n2/4 -6/3\n")
     assert m[0, 0] == Fraction(1, 2)
     assert format_matrix(m).splitlines()[1] == "1/2 -2"
+    # a product that cancels exactly: A times a vector of its kernel
+    a = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(-1, 3), 2],
+                         [Fraction(3, 4), 5, Fraction(-7, 6)]])
+    (v,) = a.kernel_basis()
+    zero = a @ v
+    assert zero.is_zero() and zero.shape == (2, 1)
+    for x in zero._a.flat:
+        assert type(x) is Fraction and x == Fraction(0) and x.denominator == 1
 
 
 @settings(max_examples=100, deadline=None)

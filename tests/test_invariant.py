@@ -16,7 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import monadlab.exact
 import monadlab.invariant
 import monadlab.monad
-from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF, QQ,
+from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF,
+                      ORTHOGONAL_IDENTITY, QQ,
                       ExactMatrix, MonadData, build_q, build_syzygy, det_q,
                       dimension_identity, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis,
@@ -265,6 +266,30 @@ def test_verify_syzygy_does_not_build_all_of_q(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(monadlab.invariant, "build_q", refuse)
             assert verify_syzygy(d).residual == residual
+
+
+@pytest.mark.parametrize("field", [GF101, QQ])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 4), (3, 4), (4, 5)])
+def test_verify_syzygy_multiplies_only_the_block_rows_that_hold_a_block(
+        field, n, k, monkeypatch):
+    # Q's first k block columns have a block only in the k(k+1)/2 block rows
+    # i_1^{n-1} i_a i_b (every block row at n = 1); only those are multiplied
+    d = random_data(n, k, field, np.random.default_rng(7 * n + k))
+    residual = build_q_blockwise(d) @ build_syzygy(d).matrix
+    monadlab.monad._nonzero_defects(d, ORTHOGONAL_IDENTITY)  # its products run now, unspied
+    shapes = []
+    matmul = monadlab.exact.Field.matmul
+
+    def spy(self, a, b):
+        shapes.append((a.shape, b.shape))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(monadlab.exact.Field, "matmul", spy)
+    assert verify_syzygy(d).residual == residual
+    used = k * (k + 1) // 2 * d.block_rows
+    assert shapes == [((used, k * d.block_cols), (k * d.block_cols, d.block_rows))]
+    if n == 1:
+        assert used == residual.rows
 
 
 def test_verify_syzygy_isotropic_gf7():

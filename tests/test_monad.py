@@ -197,7 +197,7 @@ def test_max_rank_probe_deterministic():
 
 
 @st.composite
-def probe_cases(draw):
+def probe_cases(draw, fields=(GF(3), GF(7), GF(101), GF(2147483629), QQ)):
     """Monad data, a pairing matrix J, trials and box for comparing rank probes.
 
     Sparse blocks drop rank at some points, a block that is a multiple of
@@ -206,7 +206,7 @@ def probe_cases(draw):
     screening prime or have it as a denominator; over GF(3) with n = 1 there
     are only 80 distinct points, so larger trial counts hit the attempts cap.
     """
-    field = draw(st.sampled_from([GF(3), GF(7), GF(101), GF(2147483629), QQ]))
+    field = draw(st.sampled_from(fields))
     n = 1 if field.p == 3 else draw(st.integers(1, 2))
     k = draw(st.integers(1, 3))
     rows, cols = 2 * n + 2, 2 * n + 2 * k
@@ -247,6 +247,18 @@ def test_max_rank_probe_matches_pointwise_oracle(case, seed):
     d, j, trials, box = case
     expected = rank_probe_pointwise(d, j, trials, seed, box)
     assert max_rank_probe(d, j, trials, seed, box=box) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=probe_cases(fields=[QQ]), seed=st.integers(0, 2**32 - 1))
+def test_max_rank_probe_over_q_does_not_depend_on_the_screening_prime(case, seed):
+    # full rank mod any prime implies full rank over Q, and every point the
+    # screen fails gets the exact test in draw order, so the verdict is the same
+    d, j, trials, box = case
+    expected = max_rank_probe(d, j, trials, seed, box=box)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(monad, "_SCREEN_PRIME", 2**31 - 1)
+        assert max_rank_probe(d, j, trials, seed, box=box) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,9 +305,9 @@ def test_max_rank_probe_over_q_rechecks_what_the_screen_cannot_decide(entry):
 
 def test_max_rank_probe_over_q_screens_data_with_the_screening_prime_as_denominator(
         monkeypatch):
-    # A(x) = x / (2**31 - 1): clearing the denominator leaves A(x) = x modulo
-    # the screening prime, so the screen decides every point on its own
-    d = MonadData(1, 1, QQ, (ExactMatrix.identity(QQ, 4).scale(Fraction(1, 2**31 - 1)),))
+    # A(x) = x / q for the screening prime q: clearing the denominator leaves
+    # A(x) = x modulo q, so the screen decides every point on its own
+    d = MonadData(1, 1, QQ, (ExactMatrix.identity(QQ, 4).scale(Fraction(1, _SCREEN_PRIME)),))
     j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, QQ)
 
     def exact_test(*args):
