@@ -12,30 +12,20 @@ Rational products are computed over Z, as FLINT's ``fmpq_mat_mul_cleared``
 does: each row of the left factor and each column of the right one is
 multiplied by the lcm of its denominators, the integer arrays are
 multiplied, and only the nonzero entries of the result become Fractions.
-For the 80 x 56 part of the order-280 Q that meets its syzygy S, times S,
-that is about 3-4 ms.
 
-Each field has one forward elimination, returning the echelon form and the
-pivot columns; ``kernel_basis`` reads both.  Over GF(p) it is
-ordinary elimination that touches only the rows with a nonzero entry in the
-pivot column, and in them only the columns between the pivot row's first
-and last nonzero right of the pivot (the envelope of George and Liu's
-profile elimination; Q's blocks leave most of a row zero).  Reduction is
-delayed: the rank-1 updates accumulate in int64 and the trailing block is
-reduced mod p only when one more update could overflow (Dumas, Giorgi and
-Pernet, FFLAS-FFPACK, arXiv:cs/0601133).  Over the rationals it is
-fraction-free (Bareiss) elimination on a denominator-cleared integer
-matrix, which keeps intermediate entries at minor size; only
-``kernel_basis`` runs it.
-
-``det`` and ``rank`` have one path per field, whatever ran before them:
-GF(p) elimination, and over the rationals that elimination modulo each CRT
-prime the Hadamard bound B of the cleared rows asks for.  ``det`` joins the
-determinants by the CRT (for the random order-280 Q, 51 primes, about 0.6 s
-against about 4 s by Bareiss); ``rank`` is the largest rank over the primes,
-exact since no nonzero minor, at most B, is divisible by all of them.  A
-matrix keeps its det and rank, never the echelon array; a nonzero det shows
-full rank, so ``rank`` after ``det`` eliminates again only when det is zero.
+There is one elimination, over GF(p): it touches only the rows with a
+nonzero entry in the pivot column, and in them only the columns between the
+pivot row's first and last nonzero right of the pivot (George and Liu's
+envelope; Q's blocks leave most of a row zero).  Reduction is delayed: the
+updates accumulate in int64 and are reduced mod p only when one more could
+overflow (Dumas, Giorgi and Pernet, arXiv:cs/0601133).  Over the rationals
+``det``, ``rank`` and ``kernel_basis`` run it on the denominator-cleared
+rows modulo CRT primes: ``det`` by the CRT up to twice the Hadamard bound
+(for the random order-280 Q, 51 primes, about 0.6 s), ``rank`` as the
+largest rank over those primes, and ``kernel_basis`` by rational
+reconstruction of the joined modular kernels, checked exactly.  A matrix
+keeps its det and rank, never an echelon array; a nonzero det shows full
+rank, so ``rank`` after ``det`` eliminates again only when det is zero.
 """
 
 from __future__ import annotations
@@ -89,7 +79,7 @@ class Field:
     """An exact coefficient field: the rationals or GF(p) for an odd prime p.
 
     Besides scalars, a field owns the storage of matrices over it: the array
-    type, reduction to canonical entries, products and elimination.
+    type, reduction to canonical entries, products, det, rank and kernel.
     """
 
     __slots__ = ("p",)
@@ -121,12 +111,6 @@ class Field:
 
     def one(self):
         return self.coerce(1)
-
-    def div(self, x, y):
-        """x / y for integers or field elements x and y != 0."""
-        if self.p is None:
-            return Fraction(x) / y
-        return x * pow(y, -1, self.p) % self.p
 
     def sample(self, rng: np.random.Generator, size, box: int) -> np.ndarray:
         """Uniform entries of shape ``size`` (one entry for None): all of GF(p),
@@ -177,15 +161,11 @@ class Field:
             return _rank_qq(a)
         return len(_echelon_gf(a, self.p, det_only=False)[1])
 
-    def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Forward elimination for ``kernel_basis``: (echelon form, pivot columns).
-
-        The echelon form has the right kernel of ``a``; its first
-        ``len(pivots)`` rows hold the pivots.  Over Q it is Bareiss elimination.
-        """
+    def kernel(self, a: np.ndarray) -> tuple[list[int], list[list]]:
+        """Pivot columns and right kernel basis: ``_kernel_gf``, over Q ``_kernel_qq``."""
         if self.p is None:
-            return _echelon_qq(a)
-        return _echelon_gf(a, self.p, det_only=False)[:2]
+            return _kernel_qq(a)
+        return _kernel_gf(a, self.p)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -359,20 +339,11 @@ class ExactMatrix:
         """Basis of the right null space, as column vectors; [] iff full column rank.
 
         One vector per free column f: entry f is 1, the other free entries are
-        0, and the pivot entries follow by back-substitution.
+        0, and the pivot entries follow by back-substitution (:meth:`Field.kernel`).
         """
-        echelon, pivots = self.field.echelon(self._a)
+        pivots, basis = self.field.kernel(self._a)
         self._rank = len(pivots)
-        rows = echelon[:len(pivots)].tolist()
-        basis = []
-        for f in sorted(set(range(self.cols)) - set(pivots)):
-            v = [0] * self.cols
-            v[f] = 1
-            for row, c in reversed(list(zip(rows, pivots))):
-                tail = sum(x * y for x, y in zip(row[c + 1:], v[c + 1:]))
-                v[c] = self.field.div(-tail, row[c])
-            basis.append(ExactMatrix(self.field, [[x] for x in v]))
-        return basis
+        return [ExactMatrix(self.field, [[x] for x in v]) for v in basis]
 
 
 def _stack(mats: Sequence[ExactMatrix], axis: int, mismatch: str) -> ExactMatrix:
@@ -409,7 +380,7 @@ def _matmul_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list[int], int]:
     """Row echelon form over GF(p), pivot columns and, for square ``a``, the
-    determinant (zero once a column has no pivot); see :meth:`Field.echelon`.
+    determinant (zero once a column has no pivot); the kernel is ``a``'s.
 
     The rank-1 update of the rows below covers only the columns [lo, hi)
     from the pivot row's first to its last nonzero right of the pivot: the
@@ -498,6 +469,22 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
     return a, pivots, det
 
 
+def _kernel_gf(a: np.ndarray, p: int) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns and right kernel basis over GF(p), by back-substitution:
+    for each free column f, 1 at f and 0 at the other free columns."""
+    echelon, pivots, _ = _echelon_gf(a, p, det_only=False)
+    rows = list(zip(echelon[:len(pivots)].tolist(), pivots))
+    basis = []
+    for f in sorted(set(range(a.shape[1])) - set(pivots)):
+        v = [0] * a.shape[1]
+        v[f] = 1
+        for row, c in reversed([(row, c) for row, c in rows if c < f]):
+            tail = sum(x * y for x, y in zip(row[c + 1:f + 1], v[c + 1:f + 1]))
+            v[c] = -tail * pow(row[c], -1, p) % p
+        basis.append(v)
+    return pivots, basis
+
+
 def _full_row_rank_gf(a: np.ndarray, p: int) -> np.ndarray:
     """For a stack of T matrices (T x r x c, entries in [0, p)): which have rank r.
 
@@ -552,37 +539,6 @@ def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = [[Fraction(x, r * c) if x else zero for x, c in zip(row, col_scales)]
            for row, r in zip(prod.tolist(), row_scales)]
     return np.array(out, dtype=object).reshape(prod.shape)
-
-
-def _echelon_qq(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Fraction-free (Bareiss) row echelon form over Q; see :meth:`Field.echelon`.
-
-    Each row is first scaled by the lcm of its denominators, which keeps the
-    kernel.  The echelon entries are integers.
-    """
-    rows, cols = a.shape
-    m = _cleared_rows(a)[0]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        i = next((i for i in range(r, rows) if m[i][c]), None)
-        if i is None:
-            continue
-        m[r], m[i] = m[i], m[r]
-        row_r = m[r]
-        piv = row_r[c]
-        for row in m[r + 1:]:
-            x = row[c]
-            for j in range(c + 1, cols):
-                # exact division: the quotient is a minor determinant
-                row[j] = (row[j] * piv - x * row_r[j]) // prev
-            row[c] = 0
-        prev = piv
-        pivots.append(c)
-    return np.array(m, dtype=object).reshape(rows, cols), pivots
 
 
 # CRT primes: the largest primes below this bound, in descending order.  Of
@@ -650,6 +606,45 @@ def _rank_qq(a: np.ndarray) -> int:
         if rank == min(a.shape):
             break
     return rank
+
+
+def _rational(u: int, m: int) -> Fraction | None:
+    """The unique r/s = u mod m with |r|, s <= sqrt(m/2), if any, by Euclid on
+    (m, u) to the first remainder within the bound (Wang 1981)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _kernel_qq(a: np.ndarray) -> tuple[list[int], list[list[Fraction]]]:
+    """``_kernel_gf`` over Q: the cleared rows' kernels mod CRT primes, joined
+    by the CRT and reconstructed (Monagan, ISSAC 2004).  A prime can lose or
+    delay pivots, never gain them, so only the most and earliest are joined.
+    A v = 0 is checked exactly; v is nonzero only at f and at pivots before f,
+    so then f is free over Q too.  Its entries are ratios of minors, at most
+    the Hadamard bound B, so the loop ends once the joined primes pass 2B**2."""
+    ints = np.array(_cleared_rows(a)[0], dtype=object).reshape(a.shape)
+    pivots, joined, m = None, None, 1
+    for p in _crt_primes():
+        piv, vecs = _kernel_gf((ints % p).astype(np.int64), p)
+        if pivots is None or (len(piv), pivots) > (len(pivots), piv):  # more or earlier
+            pivots, joined, m = piv, np.zeros((len(vecs), a.shape[1]), dtype=object), 1
+        elif piv != pivots:
+            continue
+        joined += m * ((np.array(vecs, dtype=object).reshape(joined.shape) - joined)
+                       * pow(m, -1, p) % p)
+        m *= p
+        lifted = list(itertools.takewhile(lambda x: x is not None,
+                                          (_rational(u, m) for u in joined.flat)))
+        if len(lifted) == joined.size:
+            basis = np.array(lifted, dtype=object).reshape(joined.shape)
+            if not _matmul_qq(a, basis.T).any():
+                return pivots, basis.tolist()
 
 
 # -- text format ------------------------------------------------------------------

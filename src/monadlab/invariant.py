@@ -74,12 +74,16 @@ def det_q(d: MonadData):
     return d._memo["det_q"]
 
 
+def _transposes(d: MonadData) -> ExactMatrix:
+    """M_1^t..M_k^t stacked: the syzygy's nonzero block rows."""
+    return vstack([b.transpose() for b in d.blocks])
+
+
 def build_syzygy(d: MonadData) -> SyzygyMatrix:
     """Stack M_1^t..M_k^t over s-k zero blocks; shape ((2n+2k)*s) x (2n+2)."""
     s = math.comb(d.k + d.n - 1, d.n)
-    zero = ExactMatrix.zeros(d.field, d.block_cols, d.block_rows)
-    parts = [b.transpose() for b in d.blocks] + [zero] * (s - d.k)
-    return SyzygyMatrix(vstack(parts))
+    zero = ExactMatrix.zeros(d.field, (s - d.k) * d.block_cols, d.block_rows)
+    return SyzygyMatrix(vstack([_transposes(d), zero]))
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,7 @@ def verify_syzygy(d: MonadData) -> SyzygyReport:
     used = np.array(sorted(set(q_layout(d.n, d.k)._entry_index[:d.k].flat)))
     rows = (used[:, None] * br + np.arange(br)).ravel()
     residual = d.field.zeros(q.shape[0], br)
-    residual[rows] = (ExactMatrix._wrap(d.field, q[rows])
-                      @ vstack([b.transpose() for b in d.blocks]))._a
+    residual[rows] = (ExactMatrix._wrap(d.field, q[rows]) @ _transposes(d))._a
     return SyzygyReport(
         residual=ExactMatrix._wrap(d.field, residual),
         residual_is_zero=not residual.any(),

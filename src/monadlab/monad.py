@@ -187,11 +187,12 @@ def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
     Zero draws are skipped without counting as attempts; duplicates count.
     Coordinates are canonical over GF(p) and integers in [-box, box] over Q.
     Draws come in batches, which consume the generator exactly as one draw
-    per point would.
+    per point would, and stop once every nonzero point is drawn.
     """
     if box < 1:
         raise ValueError(f"point box must be >= 1, got {box}")
     low, high = (0, field.p) if field.is_prime_field else (-box, box + 1)
+    count = min(count, (high - low) ** dim - 1)
     drawn = np.empty((0, dim), dtype=np.int64)
     first = np.empty(0, dtype=np.intp)  # where each distinct point was first drawn
     key = np.dtype((np.void, drawn.itemsize * dim))  # one key per point

@@ -1,7 +1,8 @@
 """Independent oracles and hand-frozen reference data for the test suite.
 
 Nothing here goes through the code paths under test: determinants come from
-Laplace expansion or fraction-free (Bareiss) elimination, products from the
+Laplace expansion or fraction-free (Bareiss) elimination, rational echelon
+forms and kernels from Bareiss elimination, products from the
 definition, monomial enumerations from a recursive generator, rank probes
 from one draw and one exact test per point, GF(p) echelon forms from
 elimination that reduces every entry at every step, primality from trial
@@ -44,34 +45,55 @@ def _det_cofactor_rows(rows):
     return total
 
 
-def bareiss_det(m: ExactMatrix) -> Fraction:
-    """det over Q by fraction-free (Bareiss) elimination.
+def bareiss_echelon(m: ExactMatrix) -> tuple[list[list[int]], list[int], Fraction]:
+    """Row echelon form over Q by fraction-free (Bareiss) elimination, its
+    pivot columns and, for square m, det m (0 once a column has no pivot).
 
-    Each row is scaled to integers by the lcm of its denominators, which
+    The rows are cleared of denominators, which keeps the kernel and
     multiplies the det by the product of the scales.  Step c replaces each
     entry below and right of the pivot by the 2x2 minor with the pivot,
-    divided exactly by the previous pivot; the last pivot is the det.
+    divided exactly by the previous pivot, so every entry is an integer
+    minor; at full rank the last pivot is the det of the cleared rows.
     """
     rows, scale = [], 1
     for row in m.tolist():
         s = math.lcm(*(Fraction(x).denominator for x in row))
         rows.append([int(x * s) for x in row])
         scale *= s
-    n, sign, prev = len(rows), 1, 1
-    for c in range(n):
-        i = next((i for i in range(c, n) if rows[i][c]), None)
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(m.cols):
+        r = len(pivots)
+        i = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if i is None:
-            return Fraction(0)
-        if i != c:
-            rows[c], rows[i] = rows[i], rows[c]
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
             sign = -sign
-        piv = rows[c][c]
-        for row in rows[c + 1:]:
+        piv = rows[r][c]
+        for row in rows[r + 1:]:
             row[c + 1:] = [(x * piv - row[c] * y) // prev
-                           for x, y in zip(row[c + 1:], rows[c][c + 1:])]
+                           for x, y in zip(row[c + 1:], rows[r][c + 1:])]
             row[c] = 0
         prev = piv
-    return Fraction(sign * prev, scale)
+        pivots.append(c)
+    det = Fraction(sign * prev, scale) if len(pivots) == m.rows else Fraction(0)
+    return rows, pivots, det
+
+
+def kernel_oracle(m: ExactMatrix) -> list[list[Fraction]]:
+    """Right kernel over Q by back-substitution in Fractions on
+    ``bareiss_echelon``: one vector per free column f, 1 at f and 0 at the
+    other free columns."""
+    rows, pivots, _ = bareiss_echelon(m)
+    basis = []
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for row, c in reversed(list(zip(rows, pivots))):
+            v[c] = Fraction(-sum(x * y for x, y in zip(row[c + 1:], v[c + 1:])), row[c])
+        basis.append(v)
+    return basis
 
 
 def matmul_naive(a: ExactMatrix, b: ExactMatrix) -> list:
@@ -226,7 +248,7 @@ def rank_probe_pointwise(d, j, trials: int, seed: int, box: int = 10) -> RankPro
 
 def echelon_gf_reference(a: np.ndarray, p: int, det_only: bool):
     """GF(p) forward elimination reducing the updated rows mod p at every step:
-    (echelon form, pivot columns, determinant), as ``Field.echelon``."""
+    (echelon form, pivot columns, determinant), as ``_echelon_gf``."""
     a = a.copy()
     rows, cols = a.shape
     pivots: list[int] = []

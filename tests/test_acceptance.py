@@ -146,4 +146,4 @@ def test_criterion_8_oracle_equivalence():
         field = GF101 if rng.integers(0, 2) else QQ
         m = ExactMatrix.random(field, r, c, rng)
         assert m.rank() + len(m.kernel_basis()) == c
-    _report("criterion 8: fraction-free det == cofactor det; rank-nullity exact", t0)
+    _report("criterion 8: exact det == cofactor det; rank-nullity exact", t0)

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData, build_q,
+from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
                       format_matrix, gen_special_symplectic, hstack, parse_field,
                       parse_matrix, vstack)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
 from monadlab.monad import _SCREEN_PRIME
-from oracles import (bareiss_det, det_cofactor, echelon_gf_reference, is_prime_trial,
-                     matmul_naive, unitriangular_det)
+from oracles import (bareiss_echelon, det_cofactor, echelon_gf_reference,
+                     is_prime_trial, kernel_oracle, matmul_naive, unitriangular_det)
 
 GF101 = GF(101)
 
@@ -332,17 +332,11 @@ def rational_matrices(draw, square=True):
     return ExactMatrix(QQ, rows)
 
 
-def _no_bareiss(a):
-    raise AssertionError("Bareiss ran")
-
-
 @settings(max_examples=200, deadline=None)
 @given(m=rational_matrices())
 def test_crt_det_matches_bareiss_and_cofactor(m):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact, "_echelon_qq", _no_bareiss)
-        det = m.det()
-    assert det == bareiss_det(m) == det_cofactor(m)
+    det = m.det()
+    assert det == bareiss_echelon(m)[2] == det_cofactor(m)
     if m.rows >= 2:  # swapping two rows negates the determinant
         rows = m.tolist()
         rows[0], rows[1] = rows[1], rows[0]
@@ -364,24 +358,30 @@ def test_crt_det_of_hadamard_matrix_reaches_the_hadamard_bound(order, scale):
     m = ExactMatrix(QQ, [[scale * x for x in row] for row in sylvester_hadamard(order)])
     det = m.det()
     assert abs(det) == order ** (order // 2) * abs(scale) ** order
-    assert det == bareiss_det(m)
+    assert det == bareiss_echelon(m)[2]
 
 
 @settings(max_examples=200, deadline=None)
 @given(m=rational_matrices(square=False))
 def test_crt_rank_matches_bareiss(m):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact, "_echelon_qq", _no_bareiss)
-        rank = m.rank()
-    assert rank == len(exact._echelon_qq(m._a)[1])
+    assert m.rank() == len(bareiss_echelon(m)[1])
 
 
-def test_kernel_basis_still_runs_bareiss(monkeypatch):
-    m = ExactMatrix(QQ, [[1, 2, 3], [2, 4, 6], ["1/2", 0, 1]])
-    monkeypatch.setattr(exact, "_echelon_qq", _no_bareiss)
-    assert m.rank() == 2
-    with pytest.raises(AssertionError, match="^Bareiss ran$"):
-        m.kernel_basis()
+def columns(basis: list[ExactMatrix]) -> list[list]:
+    return [v.transpose().row_list(0) for v in basis]
+
+
+def test_kernel_basis_runs_only_gf_elimination(eliminations):
+    # GF(p) elimination is the only one left, over Q once per CRT prime
+    assert not hasattr(exact, "_echelon_qq")
+    assert not any(hasattr(Field, name) for name in ("echelon", "div"))
+    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 2]]
+    for field, expected in [(QQ, [[-2, Fraction(-1, 2), 1]]), (GF101, [[99, 50, 1]])]:
+        m = ExactMatrix(field, rows)
+        del eliminations[:]
+        assert columns(m.kernel_basis()) == expected
+        assert eliminations == ["gf"]
+    assert kernel_oracle(ExactMatrix(QQ, rows)) == [[-2, Fraction(-1, 2), 1]]
 
 
 def test_crt_rank_survives_primes_that_lower_it(eliminations):
@@ -398,6 +398,45 @@ def test_crt_rank_survives_primes_that_lower_it(eliminations):
         del eliminations[:]
         assert m.rank() == rank
         assert eliminations == ["gf"] * primes
+
+
+def test_kernel_basis_survives_primes_that_lose_or_move_pivots(eliminations):
+    # modulo p1 and p2 the first matrix has one pivot, not two; modulo p1 the
+    # second has its pivot in column 1, not 0.  Those primes' vectors are not
+    # joined with the later ones, whose pivots are Q's.  The second kernel has
+    # p1 as a denominator, so it lifts only once the product of the joined
+    # primes p2 * p3 * p4 exceeds 2 * p1**2
+    p1, p2 = itertools.islice(exact._crt_primes(), 2)
+    for rows, expected, primes in [
+            ([[1, 1, 0], [1, 1 + p1 * p2, 0], [0, 0, 0]], [[0, 0, 1]], 3),
+            ([[p1, 1, 1]], [[Fraction(-1, p1), 1, 0], [Fraction(-1, p1), 0, 1]], 4)]:
+        m = ExactMatrix(QQ, rows)
+        del eliminations[:]
+        assert columns(m.kernel_basis()) == expected == kernel_oracle(m)
+        assert eliminations == ["gf"] * primes
+
+
+def test_kernel_basis_checks_its_reconstruction(eliminations):
+    # the kernel entry 1/3 + 5 * p1 is 1/3 modulo p1, and 1/3 is what one prime
+    # reconstructs; only the exact check A v = 0 rejects it
+    p1 = next(exact._crt_primes())
+    m = ExactMatrix(QQ, [[3, -(1 + 15 * p1)]])
+    assert exact._rational(pow(3, -1, p1), p1) == Fraction(1, 3)
+    assert columns(m.kernel_basis()) == [[Fraction(1 + 15 * p1, 3), 1]] == kernel_oracle(m)
+    assert len(eliminations) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(-2**40, 2**40), s=st.integers(1, 2**40), primes=st.integers(1, 4))
+def test_rational_reconstruction_inverts_reduction(r, s, primes):
+    # unique once m > 2 * max(|r|, s)**2, which three primes always exceed here;
+    # below that any result is at least congruent to r/s
+    m = math.prod(itertools.islice(exact._crt_primes(), primes))
+    x = exact._rational(r * pow(s, -1, m) % m, m)
+    if m > 2 * max(abs(r), s) ** 2:
+        assert x == Fraction(r, s)
+    elif x is not None:
+        assert (x.numerator - x.denominator * r * pow(s, -1, m)) % m == 0
 
 
 # -- sympy as an independent det, rank and nullspace oracle ---------------------
@@ -467,20 +506,53 @@ def test_crt_rank_matches_sympy(sympy_oracle, m):
     assert m.rank() == sympy_oracle[0](m).rank()
 
 
+def sympy_kernel(sympy_oracle, m: ExactMatrix) -> list[list]:
+    """sympy's nullspace scaled as ``kernel_basis``: both bases have one vector
+    per free column f, zero at the other free columns and at every column
+    after f; sympy may scale a vector, so its last nonzero entry (at f) is
+    divided out to get 1 there."""
+    to_sympy, from_sympy = sympy_oracle
+    expected = []
+    for row in to_sympy(m).nullspace().to_list():
+        last = next(x for x in reversed(row) if x)
+        expected.append([from_sympy(m.field, x / last) for x in row])
+    return expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=matrices())
 def test_rank_and_kernel_basis_match_sympy(sympy_oracle, m):
-    # both bases have one vector per free column f, zero at the other free
-    # columns and at every column after f; sympy may scale a vector, so its
-    # last nonzero entry (at f) is divided out to get 1 there as ours has
-    to_sympy, from_sympy = sympy_oracle
-    dm = to_sympy(m)
-    assert m.rank() == dm.rank()
-    expected = []
-    for row in dm.nullspace().to_list():
-        last = next(x for x in reversed(row) if x)
-        expected.append([from_sympy(m.field, x / last) for x in row])
-    assert [v.transpose().row_list(0) for v in m.kernel_basis()] == expected
+    assert m.rank() == sympy_oracle[0](m).rank()
+    assert columns(m.kernel_basis()) == sympy_kernel(sympy_oracle, m)
+
+
+@st.composite
+def unlucky_rational_matrices(draw):
+    """L @ R for small integer L and R, plus P at one entry, where P is the
+    first CRT prime p1, -p1 or p1 * p2, scaled by 1 or 2/7.  Modulo p1 (and
+    p2) the rank is at most L's width; over Q it may be one more, and the
+    pivots may sit further left."""
+    p1, p2 = itertools.islice(exact._crt_primes(), 2)
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    inner = draw(st.integers(0, min(r, c)))
+    small = st.integers(-3, 3)
+    left = [[draw(small) for _ in range(inner)] for _ in range(r)]
+    right = [[draw(small) for _ in range(c)] for _ in range(inner)]
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] or [0] * c
+            for row in left]
+    rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] += \
+        draw(st.sampled_from([p1, -p1, p1 * p2]))
+    m = ExactMatrix(QQ, rows).scale(draw(st.sampled_from([1, Fraction(2, 7)])))
+    assert ExactMatrix(GF(p1), rows).rank() <= inner
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rational_matrices(square=False) | unlucky_rational_matrices())
+def test_kernel_basis_over_q_matches_bareiss_and_sympy(sympy_oracle, m):
+    basis = columns(m.kernel_basis())
+    assert basis == kernel_oracle(m) == sympy_kernel(sympy_oracle, m)
+    assert m.rank() == len(bareiss_echelon(m)[1]) == m.cols - len(basis)
 
 
 # -- the scalars an elimination leaves on the matrix ------------------------------
@@ -488,20 +560,16 @@ def test_rank_and_kernel_basis_match_sympy(sympy_oracle, m):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The elimination kernels run from here on: "bareiss", "gf" or "gf det"."""
+    """The GF(p) eliminations run from here on, the only kind there is:
+    "gf" or "gf det"."""
     calls = []
-    gf, bareiss = exact._echelon_gf, exact._echelon_qq
+    gf = exact._echelon_gf
 
     def counting_gf(a, p, det_only):
         calls.append("gf det" if det_only else "gf")
         return gf(a, p, det_only)
 
-    def counting_bareiss(a):
-        calls.append("bareiss")
-        return bareiss(a)
-
     monkeypatch.setattr(exact, "_echelon_gf", counting_gf)
-    monkeypatch.setattr(exact, "_echelon_qq", counting_bareiss)
     return calls
 
 
@@ -511,7 +579,7 @@ def test_det_then_rank_of_nonsingular_matrix_eliminates_once(eliminations, field
     assert m.det() == det_cofactor(m) != 0
     assert m.rank() == 3
     assert m.det() == det_cofactor(m)
-    # over Q one prime exceeds twice the Hadamard bound 3 * 4 * 5; no Bareiss runs
+    # over Q one prime exceeds twice the Hadamard bound 3 * 4 * 5
     assert eliminations == ["gf det"]
 
 
@@ -562,7 +630,7 @@ def test_det_after_rank_runs_the_det_path(eliminations, field):
     assert m.rank() == 3
     assert m.det() == det_cofactor(m) != 0
     if field is QQ:
-        assert m.det() == bareiss_det(m)
+        assert m.det() == bareiss_echelon(m)[2]
     # over Q one prime exceeds twice the Hadamard bound of the cleared rows,
     # and rank stops at the first prime that shows full rank anyway
     assert eliminations == ["gf", "gf det"]

@@ -230,6 +230,37 @@ def test_residual_matches_blockwise_formula(n, k):
             assert got == expected_residual_block(d, lay.row_basis.monomial(i))
 
 
+def test_residual_pairs_of_every_shape_up_to_order_2500():
+    # from the layout alone: S holds M_j^t in block row j <= k, so row block eta
+    # of Q*S sums M_alpha * M_j^t over the pairs (alpha, j) with j <= k and
+    # eta = zeta_j * i_alpha.  Those pairs are {(a, b), (b, a)} at
+    # eta = i_1^{n-1} i_a i_b, and there are none elsewhere: with D_ab = 0 this
+    # proves Q*S = 0 for every candidate of the shape, and it is the k(k+1)/2
+    # row blocks verify_syzygy multiplies
+    shapes = 0
+    for k in range(1, 2500):
+        for n in range(1, 2500):
+            if (2 * n + 2) * math.comb(k + n, n + 1) > 2500:
+                break
+            layout = q_layout(n, k)
+            pairs = {}
+            for (i, j), alpha in layout.entries.items():
+                if j <= k:
+                    pairs.setdefault(i, set()).add((alpha, j))
+            expected = {}
+            for a in range(1, k + 1):
+                for b in range(a, k + 1):
+                    eta = [n - 1] + [0] * (k - 1)
+                    eta[a - 1] += 1
+                    eta[b - 1] += 1
+                    expected[layout.row_basis.index(tuple(eta))] = {(a, b), (b, a)}
+            assert pairs == expected, (n, k)
+            shapes += 1
+        if n == 1:
+            break
+    assert shapes == 1341
+
+
 @pytest.mark.parametrize("denominators", [False, True])
 def test_rational_residual_at_order_280_reduces_to_the_gf_residual(denominators):
     # the Fraction oracle would take seconds at this size; two primes are cheap

@@ -229,7 +229,8 @@ def probe_cases(draw, fields=(GF(3), GF(7), GF(101), GF(2147483629), QQ)):
               for _ in range(k)]
     if k > 1 and draw(st.booleans()):
         num, den = draw(st.sampled_from([(1, 1), (-1, 2), (2, 5)]))
-        blocks[-1] = blocks[0].scale(field.div(num, den))
+        quotient = Fraction(num, den) if field.p is None else num * pow(den, -1, field.p)
+        blocks[-1] = blocks[0].scale(quotient)
     kind = draw(st.sampled_from([ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL]))
     j = canonical_j(kind, n, k, field)
     if draw(st.booleans()):
@@ -279,6 +280,31 @@ def test_max_rank_probe_stops_at_attempt_cap():
     verdict = max_rank_probe(d, j, trials=100, seed=4)
     assert verdict == RankProbeVerdict(True, 80)
     assert verdict == rank_probe_pointwise(d, j, 100, 4)
+
+
+class CountingRng:
+    """A generator that counts the point rows drawn from it."""
+
+    def __init__(self, seed: int):
+        self.rng, self.rows = np.random.default_rng(seed), 0
+
+    def integers(self, low, high, size, dtype):
+        self.rows += size[0]
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ])
+def test_draw_points_stops_once_every_point_is_drawn(field):
+    # GF(3)^4 and {-1, 0, 1}^4 have 80 nonzero points; asked for 1000, the
+    # draw used to run on to the attempt cap, about 50 700 rows
+    rng = CountingRng(5)
+    points = _draw_points(field, 4, rng, 1, 1000, 50 * 1000 + 100)
+    assert len({tuple(p) for p in points.tolist()}) == len(points) == 80
+    assert rng.rows < 2000
+    # the same points in the same order as a draw that asks for all 80
+    expected = distinct_points_pointwise(field, 4, np.random.default_rng(5), 1, 80,
+                                         50 * 1000 + 100)
+    assert [tuple(p) for p in points.tolist()] == expected
 
 
 def test_max_rank_probe_finds_rare_failure_past_the_first_batch():
