@@ -21,9 +21,9 @@ updates accumulate in int64 and are reduced mod p only when one more could
 overflow (Dumas, Giorgi and Pernet, arXiv:cs/0601133).  Over the rationals
 ``det``, ``rank`` and ``kernel_basis`` run it on the denominator-cleared
 rows modulo CRT primes: ``det`` by the CRT up to twice the Hadamard bound
-(for the random order-280 Q, 51 primes, about 0.6 s), ``rank`` as the
-largest rank over those primes, and ``kernel_basis`` by rational
-reconstruction of the joined modular kernels, checked exactly.  A matrix
+(for the random order-280 Q, 51 primes, about 0.6 s), ``kernel_basis`` by
+rational reconstruction of the joined modular kernels, checked exactly, and
+``rank`` as the pivot count of that verified kernel.  A matrix
 keeps its det and rank, never an echelon array; a nonzero det shows full
 rank, so ``rank`` after ``det`` eliminates again only when det is zero.
 """
@@ -156,13 +156,16 @@ class Field:
         return _echelon_gf(a, self.p, det_only=True)[2]
 
     def rank(self, a: np.ndarray) -> int:
-        """GF(p) elimination's pivot count, or over Q the exact ``_rank_qq``."""
+        """GF(p) elimination's pivot count, or over Q the pivot count of the
+        verified kernel of ``a`` or ``a``'s transpose, whichever has fewer
+        columns: the rank is the same and the kernel to lift is smaller."""
         if self.p is None:
-            return _rank_qq(a)
+            return len(_kernel_qq(a if a.shape[1] <= a.shape[0] else a.T)[0])
         return len(_echelon_gf(a, self.p, det_only=False)[1])
 
-    def kernel(self, a: np.ndarray) -> tuple[list[int], list[list]]:
-        """Pivot columns and right kernel basis: ``_kernel_gf``, over Q ``_kernel_qq``."""
+    def kernel(self, a: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """Pivot columns and a storage array whose columns are a right kernel
+        basis: ``_kernel_gf``, over Q ``_kernel_qq``."""
         if self.p is None:
             return _kernel_qq(a)
         return _kernel_gf(a, self.p)
@@ -343,7 +346,7 @@ class ExactMatrix:
         """
         pivots, basis = self.field.kernel(self._a)
         self._rank = len(pivots)
-        return [ExactMatrix(self.field, [[x] for x in v]) for v in basis]
+        return [ExactMatrix._wrap(self.field, basis[:, [j]]) for j in range(basis.shape[1])]
 
 
 def _stack(mats: Sequence[ExactMatrix], axis: int, mismatch: str) -> ExactMatrix:
@@ -469,19 +472,20 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
     return a, pivots, det
 
 
-def _kernel_gf(a: np.ndarray, p: int) -> tuple[list[int], list[list[int]]]:
-    """Pivot columns and right kernel basis over GF(p), by back-substitution:
-    for each free column f, 1 at f and 0 at the other free columns."""
+def _kernel_gf(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Pivot columns and right kernel basis over GF(p), the basis as the
+    columns of an int64 array: for each free column f, 1 at f and 0 at the
+    other free columns.  Back-substitution runs over the pivot rows from the
+    last, one product per row for all the vectors at once."""
     echelon, pivots, _ = _echelon_gf(a, p, det_only=False)
-    rows = list(zip(echelon[:len(pivots)].tolist(), pivots))
-    basis = []
-    for f in sorted(set(range(a.shape[1])) - set(pivots)):
-        v = [0] * a.shape[1]
-        v[f] = 1
-        for row, c in reversed([(row, c) for row, c in rows if c < f]):
-            tail = sum(x * y for x, y in zip(row[c + 1:f + 1], v[c + 1:f + 1]))
-            v[c] = -tail * pow(row[c], -1, p) % p
-        basis.append(v)
+    cols = a.shape[1]
+    free = sorted(set(range(cols)) - set(pivots))
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    basis[free, range(len(free))] = 1
+    if free:
+        for i, c in reversed(list(enumerate(pivots))):
+            tail = _matmul_gf(echelon[i:i + 1, c + 1:], basis[c + 1:], p)
+            basis[c] = tail[0] * (-pow(int(echelon[i, c]), -1, p) % p) % p
     return pivots, basis
 
 
@@ -560,20 +564,14 @@ def _crt_primes():
 
 
 def _crt_images(rows: list[list[int]], shape: tuple) -> Iterator[tuple[int, np.ndarray]]:
-    """(p, ``rows`` mod p) for CRT prime after prime until their product exceeds
-    2B, where B = prod(isqrt(row norm**2) + 1) bounds every minor (Hadamard)."""
+    """(p, ``rows`` mod p) for CRT prime after prime, without end."""
     flat = list(itertools.chain.from_iterable(rows))
-    index = [i for i, x in enumerate(flat) if x]
+    index = np.array([i for i, x in enumerate(flat) if x], dtype=np.intp)
     values = [flat[i] for i in index]
-    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
-    m = 1
     for p in _crt_primes():
-        if m > 2 * bound:
-            return
         residues = np.zeros(len(flat), dtype=np.int64)
         residues[index] = [x % p for x in values]
         yield p, residues.reshape(shape)
-        m *= p
 
 
 def _det_qq(a: np.ndarray) -> Fraction:
@@ -581,31 +579,22 @@ def _det_qq(a: np.ndarray) -> Fraction:
     remainder theorem (Abbott, Bronstein and Mulders, ISSAC 1999).
 
     Clearing the rows multiplies det by the scales.  The integer det D has
-    |D| <= B, so once the primes' product m exceeds 2B, D mod m in (-m/2, m/2]
-    is D: the result is exact."""
+    |D| <= B = prod(isqrt(row norm**2) + 1) (Hadamard), so once the primes'
+    product m exceeds 2B, D mod m in (-m/2, m/2] is D: the result is exact."""
     rows, scales = _cleared_rows(a)
     if not all(map(any, rows)):
         return Fraction(0)
+    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
     det, m = 0, 1
     for p, residues in _crt_images(rows, a.shape):
         r = _echelon_gf(residues, p, det_only=True)[2]
         det += m * ((r - det) * pow(m, -1, p) % p)
         m *= p
+        if m > 2 * bound:
+            break
     if det > m // 2:
         det -= m
     return Fraction(det, math.prod(scales))
-
-
-def _rank_qq(a: np.ndarray) -> int:
-    """Rank over Q: the largest rank of the cleared rows over the CRT primes, or
-    min(rows, cols) once reached.  Exact: no rank mod p exceeds the rank r, and a
-    nonzero r x r minor, at most B, is not divisible by all the primes (> 2B)."""
-    rank = 0
-    for p, residues in _crt_images(_cleared_rows(a)[0], a.shape):
-        rank = max(rank, len(_echelon_gf(residues, p, det_only=False)[1]))
-        if rank == min(a.shape):
-            break
-    return rank
 
 
 def _rational(u: int, m: int) -> Fraction | None:
@@ -621,30 +610,29 @@ def _rational(u: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _kernel_qq(a: np.ndarray) -> tuple[list[int], list[list[Fraction]]]:
+def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray]:
     """``_kernel_gf`` over Q: the cleared rows' kernels mod CRT primes, joined
     by the CRT and reconstructed (Monagan, ISSAC 2004).  A prime can lose or
     delay pivots, never gain them, so only the most and earliest are joined.
     A v = 0 is checked exactly; v is nonzero only at f and at pivots before f,
-    so then f is free over Q too.  Its entries are ratios of minors, at most
-    the Hadamard bound B, so the loop ends once the joined primes pass 2B**2."""
-    ints = np.array(_cleared_rows(a)[0], dtype=object).reshape(a.shape)
+    so then f is free over Q too.  No vector to check means full column rank
+    mod p, hence over Q.  The entries are ratios of minors, at most the
+    Hadamard bound B, so the loop ends once the joined primes pass 2B**2."""
     pivots, joined, m = None, None, 1
-    for p in _crt_primes():
-        piv, vecs = _kernel_gf((ints % p).astype(np.int64), p)
+    for p, residues in _crt_images(_cleared_rows(a)[0], a.shape):
+        piv, vecs = _kernel_gf(residues, p)
         if pivots is None or (len(piv), pivots) > (len(pivots), piv):  # more or earlier
-            pivots, joined, m = piv, np.zeros((len(vecs), a.shape[1]), dtype=object), 1
+            pivots, joined, m = piv, np.zeros(vecs.shape, dtype=object), 1
         elif piv != pivots:
             continue
-        joined += m * ((np.array(vecs, dtype=object).reshape(joined.shape) - joined)
-                       * pow(m, -1, p) % p)
+        joined += m * ((vecs.astype(object) - joined) * pow(m, -1, p) % p)
         m *= p
         lifted = list(itertools.takewhile(lambda x: x is not None,
                                           (_rational(u, m) for u in joined.flat)))
         if len(lifted) == joined.size:
             basis = np.array(lifted, dtype=object).reshape(joined.shape)
-            if not _matmul_qq(a, basis.T).any():
-                return pivots, basis.tolist()
+            if not basis.size or not _matmul_qq(a, basis).any():
+                return pivots, basis
 
 
 # -- text format ------------------------------------------------------------------

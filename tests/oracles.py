@@ -4,8 +4,8 @@ Nothing here goes through the code paths under test: determinants come from
 Laplace expansion or fraction-free (Bareiss) elimination, rational echelon
 forms and kernels from Bareiss elimination, products from the
 definition, monomial enumerations from a recursive generator, rank probes
-from one draw and one exact test per point, GF(p) echelon forms from
-elimination that reduces every entry at every step, primality from trial
+from one draw and one exact test per point, GF(p) echelon forms and kernels
+from elimination that reduces every entry at every step, primality from trial
 division, 0/1 determinants from a triangular order, Q entry by entry from
 the monomial bases with plain loops, block mixes as sums of scaled blocks,
 and the 20x10 block table for n=2, k=4 was worked out by hand from the
@@ -81,17 +81,24 @@ def bareiss_echelon(m: ExactMatrix) -> tuple[list[list[int]], list[int], Fractio
     return rows, pivots, det
 
 
-def kernel_oracle(m: ExactMatrix) -> list[list[Fraction]]:
-    """Right kernel over Q by back-substitution in Fractions on
-    ``bareiss_echelon``: one vector per free column f, 1 at f and 0 at the
-    other free columns."""
-    rows, pivots, _ = bareiss_echelon(m)
+def kernel_oracle(m: ExactMatrix) -> list[list]:
+    """Right kernel by back-substitution, entry by entry, on ``bareiss_echelon``
+    in Fractions over Q, or on ``echelon_gf_reference`` in Python ints over
+    GF(p): one vector per free column f, 1 at f and 0 at the other free columns."""
+    p = m.field.p
+    if p is None:
+        rows, pivots, _ = bareiss_echelon(m)
+    else:
+        a = np.array(m.tolist(), dtype=np.int64).reshape(m.shape)
+        echelon, pivots, _ = echelon_gf_reference(a, p, False)
+        rows = echelon.tolist()
     basis = []
     for f in sorted(set(range(m.cols)) - set(pivots)):
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+        v = [m.field.coerce(0)] * m.cols
+        v[f] = m.field.one()
         for row, c in reversed(list(zip(rows, pivots))):
-            v[c] = Fraction(-sum(x * y for x, y in zip(row[c + 1:], v[c + 1:])), row[c])
+            tail = -sum(x * y for x, y in zip(row[c + 1:], v[c + 1:]))
+            v[c] = Fraction(tail, row[c]) if p is None else tail * pow(row[c], -1, p) % p
         basis.append(v)
     return basis
 
@@ -196,10 +203,6 @@ KNOWN_COL_LABELS = [
     "i_1^2", "i_1i_2", "i_1i_3", "i_1i_4", "i_2^2", "i_2i_3", "i_2i_4",
     "i_3^2", "i_3i_4", "i_4^2",
 ]
-
-
-def frac_matrix(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def distinct_points_pointwise(field, dim: int, rng, box: int, count: int,

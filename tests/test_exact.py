@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
                       format_matrix, gen_special_symplectic, hstack, parse_field,
@@ -361,12 +361,6 @@ def test_crt_det_of_hadamard_matrix_reaches_the_hadamard_bound(order, scale):
     assert det == bareiss_echelon(m)[2]
 
 
-@settings(max_examples=200, deadline=None)
-@given(m=rational_matrices(square=False))
-def test_crt_rank_matches_bareiss(m):
-    assert m.rank() == len(bareiss_echelon(m)[1])
-
-
 def columns(basis: list[ExactMatrix]) -> list[list]:
     return [v.transpose().row_list(0) for v in basis]
 
@@ -384,10 +378,27 @@ def test_kernel_basis_runs_only_gf_elimination(eliminations):
     assert kernel_oracle(ExactMatrix(QQ, rows)) == [[-2, Fraction(-1, 2), 1]]
 
 
+@pytest.mark.parametrize("p", [2147483629, _SCREEN_PRIME])
+def test_kernel_basis_large_prime_chunking(p):
+    # back-substitution multiplies each pivot row's tail by the rows below it
+    # in _matmul_gf's chunks: one inner index at a time just below 2**31, 16 at
+    # the screening prime.  These tails run to 199 entries, which an
+    # unchunked int64 product would wrap
+    field = GF(p)
+    a = field.sample(np.random.default_rng(7), (197, 200), 0)
+    a[:, 50] = a[:, 20]  # a free column among the pivots, two more at the end
+    m = ExactMatrix(field, a.tolist())
+    basis = m.kernel_basis()
+    assert len(basis) == 3 and m.rank() == 197
+    assert columns(basis) == kernel_oracle(m)
+    assert all((m @ v).is_zero() for v in basis)
+
+
 def test_crt_rank_survives_primes_that_lower_it(eliminations):
     # modulo the first CRT prime, or the first two, the rank is below the rank
-    # over Q; the bound asks for the prime that shows it.  In the 3 x 3 case
-    # the only nonzero 2 x 2 minor is p1 * p2 (times 4 when scaled by 2/7)
+    # over Q; the kernel lifted from them fails A v = 0, and the prime that
+    # shows the rank ends it.  In the 3 x 3 case the only nonzero 2 x 2 minor
+    # is p1 * p2 (times 4 when scaled by 2/7)
     p1, p2 = itertools.islice(exact._crt_primes(), 2)
     minor = [[1, 1, 0], [1, 1 + p1 * p2, 0], [0, 0, 0]]
     for rows, scale, rank, primes in [([[p1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 3, 2),
@@ -547,6 +558,37 @@ def unlucky_rational_matrices(draw):
     return m
 
 
+def split_form_q(n: int, k: int, seed: int) -> ExactMatrix:
+    """Q over Q of blocks whose rows lie in e_1..e_h, h = n + k, moved by three
+    reflections that preserve the split form H = [[0, I], [I, 0]].  Every
+    M_a H M_b^t is zero, so Q S_H = 0 for the syzygy S_H of stacked H M_b^t,
+    and Q is singular."""
+    rng = np.random.default_rng(seed)
+    h = n + k
+    split = ExactMatrix(QQ, [[int(abs(i - j) == h) for j in range(2 * h)] for i in range(2 * h)])
+    move = ExactMatrix.identity(QQ, 2 * h)
+    for _ in range(3):
+        v = ExactMatrix.random(QQ, 2 * h, 1, rng, box=2)
+        norm = (v.transpose() @ split @ v)[0, 0]
+        if norm:  # x -> x - 2 (x H v) / (v H v) v^t
+            move = move @ (ExactMatrix.identity(QQ, 2 * h)
+                           + (split @ v @ v.transpose()).scale(-2 / norm))
+    isotropic = ExactMatrix.zeros(QQ, 2 * n + 2, h)
+    blocks = tuple(hstack([ExactMatrix.random(QQ, 2 * n + 2, h, rng, box=3), isotropic]) @ move
+                   for _ in range(k))
+    return build_q(MonadData(n, k, QQ, blocks)).matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rational_matrices(square=False) | unlucky_rational_matrices())
+@example(m=split_form_q(2, 3, seed=5))
+def test_crt_rank_matches_bareiss(m):
+    # a fresh rank, with no kernel computed before it; the transpose takes
+    # the other side's kernel
+    for x in (m, m.transpose()):
+        assert x.rank() == len(bareiss_echelon(x)[1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=rational_matrices(square=False) | unlucky_rational_matrices())
 def test_kernel_basis_over_q_matches_bareiss_and_sympy(sympy_oracle, m):
@@ -586,7 +628,7 @@ def test_det_then_rank_of_nonsingular_matrix_eliminates_once(eliminations, field
 def test_rank_after_det_of_singular_matrix_eliminates_fully(eliminations):
     # a zero det leaves the rank open: over GF(p) it stops at the first column
     # without a pivot, over Q it is the CRT on such dets; rank eliminates fully,
-    # over Q once per CRT prime, as a rank below full never stops it early
+    # over Q once per CRT prime until its kernel verifies
     rng = np.random.default_rng(3)
     for field in (GF101, QQ):
         for size, inner in [(3, 1), (6, 4), (9, 5), (9, 8)]:
@@ -597,12 +639,13 @@ def test_rank_after_det_of_singular_matrix_eliminates_fully(eliminations):
             assert m.det() == 0
             assert m.rank() == inner
             assert m.rank() == inner and m.det() == 0
-            # det and rank share the primes over Q, but det runs none when a
-            # row is zero
+            # every rank prime is one full elimination; these kernels have
+            # small entries, so rank runs no more primes than det, which runs
+            # none when a row is zero
             primes = eliminations.count("gf")
             dets = len(eliminations) - primes
             assert eliminations == ["gf det"] * dets + ["gf"] * primes
-            assert dets in (0, primes)
+            assert 1 <= primes <= max(dets, 1)
             if field is GF101:
                 assert len(eliminations) == 2
                 assert inner == len(echelon_gf_reference(a, 101, False)[1])
