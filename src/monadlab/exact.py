@@ -266,9 +266,6 @@ class ExactMatrix:
     def __getitem__(self, ij):
         return self._a.item(*ij)
 
-    def row_list(self, i: int) -> list:
-        return self._a[i].tolist()
-
     def tolist(self) -> list[list]:
         return self._a.tolist()
 
@@ -564,13 +561,15 @@ def _crt_primes():
 
 
 def _crt_images(rows: list[list[int]], shape: tuple) -> Iterator[tuple[int, np.ndarray]]:
-    """(p, ``rows`` mod p) for CRT prime after prime, without end."""
-    flat = list(itertools.chain.from_iterable(rows))
-    index = np.array([i for i, x in enumerate(flat) if x], dtype=np.intp)
-    values = [flat[i] for i in index]
+    """(p, ``rows`` mod p) for CRT prime after prime, without end.  The
+    nonzero entries are gathered once into an object array, so each prime
+    costs one ``%`` on it."""
+    flat = np.array(list(itertools.chain.from_iterable(rows)), dtype=object)
+    index = flat.nonzero()[0]
+    values = flat[index]
     for p in _crt_primes():
-        residues = np.zeros(len(flat), dtype=np.int64)
-        residues[index] = [x % p for x in values]
+        residues = np.zeros(flat.size, dtype=np.int64)
+        residues[index] = values % p
         yield p, residues.reshape(shape)
 
 
@@ -648,11 +647,23 @@ _ENTRY_ROW = {prime: re.compile(rf"{e.pattern}(?:\s+{e.pattern})*")
               for prime, e in _ENTRY.items()}
 
 
+def entry_lines(m: ExactMatrix) -> list[str]:
+    """One line of space-separated entries per row of ``m``.  Only a row's
+    nonzero entries go through ``str``; the rest stay "0", which is also
+    what a zero Fraction prints as."""
+    lines = []
+    for row in m._a:
+        cells = ["0"] * len(row)
+        nz = row.nonzero()[0]
+        for j, x in zip(nz.tolist(), map(str, row[nz].tolist())):
+            cells[j] = x
+        lines.append(" ".join(cells))
+    return lines
+
+
 def format_matrix(m: ExactMatrix) -> str:
-    lines = [f"matrix rows={m.rows} cols={m.cols} field={m.field.spec}"]
-    for i in range(m.rows):
-        lines.append(" ".join(map(str, m.row_list(i))))
-    return "\n".join(lines) + "\n"
+    header = f"matrix rows={m.rows} cols={m.cols} field={m.field.spec}"
+    return "\n".join([header, *entry_lines(m)]) + "\n"
 
 
 def content_lines(text: str) -> list[str]:
@@ -689,6 +700,8 @@ def parse_matrix(text: str) -> ExactMatrix:
         raise MatrixFormatError(f"bad matrix header: {lines[0]!r}")
     rows, cols = int(m.group(1)), int(m.group(2))
     field = parse_field(m.group(3))
+    if cols == 0 and len(lines) == 1:  # rows of no entries are blank lines, which are skipped
+        return ExactMatrix.zeros(field, rows, 0)
     if len(lines) - 1 != rows:
         raise MatrixFormatError(f"expected {rows} entry rows, got {len(lines) - 1}")
     data = [parse_entry_row(field, line, cols) for line in lines[1:]]

@@ -37,8 +37,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows, _crt_primes,
-                    _full_row_rank_gf, _matmul_gf, content_lines, hstack, parse_entry_row,
-                    parse_field, vstack)
+                    _full_row_rank_gf, _matmul_gf, content_lines, entry_lines, hstack,
+                    parse_entry_row, parse_field, vstack)
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
@@ -282,8 +282,7 @@ def format_monad(d: MonadData) -> str:
     lines = [f"monad n={d.n} k={d.k} field={d.field.spec}"]
     for j, b in enumerate(d.blocks, start=1):
         lines.append(f"block {j}")
-        for i in range(b.rows):
-            lines.append(" ".join(map(str, b.row_list(i))))
+        lines += entry_lines(b)
     return "\n".join(lines) + "\n"
 
 

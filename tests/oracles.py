@@ -3,7 +3,8 @@
 Nothing here goes through the code paths under test: determinants come from
 Laplace expansion or fraction-free (Bareiss) elimination, rational echelon
 forms and kernels from Bareiss elimination, products from the
-definition, monomial enumerations from a recursive generator, rank probes
+definition, monomial enumerations from a recursive generator, matrix and
+monad text from ``str`` on every entry, rank probes
 from one draw and one exact test per point, GF(p) echelon forms and kernels
 from elimination that reduces every entry at every step, primality from trial
 division, 0/1 determinants from a triangular order, Q entry by entry from
@@ -115,6 +116,22 @@ def matmul_naive(a: ExactMatrix, b: ExactMatrix) -> list:
             row.append(s % p if p is not None else s)
         out.append(row)
     return out
+
+
+def format_matrix_dense(m: ExactMatrix) -> str:
+    """The matrix text format with ``str`` called on every entry, zero or not."""
+    lines = [f"matrix rows={m.rows} cols={m.cols} field={m.field.spec}"]
+    lines += [" ".join(map(str, row)) for row in m.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def format_monad_dense(d) -> str:
+    """The monad text format with ``str`` called on every entry, zero or not."""
+    lines = [f"monad n={d.n} k={d.k} field={d.field.spec}"]
+    for j, b in enumerate(d.blocks, start=1):
+        lines.append(f"block {j}")
+        lines += [" ".join(map(str, row)) for row in b.tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def enum_monomials_brute(k: int, d: int) -> list[tuple[int, ...]]:

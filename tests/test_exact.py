@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
-                      format_matrix, gen_special_symplectic, hstack, parse_field,
-                      parse_matrix, vstack)
+                      format_matrix, format_monad, gen_special_symplectic, hstack, parse_field,
+                      parse_matrix, parse_monad, vstack)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
 from monadlab.monad import _SCREEN_PRIME
-from oracles import (bareiss_echelon, det_cofactor, echelon_gf_reference,
-                     is_prime_trial, kernel_oracle, matmul_naive, unitriangular_det)
+from oracles import (bareiss_echelon, det_cofactor, echelon_gf_reference, format_matrix_dense,
+                     format_monad_dense, is_prime_trial, kernel_oracle, matmul_naive,
+                     unitriangular_det)
 
 GF101 = GF(101)
 
@@ -362,7 +363,7 @@ def test_crt_det_of_hadamard_matrix_reaches_the_hadamard_bound(order, scale):
 
 
 def columns(basis: list[ExactMatrix]) -> list[list]:
-    return [v.transpose().row_list(0) for v in basis]
+    return [v.transpose().tolist()[0] for v in basis]
 
 
 def test_kernel_basis_runs_only_gf_elimination(eliminations):
@@ -735,6 +736,73 @@ def test_matrix_format_round_trip():
     text = format_matrix(g)
     assert "field=gf:13" in text
     assert parse_matrix(text) == g
+
+
+FORMAT_FIELDS = [GF101, GF(2147483629), QQ]
+
+
+@st.composite
+def sparse_matrices(draw, field, rows=st.integers(0, 6), cols=st.integers(0, 6)):
+    """Matrices over ``field`` with about half their entries zero: over QQ
+    fractions of either sign, integral or not; over GF(p) integers of either
+    sign, reduced by the field."""
+    nonzero = st.fractions(max_denominator=60) if field == QQ else st.integers(-2**40, 2**40)
+    entry = st.one_of(st.just(0), nonzero)
+    r, c = draw(rows), draw(cols)
+    vals = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    return ExactMatrix._wrap(field, field.array([[field.coerce(x) for x in row] for row in vals], c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), field=st.sampled_from(FORMAT_FIELDS))
+def test_format_matrix_matches_dense_oracle(data, field):
+    m = data.draw(sparse_matrices(field))
+    text = format_matrix(m)
+    assert text == format_matrix_dense(m)
+    assert parse_matrix(text) == m
+
+
+@pytest.mark.parametrize("field", FORMAT_FIELDS, ids=repr)
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_format_matrix_of_zero_and_empty_matrices(field, shape):
+    m = ExactMatrix.zeros(field, *shape)
+    text = format_matrix(m)
+    assert text == format_matrix_dense(m)
+    assert parse_matrix(text) == m
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), field=st.sampled_from(FORMAT_FIELDS), n=st.integers(1, 2),
+       k=st.integers(1, 3))
+def test_format_monad_matches_dense_oracle(data, field, n, k):
+    shape = st.just(2 * n + 2), st.just(2 * n + 2 * k)
+    d = MonadData(n, k, field, tuple(data.draw(sparse_matrices(field, *shape)) for _ in range(k)))
+    text = format_monad(d)
+    assert text == format_monad_dense(d)
+    assert parse_monad(text) == d
+
+
+class CountedFraction(Fraction):
+    """A Fraction that counts the calls of its ``__str__``."""
+
+    calls = 0
+
+    def __str__(self):
+        CountedFraction.calls += 1
+        return super().__str__()
+
+
+def test_writers_convert_only_nonzero_entries():
+    vals = [[0, 3, 0, 0], [0, 0, 0, 0], [Fraction(-1, 2), 0, 0, 7], [0, 0, Fraction(5, 3), 0]]
+    block = ExactMatrix._wrap(QQ, np.array([[CountedFraction(x) for x in row] for row in vals],
+                                           dtype=object))
+    CountedFraction.calls = 0
+    text = format_matrix(block)
+    assert CountedFraction.calls == 4
+    assert text.splitlines()[1:] == ["0 3 0 0", "0 0 0 0", "-1/2 0 0 7", "0 0 5/3 0"]
+    CountedFraction.calls = 0
+    format_monad(MonadData(1, 1, QQ, (block,)))
+    assert CountedFraction.calls == 4
 
 
 def test_matrix_format_comments_and_errors():

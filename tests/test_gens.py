@@ -92,7 +92,7 @@ def test_isotropic_basis_dimension(p, dim, expected):
 
 def test_isotropic_basis_gf5_contains_classic_vector():
     basis = isotropic_basis(GF(5), 6)
-    assert basis.row_list(0) == [1, 2, 0, 0, 0, 0]  # 1 + 2^2 = 0 mod 5
+    assert basis.tolist()[0] == [1, 2, 0, 0, 0, 0]  # 1 + 2^2 = 0 mod 5
 
 
 def test_isotropic_basis_needs_prime_field():

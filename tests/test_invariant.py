@@ -376,7 +376,7 @@ def test_single_defect_perturbation_localizes_residual():
 
     base = gen_isotropic_orthogonal(n, k, p, seed=3).data
     bump_rows = [[0] * (2 * n + 2 * k) for _ in range(2 * n + 2)]
-    bump_rows[0] = u.row_list(0)
+    bump_rows[0] = u.tolist()[0]
     bump = ExactMatrix(field, bump_rows)
     blocks = (base.blocks[0] + bump,) + base.blocks[1:]
     d = MonadData(n, k, field, blocks)

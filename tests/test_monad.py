@@ -62,7 +62,7 @@ def test_evaluate_a_coordinate_selection():
     e1 = Point.of(GF101, [1, 0, 0, 0])
     a = evaluate_a(d, e1)
     for j in range(3):
-        assert a.row_list(j) == d.blocks[j].row_list(0)
+        assert a.tolist()[j] == d.blocks[j].tolist()[0]
 
 
 def test_evaluate_a_against_assembled_matrix():
