@@ -348,6 +348,8 @@ class ExactMatrix:
 
 def _stack(mats: Sequence[ExactMatrix], axis: int, mismatch: str) -> ExactMatrix:
     """Join matrices along ``axis``; the other dimension must agree."""
+    if not mats:
+        raise ValueError("nothing to stack: no matrices given")
     first = mats[0]
     for m in mats[1:]:
         _check_same_field(first, m)

@@ -17,7 +17,7 @@ import numpy as np
 from .exact import GF, ExactMatrix, Field
 from .invariant import DET_ZERO_BY_SYZYGY, det_q, orthogonal_verdict
 from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
-                    RankProbeVerdict, _nonzero_defects, canonical_j, max_rank_probe)
+                    RankProbeVerdict, _nonzero_defects, _side_by_side, canonical_j, max_rank_probe)
 
 
 class GeneratorError(RuntimeError):
@@ -50,18 +50,17 @@ def transform_monad(d: MonadData, on_w: ExactMatrix | None = None,
                     on_i: ExactMatrix | None = None) -> MonadData:
     """Apply basis changes: M_j -> h M_j g on V/W, and mix the blocks by a
     k x k coefficient matrix for the action on the k-dimensional factor."""
-    blocks = list(d.blocks)
+    (k, r, c), f, s = d.stack.shape, d.field, d.stack
+    for name, m, size in (("block-mixing", on_i, k), ("V", on_v, r), ("W", on_w, c)):
+        if m is not None and (m.shape != (size, size) or m.field != f):
+            raise ValueError(f"{name} matrix must be {size} x {size} over {f}")
     if on_i is not None:
-        if on_i.shape != (d.k, d.k):
-            raise ValueError(f"block-mixing matrix must be {d.k} x {d.k}")
-        flat = ExactMatrix._wrap(d.field, np.array([b._a.ravel() for b in blocks]))
-        blocks = [ExactMatrix._wrap(d.field, row.reshape(d.block_rows, d.block_cols))
-                  for row in (on_i @ flat)._a]
+        s = f.matmul(on_i._a, s.reshape(k, r * c)).reshape(k, r, c)
     if on_v is not None:
-        blocks = [on_v @ b for b in blocks]
+        s = f.matmul(on_v._a, _side_by_side(s)).reshape(r, k, c).transpose(1, 0, 2)
     if on_w is not None:
-        blocks = [b @ on_w for b in blocks]
-    return MonadData(d.n, d.k, d.field, tuple(blocks))
+        s = f.matmul(s.reshape(k * r, c), on_w._a).reshape(k, r, c)
+    return MonadData(d.n, d.k, f, tuple(ExactMatrix._wrap(f, b) for b in s))
 
 
 # -- special symplectic family -----------------------------------------------------
@@ -76,16 +75,10 @@ def _special_blocks(n: int, k: int, field: Field) -> tuple[ExactMatrix, ...]:
     (A J A^t)_{ab} collect the products x_c y_d with c + d depending only on
     a + b, a symmetric expression, so the skew pairing cancels it exactly.
     """
-    half = n + k
-    blocks = []
-    for j in range(k):
-        a = field.zeros(2 * n + 2, 2 * n + 2 * k)
-        one = field.one()
-        for c in range(n + 1):
-            a[c, j + c] = one
-            a[n + 1 + c, half + (half - 1 - j - c)] = one
-        blocks.append(ExactMatrix._wrap(field, a))
-    return tuple(blocks)
+    half, c, j = n + k, np.arange(n + 1), np.arange(k)[:, None]
+    a = field.zeros(k * (2 * n + 2), 2 * half).reshape(k, 2 * n + 2, 2 * half)
+    a[j, c, j + c] = a[j, n + 1 + c, 2 * half - 1 - j - c] = field.one()
+    return tuple(ExactMatrix._wrap(field, b) for b in a)
 
 
 def gen_special_symplectic(n: int, k: int, field: Field, probe_trials: int = 50,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExactMatrix, vstack
-from .monad import ORTHOGONAL_IDENTITY, MonadData, _nonzero_defects
+from .exact import ExactMatrix
+from .monad import ORTHOGONAL_IDENTITY, MonadData, _nonzero_defects, _side_by_side
 from .symcomb import q_layout
 
 
@@ -57,8 +57,7 @@ def _q_columns(d: MonadData, count: int) -> ExactMatrix:
     br, bc = d.block_rows, d.block_cols
     a = d.field.zeros(layout.block_rows * br, count * bc)
     a.reshape(layout.block_rows, br, count, bc)[
-        layout._entry_index[:count], :, np.arange(count)[:, None], :] = \
-        np.array([b._a for b in d.blocks])
+        layout._entry_index[:count], :, np.arange(count)[:, None], :] = d.stack
     return ExactMatrix._wrap(d.field, a)
 
 
@@ -74,16 +73,12 @@ def det_q(d: MonadData):
     return d._memo["det_q"]
 
 
-def _transposes(d: MonadData) -> ExactMatrix:
-    """M_1^t..M_k^t stacked: the syzygy's nonzero block rows."""
-    return vstack([b.transpose() for b in d.blocks])
-
-
 def build_syzygy(d: MonadData) -> SyzygyMatrix:
     """Stack M_1^t..M_k^t over s-k zero blocks; shape ((2n+2k)*s) x (2n+2)."""
     s = math.comb(d.k + d.n - 1, d.n)
-    zero = ExactMatrix.zeros(d.field, (s - d.k) * d.block_cols, d.block_rows)
-    return SyzygyMatrix(vstack([_transposes(d), zero]))
+    a = d.field.zeros(s * d.block_cols, d.block_rows)
+    a[:d.k * d.block_cols] = _side_by_side(d.stack).T
+    return SyzygyMatrix(ExactMatrix._wrap(d.field, a))
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,7 @@ def verify_syzygy(d: MonadData) -> SyzygyReport:
     used = np.array(sorted(set(q_layout(d.n, d.k)._entry_index[:d.k].flat)))
     rows = (used[:, None] * br + np.arange(br)).ravel()
     residual = d.field.zeros(q.shape[0], br)
-    residual[rows] = (ExactMatrix._wrap(d.field, q[rows]) @ _transposes(d))._a
+    residual[rows] = d.field.matmul(q[rows], _side_by_side(d.stack).T)
     return SyzygyReport(
         residual=ExactMatrix._wrap(d.field, residual),
         residual_is_zero=not residual.any(),

@@ -3,10 +3,12 @@
 The central object is :class:`MonadData`: k blocks M_1, ..., M_k, each a
 (2n+2) x (2n+2k) matrix over an exact field.  Block j packages row j of the
 linear-form matrix A via  row_j(A) = x^t * M_j,  where x runs over the 2n+2
-homogeneous coordinates.  A pairing is given by its matrix J alone, an
-:class:`ExactMatrix`: the identity for orthogonal data, the canonical skew
-form for symplectic data (:func:`canonical_j`).  The quadratic condition
-A*J*A^t = 0 holds identically in x iff every symmetrised block product
+homogeneous coordinates.  The blocks are copied once into one (k, 2n+2, 2n+2k)
+array, ``stack``; every arrangement of them is a reshape or transpose of it.
+A pairing is given by its matrix J alone, an :class:`ExactMatrix`: the
+identity for orthogonal data, the canonical skew form for symplectic data
+(:func:`canonical_j`).  The quadratic condition A*J*A^t = 0 holds
+identically in x iff every symmetrised block product
 
     D_ab = M_a * J * M_b^t + (M_a * J * M_b^t)^t
 
@@ -15,7 +17,7 @@ rank of A and B = A*J on all of projective space is probed at random points
 only: a passing probe is evidence, a failing point is a certificate.
 
 The probe works on batches: it draws all its points as one integer array,
-evaluates A at every point with one product against the stacked blocks,
+evaluates A at every point with one product against [M_1 | ... | M_k],
 multiplies by J, and tests full row rank of the whole stack with one
 elimination modulo a prime q.  Over GF(p), q = p and the batch test is
 exact.  Over Q, q is the largest prime below 2**29 and the batch test is a
@@ -58,7 +60,9 @@ class MonadData:
     k: int
     field: Field
     blocks: tuple[ExactMatrix, ...]
-    # det Q and the nonzero canonical defects once computed; never a matrix
+    # the blocks copied once into one read-only (k, 2n+2, 2n+2k) array; Q, S, V, A(x) read it
+    stack: np.ndarray = field(init=False, compare=False, repr=False)
+    # det Q and the nonzero canonical defects once computed; never Q or a product
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -72,6 +76,8 @@ class MonadData:
                 raise ValueError(f"block {j} is over {b.field}, data is over {self.field}")
             if b.shape != shape:
                 raise ValueError(f"block {j} has shape {b.shape}, expected {shape}")
+        object.__setattr__(self, "stack", np.array([b._a for b in self.blocks]))
+        self.stack.flags.writeable = False
 
     @property
     def block_rows(self) -> int:
@@ -82,7 +88,12 @@ class MonadData:
         return 2 * self.n + 2 * self.k
 
     def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks)
+        return not self.stack.any()
+
+
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """[M_1 | ... | M_k] from a (k, rows, cols) stack of blocks."""
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -127,8 +138,8 @@ def evaluate_a(d: MonadData, x: Point) -> ExactMatrix:
         raise ValueError(f"point is over {x.field}, data over {d.field}")
     if len(x.coords) != d.block_rows:
         raise ValueError(f"point has {len(x.coords)} coordinates, expected {d.block_rows}")
-    row = ExactMatrix(x.field, [x.coords])
-    return vstack([row @ b for b in d.blocks])
+    a = d.field.matmul(ExactMatrix(x.field, [x.coords])._a, _side_by_side(d.stack))
+    return ExactMatrix._wrap(d.field, a.reshape(d.k, d.block_cols))
 
 
 def _check_pairing(d: MonadData, j: ExactMatrix):
@@ -147,10 +158,14 @@ def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, Exact
     All defects vanish iff A * J * A^t = 0 identically in the coordinates.
     """
     _check_pairing(d, j)
-    v = vstack(d.blocks)
-    x, r = v @ j @ v.transpose(), d.block_rows
-    pairs = [(a, b, x.block(a, b, r, r)) for a in range(d.k) for b in range(a, d.k)]
-    return [(a + 1, b + 1, xab + xab.transpose()) for a, b, xab in pairs]
+    k, r, c = d.stack.shape
+    v = d.stack.reshape(k * r, c)
+    first, second = np.triu_indices(k)  # the pairs a <= b, in order
+    # block (a, b) of V * J * V^t is M_a * J * M_b^t: one (pair, row, column) array
+    xab = d.field.matmul(d.field.matmul(v, j._a), v.T).reshape(k, r, k, r)[first, :, second, :]
+    sym = d.field.reduce(xab + xab.transpose(0, 2, 1))
+    return [(a + 1, b + 1, ExactMatrix._wrap(d.field, m))
+            for a, b, m in zip(first.tolist(), second.tolist(), sym)]
 
 
 def defects_vanish(defects: list[tuple[int, int, ExactMatrix]]) -> bool:
@@ -204,15 +219,13 @@ def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
     return drawn[first[:count]]
 
 
-def _residues(m: ExactMatrix, q: int) -> np.ndarray:
-    """Entries of m modulo the prime q as int64; over Q, of m times the lcm
-    of its denominators, a nonzero scalar that leaves every rank unchanged."""
-    if m.field.is_prime_field:
-        return m._a
-    rows, scales = _cleared_rows(m._a)
-    scale = math.lcm(*scales)
-    return np.array([[x * (scale // s) % q for x in r] for r, s in zip(rows, scales)],
-                    dtype=np.int64)
+def _residues(a: np.ndarray, field: Field, q: int) -> np.ndarray:
+    """Entries of the storage stack ``a`` modulo the prime q as int64; over Q, of each
+    a[i] times the lcm of its denominators, a nonzero scalar that keeps every rank."""
+    if field.is_prime_field:
+        return a
+    rows = _cleared_rows(a.reshape(len(a), -1))[0]
+    return (np.array(rows, dtype=object) % q).astype(np.int64).reshape(a.shape)
 
 
 def _screen_failures(d: MonadData, j: ExactMatrix, points: np.ndarray) -> Iterator[int]:
@@ -226,14 +239,13 @@ def _screen_failures(d: MonadData, j: ExactMatrix, points: np.ndarray) -> Iterat
     multiplies each row of A(x) and of B(x) by a nonzero constant.
     """
     q = d.field.p or _SCREEN_PRIME
-    stacked = np.hstack([_residues(b, q) for b in d.blocks])  # row j of A(x) is x^t * M_j
-    jm = _residues(j, q)
-    k, c = d.k, d.block_cols
+    stacked = _side_by_side(_residues(d.stack, d.field, q))  # row j of A(x) is x^t * M_j
+    jm = _residues(j._a[None], d.field, q)[0]
     for start in range(0, len(points), _PROBE_BATCH):
         x = points[start:start + _PROBE_BATCH] % q
-        a = _matmul_gf(x, stacked, q).reshape(len(x) * k, c)
+        a = _matmul_gf(x, stacked, q).reshape(-1, d.block_cols)  # A(x) of each point
         b = _matmul_gf(a, jm, q)
-        full = _full_row_rank_gf(np.concatenate([a, b]).reshape(2 * len(x), k, c), q)
+        full = _full_row_rank_gf(np.concatenate([a, b]).reshape(2 * len(x), d.k, -1), q)
         yield from (start + np.flatnonzero(~(full[:len(x)] & full[len(x):]))).tolist()
 
 
@@ -297,20 +309,17 @@ def parse_monad(text: str) -> MonadData:
     field = parse_field(m.group(3))
     if n < 1 or k < 1:
         raise MatrixFormatError(f"bad parameters n={n}, k={k}")
-    rows_per_block = 2 * n + 2
-    cols = 2 * n + 2 * k
-    pos = 1
+    rows, cols = 2 * n + 2, 2 * n + 2 * k
     blocks = []
     for j in range(1, k + 1):
-        if pos >= len(lines) or lines[pos] != f"block {j}":
-            got = lines[pos] if pos < len(lines) else "<eof>"
+        pos = 1 + (j - 1) * (rows + 1)  # the 'block j' line; its rows follow
+        got = lines[pos] if pos < len(lines) else "<eof>"
+        if got != f"block {j}":
             raise MatrixFormatError(f"expected 'block {j}', got {got!r}")
-        pos += 1
-        if pos + rows_per_block > len(lines):
+        if pos + rows >= len(lines):
             raise MatrixFormatError(f"block {j} is truncated")
-        data = [parse_entry_row(field, lines[pos + i], cols) for i in range(rows_per_block)]
+        data = [parse_entry_row(field, line, cols) for line in lines[pos + 1:pos + 1 + rows]]
         blocks.append(ExactMatrix._wrap(field, field.array(data, cols)))
-        pos += rows_per_block
-    if pos != len(lines):
-        raise MatrixFormatError(f"trailing content after block {k}: {lines[pos]!r}")
+    if len(lines) > (end := 1 + k * (rows + 1)):
+        raise MatrixFormatError(f"trailing content after block {k}: {lines[end]!r}")
     return MonadData(n, k, field, tuple(blocks))

@@ -118,6 +118,18 @@ def matmul_naive(a: ExactMatrix, b: ExactMatrix) -> list:
     return out
 
 
+def quadratic_defect_blockwise(d, j: ExactMatrix) -> list:
+    """(a, b, D_ab) for 1 <= a <= b <= k, pair by pair: X = M_a * J * M_b^t by
+    two entry-sum products, then D_ab = X + X^t."""
+    out = []
+    for a in range(d.k):
+        for b in range(a, d.k):
+            mj = ExactMatrix(d.field, matmul_naive(d.blocks[a], j))
+            x = ExactMatrix(d.field, matmul_naive(mj, d.blocks[b].transpose()))
+            out.append((a + 1, b + 1, x + x.transpose()))
+    return out
+
+
 def format_matrix_dense(m: ExactMatrix) -> str:
     """The matrix text format with ``str`` called on every entry, zero or not."""
     lines = [f"matrix rows={m.rows} cols={m.cols} field={m.field.spec}"]

@@ -722,6 +722,12 @@ def test_block_helpers():
         hstack([a, ExactMatrix.zeros(GF101, 2, 2)])
 
 
+@pytest.mark.parametrize("stack", [hstack, vstack])
+def test_stacking_no_matrices_is_a_one_line_value_error(stack):
+    with pytest.raises(ValueError, match=r"^nothing to stack: no matrices given$"):
+        stack([])
+
+
 # -- text format ---------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from monadlab import (GF, QQ, ExactMatrix, GeneratorError, MonadData,
                       Point, quadratic_defect, search_orthogonal, transform_monad,
                       verify_syzygy)
 
-from oracles import mix_blocks_sum
+from oracles import matmul_naive, mix_blocks_sum
 
 
 def test_special_symplectic_n1_k1_structure():
@@ -104,7 +104,7 @@ def test_isotropic_basis_needs_prime_field():
 def test_transform_monad_rejects_a_wrong_size_block_mix():
     d = gen_special_symplectic(1, 2, GF(101), probe_trials=1, compute_det=False).data
     for size in (1, 3):
-        with pytest.raises(ValueError, match="^block-mixing matrix must be 2 x 2$"):
+        with pytest.raises(ValueError, match=r"^block-mixing matrix must be 2 x 2 over GF\(101\)$"):
             transform_monad(d, on_i=ExactMatrix.identity(GF(101), size))
 
 
@@ -118,6 +118,41 @@ def test_transform_monad_mixes_blocks_as_sums(field, n, k):
         c = c.scale(Fraction(1, 3))
     mixed = transform_monad(MonadData(n, k, field, blocks), on_i=c)
     assert list(mixed.blocks) == mix_blocks_sum(c, blocks)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2)])
+@pytest.mark.parametrize("which", ["on_i", "on_v", "on_w", "all"])
+def test_transform_monad_matches_blockwise_products(field, n, k, which):
+    # block j of the result is h * (sum_a c[j, a] * M_a) * g, block by block
+    rng = np.random.default_rng(11 * n + k)
+    r, c = 2 * n + 2, 2 * n + 2 * k
+    blocks = tuple(ExactMatrix.random(field, r, c, rng) for _ in range(k))
+    mats = {"on_i": ExactMatrix.random(field, k, k, rng),
+            "on_v": ExactMatrix.random(field, r, r, rng),
+            "on_w": ExactMatrix.random(field, c, c, rng)}
+    if not field.is_prime_field:  # non-integer entries
+        mats = {name: m.scale(Fraction(1, 3)) for name, m in mats.items()}
+    chosen = mats if which == "all" else {which: mats[which]}
+    out = transform_monad(MonadData(n, k, field, blocks), **chosen)
+    mixed = mix_blocks_sum(chosen["on_i"], blocks) if "on_i" in chosen else blocks
+    h = chosen.get("on_v", ExactMatrix.identity(field, r))
+    g = chosen.get("on_w", ExactMatrix.identity(field, c))
+    expected = [ExactMatrix(field, matmul_naive(ExactMatrix(field, matmul_naive(h, m)), g))
+                for m in mixed]
+    assert list(out.blocks) == expected
+
+
+@pytest.mark.parametrize("name", ["on_i", "on_v", "on_w"])
+def test_transform_monad_rejects_a_wrong_shape_or_field_basis_change(name):
+    d = gen_special_symplectic(1, 2, GF(101), probe_trials=1, compute_det=False).data
+    size = {"on_i": d.k, "on_v": d.block_rows, "on_w": d.block_cols}[name]
+    bad = [ExactMatrix.identity(GF(101), size - 1), ExactMatrix.identity(GF(101), size + 1),
+           ExactMatrix.zeros(GF(101), size, size + 1), ExactMatrix.zeros(GF(101), size + 1, size),
+           ExactMatrix.identity(GF(103), size), ExactMatrix.identity(QQ, size)]
+    for m in bad:
+        with pytest.raises(ValueError):
+            transform_monad(d, **{name: m})
 
 
 def test_isotropic_orthogonal_gf5():

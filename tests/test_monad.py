@@ -15,7 +15,7 @@ from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
 from monadlab import monad
 from monadlab.monad import _SCREEN_PRIME, _draw_points
 
-from oracles import distinct_points_pointwise, rank_probe_pointwise
+from oracles import distinct_points_pointwise, quadratic_defect_blockwise, rank_probe_pointwise
 
 GF101 = GF(101)
 
@@ -118,6 +118,23 @@ def test_quadratic_defect_isotropic_row_gf5():
     eye = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, g5)
     ((_, _, mat),) = quadratic_defect(d, eye)
     assert mat.is_zero()
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from([GF101, GF(2147483629), QQ]), n=st.integers(1, 2),
+       k=st.integers(1, 4), shape=st.sampled_from(["symmetric", "skew", "general"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_quadratic_defect_matches_blockwise_oracle(field, n, k, shape, seed):
+    # one product V * J * V^t symmetrised in one operation, against each pair's own products
+    rng = np.random.default_rng(seed)
+    d = random_data(n, k, field, rng)
+    g = ExactMatrix.random(field, d.block_cols, d.block_cols, rng)
+    if not field.is_prime_field:  # non-integer blocks and pairing
+        d = MonadData(n, k, field, tuple(b.scale(Fraction(1, j + 2))
+                                         for j, b in enumerate(d.blocks)))
+        g = g.scale(Fraction(2, 3))
+    j = {"symmetric": g + g.transpose(), "skew": g + (-g.transpose()), "general": g}[shape]
+    assert quadratic_defect(d, j) == quadratic_defect_blockwise(d, j)
 
 
 def _pointwise_values(d, j, rng, count):
