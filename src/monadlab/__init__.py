@@ -6,7 +6,7 @@ the syzygy that forces every orthogonal candidate to be singular.
 """
 
 from .exact import (GF, QQ, ExactMatrix, Field, MatrixFormatError, format_matrix,
-                    hstack, parse_field, parse_matrix, vstack)
+                    parse_field, parse_matrix)
 from .gens import (GeneratorError, GeneratorReport, SearchSummary, TrialRow,
                    gen_isotropic_orthogonal, gen_special_symplectic,
                    isotropic_basis, random_sl, search_orthogonal, transform_monad)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF", "QQ", "ExactMatrix", "Field", "MatrixFormatError", "format_matrix",
-    "hstack", "parse_field", "parse_matrix", "vstack",
+    "parse_field", "parse_matrix",
     "GeneratorError", "GeneratorReport", "SearchSummary", "TrialRow",
     "gen_isotropic_orthogonal", "gen_special_symplectic", "isotropic_basis",
     "random_sl", "search_orthogonal", "transform_monad",

@@ -269,12 +269,6 @@ class ExactMatrix:
     def tolist(self) -> list[list]:
         return self._a.tolist()
 
-    def block(self, i: int, j: int, block_rows: int, block_cols: int) -> "ExactMatrix":
-        """The (i, j) block (0-based) of the block partition with given sizes."""
-        sub = self._a[i * block_rows:(i + 1) * block_rows,
-                      j * block_cols:(j + 1) * block_cols]
-        return ExactMatrix._wrap(self.field, sub.copy())
-
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -288,12 +282,6 @@ class ExactMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
         return ExactMatrix._wrap(self.field, self.field.reduce(self._a + other._a))
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._wrap(self.field, self.field.reduce(-self._a))
-
-    def scale(self, s) -> "ExactMatrix":
-        return ExactMatrix._wrap(self.field, self.field.reduce(self._a * self.field.coerce(s)))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._wrap(self.field, self._a.T.copy())
@@ -344,26 +332,6 @@ class ExactMatrix:
         pivots, basis = self.field.kernel(self._a)
         self._rank = len(pivots)
         return [ExactMatrix._wrap(self.field, basis[:, [j]]) for j in range(basis.shape[1])]
-
-
-def _stack(mats: Sequence[ExactMatrix], axis: int, mismatch: str) -> ExactMatrix:
-    """Join matrices along ``axis``; the other dimension must agree."""
-    if not mats:
-        raise ValueError("nothing to stack: no matrices given")
-    first = mats[0]
-    for m in mats[1:]:
-        _check_same_field(first, m)
-        if m.shape[1 - axis] != first.shape[1 - axis]:
-            raise ValueError(mismatch)
-    return ExactMatrix._wrap(first.field, np.concatenate([m._a for m in mats], axis=axis))
-
-
-def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    return _stack(mats, 1, "hstack row mismatch")
-
-
-def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    return _stack(mats, 0, "vstack column mismatch")
 
 
 # -- GF(p) kernels -------------------------------------------------------------

@@ -125,7 +125,6 @@ class OrthogonalVerdict:
 
     status: str
     message: str
-    det_value: object = None
 
     @property
     def excluded(self) -> bool:
@@ -152,5 +151,4 @@ def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
     if det != 0:
         raise RuntimeError("syzygy argument violated: quadratic conditions hold "
                            f"but det = {det}; this is a bug")
-    return OrthogonalVerdict(DET_ZERO_BY_SYZYGY, "not an instanton: det Q = 0 by syzygy",
-                             det_value=det)
+    return OrthogonalVerdict(DET_ZERO_BY_SYZYGY, "not an instanton: det Q = 0 by syzygy")

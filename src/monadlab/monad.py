@@ -38,9 +38,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows, _crt_primes,
-                    _full_row_rank_gf, _matmul_gf, content_lines, entry_lines, hstack,
-                    parse_entry_row, parse_field, vstack)
+from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows, _crt_images,
+                    _crt_primes, _full_row_rank_gf, _matmul_gf, content_lines, entry_lines,
+                    parse_entry_row, parse_field)
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
@@ -106,10 +106,10 @@ def canonical_j(kind: str, n: int, k: int, field: Field) -> ExactMatrix:
     if kind == ORTHOGONAL_IDENTITY:
         return ExactMatrix.identity(field, size)
     if kind == SYMPLECTIC_CANONICAL:
-        half = size // 2
-        eye = ExactMatrix.identity(field, half)
-        zero = ExactMatrix.zeros(field, half, half)
-        return vstack([hstack([zero, eye]), hstack([-eye, zero])])
+        half, a = size // 2, field.zeros(size, size)
+        np.fill_diagonal(a[:half, half:], field.one())
+        np.fill_diagonal(a[half:, :half], field.coerce(-1))
+        return ExactMatrix._wrap(field, a)
     raise ValueError(f"no canonical pairing of kind {kind!r}")
 
 
@@ -219,13 +219,13 @@ def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
     return drawn[first[:count]]
 
 
-def _residues(a: np.ndarray, field: Field, q: int) -> np.ndarray:
-    """Entries of the storage stack ``a`` modulo the prime q as int64; over Q, of each
-    a[i] times the lcm of its denominators, a nonzero scalar that keeps every rank."""
+def _residues(a: np.ndarray, field: Field) -> np.ndarray:
+    """The storage stack ``a`` as int64 residues: ``a`` itself over GF(p); over Q
+    each a[i] times the lcm of its denominators, a nonzero scalar that keeps
+    every rank, modulo the first CRT prime, which is _SCREEN_PRIME."""
     if field.is_prime_field:
         return a
-    rows = _cleared_rows(a.reshape(len(a), -1))[0]
-    return (np.array(rows, dtype=object) % q).astype(np.int64).reshape(a.shape)
+    return next(_crt_images(_cleared_rows(a.reshape(len(a), -1))[0], a.shape))[1]
 
 
 def _screen_failures(d: MonadData, j: ExactMatrix, points: np.ndarray) -> Iterator[int]:
@@ -239,8 +239,8 @@ def _screen_failures(d: MonadData, j: ExactMatrix, points: np.ndarray) -> Iterat
     multiplies each row of A(x) and of B(x) by a nonzero constant.
     """
     q = d.field.p or _SCREEN_PRIME
-    stacked = _side_by_side(_residues(d.stack, d.field, q))  # row j of A(x) is x^t * M_j
-    jm = _residues(j._a[None], d.field, q)[0]
+    stacked = _side_by_side(_residues(d.stack, d.field))  # row j of A(x) is x^t * M_j
+    jm = _residues(j._a[None], d.field)[0]
     for start in range(0, len(points), _PROBE_BATCH):
         x = points[start:start + _PROBE_BATCH] % q
         a = _matmul_gf(x, stacked, q).reshape(-1, d.block_cols)  # A(x) of each point

@@ -120,10 +120,6 @@ class QLayout:
     def entry(self, i: int, j: int) -> int | None:
         return self.entries.get((i, j))
 
-    def row_entries(self, i: int) -> list[tuple[int, int]]:
-        """Sorted (j, alpha) pairs present in block row i."""
-        return sorted((j, a) for (r, j), a in self.entries.items() if r == i)
-
 
 @functools.lru_cache(maxsize=32)
 def q_layout(n: int, k: int) -> QLayout:

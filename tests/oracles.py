@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from monadlab import (ExactMatrix, Point, RankCounterexample, RankProbeVerdict,
-                      evaluate_a)
+from monadlab import (ORTHOGONAL_IDENTITY, ExactMatrix, Point, RankCounterexample,
+                      RankProbeVerdict, evaluate_a)
 
 
 def det_cofactor(m: ExactMatrix):
@@ -118,6 +118,44 @@ def matmul_naive(a: ExactMatrix, b: ExactMatrix) -> list:
     return out
 
 
+def scaled(m: ExactMatrix, s) -> ExactMatrix:
+    """s * m, entry by entry, through the public constructor."""
+    s = m.field.coerce(s)
+    return ExactMatrix(m.field, [[s * x for x in row] for row in m.tolist()])
+
+
+def block_of(m: ExactMatrix, i: int, j: int, rows: int, cols: int) -> ExactMatrix:
+    """Block (i, j), 0-based, of m's partition into rows x cols blocks."""
+    return ExactMatrix(m.field, [row[j * cols:(j + 1) * cols]
+                                 for row in m.tolist()[i * rows:(i + 1) * rows]])
+
+
+def block_matrix(grid: list[list[ExactMatrix]]) -> ExactMatrix:
+    """The matrix whose blocks are ``grid``, row of blocks by row of blocks."""
+    rows = []
+    for line in grid:
+        rows += [sum(parts, []) for parts in zip(*(b.tolist() for b in line))]
+    return ExactMatrix(grid[0][0].field, rows)
+
+
+def pairing_rows(kind: str, size: int, field) -> list[list]:
+    """The canonical pairing entry by entry: I for the orthogonal kind, and
+    [[0, I], [-I, 0]] in half blocks for the symplectic one."""
+    half = size // 2
+
+    def entry(i, j):
+        if kind == ORTHOGONAL_IDENTITY:
+            return int(i == j)
+        return int(j == i + half) - int(i == j + half)
+
+    return [[field.coerce(entry(i, j)) for j in range(size)] for i in range(size)]
+
+
+def row_entries(layout, i: int) -> list[tuple[int, int]]:
+    """Sorted (j, alpha) pairs present in block row i of a layout."""
+    return sorted((j, a) for (r, j), a in layout.entries.items() if r == i)
+
+
 def quadratic_defect_blockwise(d, j: ExactMatrix) -> list:
     """(a, b, D_ab) for 1 <= a <= b <= k, pair by pair: X = M_a * J * M_b^t by
     two entry-sum products, then D_ab = X + X^t."""
@@ -189,9 +227,9 @@ def mix_blocks_sum(c: ExactMatrix, blocks) -> list[ExactMatrix]:
     """Block a of the mix is the sum over j of c[a, j] * M_j, term by term."""
     out = []
     for a in range(c.rows):
-        mix = blocks[0].scale(c[a, 0])
+        mix = scaled(blocks[0], c[a, 0])
         for j in range(1, c.cols):
-            mix = mix + blocks[j].scale(c[a, j])
+            mix = mix + scaled(blocks[j], c[a, j])
         out.append(mix)
     return out
 

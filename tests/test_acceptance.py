@@ -15,7 +15,7 @@ from monadlab import (GF, QQ, SYMPLECTIC_CANONICAL, ExactMatrix, build_q, build_
                       gen_special_symplectic, q_layout, quadratic_defect,
                       random_sl, transform_monad)
 from monadlab.cli import run
-from oracles import KNOWN_LAYOUT_TRIPLES, det_cofactor
+from oracles import KNOWN_LAYOUT_TRIPLES, det_cofactor, row_entries
 
 GF101 = GF(101)
 
@@ -43,11 +43,11 @@ def test_criterion_2_layout_n2_k4_reproduced():
     got = sorted((i, j, a) for (i, j), a in lay.entries.items())
     assert got == sorted(KNOWN_LAYOUT_TRIPLES)  # cell-for-cell, hand-worked
     # the named three rows, spelled out
-    assert lay.row_entries(1) == [(1, 1)]
+    assert row_entries(lay, 1) == [(1, 1)]
     r6 = lay.row_basis.index((1, 1, 1, 0))
-    assert lay.row_entries(r6) == [(2, 3), (3, 2), (6, 1)]
+    assert row_entries(lay, r6) == [(2, 3), (3, 2), (6, 1)]
     r20 = lay.row_basis.index((0, 0, 0, 3))
-    assert lay.row_entries(r20) == [(10, 4)]
+    assert row_entries(lay, r20) == [(10, 4)]
     _report("criterion 2: 20x10 block table reproduced cell-for-cell", t0)
 
 
@@ -63,7 +63,7 @@ def test_criterion_3_syzygy_forces_singularity():
                 syz = build_syzygy(data).matrix
                 assert (q @ syz).is_zero()
                 assert not syz.is_zero()
-                assert report.det_q_value == 0
+                assert report.det_q_value == det_q(data) == 0
                 checked += 1
     assert checked == 600
     _report("criterion 3: Q*S = 0, S != 0, det Q = 0 on 600 candidates over gf(101)", t0)

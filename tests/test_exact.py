@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
-                      format_matrix, format_monad, gen_special_symplectic, hstack, parse_field,
-                      parse_matrix, parse_monad, vstack)
+                      format_matrix, format_monad, gen_special_symplectic, parse_field,
+                      parse_matrix, parse_monad)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
 from monadlab.monad import _SCREEN_PRIME
-from oracles import (bareiss_echelon, det_cofactor, echelon_gf_reference, format_matrix_dense,
-                     format_monad_dense, is_prime_trial, kernel_oracle, matmul_naive,
-                     unitriangular_det)
+from oracles import (bareiss_echelon, block_matrix, det_cofactor, echelon_gf_reference,
+                     format_matrix_dense, format_monad_dense, is_prime_trial, kernel_oracle,
+                     matmul_naive, scaled, unitriangular_det)
 
 GF101 = GF(101)
 
@@ -406,7 +406,7 @@ def test_crt_rank_survives_primes_that_lower_it(eliminations):
                                       (minor, 1, 2, 3), (minor, Fraction(2, 7), 2, 3)]:
         for p in (p1, p2)[:primes - 1]:
             assert ExactMatrix(GF(p), rows).rank() < rank
-        m = ExactMatrix(QQ, rows).scale(scale)
+        m = scaled(ExactMatrix(QQ, rows), scale)
         del eliminations[:]
         assert m.rank() == rank
         assert eliminations == ["gf"] * primes
@@ -554,7 +554,7 @@ def unlucky_rational_matrices(draw):
             for row in left]
     rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] += \
         draw(st.sampled_from([p1, -p1, p1 * p2]))
-    m = ExactMatrix(QQ, rows).scale(draw(st.sampled_from([1, Fraction(2, 7)])))
+    m = scaled(ExactMatrix(QQ, rows), draw(st.sampled_from([1, Fraction(2, 7)])))
     assert ExactMatrix(GF(p1), rows).rank() <= inner
     return m
 
@@ -573,10 +573,10 @@ def split_form_q(n: int, k: int, seed: int) -> ExactMatrix:
         norm = (v.transpose() @ split @ v)[0, 0]
         if norm:  # x -> x - 2 (x H v) / (v H v) v^t
             move = move @ (ExactMatrix.identity(QQ, 2 * h)
-                           + (split @ v @ v.transpose()).scale(-2 / norm))
+                           + scaled(split @ v @ v.transpose(), -2 / norm))
     isotropic = ExactMatrix.zeros(QQ, 2 * n + 2, h)
-    blocks = tuple(hstack([ExactMatrix.random(QQ, 2 * n + 2, h, rng, box=3), isotropic]) @ move
-                   for _ in range(k))
+    blocks = tuple(block_matrix([[ExactMatrix.random(QQ, 2 * n + 2, h, rng, box=3), isotropic]])
+                   @ move for _ in range(k))
     return build_q(MonadData(n, k, QQ, blocks)).matrix
 
 
@@ -703,29 +703,6 @@ def test_elimination_keeps_no_array():
         m.kernel_basis()
         assert type(m._rank) is int and m._rank == rank
         assert type(m._det) in (int, Fraction) and m._det == det
-
-
-def test_block_helpers():
-    a = ExactMatrix(QQ, [[1, 2], [3, 4]])
-    b = ExactMatrix(QQ, [["1/2", 0], [5, -1]])
-    z = ExactMatrix.zeros(QQ, 2, 2)
-    big = vstack([hstack([a, z]), hstack([b, a])])
-    assert big.block(0, 0, 2, 2) == a
-    assert big.block(0, 1, 2, 2).is_zero()
-    assert big.block(1, 0, 2, 2) == b
-    assert big.block(1, 1, 2, 2) == a
-    with pytest.raises(ValueError, match="hstack row mismatch"):
-        hstack([a, ExactMatrix.zeros(QQ, 3, 2)])
-    with pytest.raises(ValueError, match="vstack column mismatch"):
-        vstack([a, ExactMatrix.zeros(QQ, 2, 3)])
-    with pytest.raises(ValueError, match="field mismatch"):
-        hstack([a, ExactMatrix.zeros(GF101, 2, 2)])
-
-
-@pytest.mark.parametrize("stack", [hstack, vstack])
-def test_stacking_no_matrices_is_a_one_line_value_error(stack):
-    with pytest.raises(ValueError, match=r"^nothing to stack: no matrices given$"):
-        stack([])
 
 
 # -- text format ---------------------------------------------------------------

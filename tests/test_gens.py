@@ -8,13 +8,13 @@ import pytest
 
 from monadlab import gens
 from monadlab import (GF, QQ, ExactMatrix, GeneratorError, MonadData,
-                      ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, canonical_j, det_q, evaluate_a,
-                      format_monad, gen_isotropic_orthogonal,
+                      ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, build_q, canonical_j, det_q,
+                      evaluate_a, format_monad, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
                       Point, quadratic_defect, search_orthogonal, transform_monad,
                       verify_syzygy)
 
-from oracles import matmul_naive, mix_blocks_sum
+from oracles import matmul_naive, mix_blocks_sum, scaled
 
 
 def test_special_symplectic_n1_k1_structure():
@@ -115,7 +115,7 @@ def test_transform_monad_mixes_blocks_as_sums(field, n, k):
     blocks = tuple(ExactMatrix.random(field, 2 * n + 2, 2 * n + 2 * k, rng) for _ in range(k))
     c = ExactMatrix.random(field, k, k, rng)
     if not field.is_prime_field:  # non-integer coefficients
-        c = c.scale(Fraction(1, 3))
+        c = scaled(c, Fraction(1, 3))
     mixed = transform_monad(MonadData(n, k, field, blocks), on_i=c)
     assert list(mixed.blocks) == mix_blocks_sum(c, blocks)
 
@@ -132,7 +132,7 @@ def test_transform_monad_matches_blockwise_products(field, n, k, which):
             "on_v": ExactMatrix.random(field, r, r, rng),
             "on_w": ExactMatrix.random(field, c, c, rng)}
     if not field.is_prime_field:  # non-integer entries
-        mats = {name: m.scale(Fraction(1, 3)) for name, m in mats.items()}
+        mats = {name: scaled(m, Fraction(1, 3)) for name, m in mats.items()}
     chosen = mats if which == "all" else {which: mats[which]}
     out = transform_monad(MonadData(n, k, field, blocks), **chosen)
     mixed = mix_blocks_sum(chosen["on_i"], blocks) if "on_i" in chosen else blocks
@@ -172,6 +172,21 @@ def test_isotropic_orthogonal_syzygy_chain(n, k, p, seed):
     assert r.residual_is_zero
     assert not r.syzygy_is_zero
     assert report.det_q_value == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_isotropic_candidates_have_rank_q_at_most_half_its_order(n, k):
+    # why criterion 3's det checks are weak: every block's rows lie in one
+    # Lagrangian L of dimension n+k, so Q = (sum_a E_a (x) R_a) * (I_s (x) U)
+    # with U's rows spanning L, and rank Q <= s * (n+k) = N/2, whatever the
+    # syzygy does.  That covers the generator's draws and the perturbed ones
+    # that every other search trial uses.
+    span = isotropic_basis(GF(101), 2 * n + 2 * k)
+    for data in (gen_isotropic_orthogonal(n, k, 101, seed=0).data,
+                 gens._isotropic_data(n, k, span, 0, perturbed=True)):
+        q = build_q(data).matrix
+        assert 2 * q.rank() <= q.rows
 
 
 def test_isotropic_candidate_always_fails_some_requirement():

@@ -26,7 +26,7 @@ from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF,
 from monadlab.gens import _special_blocks
 from monadlab.invariant import _q_columns
 
-from oracles import build_q_blockwise, det_cofactor, unitriangular_det
+from oracles import block_of, build_q_blockwise, det_cofactor, unitriangular_det
 
 GF101 = GF(101)
 
@@ -83,7 +83,7 @@ def test_build_q_block_pattern():
     lay = q_layout(2, 4)
     for i in range(1, 21):
         for j in range(1, 11):
-            blk = q.matrix.block(i - 1, j - 1, 6, 12)
+            blk = block_of(q.matrix, i - 1, j - 1, 6, 12)
             alpha = lay.entry(i, j)
             if alpha is None:
                 assert blk.is_zero()
@@ -121,7 +121,7 @@ def test_q_columns_are_the_first_block_columns_of_q(field, n, k):
     d = random_data(n, k, field, np.random.default_rng(10 * n + k))
     q = build_q_blockwise(d)
     for count in range(1, math.comb(k + n - 1, n) + 1):
-        assert _q_columns(d, count) == q.block(0, 0, q.rows, count * d.block_cols)
+        assert _q_columns(d, count) == block_of(q, 0, 0, q.rows, count * d.block_cols)
 
 
 def test_build_q_k1_is_single_block():
@@ -204,9 +204,9 @@ def test_build_syzygy_shapes():
     s = build_syzygy(d).matrix
     assert s.shape == (120, 6)
     for j in range(4):
-        assert s.block(j, 0, 12, 6) == d.blocks[j].transpose()
+        assert block_of(s, j, 0, 12, 6) == d.blocks[j].transpose()
     for j in range(4, 10):
-        assert s.block(j, 0, 12, 6).is_zero()
+        assert block_of(s, j, 0, 12, 6).is_zero()
 
     single = random_data(1, 1, GF101, rng)
     assert build_syzygy(single).matrix == single.blocks[0].transpose()
@@ -226,7 +226,7 @@ def test_residual_matches_blockwise_formula(n, k):
         assert verify_syzygy(d).residual == residual
         lay = q_layout(n, k)
         for i in range(1, lay.block_rows + 1):
-            got = residual.block(i - 1, 0, d.block_rows, d.block_rows)
+            got = block_of(residual, i - 1, 0, d.block_rows, d.block_rows)
             assert got == expected_residual_block(d, lay.row_basis.monomial(i))
 
 
@@ -389,7 +389,7 @@ def test_single_defect_perturbation_localizes_residual():
     residual = build_q(d).matrix @ build_syzygy(d).matrix
     lay = q_layout(n, k)
     for i in range(1, lay.block_rows + 1):
-        blk = residual.block(i - 1, 0, d.block_rows, d.block_rows)
+        blk = block_of(residual, i - 1, 0, d.block_rows, d.block_rows)
         if i == 1:
             assert not blk.is_zero()
         else:
@@ -445,10 +445,12 @@ def test_random_sl_has_unit_determinant():
 
 
 def test_orthogonal_verdict_cases():
-    v = orthogonal_verdict(gen_isotropic_orthogonal(1, 2, 101, seed=4).data)
+    data = gen_isotropic_orthogonal(1, 2, 101, seed=4).data
+    v = orthogonal_verdict(data)
     assert v.status == DET_ZERO_BY_SYZYGY
+    assert v.message == "not an instanton: det Q = 0 by syzygy"
     assert v.excluded
-    assert v.det_value == 0
+    assert det_q(data) == 0
 
     v = orthogonal_verdict(gen_special_symplectic(1, 2, GF101, probe_trials=5).data)
     assert v.status == DEFECT_NONZERO

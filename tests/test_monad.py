@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
                       Point, RankProbeVerdict, canonical_j, chern_coefficients,
-                      defects_vanish, evaluate_a, format_monad, hstack, max_rank_probe,
-                      parse_monad, quadratic_defect, vstack)
+                      defects_vanish, evaluate_a, format_monad, max_rank_probe,
+                      parse_monad, quadratic_defect)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
-from monadlab import monad
+from monadlab import exact, monad
 from monadlab.monad import _SCREEN_PRIME, _draw_points
 
-from oracles import distinct_points_pointwise, quadratic_defect_blockwise, rank_probe_pointwise
+from oracles import (block_matrix, distinct_points_pointwise, pairing_rows,
+                     quadratic_defect_blockwise, rank_probe_pointwise, scaled)
 
 GF101 = GF(101)
 
@@ -56,6 +57,15 @@ def test_evaluate_a_symplectic_block():
     assert evaluate_a(d, x).tolist() == [[-5, -6, 3, 4]]
 
 
+@pytest.mark.parametrize("field", [QQ, GF101])
+@pytest.mark.parametrize("kind", [ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_j_matches_its_entrywise_definition(field, kind, n, k):
+    size = 2 * n + 2 * k
+    assert canonical_j(kind, n, k, field).tolist() == pairing_rows(kind, size, field)
+
+
 def test_evaluate_a_coordinate_selection():
     rng = np.random.default_rng(2)
     d = random_data(1, 3, GF101, rng)
@@ -73,9 +83,8 @@ def test_evaluate_a_against_assembled_matrix():
         x = Point.of(field, rng.integers(1, 11, size=6).tolist())
         xr = ExactMatrix(field, [x.coords])
         zero = ExactMatrix.zeros(field, 1, 6)
-        selector = vstack([hstack([xr if i == j else zero for j in range(3)])
-                           for i in range(3)])
-        assert evaluate_a(d, x) == selector @ vstack(list(d.blocks))
+        selector = block_matrix([[xr if i == j else zero for j in range(3)] for i in range(3)])
+        assert evaluate_a(d, x) == selector @ block_matrix([[b] for b in d.blocks])
 
 
 def test_evaluate_a_errors():
@@ -130,10 +139,11 @@ def test_quadratic_defect_matches_blockwise_oracle(field, n, k, shape, seed):
     d = random_data(n, k, field, rng)
     g = ExactMatrix.random(field, d.block_cols, d.block_cols, rng)
     if not field.is_prime_field:  # non-integer blocks and pairing
-        d = MonadData(n, k, field, tuple(b.scale(Fraction(1, j + 2))
+        d = MonadData(n, k, field, tuple(scaled(b, Fraction(1, j + 2))
                                          for j, b in enumerate(d.blocks)))
-        g = g.scale(Fraction(2, 3))
-    j = {"symmetric": g + g.transpose(), "skew": g + (-g.transpose()), "general": g}[shape]
+        g = scaled(g, Fraction(2, 3))
+    j = {"symmetric": g + g.transpose(), "skew": g + scaled(g.transpose(), -1),
+         "general": g}[shape]
     assert quadratic_defect(d, j) == quadratic_defect_blockwise(d, j)
 
 
@@ -247,7 +257,7 @@ def probe_cases(draw, fields=(GF(3), GF(7), GF(101), GF(2147483629), QQ)):
     if k > 1 and draw(st.booleans()):
         num, den = draw(st.sampled_from([(1, 1), (-1, 2), (2, 5)]))
         quotient = Fraction(num, den) if field.p is None else num * pow(den, -1, field.p)
-        blocks[-1] = blocks[0].scale(quotient)
+        blocks[-1] = scaled(blocks[0], quotient)
     kind = draw(st.sampled_from([ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL]))
     j = canonical_j(kind, n, k, field)
     if draw(st.booleans()):
@@ -267,15 +277,34 @@ def test_max_rank_probe_matches_pointwise_oracle(case, seed):
     assert max_rank_probe(d, j, trials, seed, box=box) == expected
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_residues_over_q_are_each_cleared_block_mod_the_screen_prime(seed):
+    # block i times the lcm of its denominators, entry by entry, mod _SCREEN_PRIME
+    rng = np.random.default_rng(seed)
+    k, r, c = rng.integers(1, 5, size=3).tolist()
+    nums = rng.integers(-2 * _SCREEN_PRIME, 2 * _SCREEN_PRIME, size=(k, r, c)).tolist()
+    dens = rng.choice([1, 2, 3, 7, _SCREEN_PRIME + 2], size=(k, r, c)).tolist()
+    stack = [[[Fraction(x, y) for x, y in zip(*row)] for row in zip(*block)]
+             for block in zip(nums, dens)]
+    expected = []
+    for block in stack:
+        scale = math.lcm(*(x.denominator for row in block for x in row))
+        expected.append([[int(x * scale) % _SCREEN_PRIME for x in row] for row in block])
+    got = monad._residues(np.array(stack, dtype=object), QQ)
+    assert got.dtype == np.int64 and got.tolist() == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=probe_cases(fields=[QQ]), seed=st.integers(0, 2**32 - 1))
 def test_max_rank_probe_over_q_does_not_depend_on_the_screening_prime(case, seed):
     # full rank mod any prime implies full rank over Q, and every point the
-    # screen fails gets the exact test in draw order, so the verdict is the same
+    # screen fails gets the exact test in draw order, so the verdict is the same;
+    # the screen prime is the first CRT prime, so the two move together
     d, j, trials, box = case
     expected = max_rank_probe(d, j, trials, seed, box=box)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(monad, "_SCREEN_PRIME", 2**31 - 1)
+        m.setattr(exact, "_CRT_PRIMES", [2**31 - 1])
         assert max_rank_probe(d, j, trials, seed, box=box) == expected
 
 
@@ -341,7 +370,7 @@ def test_max_rank_probe_over_q_rechecks_what_the_screen_cannot_decide(entry):
     # prime it is zero (entry = q, which the exact test must overrule) or,
     # once cleared of its denominator, x itself (entry = 1/q)
     eye = ExactMatrix.identity(QQ, 4)
-    d = MonadData(1, 1, QQ, (eye.scale(entry),))
+    d = MonadData(1, 1, QQ, (scaled(eye, entry),))
     j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, QQ)
     assert max_rank_probe(d, j, trials=30, seed=2) == RankProbeVerdict(True, 30)
 
@@ -350,7 +379,7 @@ def test_max_rank_probe_over_q_screens_data_with_the_screening_prime_as_denomina
         monkeypatch):
     # A(x) = x / q for the screening prime q: clearing the denominator leaves
     # A(x) = x modulo q, so the screen decides every point on its own
-    d = MonadData(1, 1, QQ, (ExactMatrix.identity(QQ, 4).scale(Fraction(1, _SCREEN_PRIME)),))
+    d = MonadData(1, 1, QQ, (scaled(ExactMatrix.identity(QQ, 4), Fraction(1, _SCREEN_PRIME)),))
     j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, QQ)
 
     def exact_test(*args):
@@ -365,7 +394,7 @@ def test_max_rank_probe_over_q_finds_a_dependence_through_fractions():
     # must reduce -1/2 to its residue, not to its numerator, to see that
     rng = np.random.default_rng(5)
     m1 = ExactMatrix(QQ, rng.integers(-3, 4, size=(4, 6)).tolist())
-    d = MonadData(1, 2, QQ, (m1, m1.scale(Fraction(-1, 2))))
+    d = MonadData(1, 2, QQ, (m1, scaled(m1, Fraction(-1, 2))))
     j = canonical_j(SYMPLECTIC_CANONICAL, 1, 2, QQ)
     verdict = max_rank_probe(d, j, trials=20, seed=0)
     assert not verdict.ok and verdict.points_tested == 1
@@ -379,7 +408,7 @@ def test_max_rank_probe_over_q_clears_each_block_by_one_scale():
     rng = np.random.default_rng(5)
     odd = (2 * rng.integers(-3, 4, size=(4, 6)) + 1).tolist()
     m1 = ExactMatrix(QQ, [[Fraction(x, den) for x in row] for row, den in zip(odd, (1, 2, 3, 1))])
-    d = MonadData(1, 2, QQ, (m1, m1.scale(2)))
+    d = MonadData(1, 2, QQ, (m1, scaled(m1, 2)))
     j = canonical_j(SYMPLECTIC_CANONICAL, 1, 2, QQ)
     verdict = max_rank_probe(d, j, trials=20, seed=0)
     assert not verdict.ok and verdict.points_tested == 1
@@ -422,7 +451,7 @@ def test_canonical_j_forms():
             for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
                 j = canonical_j(kind, n, k, field)
                 assert canonical_j(kind, n, k, field) is j  # memoised per shape
-                assert j.transpose() == (j if kind == ORTHOGONAL_IDENTITY else -j)
+                assert j.transpose() == (j if kind == ORTHOGONAL_IDENTITY else scaled(j, -1))
                 assert j.det() in (field.coerce(1), field.coerce(-1))
     for _ in range(2):  # an unknown kind is not memoised: it raises every time
         with pytest.raises(ValueError):
