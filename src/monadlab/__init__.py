@@ -18,7 +18,7 @@ from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
                     Point, RankCounterexample, RankProbeVerdict,
                     canonical_j, chern_coefficients, defects_vanish, evaluate_a,
                     format_monad, max_rank_probe, parse_monad, quadratic_defect)
-from .symcomb import (Monomial, QLayout, SymBasis, layout_csv, layout_table,
+from .symcomb import (Monomial, QLayout, layout_csv, layout_table,
                       monomial_label, multiply_by_var, q_layout, sym_basis)
 
 __version__ = "0.1.0"
@@ -36,6 +36,6 @@ __all__ = [
     "Point", "RankCounterexample", "RankProbeVerdict",
     "canonical_j", "chern_coefficients", "defects_vanish", "evaluate_a",
     "format_monad", "max_rank_probe", "parse_monad", "quadratic_defect",
-    "Monomial", "QLayout", "SymBasis", "layout_csv", "layout_table",
+    "Monomial", "QLayout", "layout_csv", "layout_table",
     "monomial_label", "multiply_by_var", "q_layout", "sym_basis",
 ]

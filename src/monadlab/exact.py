@@ -514,7 +514,9 @@ def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # CRT primes: the largest primes below this bound, in descending order.  Of
 # 2**27 to 2**31 it gave the fastest order-280 det; its elimination budget is
-# 32 delayed updates, against 2 just below 2**31.
+# 32 delayed updates, against 2 just below 2**31.  The rational rank probe
+# screens modulo the first of them, so ``_matmul_gf`` sums 16 residue products
+# per int64 step there (1 below 2**31).
 _CRT_PRIME_TOP = 2**29
 _CRT_PRIMES: list[int] = []
 

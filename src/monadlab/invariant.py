@@ -57,7 +57,7 @@ def _q_columns(d: MonadData, count: int) -> ExactMatrix:
     br, bc = d.block_rows, d.block_cols
     a = d.field.zeros(layout.block_rows * br, count * bc)
     a.reshape(layout.block_rows, br, count, bc)[
-        layout._entry_index[:count], :, np.arange(count)[:, None], :] = d.stack
+        layout.table[:count], :, np.arange(count)[:, None], :] = d.stack
     return ExactMatrix._wrap(d.field, a)
 
 
@@ -102,7 +102,7 @@ def verify_syzygy(d: MonadData) -> SyzygyReport:
     """
     q, br = _q_columns(d, d.k)._a, d.block_rows
     # sorted(set()), not np.unique: that one's first call imports numpy.ma
-    used = np.array(sorted(set(q_layout(d.n, d.k)._entry_index[:d.k].flat)))
+    used = np.array(sorted(set(q_layout(d.n, d.k).table[:d.k].flat)))
     rows = (used[:, None] * br + np.arange(br)).ravel()
     residual = d.field.zeros(q.shape[0], br)
     residual[rows] = d.field.matmul(q[rows], _side_by_side(d.stack).T)

@@ -39,15 +39,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows, _crt_images,
-                    _crt_primes, _full_row_rank_gf, _matmul_gf, content_lines, entry_lines,
-                    parse_entry_row, parse_field)
+                    _full_row_rank_gf, _matmul_gf, content_lines, entry_lines, parse_entry_row,
+                    parse_field)
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
 
-# Over Q the probe screens modulo the first CRT prime, the largest below 2**29,
-# so ``_matmul_gf`` sums 16 residue products per int64 step (1 below 2**31).
-_SCREEN_PRIME = next(_crt_primes())
 # Points screened per elimination; bounds the probe's working memory.
 _PROBE_BATCH = 1024
 
@@ -219,28 +216,29 @@ def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
     return drawn[first[:count]]
 
 
-def _residues(a: np.ndarray, field: Field) -> np.ndarray:
-    """The storage stack ``a`` as int64 residues: ``a`` itself over GF(p); over Q
-    each a[i] times the lcm of its denominators, a nonzero scalar that keeps
-    every rank, modulo the first CRT prime, which is _SCREEN_PRIME."""
+def _residues(a: np.ndarray, field: Field) -> tuple[int, np.ndarray]:
+    """(q, the storage stack ``a`` as int64 residues mod q): (p, ``a``) over
+    GF(p); over Q, q is the first CRT prime and each a[i] is first multiplied
+    by the lcm of its denominators, a nonzero scalar that keeps every rank."""
     if field.is_prime_field:
-        return a
-    return next(_crt_images(_cleared_rows(a.reshape(len(a), -1))[0], a.shape))[1]
+        return field.p, a
+    return next(_crt_images(_cleared_rows(a.reshape(len(a), -1))[0], a.shape))
 
 
 def _screen_failures(d: MonadData, j: ExactMatrix, points: np.ndarray) -> Iterator[int]:
     """Indices, in order, of the points where A(x) or B(x) = A(x) * J has
     rank below k modulo q; lazily, one batch of points at a time.
 
-    q is p over GF(p), where this is the exact answer, and _SCREEN_PRIME over
-    Q, where full rank mod q certifies full rank (a nonzero k x k minor mod q
-    is nonzero over Q) and a failure only says the point needs the exact test.
+    q is p over GF(p), where this is the exact answer, and the first CRT
+    prime over Q, where full rank mod q certifies full rank (a nonzero k x k
+    minor mod q is nonzero over Q) and a failure only says the point needs the
+    exact test.
     Over Q each block and J are cleared of denominators first, which
     multiplies each row of A(x) and of B(x) by a nonzero constant.
     """
-    q = d.field.p or _SCREEN_PRIME
-    stacked = _side_by_side(_residues(d.stack, d.field))  # row j of A(x) is x^t * M_j
-    jm = _residues(j._a[None], d.field)[0]
+    q, stack = _residues(d.stack, d.field)
+    stacked = _side_by_side(stack)  # row j of A(x) is x^t * M_j
+    jm = _residues(j._a[None], d.field)[1][0]
     for start in range(0, len(points), _PROBE_BATCH):
         x = points[start:start + _PROBE_BATCH] % q
         a = _matmul_gf(x, stacked, q).reshape(-1, d.block_cols)  # A(x) of each point

@@ -1,21 +1,20 @@
 """Monomial bases of symmetric powers and the block layout they induce.
 
 A degree-d monomial in the variables i_1, ..., i_k is an exponent tuple of
-length k.  Bases are listed in the lexicographic order induced by
-i_1 > i_2 > ... > i_k, so i_1^d comes first and i_k^d last; all indices
-exposed here are 1-based to match that labelling.
+length k.  A basis is a tuple of them in the lexicographic order induced by
+i_1 > i_2 > ... > i_k, so i_1^d comes first and i_k^d last.
 
-The block layout records, for the degree-n and degree-(n+1) bases, which
-single-variable multiplications connect them: entry (i, j) = alpha exactly
-when basis element eta_i of degree n+1 equals zeta_j * i_alpha.  This is the
-nonzero-block pattern of the big multiplication matrix built in
-:mod:`monadlab.invariant`.
+Block (i, j) of the big multiplication matrix built in
+:mod:`monadlab.invariant` is M_alpha exactly when basis element eta_i of
+degree n+1 equals zeta_j * i_alpha, and zero otherwise.  The labels i_alpha
+and M_alpha, and the block positions the renderers print (table and CSV),
+are 1-based, as in the paper.  The layout's ``table`` is a 0-based array:
+``table[j, alpha]`` is the block row of zeta_{j+1} * i_{alpha+1}.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -42,36 +41,7 @@ def monomial_label(m: Monomial) -> str:
     return "".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class SymBasis:
-    """Ordered monomial basis of the degree-d symmetric power in k variables."""
-
-    k: int
-    degree: int
-    monomials: tuple[Monomial, ...]
-    _index: dict[Monomial, int] = field(repr=False, compare=False, hash=False, default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def monomial(self, i: int) -> Monomial:
-        """The i-th basis element, 1-based."""
-        return self.monomials[i - 1]
-
-    def index(self, m: Monomial) -> int:
-        """1-based position of ``m``; errors if degree or arity mismatch."""
-        if len(m) != self.k or sum(m) != self.degree:
-            raise ValueError(f"monomial {m} is not in the ({self.k}, {self.degree}) basis")
-        return self._index[m]
-
-    def label(self, i: int) -> str:
-        return monomial_label(self.monomial(i))
-
-
-def sym_basis(k: int, d: int) -> SymBasis:
+def sym_basis(k: int, d: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in k variables, largest first in the induced lex order."""
     if k < 1:
         raise ValueError("need at least one variable")
@@ -83,21 +53,19 @@ def sym_basis(k: int, d: int) -> SymBasis:
         for v in combo:
             exps[v] += 1
         monomials.append(tuple(exps))
-    basis = SymBasis(k, d, tuple(monomials))
-    basis._index.update({m: i for i, m in enumerate(monomials, start=1)})
-    assert len(basis) == math.comb(k + d - 1, d)
-    return basis
+    return tuple(monomials)
 
 
 @dataclass(frozen=True)
 class QLayout:
-    """Sparse block pattern: (block row i, block col j) -> variable index alpha."""
+    """Block pattern of Q: block column j holds M_{alpha+1} in block row
+    ``table[j, alpha]``, and zero blocks elsewhere (all 0-based)."""
 
     n: int
     k: int
-    row_basis: SymBasis  # degree n+1, size r
-    col_basis: SymBasis  # degree n, size s
-    entries: dict[tuple[int, int], int]
+    row_basis: tuple[Monomial, ...]  # degree n+1, size r
+    col_basis: tuple[Monomial, ...]  # degree n, size s
+    table: np.ndarray = field(compare=False)  # (s x k), read-only
 
     @property
     def block_rows(self) -> int:
@@ -107,36 +75,22 @@ class QLayout:
     def block_cols(self) -> int:
         return len(self.col_basis)
 
-    @functools.cached_property
-    def _entry_index(self) -> np.ndarray:
-        """Read-only (s x k) table, 0-based: (j, alpha) -> block row of zeta_j * i_alpha.
-
-        q_layout adds the entries block column by block column, with alpha = 1..k
-        inside each column, so their block rows fill the table row by row."""
-        table = np.array([i for i, _ in self.entries]).reshape(self.block_cols, self.k) - 1
-        table.flags.writeable = False
-        return table
-
-    def entry(self, i: int, j: int) -> int | None:
-        return self.entries.get((i, j))
-
 
 @functools.lru_cache(maxsize=32)
 def q_layout(n: int, k: int) -> QLayout:
     """Layout induced by multiplication from degree n to degree n+1.
 
-    Memoised on (n, k): callers share one layout and must not mutate it.
+    Memoised on (n, k): callers share one layout, whose table is read-only.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     cols = sym_basis(k, n)
     rows = sym_basis(k, n + 1)
-    entries: dict[tuple[int, int], int] = {}
-    for j, zeta in enumerate(cols, start=1):
-        for alpha in range(1, k + 1):
-            i = rows.index(multiply_by_var(zeta, alpha))
-            entries[(i, j)] = alpha
-    return QLayout(n, k, rows, cols, entries)
+    position = {eta: i for i, eta in enumerate(rows)}
+    table = np.array([[position[multiply_by_var(zeta, alpha)] for alpha in range(1, k + 1)]
+                      for zeta in cols])
+    table.flags.writeable = False
+    return QLayout(n, k, rows, cols, table)
 
 
 # -- renderers ---------------------------------------------------------------
@@ -144,11 +98,12 @@ def q_layout(n: int, k: int) -> QLayout:
 
 def layout_table(layout: QLayout) -> str:
     """Fixed-width table with monomial labels on both axes; '.' marks zero blocks."""
-    col_labels = [layout.col_basis.label(j) for j in range(1, layout.block_cols + 1)]
-    row_labels = [layout.row_basis.label(i) for i in range(1, layout.block_rows + 1)]
-    cells = [[f"M_{a}" if (a := layout.entry(i, j)) else "."
-              for j in range(1, layout.block_cols + 1)]
-             for i in range(1, layout.block_rows + 1)]
+    col_labels = list(map(monomial_label, layout.col_basis))
+    row_labels = list(map(monomial_label, layout.row_basis))
+    cells = [["."] * layout.block_cols for _ in row_labels]
+    for j, rows in enumerate(layout.table.tolist()):
+        for alpha, i in enumerate(rows, start=1):
+            cells[i][j] = f"M_{alpha}"
     width = max(len(s) for s in col_labels + [c for row in cells for c in row])
     stub = max(len(s) for s in row_labels)
     lines = [" " * stub + "  " + " ".join(s.ljust(width) for s in col_labels)]
@@ -158,6 +113,7 @@ def layout_table(layout: QLayout) -> str:
 
 
 def layout_csv(layout: QLayout) -> str:
-    """One 'i,j,alpha' triple per line, sorted by (i, j)."""
-    lines = [f"{i},{j},{a}" for (i, j), a in sorted(layout.entries.items())]
-    return "\n".join(lines) + "\n"
+    """One 1-based 'i,j,alpha' triple per line, sorted by (i, j)."""
+    triples = sorted((i + 1, j + 1, alpha) for j, rows in enumerate(layout.table.tolist())
+                     for alpha, i in enumerate(rows, start=1))
+    return "".join(f"{i},{j},{alpha}\n" for i, j, alpha in triples)

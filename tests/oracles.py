@@ -151,9 +151,29 @@ def pairing_rows(kind: str, size: int, field) -> list[list]:
     return [[field.coerce(entry(i, j)) for j in range(size)] for i in range(size)]
 
 
+def layout_entries(layout) -> dict[tuple[int, int], int]:
+    """A layout's table as the 1-based {(block row i, block column j): alpha}."""
+    return {(i + 1, j + 1): alpha for j, rows in enumerate(layout.table.tolist())
+            for alpha, i in enumerate(rows, start=1)}
+
+
 def row_entries(layout, i: int) -> list[tuple[int, int]]:
     """Sorted (j, alpha) pairs present in block row i of a layout."""
-    return sorted((j, a) for (r, j), a in layout.entries.items() if r == i)
+    return sorted((j, a) for (r, j), a in layout_entries(layout).items() if r == i)
+
+
+def layout_oracle(n: int, k: int):
+    """(row monomials, column monomials, 1-based {(i, j): alpha}) of the
+    degree-n layout in k variables, from brute-force bases and a test of every
+    pair (eta_i, zeta_j) for eta_i = zeta_j * i_alpha."""
+    rows, cols = enum_monomials_brute(k, n + 1), enum_monomials_brute(k, n)
+    entries = {}
+    for i, eta in enumerate(rows, start=1):
+        for j, zeta in enumerate(cols, start=1):
+            diff = [e - z for e, z in zip(eta, zeta)]
+            if sorted(diff) == [0] * (k - 1) + [1]:
+                entries[(i, j)] = diff.index(1) + 1
+    return rows, cols, entries
 
 
 def quadratic_defect_blockwise(d, j: ExactMatrix) -> list:

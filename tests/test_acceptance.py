@@ -15,7 +15,7 @@ from monadlab import (GF, QQ, SYMPLECTIC_CANONICAL, ExactMatrix, build_q, build_
                       gen_special_symplectic, q_layout, quadratic_defect,
                       random_sl, transform_monad)
 from monadlab.cli import run
-from oracles import KNOWN_LAYOUT_TRIPLES, det_cofactor, row_entries
+from oracles import KNOWN_LAYOUT_TRIPLES, det_cofactor, layout_entries, row_entries
 
 GF101 = GF(101)
 
@@ -40,13 +40,13 @@ def test_criterion_2_layout_n2_k4_reproduced():
     t0 = time.time()
     lay = q_layout(2, 4)
     assert (lay.block_rows, lay.block_cols) == (20, 10)
-    got = sorted((i, j, a) for (i, j), a in lay.entries.items())
+    got = sorted((i, j, a) for (i, j), a in layout_entries(lay).items())
     assert got == sorted(KNOWN_LAYOUT_TRIPLES)  # cell-for-cell, hand-worked
     # the named three rows, spelled out
     assert row_entries(lay, 1) == [(1, 1)]
-    r6 = lay.row_basis.index((1, 1, 1, 0))
+    r6 = lay.row_basis.index((1, 1, 1, 0)) + 1
     assert row_entries(lay, r6) == [(2, 3), (3, 2), (6, 1)]
-    r20 = lay.row_basis.index((0, 0, 0, 3))
+    r20 = lay.row_basis.index((0, 0, 0, 3)) + 1
     assert row_entries(lay, r20) == [(10, 4)]
     _report("criterion 2: 20x10 block table reproduced cell-for-cell", t0)
 

@@ -14,7 +14,6 @@ from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, 
                       parse_matrix, parse_monad)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
-from monadlab.monad import _SCREEN_PRIME
 from oracles import (bareiss_echelon, block_matrix, det_cofactor, echelon_gf_reference,
                      format_matrix_dense, format_monad_dense, is_prime_trial, kernel_oracle,
                      matmul_naive, scaled, unitriangular_det)
@@ -96,7 +95,7 @@ def test_mat_mul_matches_oracle_random(field):
 
 
 @pytest.mark.parametrize("inner", [1, 2, 16, 17, 33])
-@pytest.mark.parametrize("p", [2147483629, _SCREEN_PRIME])
+@pytest.mark.parametrize("p", [2147483629, next(exact._crt_primes())])
 def test_mat_mul_large_prime_chunking(p, inner):
     # dot products must not overflow int64: just below 2**31 the contraction
     # runs one inner index at a time, at the rational probe's screening prime
@@ -379,7 +378,7 @@ def test_kernel_basis_runs_only_gf_elimination(eliminations):
     assert kernel_oracle(ExactMatrix(QQ, rows)) == [[-2, Fraction(-1, 2), 1]]
 
 
-@pytest.mark.parametrize("p", [2147483629, _SCREEN_PRIME])
+@pytest.mark.parametrize("p", [2147483629, next(exact._crt_primes())])
 def test_kernel_basis_large_prime_chunking(p):
     # back-substitution multiplies each pivot row's tail by the rows below it
     # in _matmul_gf's chunks: one inner index at a time just below 2**31, 16 at

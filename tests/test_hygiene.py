@@ -4,6 +4,9 @@
 - ``__init__`` imports exactly the names in ``__all__``.
 - Every module-level private function, class or constant is referenced
   somewhere in ``src/monadlab``, not only where it is defined.
+- No module reads a ``_private`` attribute that it does not define itself,
+  apart from ``ExactMatrix``'s storage (``_a``, ``_wrap``) and
+  ``MonadData._memo``.
 """
 
 import ast
@@ -60,6 +63,35 @@ def _module_private_names(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names the module binds anywhere: functions, classes, assignment targets
+    (attributes such as ``self._x`` included) and annotated class fields."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+# ExactMatrix storage, read by every module that works on the raw array, and
+# the per-data memo that invariant.det_q fills
+SHARED_PRIVATE_ATTRIBUTES = {"_a", "_wrap", "_memo"}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_reads_another_modules_private_attribute(module):
+    tree = TREES[module]
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.startswith("__")}
+    foreign = sorted(read - _defined(tree) - SHARED_PRIVATE_ATTRIBUTES)
+    assert foreign == [], f"{module} reads private attributes {foreign} defined elsewhere"
 
 
 @pytest.mark.parametrize("module", [name for name in TREES if name != "__init__.py"])

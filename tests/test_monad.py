@@ -13,12 +13,14 @@ from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
                       parse_monad, quadratic_defect)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
 from monadlab import exact, monad
-from monadlab.monad import _SCREEN_PRIME, _draw_points
+from monadlab.monad import _draw_points
 
 from oracles import (block_matrix, distinct_points_pointwise, pairing_rows,
                      quadratic_defect_blockwise, rank_probe_pointwise, scaled)
 
 GF101 = GF(101)
+# the rational rank probe screens modulo the first CRT prime
+SCREEN_PRIME = next(exact._crt_primes())
 
 
 def zero_data(n, k, field=GF101):
@@ -241,9 +243,9 @@ def probe_cases(draw, fields=(GF(3), GF(7), GF(101), GF(2147483629), QQ)):
     density = draw(st.sampled_from([0.1, 0.3, 1.0]))
     # over Q: whether entries may be multiples of the screening prime, or have
     # it as a denominator (which the screen clears before reducing)
-    multiples = [_SCREEN_PRIME, -2 * _SCREEN_PRIME]
+    multiples = [SCREEN_PRIME, -2 * SCREEN_PRIME]
     nums = [-3, -2, -1, 1, 2, 3] + draw(st.sampled_from([[], multiples]))
-    dens = [1, 1, 2, 3] + draw(st.sampled_from([[], [], [_SCREEN_PRIME]]))
+    dens = [1, 1, 2, 3] + draw(st.sampled_from([[], [], [SCREEN_PRIME]]))
 
     def entry():
         if rng.random() >= density:
@@ -279,18 +281,19 @@ def test_max_rank_probe_matches_pointwise_oracle(case, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_residues_over_q_are_each_cleared_block_mod_the_screen_prime(seed):
-    # block i times the lcm of its denominators, entry by entry, mod _SCREEN_PRIME
+    # block i times the lcm of its denominators, entry by entry, mod SCREEN_PRIME
     rng = np.random.default_rng(seed)
     k, r, c = rng.integers(1, 5, size=3).tolist()
-    nums = rng.integers(-2 * _SCREEN_PRIME, 2 * _SCREEN_PRIME, size=(k, r, c)).tolist()
-    dens = rng.choice([1, 2, 3, 7, _SCREEN_PRIME + 2], size=(k, r, c)).tolist()
+    nums = rng.integers(-2 * SCREEN_PRIME, 2 * SCREEN_PRIME, size=(k, r, c)).tolist()
+    dens = rng.choice([1, 2, 3, 7, SCREEN_PRIME + 2], size=(k, r, c)).tolist()
     stack = [[[Fraction(x, y) for x, y in zip(*row)] for row in zip(*block)]
              for block in zip(nums, dens)]
     expected = []
     for block in stack:
         scale = math.lcm(*(x.denominator for row in block for x in row))
-        expected.append([[int(x * scale) % _SCREEN_PRIME for x in row] for row in block])
-    got = monad._residues(np.array(stack, dtype=object), QQ)
+        expected.append([[int(x * scale) % SCREEN_PRIME for x in row] for row in block])
+    q, got = monad._residues(np.array(stack, dtype=object), QQ)
+    assert q == SCREEN_PRIME
     assert got.dtype == np.int64 and got.tolist() == expected
 
 
@@ -299,11 +302,10 @@ def test_residues_over_q_are_each_cleared_block_mod_the_screen_prime(seed):
 def test_max_rank_probe_over_q_does_not_depend_on_the_screening_prime(case, seed):
     # full rank mod any prime implies full rank over Q, and every point the
     # screen fails gets the exact test in draw order, so the verdict is the same;
-    # the screen prime is the first CRT prime, so the two move together
+    # the screen reduces and eliminates modulo the first CRT prime
     d, j, trials, box = case
     expected = max_rank_probe(d, j, trials, seed, box=box)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(monad, "_SCREEN_PRIME", 2**31 - 1)
         m.setattr(exact, "_CRT_PRIMES", [2**31 - 1])
         assert max_rank_probe(d, j, trials, seed, box=box) == expected
 
@@ -364,7 +366,7 @@ def test_max_rank_probe_finds_rare_failure_past_the_first_batch():
     assert verdict == rank_probe_pointwise(d, j, 3000, 15)
 
 
-@pytest.mark.parametrize("entry", [Fraction(_SCREEN_PRIME), Fraction(1, _SCREEN_PRIME)])
+@pytest.mark.parametrize("entry", [Fraction(SCREEN_PRIME), Fraction(1, SCREEN_PRIME)])
 def test_max_rank_probe_over_q_rechecks_what_the_screen_cannot_decide(entry):
     # A(x) = entry * x has rank 1 over Q at every point; modulo the screening
     # prime it is zero (entry = q, which the exact test must overrule) or,
@@ -379,7 +381,7 @@ def test_max_rank_probe_over_q_screens_data_with_the_screening_prime_as_denomina
         monkeypatch):
     # A(x) = x / q for the screening prime q: clearing the denominator leaves
     # A(x) = x modulo q, so the screen decides every point on its own
-    d = MonadData(1, 1, QQ, (scaled(ExactMatrix.identity(QQ, 4), Fraction(1, _SCREEN_PRIME)),))
+    d = MonadData(1, 1, QQ, (scaled(ExactMatrix.identity(QQ, 4), Fraction(1, SCREEN_PRIME)),))
     j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, QQ)
 
     def exact_test(*args):

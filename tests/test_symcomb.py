@@ -8,7 +8,7 @@ import pytest
 from monadlab import (monomial_label, multiply_by_var, q_layout, layout_csv,
                       layout_table, sym_basis)
 from oracles import (KNOWN_COL_LABELS, KNOWN_LAYOUT_TRIPLES, KNOWN_ROW_LABELS,
-                     enum_monomials_brute, row_entries)
+                     enum_monomials_brute, layout_entries, layout_oracle, row_entries)
 
 GOLDEN = Path(__file__).parent / "golden" / "layout_n2_k4.txt"
 
@@ -53,10 +53,10 @@ def test_sym_basis_counts_and_order(k, d):
 
 def test_monomial_index_examples():
     s2 = sym_basis(4, 2)
-    assert s2.index((2, 0, 0, 0)) == 1
-    assert s2.index((0, 1, 1, 0)) == 6
+    assert s2.index((2, 0, 0, 0)) + 1 == 1
+    assert s2.index((0, 1, 1, 0)) + 1 == 6
     s3 = sym_basis(4, 3)
-    assert s3.index((0, 0, 0, 3)) == 20
+    assert s3.index((0, 0, 0, 3)) + 1 == 20
     with pytest.raises(ValueError):
         s2.index((1, 0, 0, 0))  # wrong degree
     with pytest.raises(ValueError):
@@ -77,19 +77,19 @@ def test_layout_examples_n2_k4():
     lay = q_layout(2, 4)
     assert (lay.block_rows, lay.block_cols) == (20, 10)
     assert row_entries(lay, 1) == [(1, 1)]
-    row = lay.row_basis.index((1, 1, 1, 0))  # the i_1 i_2 i_3 row
+    row = lay.row_basis.index((1, 1, 1, 0)) + 1  # the i_1 i_2 i_3 row
     assert row_entries(lay, row) == [
-        (lay.col_basis.index((1, 1, 0, 0)), 3),
-        (lay.col_basis.index((1, 0, 1, 0)), 2),
-        (lay.col_basis.index((0, 1, 1, 0)), 1),
+        (lay.col_basis.index((1, 1, 0, 0)) + 1, 3),
+        (lay.col_basis.index((1, 0, 1, 0)) + 1, 2),
+        (lay.col_basis.index((0, 1, 1, 0)) + 1, 1),
     ]
-    last = lay.row_basis.index((0, 0, 0, 3))
-    assert row_entries(lay, last) == [(lay.col_basis.index((0, 0, 0, 2)), 4)]
+    last = lay.row_basis.index((0, 0, 0, 3)) + 1
+    assert row_entries(lay, last) == [(lay.col_basis.index((0, 0, 0, 2)) + 1, 4)]
 
 
 def test_layout_matches_hand_worked_table():
     lay = q_layout(2, 4)
-    got = sorted((i, j, a) for (i, j), a in lay.entries.items())
+    got = sorted((i, j, a) for (i, j), a in layout_entries(lay).items())
     assert got == sorted(KNOWN_LAYOUT_TRIPLES)
 
 
@@ -98,12 +98,12 @@ def test_layout_matches_hand_worked_table():
 def test_layout_regularity(n, k):
     lay = q_layout(n, k)
     for j in range(1, lay.block_cols + 1):
-        entries = [(i, a) for (i, c), a in lay.entries.items() if c == j]
+        entries = [(i, a) for (i, c), a in layout_entries(lay).items() if c == j]
         assert len(entries) == k
         assert sorted(a for _, a in entries) == list(range(1, k + 1))
         assert len({i for i, _ in entries}) == k
     for i in range(1, lay.block_rows + 1):
-        eta = lay.row_basis.monomial(i)
+        eta = lay.row_basis[i - 1]
         divisors = sum(1 for e in eta if e > 0)
         assert len(row_entries(lay, i)) == divisors
 
@@ -111,10 +111,11 @@ def test_layout_regularity(n, k):
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 2)])
 def test_layout_round_trip(n, k):
     lay = q_layout(n, k)
+    entries = layout_entries(lay)
     for j, zeta in enumerate(lay.col_basis, start=1):
         for alpha in range(1, k + 1):
-            i = lay.row_basis.index(multiply_by_var(zeta, alpha))
-            assert lay.entry(i, j) == alpha
+            i = lay.row_basis.index(multiply_by_var(zeta, alpha)) + 1
+            assert entries.get((i, j)) == alpha
 
 
 def test_layout_errors():
@@ -130,3 +131,25 @@ def test_layout_table_golden_file():
 
 def test_layout_csv_small():
     assert layout_csv(q_layout(1, 2)) == "1,1,1\n2,1,2\n2,2,1\n3,2,2\n"
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_layout_table_and_renderers_match_the_oracle(n, k):
+    rows, cols, entries = layout_oracle(n, k)
+    lay = q_layout(n, k)
+    assert (list(lay.row_basis), list(lay.col_basis)) == (rows, cols)
+    expected = [[None] * k for _ in cols]
+    for (i, j), alpha in entries.items():
+        expected[j - 1][alpha - 1] = i - 1
+    assert lay.table.shape == (len(cols), k) and lay.table.tolist() == expected
+    # q_layout is memoised, so every caller shares this one table
+    assert not lay.table.flags.writeable
+    csv = "".join(f"{i},{j},{alpha}\n" for (i, j), alpha in sorted(entries.items()))
+    assert layout_csv(lay) == csv
+    header, *lines = layout_table(lay).splitlines()
+    assert header.split() == [monomial_label(m) for m in cols]
+    assert [line.split() for line in lines] == [
+        [monomial_label(eta)] + [f"M_{entries[(i, j)]}" if (i, j) in entries else "."
+                                 for j in range(1, len(cols) + 1)]
+        for i, eta in enumerate(rows, start=1)]
