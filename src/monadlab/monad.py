@@ -13,16 +13,18 @@ identically in x iff every symmetrised block product
     D_ab = M_a * J * M_b^t + (M_a * J * M_b^t)^t
 
 vanishes; those defects are what :func:`quadratic_defect` computes.  Maximal
-rank of A and B = A*J on all of projective space is probed at random points
-only: a passing probe is evidence, a failing point is a certificate.
+rank of A on all of projective space is probed at random points only: a
+passing probe is evidence, a failing point is a certificate.  The probe
+requires J to be nondegenerate, so B = A*J has A's rank at every point and
+needs no test of its own.
 
 The probe works on batches: it draws all its points as one integer array,
 evaluates A at every point with one product against [M_1 | ... | M_k],
-multiplies by J, and tests full row rank of the whole stack with one
-elimination modulo a prime q.  Over GF(p), q = p and the batch test is
-exact.  Over Q, q is the largest prime below 2**29 and the batch test is a
-screen on the data cleared of denominators: full rank mod q implies full
-rank over Q, and a point that fails it is tested again exactly.
+and tests full row rank of the whole stack with one elimination modulo a
+prime q.  Over GF(p), q = p and the batch test is exact.  Over Q, q is the
+largest prime below 2**29 and the batch test is a screen on the data cleared
+of denominators: full rank mod q implies full rank over Q, and a point that
+fails it is tested again exactly.
 Either way the first point in draw order that fails goes through
 :func:`evaluate_a` and exact elimination, so a counterexample is still an
 exact certificate, with exact field-element coordinates.
@@ -180,7 +182,7 @@ def _nonzero_defects(d: MonadData, kind: str) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class RankCounterexample:
     point: Point
-    which_map: str  # "alpha" (A drops rank) or "beta" (B does)
+    which_map: str  # always "alpha": A drops rank; B = A*J has A's rank for invertible J
     observed_rank: int
 
 
@@ -225,32 +227,31 @@ def _residues(a: np.ndarray, field: Field) -> tuple[int, np.ndarray]:
     return next(_crt_images(_cleared_rows(a.reshape(len(a), -1))[0], a.shape))
 
 
-def _screen_failures(d: MonadData, j: ExactMatrix, points: np.ndarray) -> Iterator[int]:
-    """Indices, in order, of the points where A(x) or B(x) = A(x) * J has
-    rank below k modulo q; lazily, one batch of points at a time.
+def _screen_failures(d: MonadData, points: np.ndarray) -> Iterator[int]:
+    """Indices, in order, of the points where A(x) has rank below k modulo q;
+    lazily, one batch of points at a time.
 
     q is p over GF(p), where this is the exact answer, and the first CRT
     prime over Q, where full rank mod q certifies full rank (a nonzero k x k
     minor mod q is nonzero over Q) and a failure only says the point needs the
     exact test.
-    Over Q each block and J are cleared of denominators first, which
-    multiplies each row of A(x) and of B(x) by a nonzero constant.
+    Over Q each block is cleared of denominators first, which multiplies each
+    row of A(x) by a nonzero constant.
     """
     q, stack = _residues(d.stack, d.field)
     stacked = _side_by_side(stack)  # row j of A(x) is x^t * M_j
-    jm = _residues(j._a[None], d.field)[1][0]
     for start in range(0, len(points), _PROBE_BATCH):
         x = points[start:start + _PROBE_BATCH] % q
-        a = _matmul_gf(x, stacked, q).reshape(-1, d.block_cols)  # A(x) of each point
-        b = _matmul_gf(a, jm, q)
-        full = _full_row_rank_gf(np.concatenate([a, b]).reshape(2 * len(x), d.k, -1), q)
-        yield from (start + np.flatnonzero(~(full[:len(x)] & full[len(x):]))).tolist()
+        a = _matmul_gf(x, stacked, q).reshape(len(x), d.k, -1)  # A(x) of each point
+        yield from (start + np.flatnonzero(~_full_row_rank_gf(a, q))).tolist()
 
 
 def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
                    box: int = 10) -> RankProbeVerdict:
-    """Check rank A(x) = rank B(x) = k at ``trials`` distinct random points.
+    """Check rank A(x) = k at ``trials`` distinct random points.
 
+    J must be nondegenerate, so B(x) = A(x) * J has the rank of A(x) and is
+    not tested; a singular J raises ``ValueError`` before any point is drawn.
     A returned counterexample is an exact certificate that the data fails the
     everywhere-maximal-rank requirement; ``ok`` is probabilistic evidence only.
     The points are screened in batches; only the screen's failures, in draw
@@ -259,17 +260,15 @@ def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_pairing(d, j)
+    if j.det() == 0:
+        raise ValueError("pairing is degenerate: det J = 0")
     rng = np.random.default_rng(seed)
     points = _draw_points(d.field, d.block_rows, rng, box, trials, 50 * trials + 100)
-    for i in _screen_failures(d, j, points):
+    for i in _screen_failures(d, points):
         x = Point.of(d.field, points[i].tolist())
-        a = evaluate_a(d, x)
-        ra = a.rank()
-        if ra != d.k:
-            return RankProbeVerdict(False, i + 1, RankCounterexample(x, "alpha", ra))
-        rb = (a @ j).rank()
-        if rb != d.k:
-            return RankProbeVerdict(False, i + 1, RankCounterexample(x, "beta", rb))
+        rank = evaluate_a(d, x).rank()
+        if rank != d.k:
+            return RankProbeVerdict(False, i + 1, RankCounterexample(x, "alpha", rank))
     return RankProbeVerdict(True, len(points))
 
 

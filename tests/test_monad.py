@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
                       Point, RankProbeVerdict, canonical_j, chern_coefficients,
                       defects_vanish, evaluate_a, format_monad, max_rank_probe,
-                      parse_monad, quadratic_defect)
+                      parse_monad, quadratic_defect, random_sl)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
 from monadlab import exact, monad
 from monadlab.monad import _draw_points
@@ -229,11 +229,14 @@ def test_max_rank_probe_deterministic():
 def probe_cases(draw, fields=(GF(3), GF(7), GF(101), GF(2147483629), QQ)):
     """Monad data, a pairing matrix J, trials and box for comparing rank probes.
 
-    Sparse blocks drop rank at some points, a block that is a multiple of
-    another drops it at every point (alpha), and a pairing matrix with zeroed
-    columns is singular (beta).  Over Q, entries may be multiples of the
-    screening prime or have it as a denominator; over GF(3) with n = 1 there
-    are only 80 distinct points, so larger trial counts hit the attempts cap.
+    Sparse blocks drop rank at some points, and a block that is a multiple of
+    another drops it at every point.  J is canonical, canonical times a random
+    unit-determinant matrix, canonical with one column times the screening
+    prime (invertible over Q, singular modulo that prime), or canonical with
+    zeroed columns, which is usually singular.  Over Q, entries may be
+    multiples of the screening prime or have it as a denominator; over GF(3)
+    with n = 1 there are only 80 distinct points, so larger trial counts hit
+    the attempts cap.
     """
     field = draw(st.sampled_from(fields))
     n = 1 if field.p == 3 else draw(st.integers(1, 2))
@@ -262,10 +265,17 @@ def probe_cases(draw, fields=(GF(3), GF(7), GF(101), GF(2147483629), QQ)):
         blocks[-1] = scaled(blocks[0], quotient)
     kind = draw(st.sampled_from([ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL]))
     j = canonical_j(kind, n, k, field)
-    if draw(st.booleans()):
+    change = draw(st.sampled_from(["canonical", "moved", "prime column", "zeroed columns"]))
+    if change == "moved":
+        j = j @ random_sl(field, cols, rng)
+    elif change == "prime column":
+        col = int(rng.integers(0, cols))
+        j = ExactMatrix(field, [[x * SCREEN_PRIME if c == col else x for c, x in enumerate(r)]
+                                for r in j.tolist()])
+    elif change == "zeroed columns":
         keep = rng.random(cols) < draw(st.sampled_from([0.2, 0.5]))
-        rows_j = [[x if keep[c] else 0 for c, x in enumerate(r)] for r in j.tolist()]
-        j = ExactMatrix(field, rows_j)
+        j = ExactMatrix(field, [[x if keep[c] else 0 for c, x in enumerate(r)]
+                                for r in j.tolist()])
     trials = draw(st.integers(1, 40) | st.integers(81, 120))
     box = draw(st.sampled_from([1, 2, 10]))
     return MonadData(n, k, field, tuple(blocks)), j, trials, box
@@ -274,9 +284,31 @@ def probe_cases(draw, fields=(GF(3), GF(7), GF(101), GF(2147483629), QQ)):
 @settings(max_examples=150, deadline=None)
 @given(case=probe_cases(), seed=st.integers(0, 2**32 - 1))
 def test_max_rank_probe_matches_pointwise_oracle(case, seed):
+    # the oracle also tests B = A * J, which for an invertible J adds nothing
     d, j, trials, box = case
+    if j.det() == 0:
+        with pytest.raises(ValueError, match="pairing is degenerate"):
+            max_rank_probe(d, j, trials, seed, box=box)
+        return
     expected = rank_probe_pointwise(d, j, trials, seed, box)
     assert max_rank_probe(d, j, trials, seed, box=box) == expected
+
+
+@pytest.mark.parametrize("field", [GF101, GF(2147483629), QQ], ids=str)
+@pytest.mark.parametrize("zeroed", ["all", "one column"])
+def test_max_rank_probe_rejects_a_degenerate_pairing(monkeypatch, field, zeroed):
+    # A(x) = x has rank 1 at every point; B(x) = x * J drops it where x * J = 0
+    eye = ExactMatrix.identity(field, 4)
+    d = MonadData(1, 1, field, (eye,))
+    rows = [[0] * 4 if zeroed == "all" else [0] + r[1:] for r in eye.tolist()]
+    j = ExactMatrix(field, rows)
+
+    def draw(*args):
+        raise AssertionError("a point was drawn for a degenerate pairing")
+
+    monkeypatch.setattr(monad, "_draw_points", draw)
+    with pytest.raises(ValueError, match="pairing is degenerate: det J = 0"):
+        max_rank_probe(d, j, trials=5, seed=0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -304,6 +336,10 @@ def test_max_rank_probe_over_q_does_not_depend_on_the_screening_prime(case, seed
     # screen fails gets the exact test in draw order, so the verdict is the same;
     # the screen reduces and eliminates modulo the first CRT prime
     d, j, trials, box = case
+    if j.det() == 0:
+        with pytest.raises(ValueError, match="pairing is degenerate"):
+            max_rank_probe(d, j, trials, seed, box=box)
+        return
     expected = max_rank_probe(d, j, trials, seed, box=box)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(exact, "_CRT_PRIMES", [2**31 - 1])
