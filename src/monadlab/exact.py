@@ -18,14 +18,18 @@ nonzero entry in the pivot column, and in them only the columns between the
 pivot row's first and last nonzero right of the pivot (George and Liu's
 envelope; Q's blocks leave most of a row zero).  Reduction is delayed: the
 updates accumulate in int64 and are reduced mod p only when one more could
-overflow (Dumas, Giorgi and Pernet, arXiv:cs/0601133).  Over the rationals
-``det``, ``rank`` and ``kernel_basis`` run it on the denominator-cleared
-rows modulo CRT primes: ``det`` by the CRT up to twice the Hadamard bound
-(for the random order-280 Q, 51 primes, about 0.6 s), ``kernel_basis`` by
-rational reconstruction of the joined modular kernels, checked exactly, and
-``rank`` as the pivot count of that verified kernel.  A matrix
-keeps its det and rank, never an echelon array; a nonzero det shows full
-rank, so ``rank`` after ``det`` eliminates again only when det is zero.
+overflow (Dumas, Giorgi and Pernet, arXiv:cs/0601133).  The GF(p) det
+first expands along every row with one nonzero in the columns left, round
+after round, and eliminates only the rest: the special family's Q, a
+permuted unitriangular matrix, is never eliminated.  Over the rationals
+``det``, ``rank`` and ``kernel_basis`` work on the denominator-cleared
+rows modulo CRT primes: ``det`` by the CRT on GF(p) dets up to twice the
+Hadamard bound (for the random order-280 Q, 51 primes, about 0.6 s),
+``kernel_basis`` by rational reconstruction of the joined modular kernels,
+checked exactly, and ``rank`` as the pivot count of that verified kernel.
+A matrix keeps its det and rank, never an echelon array; a nonzero det
+shows full rank, so ``rank`` after ``det`` eliminates again only when det
+is zero.
 """
 
 from __future__ import annotations
@@ -148,12 +152,13 @@ class Field:
         return _matmul_gf(a, b, self.p)
 
     def det(self, a: np.ndarray):
-        """Determinant of a square storage array: GF(p) elimination that stops
-        at the first column without a pivot, or over Q the Chinese remainder
-        theorem on such determinants."""
+        """Determinant of a square storage array: over GF(p) ``_det_gf``,
+        expansion along rows of one nonzero and then elimination of what is
+        left, stopped at the first column without a pivot; over Q the Chinese
+        remainder theorem on such determinants."""
         if self.p is None:
             return _det_qq(a)
-        return _echelon_gf(a, self.p, det_only=True)[2]
+        return _det_gf(a, self.p)
 
     def rank(self, a: np.ndarray) -> int:
         """GF(p) elimination's pivot count, or over Q the pivot count of the
@@ -308,7 +313,8 @@ class ExactMatrix:
     def det(self):
         """Exact determinant by :meth:`Field.det`, kept once computed; a nonzero
         one also gives the rank.  It is never read off the elimination ``rank``
-        runs, so over GF(p) ``rank`` then ``det`` eliminates twice."""
+        runs, so over GF(p) ``rank`` then ``det`` eliminates twice, unless
+        expansion along rows of one nonzero leaves ``det`` nothing to eliminate."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.shape} matrix")
         if self._det is None:
@@ -439,6 +445,67 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
     return a, pivots, det
 
 
+def _det_gf(a: np.ndarray, p: int) -> int:
+    """Determinant over GF(p) of a square array with canonical entries.
+
+    Laplace expansion comes first: every row with exactly one nonzero among
+    the columns still left is expanded along at once; its entry multiplies
+    the det and its row and column are dropped, round after round until no
+    such row is left.  A row left with no nonzero, or two rows expanded
+    along one column, make the det zero.  The rest, rows and columns in
+    their original order, goes to ``_echelon_gf``.  With the expanded rows
+    and their columns ordered first the matrix is block lower triangular,
+    so the sign is the parity of that row order times that of the column
+    order.  A permuted triangular matrix, such as the special family's Q,
+    is never eliminated; one with no such row is eliminated as it is.
+    """
+    nz = a != 0
+    count = nz.sum(axis=1)  # each row's nonzeros in the columns left
+    least = count.min(initial=2)  # a 0 x 0 array has no row to expand along
+    if least != 1:
+        return 0 if least == 0 else _echelon_gf(a, p, det_only=True)[2]
+    order = len(a)
+    rows_left = np.ones(order, dtype=bool)
+    cols_left = np.ones(order, dtype=bool)
+    col_of = np.empty(order, dtype=np.int64)  # the column paired with each row
+    det = 1
+    while True:
+        rows = np.flatnonzero(rows_left & (count == 1))
+        if not rows.size:
+            break
+        cols = (nz[rows] & cols_left).argmax(axis=1)
+        if np.bincount(cols, minlength=order).max() > 1:
+            return 0
+        for x in a[rows, cols].tolist():
+            det = det * x % p
+        rows_left[rows] = cols_left[cols] = False
+        col_of[rows] = cols
+        count -= nz[:, cols].sum(axis=1)
+        if not count[rows_left].all():
+            return 0
+    core_rows, core_cols = np.flatnonzero(rows_left), np.flatnonzero(cols_left)
+    if core_rows.size:
+        det = det * _echelon_gf(a[np.ix_(core_rows, core_cols)], p, det_only=True)[2] % p
+    col_of[core_rows] = core_cols
+    # sign(row order) * sign(column order) is the sign of the pairing
+    return det if _is_even(col_of.tolist()) else -det % p
+
+
+def _is_even(perm: list[int]) -> bool:
+    """Whether a permutation of range(len(perm)) is even: len(perm) minus
+    its number of cycles is even."""
+    seen = bytearray(len(perm))
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                j = perm[j]
+    return (len(perm) - cycles) % 2 == 0
+
+
 def _kernel_gf(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Pivot columns and right kernel basis over GF(p), the basis as the
     columns of an int64 array: for each free column f, 1 at f and 0 at the
@@ -558,7 +625,7 @@ def _det_qq(a: np.ndarray) -> Fraction:
     bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
     det, m = 0, 1
     for p, residues in _crt_images(rows, a.shape):
-        r = _echelon_gf(residues, p, det_only=True)[2]
+        r = _det_gf(residues, p)
         det += m * ((r - det) * pow(m, -1, p) % p)
         m *= p
         if m > 2 * bound:
@@ -581,6 +648,32 @@ def _rational(u: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
+def _lift(joined: np.ndarray, m: int) -> np.ndarray | None:
+    """``_rational`` of every entry of ``joined``, or None if one has none.
+
+    The entries of a kernel vector share a denominator, so each column keeps
+    the lcm d of the denominators found so far.  When d and u * d mod m, taken
+    in (-m/2, m/2], are both within the bound, u * d / d is the fraction Wang
+    would find (it is unique), and Euclid runs only for the other entries."""
+    bound = math.isqrt(m // 2)
+    lifted = np.empty(joined.shape, dtype=object)
+    for j, column in enumerate(joined.T.tolist()):
+        d = 1
+        for i, u in enumerate(column):
+            x = u * d % m
+            if x > m // 2:
+                x -= m
+            if d <= bound and abs(x) <= bound:
+                lifted[i, j] = Fraction(x, d)
+                continue
+            r = _rational(u, m)
+            if r is None:
+                return None
+            lifted[i, j] = r
+            d = math.lcm(d, r.denominator)
+    return lifted
+
+
 def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray]:
     """``_kernel_gf`` over Q: the cleared rows' kernels mod CRT primes, joined
     by the CRT and reconstructed (Monagan, ISSAC 2004).  A prime can lose or
@@ -598,12 +691,9 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray]:
             continue
         joined += m * ((vecs.astype(object) - joined) * pow(m, -1, p) % p)
         m *= p
-        lifted = list(itertools.takewhile(lambda x: x is not None,
-                                          (_rational(u, m) for u in joined.flat)))
-        if len(lifted) == joined.size:
-            basis = np.array(lifted, dtype=object).reshape(joined.shape)
-            if not basis.size or not _matmul_qq(a, basis).any():
-                return pivots, basis
+        basis = _lift(joined, m)
+        if basis is not None and (not basis.size or not _matmul_qq(a, basis).any()):
+            return pivots, basis
 
 
 # -- text format ------------------------------------------------------------------

@@ -1,0 +1,28 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from monadlab import exact
+
+
+class Elimination(str):
+    """A "gf" or "gf det" call, with the ``shape`` of the array it eliminated."""
+
+    shape: tuple
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The GF(p) eliminations run from here on, the only kind there is:
+    "gf" or "gf det", each with the shape of its array."""
+    calls = []
+    gf = exact._echelon_gf
+
+    def counting_gf(a, p, det_only):
+        call = Elimination("gf det" if det_only else "gf")
+        call.shape = a.shape
+        calls.append(call)
+        return gf(a, p, det_only)
+
+    monkeypatch.setattr(exact, "_echelon_gf", counting_gf)
+    return calls

@@ -14,9 +14,9 @@ from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, 
                       parse_matrix, parse_monad)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
-from oracles import (bareiss_echelon, block_matrix, det_cofactor, echelon_gf_reference,
-                     format_matrix_dense, format_monad_dense, is_prime_trial, kernel_oracle,
-                     matmul_naive, scaled, unitriangular_det)
+from oracles import (_permutation_sign, bareiss_echelon, block_matrix, det_cofactor,
+                     echelon_gf_reference, format_matrix_dense, format_monad_dense,
+                     is_prime_trial, kernel_oracle, matmul_naive, scaled, unitriangular_det)
 
 GF101 = GF(101)
 
@@ -276,6 +276,90 @@ def test_det_stops_at_zero_first_column():
         assert m.rank() == 2
 
 
+# -- GF(p) det: expansion along rows of one nonzero, then elimination ------------
+
+EXPANSION_FIELDS = [GF(3), GF101, GF(32003), QQ]
+
+
+@st.composite
+def expandable_matrices(draw):
+    """(matrix, det) for a square matrix with rows of one nonzero to expand
+    along: the rows and columns of [[L, 0], [X, C]] permuted, L lower
+    triangular with a nonzero diagonal, sparse below it, over a dense core
+    C.  The det is sign(row order) * sign(column order) * diag(L) * det C.
+    Or one row made zero, or two rows cut to one nonzero in one column:
+    then the det is 0."""
+    field = draw(st.sampled_from(EXPANSION_FIELDS))
+    t, c = draw(st.integers(0, 14)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["triangular", "zero row", "shared column"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = 9 if field.p is None else min(field.p - 1, 9)
+
+    def entry(nonzero=False):
+        x = int(rng.integers(1 if nonzero else 0, top + 1)) * int(rng.choice([-1, 1]))
+        return field.coerce(Fraction(x, int(rng.integers(1, 6))) if field.p is None else x)
+
+    n = t + c
+    density = rng.random()
+    b = [[field.coerce(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if i < t else n):
+            b[i][j] = entry() if i >= t or rng.random() < density else field.coerce(0)
+        if i < t:
+            b[i][i] = entry(nonzero=True)
+    rows, cols = rng.permutation(n).tolist(), rng.permutation(n).tolist()
+    a = [[b[i][j] for j in cols] for i in rows]
+    det = _permutation_sign(rows) * _permutation_sign(cols) * math.prod(b[i][i] for i in range(t))
+    det *= det_cofactor(ExactMatrix(field, [row[t:] for row in b[t:]]))
+    if kind == "zero row" and n:
+        a[int(rng.integers(0, n))] = [field.coerce(0)] * n
+        det = 0
+    elif kind == "shared column" and n >= 2:
+        i, k = rng.choice(n, size=2, replace=False).tolist()
+        j = int(rng.integers(0, n))
+        a[i], a[k] = [field.coerce(0)] * n, [field.coerce(0)] * n
+        a[i][j], a[k][j] = entry(nonzero=True), entry(nonzero=True)
+        det = 0
+    return ExactMatrix(field, a), field.coerce(det)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=expandable_matrices())
+def test_det_with_rows_of_one_nonzero_matches_the_oracles(case):
+    m, det = case
+    assert m.det() == det
+    if m.rows <= 7:
+        assert det == det_cofactor(m)
+    elif m.field.p is None:
+        assert det == bareiss_echelon(m)[2]
+    else:
+        assert det == echelon_gf_reference(m._a, m.field.p, True)[2]
+
+
+def test_det_eliminates_only_what_expansion_leaves(eliminations):
+    # a random Q has no row of one nonzero: it is eliminated as it is, with no
+    # gathered copy; a zero row, two rows of one nonzero in one column, or a
+    # row left with no nonzero once expansion has taken its columns, end the
+    # det before any elimination
+    field = GF(32003)
+    rng = np.random.default_rng(2)
+    blocks = tuple(ExactMatrix.random(field, 6, 10, rng) for _ in range(3))
+    q = build_q(MonadData(2, 3, field, blocks)).matrix
+    assert q.det() == echelon_gf_reference(q._a, field.p, True)[2] != 0
+    assert eliminations == ["gf det"] and eliminations[0].shape == q.shape
+    del eliminations[:]
+    for rows in ([[1, 2, 3], [0, 0, 0], [4, 5, 6]], [[0, 7, 0], [1, 2, 3], [0, 5, 0]],
+                 [[1, 0, 0], [0, 1, 0], [2, 3, 0]]):
+        for f in (field, QQ):
+            m = ExactMatrix(f, rows)
+            assert m.det() == 0 == det_cofactor(m)
+    assert eliminations == []
+    # one row of one nonzero leaves the 2 x 2 core in its original order
+    m = ExactMatrix(field, [[1, 2, 3], [0, 0, 5], [4, 5, 6]])
+    assert m.det() == det_cofactor(m) == 15
+    assert eliminations == ["gf det"] and eliminations[0].shape == (2, 2)
+
+
 # -- primes and the rational determinant by the Chinese remainder theorem --------
 
 
@@ -435,6 +519,26 @@ def test_kernel_basis_checks_its_reconstruction(eliminations):
     assert exact._rational(pow(3, -1, p1), p1) == Fraction(1, 3)
     assert columns(m.kernel_basis()) == [[Fraction(1 + 15 * p1, 3), 1]] == kernel_oracle(m)
     assert len(eliminations) > 1
+
+
+@pytest.mark.parametrize("dependent", [1, 2])
+def test_kernel_reconstruction_runs_euclid_once_per_denominator(monkeypatch, dependent):
+    # a kernel vector's entries share one denominator d: once Euclid has found
+    # it, every other entry is u * d mod m.  So at the prime that ends the loop
+    # Euclid runs about once per vector, not once per entry, and over all the
+    # primes fewer times than the kernel has entries
+    calls = []
+    rational, kernel_gf = exact._rational, exact._kernel_gf
+    monkeypatch.setattr(exact, "_rational", lambda u, m: calls.append("wang") or rational(u, m))
+    monkeypatch.setattr(exact, "_kernel_gf", lambda a, p: calls.append("prime") or kernel_gf(a, p))
+    rows = np.random.default_rng(dependent).integers(-10, 11, size=(30, 30))
+    rows[-dependent:] = rows[:dependent] + rows[dependent:2 * dependent]
+    m = ExactMatrix(QQ, rows.tolist())
+    basis = columns(m.kernel_basis())
+    assert basis == kernel_oracle(m) and len(basis) == dependent
+    last = calls[len(calls) - calls[::-1].index("prime"):]
+    assert 1 <= len(last) <= 2 * dependent
+    assert calls.count("wang") < 30 * dependent
 
 
 @settings(max_examples=200, deadline=None)
@@ -598,21 +702,6 @@ def test_kernel_basis_over_q_matches_bareiss_and_sympy(sympy_oracle, m):
 
 
 # -- the scalars an elimination leaves on the matrix ------------------------------
-
-
-@pytest.fixture
-def eliminations(monkeypatch):
-    """The GF(p) eliminations run from here on, the only kind there is:
-    "gf" or "gf det"."""
-    calls = []
-    gf = exact._echelon_gf
-
-    def counting_gf(a, p, det_only):
-        calls.append("gf det" if det_only else "gf")
-        return gf(a, p, det_only)
-
-    monkeypatch.setattr(exact, "_echelon_gf", counting_gf)
-    return calls
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])

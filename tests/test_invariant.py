@@ -17,8 +17,8 @@ import monadlab.exact
 import monadlab.invariant
 import monadlab.monad
 from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF,
-                      ORTHOGONAL_IDENTITY, QQ,
-                      ExactMatrix, MonadData, build_q, build_syzygy, det_q,
+                      ORTHOGONAL_IDENTITY, QQ, SYMPLECTIC_CANONICAL,
+                      ExactMatrix, MonadData, build_q, build_syzygy, canonical_j, det_q,
                       dimension_identity, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis,
                       orthogonal_verdict, q_layout, random_sl, transform_monad,
@@ -165,9 +165,11 @@ P31 = 2147483629
 
 
 @pytest.mark.parametrize("k", sorted(SPECIAL_DET_SIGNS))
-def test_special_family_q_is_permuted_unitriangular(k):
+def test_special_family_q_is_permuted_unitriangular(eliminations, k):
     # k = 1 stops at n = 24: its Q is the single block M_1, and the 605 dense
-    # ones up to order 1260 would cost seconds for no new pattern
+    # ones up to order 1260 would cost seconds for no new pattern.  Expansion
+    # along rows of one nonzero takes all of a permuted unitriangular Q, and
+    # all of either canonical pairing, so neither is ever eliminated
     signs = SPECIAL_DET_SIGNS[k]
     assert dimension_identity(len(signs) + 1, k)[0] > 1260 or len(signs) == 24
     for n, sign in enumerate(signs, start=1):
@@ -177,6 +179,9 @@ def test_special_family_q_is_permuted_unitriangular(k):
         det = unitriangular_det(q)
         assert det == (1 if sign == "+" else -1), (n, k)
         assert q.det() == field.coerce(det), (n, k)
+        for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
+            assert field.det(canonical_j(kind, n, k, field)._a) != 0
+    assert eliminations == []
 
 
 def test_unitriangular_det_matches_cofactor_oracle():
