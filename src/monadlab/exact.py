@@ -16,15 +16,16 @@ multiplied, and only the nonzero entries of the result become Fractions.
 There is one elimination, over GF(p): it touches only the rows with a
 nonzero entry in the pivot column, and in them only the columns between the
 pivot row's first and last nonzero right of the pivot (George and Liu's
-envelope; Q's blocks leave most of a row zero).  Reduction is delayed: the
-updates accumulate in int64 and are reduced mod p only when one more could
-overflow (Dumas, Giorgi and Pernet, arXiv:cs/0601133).  The GF(p) det
-first expands along every row with one nonzero in the columns left, round
-after round, and eliminates only the rest: the special family's Q, a
-permuted unitriangular matrix, is never eliminated.  Over the rationals
-``det``, ``rank`` and ``kernel_basis`` work on the denominator-cleared
-rows modulo CRT primes: ``det`` by the CRT on GF(p) dets up to twice the
-Hadamard bound (for the random order-280 Q, 51 primes, about 0.6 s),
+envelope; Q's blocks leave most of a row zero).  When int64 holds every
+update an entry can get, as at p = 32003, reduction is delayed: updates
+accumulate unreduced (Dumas, Giorgi and Pernet, arXiv:cs/0601133).
+Otherwise each update is reduced as it is made.  The GF(p) det first
+expands along every row with one nonzero in the columns left, round after
+round, and eliminates only the rest: the special family's Q, a permuted
+unitriangular matrix, is never eliminated.  Over the rationals ``det``,
+``rank`` and ``kernel_basis`` work on the denominator-cleared rows modulo
+CRT primes: ``det`` by the CRT on GF(p) dets up to twice the Hadamard
+bound (for the random order-280 Q, 49-50 primes, about 0.6 s),
 ``kernel_basis`` by rational reconstruction of the joined modular kernels,
 checked exactly, and ``rank`` as the pivot count of that verified kernel.
 A matrix keeps its det and rank, never an echelon array; a nonzero det
@@ -43,7 +44,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 _PRIME_LIMIT = 2**31
-# chunk the contraction axis so partial dot products stay below 2**62
+# int64 headroom for sums of products below p**2: ``_matmul_gf`` chunks its
+# sums to it, and ``_echelon_gf`` delays reduction only while updates fit in it
 _INT64_BUDGET = 2**62
 
 
@@ -364,19 +366,14 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
     pivot row with no such nonzero updates nothing, and only the pivot
     column of the rows below is cleared.
 
-    Delayed reduction: the rank-1 update subtracts factor * pivot row with
-    no ``% p``.  Both are canonical, so an update moves an entry by less than
-    p**2, and ``budget`` updates fit in int64 on top of a canonical entry
-    (about 9e9 at p = 32003, 8 just below 2**30, 2 just below 2**31).
-    ``pending`` counts updates since the trailing block was last canonical;
-    before the update that would exceed the budget the trailing block's
-    ``touched`` rows, the only ones an update has moved, are reduced.
-    Sooner than that, only what elimination reads is reduced:
-
-    - the stored nonzeros of the pivot column, since a nonzero multiple of
-      p is zero and must not become the pivot (when nothing is pending the
-      entries are canonical and this is skipped);
-    - the pivot row, if an update touched it since it was last canonical.
+    Reduction is decided once: an update moves an entry by less than p**2,
+    since the factor and the pivot row are canonical, and an entry gets at
+    most one per pivot.  When min(rows, cols) updates fit in
+    ``_INT64_BUDGET`` (``delayed``: at any size for p = 32003, up to order
+    16 at the CRT primes, order 1 just below 2**31) none is reduced, and
+    only what elimination reads is: the stored nonzeros of the pivot column,
+    since a nonzero multiple of p must not become the pivot, and the pivot
+    row.  Otherwise every update is reduced as it is made, and nothing on read.
 
     Entries that elimination makes zero are stored as exact zeros: the
     eliminated column of the updated rows, and pivot-column entries that
@@ -387,9 +384,7 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
     """
     a = a.copy()
     rows, cols = a.shape
-    budget = (2**63 - 1 - p) // p**2
-    pending = 0  # updates since the trailing block was last reduced
-    touched = np.zeros(rows, dtype=bool)  # rows updated since then
+    delayed = _INT64_BUDGET // p**2 >= min(rows, cols)
     pivots: list[int] = []
     det = 1
     for c in range(cols):
@@ -399,7 +394,7 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
         col = a[r:, c]
         nz = col.nonzero()[0]
         vals = col[nz]
-        if pending:
+        if delayed:
             vals %= p
             keep = vals.nonzero()[0]
             if keep.size < nz.size:
@@ -415,9 +410,8 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
             row = a[i, c:].copy()
             a[i, c:] = a[r, c:]
             a[r, c:] = row
-            touched[r], touched[i] = touched[i], touched[r]
             det = -det
-        if touched[r]:
+        if delayed:
             a[r, c:] %= p
         piv = int(vals[0])
         det = det * piv % p
@@ -425,11 +419,6 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
             span = a[r, c + 1:].nonzero()[0]
             if span.size:
                 lo, hi = c + 1 + int(span[0]), c + 2 + int(span[-1])
-                if pending == budget:
-                    stale = r + 1 + np.flatnonzero(touched[r + 1:])
-                    a[stale, c + 1:] %= p
-                    pending = 0
-                    touched[:] = False
                 # after the swap the rows below r with a nonzero in column c
                 # are exactly r + nz[1:]; every other row is left as it is.  A
                 # run of consecutive rows is updated through a view, with no gather
@@ -437,9 +426,10 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
                 if below[-1] - below[0] == below.size - 1:
                     below = slice(below[0], below[-1] + 1)
                 factors = vals[1:] * pow(piv, -1, p) % p
-                a[below, lo:hi] -= factors[:, None] * a[r, lo:hi]
-                pending += 1
-                touched[below] = True
+                if delayed:
+                    a[below, lo:hi] -= factors[:, None] * a[r, lo:hi]
+                else:
+                    a[below, lo:hi] = (a[below, lo:hi] - factors[:, None] * a[r, lo:hi]) % p
             col[nz[1:]] = 0
         pivots.append(c)
     return a, pivots, det
@@ -579,11 +569,11 @@ def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=object).reshape(prod.shape)
 
 
-# CRT primes: the largest primes below this bound, in descending order.  Of
-# 2**27 to 2**31 it gave the fastest order-280 det; its elimination budget is
-# 32 delayed updates, against 2 just below 2**31.  The rational rank probe
-# screens modulo the first of them, so ``_matmul_gf`` sums 16 residue products
-# per int64 step there (1 below 2**31).
+# CRT primes: the largest primes below this bound, in descending order.  From
+# 2**27 to 2**31 the order-280 det takes about as long (54 to 47 primes).  At
+# these primes elimination delays reduction up to order 16, and the rational
+# rank probe, which screens modulo the first of them, has ``_matmul_gf`` sum
+# 16 residue products per int64 step (1 below 2**31).
 _CRT_PRIME_TOP = 2**29
 _CRT_PRIMES: list[int] = []
 

@@ -957,7 +957,7 @@ def test_full_row_rank_gf_matches_rank(p, r, c, seed):
 
 # -- delayed reduction in GF(p) elimination against reduction at every step ------
 
-P30 = 2**30 - 35  # largest prime below 2**30: an overflow budget of 8 updates
+P30 = 2**30 - 35  # largest prime below 2**30: int64 headroom for 4 updates
 
 
 def assert_echelon_gf_matches_reference(a, p):
@@ -978,9 +978,10 @@ def assert_echelon_gf_matches_reference(a, p):
        kind=st.sampled_from(["dense", "sparse", "product", "repeats", "staircase"]),
        seed=st.integers(0, 2**32 - 1))
 def test_echelon_gf_matches_reference(p, rows, cols, kind, seed):
-    # budgets: 1e18 / 9e14 / 9e9 / 8 / 2 updates, so at the two largest primes
-    # the trailing block is reduced mid-elimination; products and repeated
-    # rows cancel to nonzero multiples of p that must not become pivots
+    # headroom: 5e17 / 4.5e14 / 4.5e9 / 4 / 1 updates, so at the two largest
+    # primes most shapes reduce every update as it is made and the rest delay
+    # reduction; products and repeated rows cancel to nonzero multiples of p
+    # that must not become pivots
     field = GF(p)
     rng = np.random.default_rng(seed)
     a = field.sample(rng, (rows, cols), 0)
@@ -1006,9 +1007,32 @@ def test_echelon_gf_matches_reference(p, rows, cols, kind, seed):
     assert_echelon_gf_matches_reference(a, p)
 
 
+def _max_growth_lu(rows, cols, p):
+    # L * U with unit pivots and every multiplier and pivot-row entry p - 1:
+    # each update elimination makes moves an entry by (p - 1)**2, the most it can
+    s = min(rows, cols)
+    lower = np.tril(np.full((rows, s), p - 1, dtype=np.int64), -1)
+    upper = np.triu(np.full((s, cols), p - 1, dtype=np.int64), 1)
+    lower[range(s), range(s)] = upper[range(s), range(s)] = 1
+    return exact._matmul_gf(lower, upper, p)
+
+
+@pytest.mark.parametrize("p,headroom", [(P30, 4), (next(exact._crt_primes()), 16),
+                                        (2147483629, 1)])
+def test_echelon_gf_on_both_sides_of_the_delayed_reduction_switch(p, headroom):
+    # reduction is delayed up to min(rows, cols) = headroom and made at every
+    # update one above it; square, wide and tall shapes on both sides
+    assert exact._INT64_BUDGET // p**2 == headroom
+    rng = np.random.default_rng(headroom)
+    for s in (headroom, headroom + 1):
+        for rows, cols in ((s, s), (s, s + 3), (s + 3, s)):
+            assert_echelon_gf_matches_reference(_max_growth_lu(rows, cols, p), p)
+            assert_echelon_gf_matches_reference(GF(p).sample(rng, (rows, cols), 0), p)
+
+
 def test_echelon_gf_matches_reference_on_filled_in_q():
     # random blocks fill Q in during elimination: hundreds of updates reach the
-    # same entries, so the budget of 8 forces many reductions of the trailing block
+    # same entries, far above the headroom of 4, so each is reduced as it is made
     field = GF(P30)
     rng = np.random.default_rng(7)
     blocks = tuple(ExactMatrix.random(field, 8, 14, rng) for _ in range(4))
@@ -1018,9 +1042,8 @@ def test_echelon_gf_matches_reference_on_filled_in_q():
 
 
 def test_echelon_gf_matches_reference_on_special_q_near_2_31():
-    # the banded special family at order 1260 just below 2**31, a budget of 2
-    # updates: the trailing block is reduced about every other update, each
-    # time through the rows an update touched and no others
+    # the banded special family at order 1260 just below 2**31, a headroom of
+    # 1 update: each update is reduced as it is made
     p = 2147483629
     data = gen_special_symplectic(4, 5, GF(p), probe_trials=1, compute_det=False).data
     q = build_q(data).matrix

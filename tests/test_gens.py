@@ -44,6 +44,40 @@ def test_special_symplectic_banded_halves():
             assert rows[n + 1 + c] == y_row
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, 7)])
+def test_special_symplectic_has_max_rank_at_every_point(n, k):
+    # A(x)[j, col] = sum_r coords[r] * M_j[r, col]; each column of each block
+    # holds at most one 1, so each entry of A(x) is a single coordinate or 0
+    field, half = GF(101), n + k
+    stack = np.array([b.tolist() for b in gens._special_blocks(n, k, field)])
+    assert set(np.unique(stack)) <= {0, 1} and (stack.sum(axis=1) <= 1).all()
+    coord = np.where(stack.any(axis=1), stack.argmax(axis=1), -1)  # (k, 2 * half)
+    j, col = np.arange(k)[:, None], np.arange(half)
+    band = np.where((col >= j) & (col - j <= n), col - j, -1)
+    # entry (j, t + i) of the x band is x_{t+i-j}; the y band is the same in
+    # the y coordinates with its columns reversed
+    assert coord[:, :half].tolist() == band.tolist()
+    assert coord[:, ::-1][:, :half].tolist() == np.where(band < 0, -1, n + 1 + band).tolist()
+    # so if x_t is the first nonzero x coordinate, the k x k block on columns
+    # t..t+k-1 is upper triangular with x_t on its diagonal and A(x) has rank
+    # k; if every x vanishes, the same holds for the first nonzero y_t
+    for t in range(n + 1):
+        minor = band[:, t:t + k]
+        assert (np.diag(minor) == t).all()
+        assert (minor[np.tril_indices(k, -1)] < t).all()  # no coordinate, or x_0..x_{t-1}
+    # A(x) itself at points whose first nonzero coordinate is x_t or y_t
+    data = MonadData(n, k, field, tuple(ExactMatrix(field, b.tolist()) for b in stack))
+    rng = np.random.default_rng(n * 7 + k)
+    for first in range(2 * n + 2):
+        coords = rng.integers(0, 101, size=2 * n + 2)
+        coords[:first] = 0
+        coords[first] = rng.integers(1, 101)
+        a = np.array(evaluate_a(data, Point.of(field, coords.tolist())).tolist())
+        t = first % (n + 1)
+        minor = (a[:, ::-1] if first > n else a)[:, t:t + k]
+        assert (np.triu(minor) == minor).all() and (np.diag(minor) == coords[first]).all()
+
+
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (1, 3)])
 def test_special_symplectic_quadratic_identity(n, k):
     # defects vanish as matrices, hence A J A^t = 0 at every sampled point

@@ -7,9 +7,14 @@
 - No module reads a ``_private`` attribute that it does not define itself,
   apart from ``ExactMatrix``'s storage (``_a``, ``_wrap``) and
   ``MonadData._memo``.
+- Every private name that a docstring or comment quotes in double
+  backticks is defined somewhere in ``src/monadlab``.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -115,3 +120,27 @@ def test_every_module_private_name_is_referenced():
     orphans = [f"{module}: {name}" for module, tree in TREES.items()
                for name in _module_private_names(tree) if name not in referenced]
     assert orphans == []
+
+
+def _docs_and_comments(path: Path, tree: ast.Module) -> list[str]:
+    """The module's docstrings, of itself, its classes and its functions, and
+    its comments."""
+    nodes = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    texts = [doc for doc in map(ast.get_docstring, nodes) if doc]
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return texts + [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+
+
+# a private name in double backticks, alone or after a dot, as in ``exact._lift``
+_QUOTED = re.compile(r"``([^`]+)``")
+_PRIVATE = re.compile(r"(?<!\w)_(?!_)\w+")
+
+
+def test_every_quoted_private_name_is_defined():
+    defined = set().union(*map(_defined, TREES.values()))
+    stale = sorted({f"{path.name}: {name}" for path in MODULES
+                    for text in _docs_and_comments(path, TREES[path.name])
+                    for quoted in _QUOTED.findall(text)
+                    for name in _PRIVATE.findall(quoted) if name not in defined})
+    assert stale == [], f"docstrings or comments quote undefined private names: {stale}"
