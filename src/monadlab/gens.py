@@ -5,12 +5,18 @@ Every generator re-verifies its own claims before returning, the isotropic
 one through :func:`orthogonal_verdict`; a failed self-check raises
 :class:`GeneratorError` and is never an accepted outcome.  The search draws
 its trials as the isotropic generator does, but tabulates instead of raising.
+
+Random draws are batched: each kind of draw (block coefficients, transvection
+triples) is one ``rng.integers`` call for all the values it needs, which
+consumes the stream as one scalar draw per value in the same order would.
+So a seed keeps its data whatever the batch size.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,16 +39,41 @@ class GeneratorReport:
 
 
 def random_sl(field: Field, size: int, rng: np.random.Generator) -> ExactMatrix:
-    """Unit-determinant matrix built as a product of 3 * size random transvections."""
-    a = ExactMatrix.identity(field, size)._a.copy()
-    for _ in range(3 * size):
-        i = int(rng.integers(0, size))
-        j = int(rng.integers(0, size - 1))
-        if j >= i:
-            j += 1
-        lam = field.sample(rng, None, 3)
-        a[i] = field.reduce(a[i] + lam * a[j])
-    return ExactMatrix._wrap(field, a)
+    """Unit-determinant matrix built as a product of 3 * size random transvections,
+    whose triples are one draw that consumes the stream as one scalar draw per
+    value would.  Sizes 0 and 1 give the identity and draw nothing."""
+    return ExactMatrix._wrap(field, _random_sl_arrays(field, size, 1, rng)[0])
+
+
+def _random_sl_arrays(field: Field, size: int, count: int,
+                      rng: np.random.Generator) -> list[np.ndarray]:
+    """``count`` storage arrays of :func:`random_sl`, as that many calls would
+    draw them, from one ``rng.integers`` call on tiled bounds: transvection
+    (i, j, lambda) adds lambda times row j != i to row i, lambda in GF(p) or
+    in [-3, 3] over Q.  Rows are int lists, reduced mod p at each update;
+    over Q the entries are integers until the end."""
+    if size < 0:
+        raise ValueError("need size >= 0")
+    p = field.p
+    steps = [[]] * count
+    if size > 1:
+        lam_low, lam_high = (0, p) if p is not None else (-3, 4)
+        steps = rng.integers((0, 0, lam_low), (size, size - 1, lam_high),
+                             size=(count, 3 * size, 3)).tolist()
+    eye = [[int(r == c) for c in range(size)] for r in range(size)]
+    arrays = []
+    for triples in steps:
+        a = [row[:] for row in eye]
+        for i, j, lam in triples:
+            j += j >= i
+            if p is None:
+                a[i] = [x + lam * y for x, y in zip(a[i], a[j])]
+            else:
+                a[i] = [(x + lam * y) % p for x, y in zip(a[i], a[j])]
+        if p is None:
+            a = [[Fraction(x) for x in row] for row in a]
+        arrays.append(field.array(a, size))
+    return arrays
 
 
 def transform_monad(d: MonadData, on_w: ExactMatrix | None = None,
@@ -164,29 +195,36 @@ def _sum_of_squares_minus_one(p: int) -> tuple[int, int]:
 
 
 def _blocks_in_span(n: int, k: int, span: ExactMatrix,
-                    rng: np.random.Generator) -> tuple[ExactMatrix, ...]:
-    """Random blocks whose rows are combinations of the span's rows."""
-    return tuple(ExactMatrix.random(span.field, 2 * n + 2, span.rows, rng) @ span
-                 for _ in range(k))
+                    rng: np.random.Generator) -> np.ndarray:
+    """k random blocks whose rows are combinations of the span's rows, as one
+    (k, 2n+2, cols) array: one draw of all their coefficients, consuming the
+    stream as k draws of one block's would, and one product."""
+    field = span.field
+    coeffs = field.sample(rng, (k * (2 * n + 2), span.rows), 10)
+    return field.matmul(coeffs, span._a).reshape(k, 2 * n + 2, span.cols)
 
 
 def _isotropic_data(n: int, k: int, span: ExactMatrix, seed: int,
                     perturbed: bool) -> MonadData:
     """The first draw of :func:`_blocks_in_span` from ``seed`` with a nonzero
-    block; if ``perturbed``, moved by row operations inside the span, which
-    keep every product M_a * M_b^t zero."""
+    block; if ``perturbed``, each block M_a becomes g_a M_a + mix_a, row
+    operations inside the span that keep every M_a * M_b^t zero.  From
+    ``seed + 0x5EED`` the stack mix is drawn first, then the k matrices g of
+    :func:`random_sl` in one call, so a seed keeps its data."""
+    field = span.field
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        blocks = _blocks_in_span(n, k, span, rng)
-        if not all(b.is_zero() for b in blocks):
+        stack = _blocks_in_span(n, k, span, rng)
+        if stack.any():
             break
     else:
         raise GeneratorError("could not draw nonzero blocks")
     if perturbed:
         rng = np.random.default_rng(seed + 0x5EED)
-        blocks = tuple(random_sl(span.field, 2 * n + 2, rng) @ b + mix
-                       for b, mix in zip(blocks, _blocks_in_span(n, k, span, rng)))
-    return MonadData(n, k, span.field, blocks)
+        mix = _blocks_in_span(n, k, span, rng)
+        sl = _random_sl_arrays(field, 2 * n + 2, k, rng)
+        stack = field.reduce(np.array([field.matmul(g, b) for g, b in zip(sl, stack)]) + mix)
+    return MonadData(n, k, field, tuple(ExactMatrix._wrap(field, b) for b in stack))
 
 
 def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int) -> GeneratorReport:

@@ -9,6 +9,7 @@ from one draw and one exact test per point, GF(p) echelon forms and kernels
 from elimination that reduces every entry at every step, primality from trial
 division, 0/1 determinants from a triangular order, Q entry by entry from
 the monomial bases with plain loops, block mixes as sums of scaled blocks,
+random SL matrices and isotropic trial data from one scalar draw per value,
 and the 20x10 block table for n=2, k=4 was worked out by hand from the
 single-variable multiplication rule.
 """
@@ -18,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from monadlab import (ORTHOGONAL_IDENTITY, ExactMatrix, Point, RankCounterexample,
-                      RankProbeVerdict, evaluate_a)
+from monadlab import (ORTHOGONAL_IDENTITY, ExactMatrix, GeneratorError, MonadData, Point,
+                      RankCounterexample, RankProbeVerdict, evaluate_a)
 
 
 def det_cofactor(m: ExactMatrix):
@@ -437,3 +438,47 @@ def _permutation_sign(perm: list[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+# The sequential isotropic trial path: one scalar draw per value, one product
+# per block.  The library draws each kind of value in one call and must give
+# the same data from the same seed.
+
+
+def random_sl_sequential(field, size: int, rng: np.random.Generator) -> ExactMatrix:
+    """Unit-determinant matrix built as a product of 3 * size random transvections."""
+    a = ExactMatrix.identity(field, size)._a.copy()
+    for _ in range(3 * size):
+        i = int(rng.integers(0, size))
+        j = int(rng.integers(0, size - 1))
+        if j >= i:
+            j += 1
+        lam = field.sample(rng, None, 3)
+        a[i] = field.reduce(a[i] + lam * a[j])
+    return ExactMatrix._wrap(field, a)
+
+
+def blocks_in_span_sequential(n: int, k: int, span: ExactMatrix,
+                              rng: np.random.Generator) -> tuple[ExactMatrix, ...]:
+    """Random blocks whose rows are combinations of the span's rows."""
+    return tuple(ExactMatrix.random(span.field, 2 * n + 2, span.rows, rng) @ span
+                 for _ in range(k))
+
+
+def isotropic_data_sequential(n: int, k: int, span: ExactMatrix, seed: int,
+                              perturbed: bool) -> MonadData:
+    """The first draw of :func:`blocks_in_span_sequential` from ``seed`` with a
+    nonzero block; if ``perturbed``, moved by row operations inside the span,
+    which keep every product M_a * M_b^t zero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        blocks = blocks_in_span_sequential(n, k, span, rng)
+        if not all(b.is_zero() for b in blocks):
+            break
+    else:
+        raise GeneratorError("could not draw nonzero blocks")
+    if perturbed:
+        rng = np.random.default_rng(seed + 0x5EED)
+        blocks = tuple(random_sl_sequential(span.field, 2 * n + 2, rng) @ b + mix
+                       for b, mix in zip(blocks, blocks_in_span_sequential(n, k, span, rng)))
+    return MonadData(n, k, span.field, blocks)

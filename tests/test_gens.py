@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monadlab import gens
 from monadlab import (GF, QQ, ExactMatrix, GeneratorError, MonadData,
                       ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, build_q, canonical_j, det_q,
                       evaluate_a, format_monad, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
-                      Point, quadratic_defect, search_orthogonal, transform_monad,
+                      Point, quadratic_defect, random_sl, search_orthogonal, transform_monad,
                       verify_syzygy)
 
-from oracles import matmul_naive, mix_blocks_sum, scaled
+from oracles import (isotropic_data_sequential, matmul_naive, mix_blocks_sum,
+                     random_sl_sequential, scaled)
 
 
 def test_special_symplectic_n1_k1_structure():
@@ -221,6 +223,69 @@ def test_isotropic_candidates_have_rank_q_at_most_half_its_order(n, k):
                  gens._isotropic_data(n, k, span, 0, perturbed=True)):
         q = build_q(data).matrix
         assert 2 * q.rank() <= q.rows
+
+
+# Both residues of p mod 4 reach isotropic_basis.  Near 2**31 _matmul_gf
+# sums one product per int64 step; there the perturbed trials' products
+# with random SL matrices would overflow a plain int64 product.
+TRIAL_PRIMES = [5, 7, 13, 101, 32003, 2147483629, 2147483647]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(TRIAL_PRIMES), n=st.integers(1, 3), k=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), perturbed=st.booleans())
+@example(p=5, n=1, k=1, seed=0, perturbed=True)
+@example(p=7, n=2, k=1, seed=1, perturbed=True)
+@example(p=13, n=3, k=4, seed=2, perturbed=True)
+@example(p=101, n=2, k=4, seed=3, perturbed=False)
+@example(p=32003, n=1, k=2, seed=4, perturbed=True)
+@example(p=2147483629, n=3, k=4, seed=5, perturbed=True)
+@example(p=2147483647, n=2, k=3, seed=6, perturbed=True)
+def test_isotropic_data_equals_one_scalar_draw_per_value(p, n, k, seed, perturbed):
+    # the batched draws and the single block product give, entry for entry,
+    # the data of one scalar draw per value and one product per block
+    span = isotropic_basis(GF(p), 2 * n + 2 * k)
+    data = gens._isotropic_data(n, k, span, seed, perturbed)
+    expected = isotropic_data_sequential(n, k, span, seed, perturbed)
+    assert data.stack.dtype == expected.stack.dtype
+    assert data.stack.tolist() == expected.stack.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from([QQ] + [GF(p) for p in TRIAL_PRIMES]), size=st.integers(2, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(field=QQ, size=2, seed=0)
+@example(field=GF(2147483647), size=8, seed=0)
+def test_random_sl_equals_one_scalar_draw_per_value(field, size, seed):
+    # the stream after the call matches too: a numpy that consumed it
+    # differently for array bounds would fail here first
+    rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    m = random_sl(field, size, rng)
+    expected = random_sl_sequential(field, size, expected_rng)
+    assert m._a.dtype == expected._a.dtype
+    assert m.tolist() == expected.tolist()
+    assert [type(x) for x in m._a.ravel()] == [type(x) for x in expected._a.ravel()]
+    assert rng.integers(0, 2**62) == expected_rng.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ])
+def test_random_sl_of_size_0_and_1_draws_nothing(field):
+    rng = np.random.default_rng(9)
+    assert random_sl(field, 1, rng).tolist() == [[1]]
+    assert random_sl(field, 0, rng).shape == (0, 0)
+    assert rng.integers(0, 2**62) == np.random.default_rng(9).integers(0, 2**62)
+
+
+@pytest.mark.parametrize("size", [-1, -5])
+def test_random_sl_rejects_a_negative_size(size):
+    with pytest.raises(ValueError, match="need size >= 0"):
+        random_sl(GF(101), size, np.random.default_rng(0))
+
+
+def test_size_1_block_mix_keeps_det_q():
+    data = gen_special_symplectic(1, 1, GF(101), probe_trials=5).data
+    c = random_sl(GF(101), 1, np.random.default_rng(0))
+    assert det_q(transform_monad(data, on_i=c)) == det_q(data) != 0
 
 
 def test_isotropic_candidate_always_fails_some_requirement():
