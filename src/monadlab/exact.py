@@ -284,12 +284,6 @@ class ExactMatrix:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
         return ExactMatrix._wrap(self.field, self.field.matmul(self._a, other._a))
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        _check_same_field(self, other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return ExactMatrix._wrap(self.field, self.field.reduce(self._a + other._a))
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._wrap(self.field, self._a.T.copy())
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import GF, ExactMatrix, Field
-from .invariant import DET_ZERO_BY_SYZYGY, det_q, orthogonal_verdict
+from .invariant import DEFECT_NONZERO, DET_ZERO_BY_SYZYGY, det_q, orthogonal_verdict
 from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
                     RankProbeVerdict, _nonzero_defects, _side_by_side, canonical_j, max_rank_probe)
 
@@ -233,7 +233,7 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int) -> GeneratorRepo
     All block rows are drawn from one totally isotropic subspace, so every
     product M_a * M_b^t vanishes outright, which is stronger than the
     symmetrised conditions.  The data must pass :func:`orthogonal_verdict`
-    as excluded by the syzygy, which computes the determinant exactly.
+    as excluded by the syzygy, whose product Q*S = 0 proves det Q = 0.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -244,7 +244,7 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int) -> GeneratorRepo
         raise GeneratorError(f"isotropic construction failed its verdict: {verdict.message}")
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
     probe = max_rank_probe(data, form, _ISOTROPIC_PROBE_TRIALS, seed)
-    return GeneratorReport(data, True, probe, 0)  # the verdict found det Q = 0
+    return GeneratorReport(data, True, probe, 0)  # the verdict's Q*S = 0 proves det Q = 0
 
 
 # -- orthogonal search harness -----------------------------------------------------------
@@ -293,8 +293,10 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
         trial_seed = seed + t
         perturbed = t % 2 == 1
         data = _isotropic_data(n, k, span, trial_seed, perturbed)
-        defects_ok = not _nonzero_defects(data, ORTHOGONAL_IDENTITY)
-        det = det_q(data)
+        verdict = orthogonal_verdict(data)
+        # Q is eliminated only when a defect is nonzero and no certificate exists
+        det_q_zero = verdict.excluded or det_q(data) == 0
         probe = max_rank_probe(data, form, _ISOTROPIC_PROBE_TRIALS, trial_seed)
-        rows.append(TrialRow(trial_seed, perturbed, defects_ok, det == 0, not probe.ok))
+        rows.append(TrialRow(trial_seed, perturbed, verdict.status != DEFECT_NONZERO,
+                             det_q_zero, not probe.ok))
     return SearchSummary(tuple(rows))

@@ -11,8 +11,9 @@ zero rows of S.  Row block i of Q*S equals M_a*M_b^t + M_b*M_a^t (or
 M_a*M_a^t on the diagonal) for the rows indexed by monomials i_1^{n-1} i_a i_b,
 and vanishes identically elsewhere: only these k(k+1)/2 row blocks are
 multiplied.  Hence when the identity-pairing quadratic conditions hold,
-Q*S = 0 with S != 0 and Q is singular.
-:func:`orthogonal_verdict` packages that chain of implications.
+Q*S = 0 with S != 0 and Q is singular over any field.
+:func:`orthogonal_verdict` packages that chain of implications: the product
+Q*S it checks is the certificate, and Q itself is never eliminated there.
 """
 
 from __future__ import annotations
@@ -136,9 +137,10 @@ def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
     """Executable form of the non-existence argument for one candidate.
 
     If the identity-pairing quadratic conditions hold and the syzygy is
-    nonzero, the determinant is computed exactly and must be zero, so the
-    candidate fails the non-degeneracy requirement and cannot define an
-    instanton bundle.  Otherwise the violated condition is reported.
+    nonzero, the residual Q*S of :func:`verify_syzygy` must be zero, which
+    proves det Q = 0 without eliminating Q, so the candidate fails the
+    non-degeneracy requirement and cannot define an instanton bundle.
+    Otherwise the violated condition is reported.
     """
     if d.is_zero():
         return OrthogonalVerdict(DEGENERATE, "degenerate: A = 0, never of maximal rank")
@@ -147,8 +149,7 @@ def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
         a, b = bad[0]
         return OrthogonalVerdict(DEFECT_NONZERO, "orthogonal conditions violated at "
                                  f"(alpha,beta)=({a},{b})")
-    det = det_q(d)
-    if det != 0:
+    if not verify_syzygy(d).residual_is_zero:
         raise RuntimeError("syzygy argument violated: quadratic conditions hold "
-                           f"but det = {det}; this is a bug")
+                           "but Q*S != 0; this is a bug")
     return OrthogonalVerdict(DET_ZERO_BY_SYZYGY, "not an instanton: det Q = 0 by syzygy")

@@ -125,6 +125,12 @@ def scaled(m: ExactMatrix, s) -> ExactMatrix:
     return ExactMatrix(m.field, [[s * x for x in row] for row in m.tolist()])
 
 
+def summed(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a + b, entry by entry, through the public constructor."""
+    return ExactMatrix(a.field, [[x + y for x, y in zip(r, s)]
+                                 for r, s in zip(a.tolist(), b.tolist(), strict=True)])
+
+
 def block_of(m: ExactMatrix, i: int, j: int, rows: int, cols: int) -> ExactMatrix:
     """Block (i, j), 0-based, of m's partition into rows x cols blocks."""
     return ExactMatrix(m.field, [row[j * cols:(j + 1) * cols]
@@ -185,7 +191,7 @@ def quadratic_defect_blockwise(d, j: ExactMatrix) -> list:
         for b in range(a, d.k):
             mj = ExactMatrix(d.field, matmul_naive(d.blocks[a], j))
             x = ExactMatrix(d.field, matmul_naive(mj, d.blocks[b].transpose()))
-            out.append((a + 1, b + 1, x + x.transpose()))
+            out.append((a + 1, b + 1, summed(x, x.transpose())))
     return out
 
 
@@ -250,7 +256,7 @@ def mix_blocks_sum(c: ExactMatrix, blocks) -> list[ExactMatrix]:
     for a in range(c.rows):
         mix = scaled(blocks[0], c[a, 0])
         for j in range(1, c.cols):
-            mix = mix + scaled(blocks[j], c[a, j])
+            mix = summed(mix, scaled(blocks[j], c[a, j]))
         out.append(mix)
     return out
 
@@ -479,6 +485,6 @@ def isotropic_data_sequential(n: int, k: int, span: ExactMatrix, seed: int,
         raise GeneratorError("could not draw nonzero blocks")
     if perturbed:
         rng = np.random.default_rng(seed + 0x5EED)
-        blocks = tuple(random_sl_sequential(span.field, 2 * n + 2, rng) @ b + mix
+        blocks = tuple(summed(random_sl_sequential(span.field, 2 * n + 2, rng) @ b, mix)
                        for b, mix in zip(blocks, blocks_in_span_sequential(n, k, span, rng)))
     return MonadData(n, k, span.field, blocks)

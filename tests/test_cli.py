@@ -1,5 +1,6 @@
 """CLI subcommands: output, exit codes, round trips, golden layout."""
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -198,12 +199,14 @@ def test_runtime_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     iso = tmp_path / "iso.mnd"
     assert run(["gen", "isotropic", "--n", "1", "--k", "2", "--out", str(iso)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(monadlab.invariant, "det_q", lambda d: 1)
+    syzygy = monadlab.invariant.verify_syzygy
+    monkeypatch.setattr(monadlab.invariant, "verify_syzygy",
+                        lambda d: dataclasses.replace(syzygy(d), residual_is_zero=False))
     assert run(["check", "--in", str(iso), "--form", "orthogonal"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: syzygy argument violated: quadratic conditions hold "
-                   "but det = 1; this is a bug\n")
+                   "but Q*S != 0; this is a bug\n")
 
 
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):

@@ -16,7 +16,8 @@ from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
 from oracles import (_permutation_sign, bareiss_echelon, block_matrix, det_cofactor,
                      echelon_gf_reference, format_matrix_dense, format_monad_dense,
-                     is_prime_trial, kernel_oracle, matmul_naive, scaled, unitriangular_det)
+                     is_prime_trial, kernel_oracle, matmul_naive, scaled, summed,
+                     unitriangular_det)
 
 GF101 = GF(101)
 
@@ -51,8 +52,6 @@ def test_fraction_into_prime_field():
 def test_construction_sum_and_comparison_errors():
     with pytest.raises(ValueError, match="^ragged rows$"):
         ExactMatrix(QQ, [[1, 2], [3]])
-    with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 2\) \+ \(2, 1\)$"):
-        ExactMatrix(QQ, [[1, 2]]) + ExactMatrix(QQ, [[1], [2]])
     one = ExactMatrix(QQ, [[1]])
     assert one.__eq__(1) is NotImplemented
     assert (one == 1) is False and one != 1
@@ -675,8 +674,8 @@ def split_form_q(n: int, k: int, seed: int) -> ExactMatrix:
         v = ExactMatrix.random(QQ, 2 * h, 1, rng, box=2)
         norm = (v.transpose() @ split @ v)[0, 0]
         if norm:  # x -> x - 2 (x H v) / (v H v) v^t
-            move = move @ (ExactMatrix.identity(QQ, 2 * h)
-                           + scaled(split @ v @ v.transpose(), -2 / norm))
+            move = move @ summed(ExactMatrix.identity(QQ, 2 * h),
+                                 scaled(split @ v @ v.transpose(), -2 / norm))
     isotropic = ExactMatrix.zeros(QQ, 2 * n + 2, h)
     blocks = tuple(block_matrix([[ExactMatrix.random(QQ, 2 * n + 2, h, rng, box=3), isotropic]])
                    @ move for _ in range(k))

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import monadlab.invariant
 from monadlab import gens
-from monadlab import (GF, QQ, ExactMatrix, GeneratorError, MonadData,
+from monadlab import (DET_ZERO_BY_SYZYGY, GF, QQ, ExactMatrix, GeneratorError, MonadData,
                       ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, build_q, canonical_j, det_q,
                       evaluate_a, format_monad, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
-                      Point, quadratic_defect, random_sl, search_orthogonal, transform_monad,
+                      orthogonal_verdict, Point, quadratic_defect, random_sl,
+                      search_orthogonal, transform_monad,
                       verify_syzygy)
 
 from oracles import (isotropic_data_sequential, matmul_naive, mix_blocks_sum,
@@ -252,6 +254,24 @@ def test_isotropic_data_equals_one_scalar_draw_per_value(p, n, k, seed, perturbe
 
 
 @settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(TRIAL_PRIMES), n=st.integers(1, 3), k=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), perturbed=st.booleans())
+@example(p=5, n=1, k=1, seed=0, perturbed=True)
+@example(p=7, n=3, k=4, seed=1, perturbed=True)
+@example(p=13, n=2, k=3, seed=2, perturbed=False)
+@example(p=101, n=2, k=4, seed=3, perturbed=True)
+@example(p=32003, n=3, k=2, seed=4, perturbed=True)
+@example(p=2147483629, n=3, k=4, seed=5, perturbed=True)
+@example(p=2147483647, n=2, k=4, seed=6, perturbed=True)
+def test_isotropic_data_det_q_is_zero_as_its_verdict_proves(p, n, k, seed, perturbed):
+    # the verdict proves det Q = 0 by Q*S = 0 alone; the elimination of Q on
+    # a fresh copy of the data, with nothing memoised, must agree
+    d = gens._isotropic_data(n, k, isotropic_basis(GF(p), 2 * n + 2 * k), seed, perturbed)
+    assert orthogonal_verdict(d).status == DET_ZERO_BY_SYZYGY
+    assert det_q(MonadData(d.n, d.k, d.field, d.blocks)) == 0
+
+
+@settings(max_examples=100, deadline=None)
 @given(field=st.sampled_from([QQ] + [GF(p) for p in TRIAL_PRIMES]), size=st.integers(2, 8),
        seed=st.integers(0, 2**32 - 1))
 @example(field=QQ, size=2, seed=0)
@@ -346,6 +366,33 @@ def test_search_orthogonal_perturbed_trials_still_satisfy_conditions():
     assert summary.instanton_candidates == 0
 
 
+def test_search_orthogonal_with_nonzero_defects_eliminates_q(monkeypatch):
+    # random blocks break the orthogonal conditions: the verdict stops at
+    # DEFECT_NONZERO and the det column is det Q itself, zero for the odd
+    # trials, whose blocks share a zero column
+    drawn = []
+
+    def random_data(n, k, span, seed, perturbed):
+        rng = np.random.default_rng(seed)
+        blocks = [ExactMatrix.random(span.field, 2 * n + 2, 2 * n + 2 * k, rng).tolist()
+                  for _ in range(k)]
+        if perturbed:
+            for row in sum(blocks, []):
+                row[0] = 0
+        drawn.append(MonadData(n, k, span.field,
+                               tuple(ExactMatrix(span.field, b) for b in blocks)))
+        return drawn[-1]
+
+    monkeypatch.setattr(gens, "_isotropic_data", random_data)
+    summary = search_orthogonal(1, 2, 101, trials=6, seed=0)
+    assert len(drawn) == 6
+    for row, d in zip(summary.rows, drawn):
+        assert not row.defects_ok
+        assert row.det_q_zero == (det_q(MonadData(d.n, d.k, d.field, d.blocks)) == 0)
+    assert [r.det_q_zero for r in summary.rows] == [False, True] * 3
+    assert summary.instanton_candidates == 0
+
+
 def test_search_orthogonal_deterministic():
     s1 = search_orthogonal(1, 2, 13, trials=4, seed=2)
     s2 = search_orthogonal(1, 2, 13, trials=4, seed=2)
@@ -412,3 +459,15 @@ def test_search_orthogonal_rows_and_data_are_pinned(monkeypatch, n, k, p, seed):
                     f"{r.rank_counterexample:d}" for r in summary.rows)
     digest = hashlib.sha256("".join(probed).encode("ascii")).hexdigest()
     assert (rows, digest) == PINNED_SEARCHES[(n, k, p, seed)]
+
+
+@pytest.mark.parametrize("n, k, p, seed", sorted(PINNED_SEARCHES))
+def test_search_orthogonal_never_builds_q_for_zero_defects(monkeypatch, n, k, p, seed):
+    # every pinned trial has zero defects, so its verdict's Q*S = 0 decides
+    def unused(d):
+        raise AssertionError("Q built for a trial with zero defects")
+
+    monkeypatch.setattr(gens, "det_q", unused)
+    monkeypatch.setattr(monadlab.invariant, "build_q", unused)
+    summary = search_orthogonal(n, k, p, trials=25, seed=seed)
+    assert summary.det_zero_count == 25 and all(r.defects_ok for r in summary.rows)

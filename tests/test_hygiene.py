@@ -85,7 +85,7 @@ def _defined(tree: ast.Module) -> set[str]:
 
 
 # ExactMatrix storage, read by every module that works on the raw array, and
-# the per-data memo that invariant.det_q fills
+# the per-data memo that invariant.det_q and monad._nonzero_defects fill
 SHARED_PRIVATE_ATTRIBUTES = {"_a", "_wrap", "_memo"}
 
 

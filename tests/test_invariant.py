@@ -26,7 +26,7 @@ from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF,
 from monadlab.gens import _special_blocks
 from monadlab.invariant import _q_columns
 
-from oracles import (block_of, build_q_blockwise, det_cofactor, layout_entries,
+from oracles import (block_of, build_q_blockwise, det_cofactor, layout_entries, summed,
                      unitriangular_det)
 
 GF101 = GF(101)
@@ -55,7 +55,7 @@ def expected_residual_block(d, eta):
     ma, mb = d.blocks[a - 1], d.blocks[b - 1]
     if a == b:
         return ma @ ma.transpose()
-    return ma @ mb.transpose() + mb @ ma.transpose()
+    return summed(ma @ mb.transpose(), mb @ ma.transpose())
 
 
 def test_dimension_identity_examples():
@@ -384,7 +384,7 @@ def test_single_defect_perturbation_localizes_residual():
     bump_rows = [[0] * (2 * n + 2 * k) for _ in range(2 * n + 2)]
     bump_rows[0] = u.tolist()[0]
     bump = ExactMatrix(field, bump_rows)
-    blocks = (base.blocks[0] + bump,) + base.blocks[1:]
+    blocks = (summed(base.blocks[0], bump),) + base.blocks[1:]
     d = MonadData(n, k, field, blocks)
 
     from monadlab import ORTHOGONAL_IDENTITY, canonical_j, quadratic_defect
@@ -468,28 +468,30 @@ def test_orthogonal_verdict_cases():
     assert v.excluded
 
 
-def test_orthogonal_verdict_twice_eliminates_q_once(monkeypatch):
+def test_orthogonal_verdict_twice_never_eliminates_q(monkeypatch):
+    # the verdict's proof of det Q = 0 is Q*S = 0; only det_q eliminates Q
     made = gen_isotropic_orthogonal(1, 2, 101, seed=4).data
     d = MonadData(made.n, made.k, made.field, made.blocks)  # nothing computed yet
-    calls = {"echelon": 0, "defects": 0}
-    echelon, defects = monadlab.exact._echelon_gf, monadlab.monad.quadratic_defect
+    calls = {"echelon": 0, "det": 0, "defects": 0}
 
-    def counting_echelon(*args, **kwargs):
-        calls["echelon"] += 1
-        return echelon(*args, **kwargs)
+    def counting(module, name, key):
+        real = getattr(module, name)
 
-    def counting_defects(*args):
-        calls["defects"] += 1
-        return defects(*args)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(monadlab.exact, "_echelon_gf", counting_echelon)
-    monkeypatch.setattr(monadlab.monad, "quadratic_defect", counting_defects)
+    counting(monadlab.exact, "_echelon_gf", "echelon")
+    counting(monadlab.exact, "_det_gf", "det")
+    counting(monadlab.monad, "quadratic_defect", "defects")
     first, second = orthogonal_verdict(d), orthogonal_verdict(d)
     assert first == second
     assert first.status == DET_ZERO_BY_SYZYGY
-    assert det_q(d) == 0
     assert verify_syzygy(d).defects_all_zero
-    assert calls == {"echelon": 1, "defects": 1}
+    assert calls == {"echelon": 0, "det": 0, "defects": 1}
+    assert det_q(d) == 0
+    assert calls == {"echelon": 1, "det": 1, "defects": 1}
 
 
 def test_memo_leaves_equality_and_hash_alone():

@@ -16,7 +16,7 @@ from monadlab import exact, monad
 from monadlab.monad import _draw_points
 
 from oracles import (block_matrix, distinct_points_pointwise, pairing_rows,
-                     quadratic_defect_blockwise, rank_probe_pointwise, scaled)
+                     quadratic_defect_blockwise, rank_probe_pointwise, scaled, summed)
 
 GF101 = GF(101)
 # the rational rank probe screens modulo the first CRT prime
@@ -144,7 +144,7 @@ def test_quadratic_defect_matches_blockwise_oracle(field, n, k, shape, seed):
         d = MonadData(n, k, field, tuple(scaled(b, Fraction(1, j + 2))
                                          for j, b in enumerate(d.blocks)))
         g = scaled(g, Fraction(2, 3))
-    j = {"symmetric": g + g.transpose(), "skew": g + scaled(g.transpose(), -1),
+    j = {"symmetric": summed(g, g.transpose()), "skew": summed(g, scaled(g.transpose(), -1)),
          "general": g}[shape]
     assert quadratic_defect(d, j) == quadratic_defect_blockwise(d, j)
 
