@@ -5,8 +5,7 @@ matrix between symmetric-power bases, take exact determinants, and exercise
 the syzygy that forces every orthogonal candidate to be singular.
 """
 
-from .exact import (GF, QQ, ExactMatrix, Field, MatrixFormatError, format_matrix,
-                    parse_field, parse_matrix)
+from .exact import GF, QQ, ExactMatrix, Field, MatrixFormatError, format_matrix, parse_field
 from .gens import (GeneratorError, GeneratorReport, SearchSummary, TrialRow,
                    gen_isotropic_orthogonal, gen_special_symplectic,
                    isotropic_basis, random_sl, search_orthogonal, transform_monad)
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF", "QQ", "ExactMatrix", "Field", "MatrixFormatError", "format_matrix",
-    "parse_field", "parse_matrix",
+    "parse_field",
     "GeneratorError", "GeneratorReport", "SearchSummary", "TrialRow",
     "gen_isotropic_orthogonal", "gen_special_symplectic", "isotropic_basis",
     "random_sl", "search_orthogonal", "transform_monad",

@@ -682,11 +682,10 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray]:
 
 # -- text format ------------------------------------------------------------------
 #
-# line 1:  matrix rows=<R> cols=<C> field=<rational|gf:P>
-# then R lines of C whitespace-separated entries; '#' lines are comments.
-# An entry is an integer over GF(p), and an integer or a/b over Q.
+# A matrix file (written, never read):  line 1  matrix rows=<R> cols=<C> field=<rational|gf:P>,
+# then R lines of C space-separated entries.  Entry rows are read in monad files, where
+# '#' lines are comments.  An entry is an integer over GF(p), and an integer or a/b over Q.
 
-_MATRIX_HEADER = re.compile(r"matrix rows=(\d+) cols=(\d+) field=(\S+)")
 # one entry and one row of entries, keyed by Field.is_prime_field
 _ENTRY = {True: re.compile(r"-?[0-9]+"), False: re.compile(r"-?[0-9]+(?:/[0-9]+)?")}
 _ENTRY_ROW = {prime: re.compile(rf"{e.pattern}(?:\s+{e.pattern})*")
@@ -735,20 +734,3 @@ def parse_entry_row(field: Field, line: str, expected: int) -> list:
         return [field.coerce(t) for t in toks]
     except ZeroDivisionError as e:
         raise MatrixFormatError(f"bad entry in {line!r}: {e}") from None
-
-
-def parse_matrix(text: str) -> ExactMatrix:
-    lines = content_lines(text)
-    if not lines:
-        raise MatrixFormatError("empty matrix input")
-    m = _MATRIX_HEADER.fullmatch(lines[0])
-    if not m:
-        raise MatrixFormatError(f"bad matrix header: {lines[0]!r}")
-    rows, cols = int(m.group(1)), int(m.group(2))
-    field = parse_field(m.group(3))
-    if cols == 0 and len(lines) == 1:  # rows of no entries are blank lines, which are skipped
-        return ExactMatrix.zeros(field, rows, 0)
-    if len(lines) - 1 != rows:
-        raise MatrixFormatError(f"expected {rows} entry rows, got {len(lines) - 1}")
-    data = [parse_entry_row(field, line, cols) for line in lines[1:]]
-    return ExactMatrix._wrap(field, field.array(data, cols))

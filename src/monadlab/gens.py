@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,9 +34,9 @@ class GeneratorError(RuntimeError):
 @dataclass(frozen=True)
 class GeneratorReport:
     data: MonadData
-    defects_ok: bool           # always True: set only once the self-check has passed
     rank_probe: RankProbeVerdict
     det_q_value: object = None  # None when not computed
+    defects_ok: ClassVar[bool] = True  # failed self-checks raise; kept only for perfbench's reads
 
 
 def random_sl(field: Field, size: int, rng: np.random.Generator) -> ExactMatrix:
@@ -131,7 +132,7 @@ def gen_special_symplectic(n: int, k: int, field: Field, probe_trials: int = 50,
         raise GeneratorError(f"special symplectic construction dropped rank at "
                              f"{probe.counterexample.point.coords}")
     det = det_q(data) if compute_det else None
-    return GeneratorReport(data, True, probe, det)
+    return GeneratorReport(data, probe, det)
 
 
 # -- isotropic orthogonal candidates --------------------------------------------------
@@ -211,6 +212,8 @@ def _isotropic_data(n: int, k: int, span: ExactMatrix, seed: int,
     operations inside the span that keep every M_a * M_b^t zero.  From
     ``seed + 0x5EED`` the stack mix is drawn first, then the k matrices g of
     :func:`random_sl` in one call, so a seed keeps its data."""
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     field = span.field
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -244,7 +247,7 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int) -> GeneratorRepo
         raise GeneratorError(f"isotropic construction failed its verdict: {verdict.message}")
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
     probe = max_rank_probe(data, form, _ISOTROPIC_PROBE_TRIALS, seed)
-    return GeneratorReport(data, True, probe, 0)  # the verdict's Q*S = 0 proves det Q = 0
+    return GeneratorReport(data, probe, 0)  # the verdict's Q*S = 0 proves det Q = 0
 
 
 # -- orthogonal search harness -----------------------------------------------------------

@@ -36,7 +36,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 import numpy as np
 
@@ -182,8 +182,8 @@ def _nonzero_defects(d: MonadData, kind: str) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class RankCounterexample:
     point: Point
-    which_map: str  # always "alpha": A drops rank; B = A*J has A's rank for invertible J
     observed_rank: int
+    which_map: ClassVar[str] = "alpha"  # B = A*J has A's rank; kept only for perfbench's reads
 
 
 @dataclass(frozen=True)
@@ -259,6 +259,8 @@ def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     _check_pairing(d, j)
     if j.det() == 0:
         raise ValueError("pairing is degenerate: det J = 0")
@@ -268,7 +270,7 @@ def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
         x = Point.of(d.field, points[i].tolist())
         rank = evaluate_a(d, x).rank()
         if rank != d.k:
-            return RankProbeVerdict(False, i + 1, RankCounterexample(x, "alpha", rank))
+            return RankProbeVerdict(False, i + 1, RankCounterexample(x, rank))
     return RankProbeVerdict(True, len(points))
 
 

@@ -61,8 +61,6 @@ class QLayout:
     """Block pattern of Q: block column j holds M_{alpha+1} in block row
     ``table[j, alpha]``, and zero blocks elsewhere (all 0-based)."""
 
-    n: int
-    k: int
     row_basis: tuple[Monomial, ...]  # degree n+1, size r
     col_basis: tuple[Monomial, ...]  # degree n, size s
     table: np.ndarray = field(compare=False)  # (s x k), read-only
@@ -90,7 +88,7 @@ def q_layout(n: int, k: int) -> QLayout:
     table = np.array([[position[multiply_by_var(zeta, alpha)] for alpha in range(1, k + 1)]
                       for zeta in cols])
     table.flags.writeable = False
-    return QLayout(n, k, rows, cols, table)
+    return QLayout(rows, cols, table)
 
 
 # -- renderers ---------------------------------------------------------------

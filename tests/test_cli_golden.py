@@ -99,6 +99,8 @@ CASES = [
     ("check-box1-symplectic-random-rational", ["check", "--in", RANDOM_Q, "--form",
                                                "symplectic", "--trials", "40"], "1", []),
     ("check-box0", ["check", "--in", SPECIAL_12, "--form", "symplectic"], "0", []),
+    ("check-seed-negative", ["check", "--in", SPECIAL_12, "--form", "symplectic",
+                             "--seed", "-1"], None, []),
     ("search-n1k2-gf101", ["search-orthogonal", "--n", "1", "--k", "2", "--trials", "6"],
      None, []),
     ("search-n2k2-gf7", ["search-orthogonal", "--n", "2", "--k", "2", "--field", "gf:7",
@@ -109,6 +111,8 @@ CASES = [
     ("search-n0k1", ["search-orthogonal", "--n", "0", "--k", "1", "--trials", "3"], None, []),
     ("search-n1k0", ["search-orthogonal", "--n", "1", "--k", "0", "--trials", "3"], None, []),
     ("search-n1k-2", ["search-orthogonal", "--n", "1", "--k", "-2", "--trials", "3"], None, []),
+    ("search-seed-negative", ["search-orthogonal", "--n", "1", "--k", "2", "--trials", "3",
+                              "--seed", "-1"], None, []),
     ("search-rational", ["search-orthogonal", "--n", "1", "--k", "1", "--field", "rational",
                          "--trials", "2"], None, []),
     ("dims-n0k3", ["dims", "--n", "0", "--k", "3"], None, []),

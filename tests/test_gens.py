@@ -415,6 +415,13 @@ def test_search_orthogonal_rejects_zero_trials():
         search_orthogonal(1, 1, 7, trials=0, seed=0)
 
 
+def test_isotropic_draws_reject_negative_seed():
+    for draw in (lambda: gen_isotropic_orthogonal(1, 2, 101, -1),
+                 lambda: search_orthogonal(1, 2, 101, trials=3, seed=-1)):
+        with pytest.raises(ValueError, match="^need seed >= 0, got -1$"):
+            draw()
+
+
 # search_orthogonal at 25 trials, recorded when every perturbed trial still
 # ran the whole isotropic generator on its base data: one "seed:PDZR" token
 # per row (perturbed, defects_ok, det_q_zero, rank_counterexample), and the

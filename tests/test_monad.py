@@ -216,6 +216,13 @@ def test_max_rank_probe_requires_trials():
         max_rank_probe(d, j, trials=0, seed=0)
 
 
+def test_max_rank_probe_rejects_negative_seed():
+    d = zero_data(1, 1)
+    j = canonical_j(ORTHOGONAL_IDENTITY, 1, 1, GF101)
+    with pytest.raises(ValueError, match="^need seed >= 0, got -1$"):
+        max_rank_probe(d, j, trials=5, seed=-1)
+
+
 def test_max_rank_probe_deterministic():
     rng = np.random.default_rng(8)
     d = random_data(1, 2, GF(7), rng)
@@ -520,6 +527,15 @@ def test_monad_format_round_trip():
         back = parse_monad(text)
         assert back == d
         assert format_monad(back) == text
+
+
+def test_monad_format_skips_comments_and_blank_lines():
+    text = format_monad(random_data(1, 1, GF101, np.random.default_rng(3)))
+    header, *rest = text.splitlines()
+    commented = "\n".join(["# a comment", header, "# another", "", *rest]) + "\n"
+    assert parse_monad(commented) == parse_monad(text)
+    with pytest.raises(MatrixFormatError, match="^empty monad input$"):
+        parse_monad("# only comments\n\n   # and blanks\n")
 
 
 def test_monad_format_errors():
