@@ -10,8 +10,10 @@ that differs between the two: storage, reduction, products and elimination.
 
 Rational products are computed over Z, as FLINT's ``fmpq_mat_mul_cleared``
 does: each row of the left factor and each column of the right one is
-multiplied by the lcm of its denominators, the integer arrays are
-multiplied, and only the nonzero entries of the result become Fractions.
+multiplied by the lcm of its denominators, and the integer arrays go
+through the one integer product, ``_matmul_zz``: int64 when every sum of
+products fits in it, Python ints otherwise.  Only the nonzero entries of
+the result become Fractions.
 
 There is one elimination, over GF(p): it touches only the rows with a
 nonzero entry in the pivot column, and in them only the columns between the
@@ -534,16 +536,32 @@ def _full_row_rank_gf(a: np.ndarray, p: int) -> np.ndarray:
 # -- rational kernels ------------------------------------------------------------
 
 
-def _cleared_rows(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
+def _matmul_zz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer arrays, int64 or object, exactly: in int64 when
+    inner * max|a| * max|b| < ``_INT64_BUDGET`` bounds every partial sum,
+    otherwise in Python ints.  A zero factor counts as max 1 in the bound,
+    so each factor alone fits when int64 is taken."""
+    top_a, top_b = (max(int(x.max(initial=0)), -int(x.min(initial=0)), 1) for x in (a, b))
+    if a.shape[1] * top_a * top_b < _INT64_BUDGET:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return a.astype(object) @ b.astype(object)
+
+
+def _cleared_rows(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Each row of a Fraction array times the lcm of its denominators: the
-    integer rows and, for each, its lcm.  Each entry is read once."""
+    integer rows, an array of ``a``'s shape, int64 when every entry fits in
+    it and object otherwise, and each row's lcm.  Each entry is read once."""
     rows, scales = [], []
     for row in a.tolist():
         nums, dens = list(zip(*map(Fraction.as_integer_ratio, row))) or ((), ())
         scale = math.lcm(*dens)
         rows.append([n * (scale // d) for n, d in zip(nums, dens)] if scale > 1 else list(nums))
         scales.append(scale)
-    return rows, scales
+    try:
+        ints = np.array(rows, dtype=np.int64)
+    except OverflowError:  # an entry outside int64
+        ints = np.array(rows, dtype=object)
+    return ints.reshape(a.shape), scales
 
 
 def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -555,8 +573,7 @@ def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     ia, row_scales = _cleared_rows(a)
     ib, col_scales = _cleared_rows(b.T)
-    prod = (np.array(ia, dtype=object).reshape(a.shape)
-            @ np.array(ib, dtype=object).reshape(b.shape[::-1]).T)
+    prod = _matmul_zz(ia, ib.T)
     zero = Fraction(0)
     out = [[Fraction(x, r * c) if x else zero for x, c in zip(row, col_scales)]
            for row, r in zip(prod.tolist(), row_scales)]
@@ -583,17 +600,17 @@ def _crt_primes():
         yield _CRT_PRIMES[i]
 
 
-def _crt_images(rows: list[list[int]], shape: tuple) -> Iterator[tuple[int, np.ndarray]]:
-    """(p, ``rows`` mod p) for CRT prime after prime, without end.  The
-    nonzero entries are gathered once into an object array, so each prime
-    costs one ``%`` on it."""
-    flat = np.array(list(itertools.chain.from_iterable(rows)), dtype=object)
+def _crt_images(ints: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, the integer array ``ints`` mod p) for CRT prime after prime,
+    without end.  The nonzero entries are gathered once, so each prime costs
+    one ``%`` on them."""
+    flat = ints.ravel()
     index = flat.nonzero()[0]
     values = flat[index]
     for p in _crt_primes():
         residues = np.zeros(flat.size, dtype=np.int64)
         residues[index] = values % p
-        yield p, residues.reshape(shape)
+        yield p, residues.reshape(ints.shape)
 
 
 def _det_qq(a: np.ndarray) -> Fraction:
@@ -603,12 +620,12 @@ def _det_qq(a: np.ndarray) -> Fraction:
     Clearing the rows multiplies det by the scales.  The integer det D has
     |D| <= B = prod(isqrt(row norm**2) + 1) (Hadamard), so once the primes'
     product m exceeds 2B, D mod m in (-m/2, m/2] is D: the result is exact."""
-    rows, scales = _cleared_rows(a)
-    if not all(map(any, rows)):
+    ints, scales = _cleared_rows(a)
+    if not ints.any(axis=1).all():
         return Fraction(0)
-    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
+    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in ints.tolist())
     det, m = 0, 1
-    for p, residues in _crt_images(rows, a.shape):
+    for p, residues in _crt_images(ints):
         r = _det_gf(residues, p)
         det += m * ((r - det) * pow(m, -1, p) % p)
         m *= p
@@ -662,12 +679,15 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray]:
     """``_kernel_gf`` over Q: the cleared rows' kernels mod CRT primes, joined
     by the CRT and reconstructed (Monagan, ISSAC 2004).  A prime can lose or
     delay pivots, never gain them, so only the most and earliest are joined.
-    A v = 0 is checked exactly; v is nonzero only at f and at pivots before f,
-    so then f is free over Q too.  No vector to check means full column rank
+    A v = 0 is checked exactly, as one integer product of the rows cleared
+    once per call and the basis cleared column by column (scales change no
+    zero); v is nonzero only at f and at pivots before f, so then f is free
+    over Q too.  No vector to check means full column rank
     mod p, hence over Q.  The entries are ratios of minors, at most the
     Hadamard bound B, so the loop ends once the joined primes pass 2B**2."""
+    ints = _cleared_rows(a)[0]
     pivots, joined, m = None, None, 1
-    for p, residues in _crt_images(_cleared_rows(a)[0], a.shape):
+    for p, residues in _crt_images(ints):
         piv, vecs = _kernel_gf(residues, p)
         if pivots is None or (len(piv), pivots) > (len(pivots), piv):  # more or earlier
             pivots, joined, m = piv, np.zeros(vecs.shape, dtype=object), 1
@@ -676,7 +696,8 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray]:
         joined += m * ((vecs.astype(object) - joined) * pow(m, -1, p) % p)
         m *= p
         basis = _lift(joined, m)
-        if basis is not None and (not basis.size or not _matmul_qq(a, basis).any()):
+        if basis is not None and (not basis.size
+                                  or not _matmul_zz(ints, _cleared_rows(basis.T)[0].T).any()):
             return pivots, basis
 
 

@@ -10,7 +10,8 @@ first k block columns, and only those are assembled for it; the rest meet
 zero rows of S.  Row block i of Q*S equals M_a*M_b^t + M_b*M_a^t (or
 M_a*M_a^t on the diagonal) for the rows indexed by monomials i_1^{n-1} i_a i_b,
 and vanishes identically elsewhere: only these k(k+1)/2 row blocks are
-multiplied.  Hence when the identity-pairing quadratic conditions hold,
+multiplied, from the data's integer form ``ints`` (L times the blocks, so
+L**2 times Q*S).  Hence when the identity-pairing quadratic conditions hold,
 Q*S = 0 with S != 0 and Q is singular over any field.
 :func:`orthogonal_verdict` packages that chain of implications: the product
 Q*S it checks is the certificate, and Q itself is never eliminated there.
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactMatrix
+from .exact import ExactMatrix, _matmul_zz
 from .monad import ORTHOGONAL_IDENTITY, MonadData, _nonzero_defects, _side_by_side
 from .symcomb import q_layout
 
@@ -47,19 +49,22 @@ class SyzygyMatrix:
     matrix: ExactMatrix
 
 
-def _q_columns(d: MonadData, count: int) -> ExactMatrix:
-    """Q's first ``count`` block columns.
+def _place(a: np.ndarray, table: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Put block alpha of ``stack`` into block row table[j, alpha] of block
+    column j of the zero array ``a``, for every j < len(table) and alpha:
+    one broadcast assignment on ``a`` viewed as (block row, row, block
+    column, column)."""
+    count, (_, br, bc) = len(table), stack.shape
+    a.reshape(-1, br, count, bc)[table, :, np.arange(count)[:, None], :] = stack
+    return a
 
-    Block column j holds M_alpha in the block row of zeta_j * i_alpha for
-    every alpha, so all blocks go in with one broadcast assignment on the
-    storage viewed as (block row, row, block column, column).
-    """
+
+def _q_columns(d: MonadData, count: int) -> ExactMatrix:
+    """Q's first ``count`` block columns: block column j holds M_alpha in the
+    block row of zeta_j * i_alpha for every alpha."""
     layout = q_layout(d.n, d.k)
-    br, bc = d.block_rows, d.block_cols
-    a = d.field.zeros(layout.block_rows * br, count * bc)
-    a.reshape(layout.block_rows, br, count, bc)[
-        layout.table[:count], :, np.arange(count)[:, None], :] = d.stack
-    return ExactMatrix._wrap(d.field, a)
+    a = d.field.zeros(layout.block_rows * d.block_rows, count * d.block_cols)
+    return ExactMatrix._wrap(d.field, _place(a, layout.table[:count], d.stack))
 
 
 def build_q(d: MonadData) -> QMatrix:
@@ -100,16 +105,29 @@ def verify_syzygy(d: MonadData) -> SyzygyReport:
     Only Q's first k block columns meet S's nonzero rows, M_1^t..M_k^t, so only
     they are assembled, and only their k(k+1)/2 block rows that hold a block are
     multiplied: at n=4, k=5, 90 of 1260 columns and 15 of 126 block rows (all at n=1).
+    Both factors come from ``d.ints``: over Q their integer product is L**2
+    times Q*S, so it decides the zero test, and the residual's nonzero
+    entries are its entries over L**2.  Over GF(p) it is Q*S itself.
     """
-    q, br = _q_columns(d, d.k)._a, d.block_rows
+    layout, k, br, bc = q_layout(d.n, d.k), d.k, d.block_rows, d.block_cols
+    table = layout.table[:k]
     # sorted(set()), not np.unique: that one's first call imports numpy.ma
-    used = np.array(sorted(set(q_layout(d.n, d.k).table[:d.k].flat)))
+    used = np.array(sorted(set(table.flat)))
+    # Q's first k block columns, in the used block rows only
+    q = _place(np.zeros((len(used) * br, k * bc), d.ints.dtype), np.searchsorted(used, table),
+               d.ints)
+    s = _side_by_side(d.ints).T
     rows = (used[:, None] * br + np.arange(br)).ravel()
-    residual = d.field.zeros(q.shape[0], br)
-    residual[rows] = d.field.matmul(q[rows], _side_by_side(d.stack).T)
+    residual = d.field.zeros(layout.block_rows * br, br)
+    if d.field.is_prime_field:
+        product = residual[rows] = d.field.matmul(q, s)
+    else:
+        product, square = _matmul_zz(q, s), d.scale**2
+        i, j = product.nonzero()
+        residual[rows[i], j] = [Fraction(x, square) for x in product[i, j].tolist()]
     return SyzygyReport(
         residual=ExactMatrix._wrap(d.field, residual),
-        residual_is_zero=not residual.any(),
+        residual_is_zero=not product.any(),
         syzygy_is_zero=d.is_zero(),
         defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
     )

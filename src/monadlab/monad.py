@@ -5,6 +5,11 @@ The central object is :class:`MonadData`: k blocks M_1, ..., M_k, each a
 linear-form matrix A via  row_j(A) = x^t * M_j,  where x runs over the 2n+2
 homogeneous coordinates.  The blocks are copied once into one (k, 2n+2, 2n+2k)
 array, ``stack``; every arrangement of them is a reshape or transpose of it.
+Beside it the data keeps ``ints``, L * stack for the lcm L of all
+denominators (``scale``): over Q an integer array made once, over GF(p)
+``stack`` itself with L = 1.  Scaling every block by L scales Q*S by L**2
+and each row of A(x) by L, so Q*S, the zero test and the probe's screen
+read ``ints``.
 A pairing is given by its matrix J alone, an :class:`ExactMatrix`: the
 identity for orthogonal data, the canonical skew form for symplectic data
 (:func:`canonical_j`).  The quadratic condition A*J*A^t = 0 holds
@@ -22,9 +27,9 @@ The probe works on batches: it draws all its points as one integer array,
 evaluates A at every point with one product against [M_1 | ... | M_k],
 and tests full row rank of the whole stack with one elimination modulo a
 prime q.  Over GF(p), q = p and the batch test is exact.  Over Q, q is the
-largest prime below 2**29 and the batch test is a screen on the data cleared
-of denominators: full rank mod q implies full rank over Q, and a point that
-fails it is tested again exactly.
+largest prime below 2**29 and the batch test is a screen on ``ints`` mod q:
+full rank mod q implies full rank over Q, and a point that fails it is
+tested again exactly.
 Either way the first point in draw order that fails goes through
 :func:`evaluate_a` and exact elimination, so a counterexample is still an
 exact certificate, with exact field-element coordinates.
@@ -40,7 +45,7 @@ from typing import ClassVar, Iterator, Optional
 
 import numpy as np
 
-from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows, _crt_images,
+from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows, _crt_primes,
                     _full_row_rank_gf, _matmul_gf, content_lines, entry_lines, parse_entry_row,
                     parse_field)
 
@@ -61,6 +66,9 @@ class MonadData:
     blocks: tuple[ExactMatrix, ...]
     # the blocks copied once into one read-only (k, 2n+2, 2n+2k) array; Q, S, V, A(x) read it
     stack: np.ndarray = field(init=False, compare=False, repr=False)
+    # L and the read-only integer array L * stack, as the module docstring says
+    scale: int = field(init=False, compare=False, repr=False)
+    ints: np.ndarray = field(init=False, compare=False, repr=False)
     # det Q and the nonzero canonical defects once computed; never Q or a product
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -77,6 +85,14 @@ class MonadData:
                 raise ValueError(f"block {j} has shape {b.shape}, expected {shape}")
         object.__setattr__(self, "stack", np.array([b._a for b in self.blocks]))
         self.stack.flags.writeable = False
+        if self.field.is_prime_field:
+            ints, scale = self.stack, 1
+        else:
+            ints, (scale,) = _cleared_rows(self.stack.reshape(1, -1))
+            ints = ints.reshape(self.stack.shape)
+            ints.flags.writeable = False
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def block_rows(self) -> int:
@@ -87,7 +103,7 @@ class MonadData:
         return 2 * self.n + 2 * self.k
 
     def is_zero(self) -> bool:
-        return not self.stack.any()
+        return not self.ints.any()
 
 
 def _side_by_side(stack: np.ndarray) -> np.ndarray:
@@ -218,13 +234,14 @@ def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
     return drawn[first[:count]]
 
 
-def _residues(a: np.ndarray, field: Field) -> tuple[int, np.ndarray]:
-    """(q, the storage stack ``a`` as int64 residues mod q): (p, ``a``) over
-    GF(p); over Q, q is the first CRT prime and each a[i] is first multiplied
-    by the lcm of its denominators, a nonzero scalar that keeps every rank."""
-    if field.is_prime_field:
-        return field.p, a
-    return next(_crt_images(_cleared_rows(a.reshape(len(a), -1))[0], a.shape))
+def _residues(d: MonadData) -> tuple[int, np.ndarray]:
+    """(q, ``d.ints`` as int64 residues mod q): (p, ``d.stack``) over GF(p);
+    over Q, q is the first CRT prime and the residues are those of L times
+    the blocks, a nonzero scalar that keeps every rank."""
+    if d.field.is_prime_field:
+        return d.field.p, d.ints
+    q = next(_crt_primes())
+    return q, (d.ints % q).astype(np.int64, copy=False)
 
 
 def _screen_failures(d: MonadData, points: np.ndarray) -> Iterator[int]:
@@ -235,10 +252,10 @@ def _screen_failures(d: MonadData, points: np.ndarray) -> Iterator[int]:
     prime over Q, where full rank mod q certifies full rank (a nonzero k x k
     minor mod q is nonzero over Q) and a failure only says the point needs the
     exact test.
-    Over Q each block is cleared of denominators first, which multiplies each
-    row of A(x) by a nonzero constant.
+    Over Q the blocks are read as ``d.ints``, which multiplies each row of
+    A(x) by the nonzero constant L.
     """
-    q, stack = _residues(d.stack, d.field)
+    q, stack = _residues(d)
     stacked = _side_by_side(stack)  # row j of A(x) is x^t * M_j
     for start in range(0, len(points), _PROBE_BATCH):
         x = points[start:start + _PROBE_BATCH] % q

@@ -10,6 +10,8 @@ from elimination that reduces every entry at every step, primality from trial
 division, 0/1 determinants from a triangular order, Q entry by entry from
 the monomial bases with plain loops, block mixes as sums of scaled blocks,
 random SL matrices and isotropic trial data from one scalar draw per value,
+the syzygy residual and the probe's screen residues from the Fraction
+blocks as they were read before the data kept an integer form,
 and the 20x10 block table for n=2, k=4 was worked out by hand from the
 single-variable multiplication rule.
 """
@@ -20,7 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from monadlab import (ORTHOGONAL_IDENTITY, ExactMatrix, GeneratorError, MonadData, Point,
-                      RankCounterexample, RankProbeVerdict, evaluate_a)
+                      RankCounterexample, RankProbeVerdict, SyzygyReport, evaluate_a, exact,
+                      q_layout)
+from monadlab.invariant import _q_columns
+from monadlab.monad import _nonzero_defects, _side_by_side
 
 
 def det_cofactor(m: ExactMatrix):
@@ -340,6 +345,37 @@ def rank_probe_pointwise(d, j, trials: int, seed: int, box: int = 10) -> RankPro
             return RankProbeVerdict(False, tested, RankCounterexample(x, ra))
         assert (a @ j).rank() == d.k, "B = A*J dropped rank where A did not"
     return RankProbeVerdict(True, tested)
+
+
+def verify_syzygy_fraction(d) -> SyzygyReport:
+    """``verify_syzygy`` on the field's storage, as it was before the data
+    kept an integer form: over Q, Q's used rows times S by ``Field.matmul``
+    on the Fraction blocks, and the zero tests on the Fraction arrays."""
+    q, br = _q_columns(d, d.k)._a, d.block_rows
+    used = np.array(sorted(set(q_layout(d.n, d.k).table[:d.k].flat)))
+    rows = (used[:, None] * br + np.arange(br)).ravel()
+    residual = d.field.zeros(q.shape[0], br)
+    residual[rows] = d.field.matmul(q[rows], _side_by_side(d.stack).T)
+    return SyzygyReport(
+        residual=ExactMatrix._wrap(d.field, residual),
+        residual_is_zero=not residual.any(),
+        syzygy_is_zero=not d.stack.any(),
+        defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
+    )
+
+
+def residues_per_block(stack: np.ndarray, field) -> tuple[int, np.ndarray]:
+    """The rank probe's screen input as it was before the data kept one
+    scale: (p, ``stack``) over GF(p); over Q, with q the first CRT prime,
+    each block times the lcm of its own denominators, mod q, entry by entry."""
+    if field.is_prime_field:
+        return field.p, stack
+    q = next(exact._crt_primes())
+    out = []
+    for block in stack.tolist():
+        scale = math.lcm(*(Fraction(x).denominator for row in block for x in row))
+        out.append([[int(x * scale) % q for x in row] for row in block])
+    return q, np.array(out, dtype=np.int64).reshape(stack.shape)
 
 
 def echelon_gf_reference(a: np.ndarray, p: int, det_only: bool):

@@ -106,6 +106,30 @@ def test_mat_mul_large_prime_chunking(p, inner):
     assert (a @ b).tolist() == matmul_naive(a, b)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_matmul_zz_on_both_sides_of_the_int64_switch(dtype):
+    # inner * max|a| * max|b| just below the budget runs in int64, at it in
+    # Python ints; entries near 2**31, every sign.  Row 0 of a times column 0
+    # of b reaches the bound, so where it passes 2**63 int64 would wrap
+    top = 2**31
+    cases = [(1, top, top - 1, "below"), (1, top, top, "at"),
+             (4, top // 2, top // 2 - 1, "below"), (4, top // 2, top // 2, "at"),
+             (2, top, top, "past"), (5, top, top, "past")]
+    rng = np.random.default_rng(2)
+    for inner, top_a, top_b, side in cases:
+        bound = inner * top_a * top_b
+        assert (bound < exact._INT64_BUDGET) == (side == "below")
+        assert (bound == exact._INT64_BUDGET) == (side == "at")
+        a = rng.integers(-top_a, top_a + 1, size=(3, inner))
+        b = rng.integers(-top_b, top_b + 1, size=(inner, 3))
+        a[0], a[1], b[:, 0], b[:, 1] = top_a, -top_a, top_b, -top_b
+        got = exact._matmul_zz(a.astype(dtype), b.astype(dtype))
+        assert got.dtype == (np.int64 if side == "below" else object)
+        assert got[0, 0] == bound and got[0, 1] == got[1, 0] == -bound
+        assert got.tolist() == matmul_naive(ExactMatrix(QQ, a.tolist()),
+                                            ExactMatrix(QQ, b.tolist()))
+
+
 def rational_matrix(rng, rows, cols):
     """Entries n/d with n in [-20, 20] and d in [1, 12], mixed within rows and columns."""
     if rows == 0:
@@ -518,6 +542,21 @@ def test_kernel_basis_checks_its_reconstruction(eliminations):
     assert exact._rational(pow(3, -1, p1), p1) == Fraction(1, 3)
     assert columns(m.kernel_basis()) == [[Fraction(1 + 15 * p1, 3), 1]] == kernel_oracle(m)
     assert len(eliminations) > 1
+
+
+def test_kernel_basis_over_q_clears_the_matrix_once_per_call(monkeypatch):
+    # the exact check A v = 0 at each reconstruction attempt reads the rows the
+    # call cleared at its start; only the candidate basis is cleared again
+    rng = np.random.default_rng(40)
+    rows = rational_matrix(rng, 39, 40).tolist()
+    rows.append([x + y for x, y in zip(rows[3], rows[17])])
+    m = ExactMatrix(QQ, rows)
+    cleared, calls = exact._cleared_rows, []
+    monkeypatch.setattr(exact, "_cleared_rows", lambda a: calls.append(a) or cleared(a))
+    basis = columns(m.kernel_basis())
+    assert sum(a is m._a for a in calls) == 1
+    assert len(calls) > 1  # the checks ran, on the basis
+    assert basis == kernel_oracle(m) and len(basis) == 1
 
 
 @pytest.mark.parametrize("dependent", [1, 2])

@@ -18,18 +18,21 @@ import monadlab.invariant
 import monadlab.monad
 from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF,
                       ORTHOGONAL_IDENTITY, QQ, SYMPLECTIC_CANONICAL,
-                      ExactMatrix, MonadData, build_q, build_syzygy, canonical_j, det_q,
-                      dimension_identity, gen_isotropic_orthogonal,
-                      gen_special_symplectic, isotropic_basis,
+                      ExactMatrix, MonadData, RankProbeVerdict, build_q, build_syzygy,
+                      canonical_j, det_q, dimension_identity, gen_isotropic_orthogonal,
+                      gen_special_symplectic, isotropic_basis, max_rank_probe,
                       orthogonal_verdict, q_layout, random_sl, transform_monad,
                       verify_syzygy)
 from monadlab.gens import _special_blocks
 from monadlab.invariant import _q_columns
 
-from oracles import (block_of, build_q_blockwise, det_cofactor, layout_entries, summed,
-                     unitriangular_det)
+from oracles import (block_of, build_q_blockwise, det_cofactor, layout_entries,
+                     rank_probe_pointwise, residues_per_block, scaled, summed,
+                     unitriangular_det, verify_syzygy_fraction)
 
 GF101 = GF(101)
+# the rational rank probe screens modulo the first CRT prime
+SCREEN_PRIME = next(monadlab.exact._crt_primes())
 
 
 def zero_data(n, k, field=GF101):
@@ -310,23 +313,100 @@ def test_verify_syzygy_does_not_build_all_of_q(monkeypatch):
 def test_verify_syzygy_multiplies_only_the_block_rows_that_hold_a_block(
         field, n, k, monkeypatch):
     # Q's first k block columns have a block only in the k(k+1)/2 block rows
-    # i_1^{n-1} i_a i_b (every block row at n = 1); only those are multiplied
+    # i_1^{n-1} i_a i_b (every block row at n = 1); only those are multiplied,
+    # by Field.matmul over GF(p) and by the integer product over Q
     d = random_data(n, k, field, np.random.default_rng(7 * n + k))
     residual = build_q_blockwise(d) @ build_syzygy(d).matrix
     monadlab.monad._nonzero_defects(d, ORTHOGONAL_IDENTITY)  # its products run now, unspied
     shapes = []
-    matmul = monadlab.exact.Field.matmul
+    matmul, matmul_zz = monadlab.exact.Field.matmul, monadlab.invariant._matmul_zz
 
     def spy(self, a, b):
         shapes.append((a.shape, b.shape))
         return matmul(self, a, b)
 
+    def spy_zz(a, b):
+        shapes.append((a.shape, b.shape))
+        return matmul_zz(a, b)
+
     monkeypatch.setattr(monadlab.exact.Field, "matmul", spy)
+    monkeypatch.setattr(monadlab.invariant, "_matmul_zz", spy_zz)
     assert verify_syzygy(d).residual == residual
     used = k * (k + 1) // 2 * d.block_rows
     assert shapes == [((used, k * d.block_cols), (k * d.block_cols, d.block_rows))]
     if n == 1:
         assert used == residual.rows
+
+
+@st.composite
+def rational_data(draw):
+    """Rational data with mixed denominators, for the integer form against the
+    Fraction path.  Density 0 gives zero data; with ``big`` numerators beyond
+    2**62 the integer form is an object array and Q*S runs in Python ints; the
+    screen prime is a denominator in at most one block, which makes every other
+    block's integer form zero modulo it; a last block that is a multiple of
+    the first drops the rank of A at every point."""
+    n, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    big = draw(st.booleans())
+    screened = draw(st.sampled_from([None, *range(k)]))
+
+    def entry(b):
+        if rng.random() >= density:
+            return 0
+        num = int(rng.integers(-9, 10)) * (2**62 if big else 1) + int(rng.integers(-3, 4))
+        return Fraction(num, int(rng.choice([1, 2, 3, 4, 9] + [SCREEN_PRIME] * (b == screened))))
+
+    blocks = [ExactMatrix(QQ, [[entry(b) for _ in range(2 * n + 2 * k)]
+                               for _ in range(2 * n + 2)]) for b in range(k)]
+    if k > 1 and draw(st.booleans()):
+        blocks[-1] = scaled(blocks[0], Fraction(-2, 3))
+    return MonadData(n, k, QQ, tuple(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=rational_data(), kind=st.sampled_from([ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL]),
+       trials=st.integers(1, 12), box=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_integer_form_matches_the_fraction_path(d, kind, trials, box, seed):
+    # Q*S from d.ints, is_zero and the screen on d.ints mod q give what the
+    # Fraction blocks gave: the report entry for entry, the verdict and the probe
+    scale = math.lcm(*(x.denominator for x in d.stack.flat))
+    assert d.scale == scale and d.ints.tolist() == (d.stack * scale).tolist()
+    report, expected = verify_syzygy(d), verify_syzygy_fraction(d)
+    assert report == expected
+    assert report.residual.tolist() == expected.residual.tolist()
+    assert all(type(x) is Fraction for row in report.residual.tolist() for x in row)
+    j = canonical_j(kind, d.n, d.k, QQ)
+    verdict, probe = orthogonal_verdict(d), max_rank_probe(d, j, trials, seed, box=box)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(monadlab.invariant, "verify_syzygy", verify_syzygy_fraction)
+        m.setattr(MonadData, "is_zero", lambda self: not self.stack.any())
+        m.setattr(monadlab.monad, "_residues", lambda d: residues_per_block(d.stack, d.field))
+        assert orthogonal_verdict(d) == verdict
+        assert max_rank_probe(d, j, trials, seed, box=box) == probe
+    assert probe == rank_probe_pointwise(d, j, trials, seed, box)
+
+
+def test_q_s_and_the_screen_over_q_clear_no_denominator_after_construction(monkeypatch):
+    # the data clears its blocks once, when it is built; Q*S and the probe's
+    # screen read that integer form, and the special family passes the screen
+    # at every point, so no point needs the exact (Fraction) test
+    n, k = 2, 3
+    blocks = gen_special_symplectic(n, k, QQ, probe_trials=1, compute_det=False).data.blocks
+    d = MonadData(n, k, QQ, tuple(scaled(b, Fraction(2, 3 + i)) for i, b in enumerate(blocks)))
+    j = canonical_j(SYMPLECTIC_CANONICAL, n, k, QQ)
+    j.det()  # kept by the memoised pairing
+    monadlab.monad._nonzero_defects(d, ORTHOGONAL_IDENTITY)  # kept by the data
+    expected = verify_syzygy_fraction(d)
+
+    def refuse(a):
+        raise AssertionError("denominators cleared after construction")
+
+    monkeypatch.setattr(monadlab.exact, "_cleared_rows", refuse)
+    monkeypatch.setattr(monadlab.monad, "_cleared_rows", refuse)
+    assert verify_syzygy(d) == expected
+    assert max_rank_probe(d, j, trials=50, seed=0) == RankProbeVerdict(True, 50)
 
 
 def test_verify_syzygy_isotropic_gf7():

@@ -320,19 +320,21 @@ def test_max_rank_probe_rejects_a_degenerate_pairing(monkeypatch, field, zeroed)
 
 @pytest.mark.parametrize("seed", range(4))
 def test_residues_over_q_are_each_cleared_block_mod_the_screen_prime(seed):
-    # block i times the lcm of its denominators, entry by entry, mod SCREEN_PRIME
+    # every block times one L, the lcm of all denominators, entry by entry,
+    # mod SCREEN_PRIME; L is the data's scale
     rng = np.random.default_rng(seed)
-    k, r, c = rng.integers(1, 5, size=3).tolist()
+    n, k = rng.integers(1, 4, size=2).tolist()
+    r, c = 2 * n + 2, 2 * n + 2 * k
     nums = rng.integers(-2 * SCREEN_PRIME, 2 * SCREEN_PRIME, size=(k, r, c)).tolist()
     dens = rng.choice([1, 2, 3, 7, SCREEN_PRIME + 2], size=(k, r, c)).tolist()
     stack = [[[Fraction(x, y) for x, y in zip(*row)] for row in zip(*block)]
              for block in zip(nums, dens)]
-    expected = []
-    for block in stack:
-        scale = math.lcm(*(x.denominator for row in block for x in row))
-        expected.append([[int(x * scale) % SCREEN_PRIME for x in row] for row in block])
-    q, got = monad._residues(np.array(stack, dtype=object), QQ)
-    assert q == SCREEN_PRIME
+    scale = math.lcm(*(x.denominator for block in stack for row in block for x in row))
+    expected = [[[int(x * scale) % SCREEN_PRIME for x in row] for row in block]
+                for block in stack]
+    d = MonadData(n, k, QQ, tuple(ExactMatrix(QQ, block) for block in stack))
+    q, got = monad._residues(d)
+    assert q == SCREEN_PRIME and d.scale == scale
     assert got.dtype == np.int64 and got.tolist() == expected
 
 
