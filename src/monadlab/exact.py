@@ -342,13 +342,14 @@ class ExactMatrix:
 
 
 def _matmul_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    n = a.shape[1]
+    """a @ b mod p for entries in [0, p); stacks multiply pairwise, as with ``@``."""
+    n = a.shape[-1]
     chunk = max(1, _INT64_BUDGET // ((p - 1) ** 2))
     if chunk >= n:
         return (a @ b) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    acc = 0
     for s in range(0, n, chunk):
-        acc = (acc + a[:, s:s + chunk] @ b[s:s + chunk, :]) % p
+        acc = (acc + a[..., s:s + chunk] @ b[..., s:s + chunk, :]) % p
     return acc
 
 
@@ -540,9 +541,10 @@ def _matmul_zz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for integer arrays, int64 or object, exactly: in int64 when
     inner * max|a| * max|b| < ``_INT64_BUDGET`` bounds every partial sum,
     otherwise in Python ints.  A zero factor counts as max 1 in the bound,
-    so each factor alone fits when int64 is taken."""
+    so each factor alone fits when int64 is taken.  Stacks multiply
+    pairwise, as with ``@``."""
     top_a, top_b = (max(int(x.max(initial=0)), -int(x.min(initial=0)), 1) for x in (a, b))
-    if a.shape[1] * top_a * top_b < _INT64_BUDGET:
+    if a.shape[-1] * top_a * top_b < _INT64_BUDGET:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return a.astype(object) @ b.astype(object)
 

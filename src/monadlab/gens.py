@@ -5,6 +5,8 @@ Every generator re-verifies its own claims before returning, the isotropic
 one through :func:`orthogonal_verdict`; a failed self-check raises
 :class:`GeneratorError` and is never an accepted outcome.  The search draws
 its trials as the isotropic generator does, but tabulates instead of raising.
+It checks its trials in bounded chunks, each as one stack (see
+:func:`search_orthogonal`), so its working memory does not grow with them.
 
 Random draws are batched: each kind of draw (block coefficients, transvection
 triples) is one ``rng.integers`` call for all the values it needs, which
@@ -22,9 +24,12 @@ from typing import ClassVar
 import numpy as np
 
 from .exact import GF, ExactMatrix, Field
-from .invariant import DEFECT_NONZERO, DET_ZERO_BY_SYZYGY, det_q, orthogonal_verdict
-from .monad import (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL, MonadData,
-                    RankProbeVerdict, _nonzero_defects, _side_by_side, canonical_j, max_rank_probe)
+from .invariant import (DEFECT_NONZERO, DET_ZERO_BY_SYZYGY, _q_s, _verdict, det_q,
+                        orthogonal_verdict)
+from .monad import (_POINT_BOX, _PROBE_BATCH, ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL,
+                    MonadData, RankProbeVerdict, _nonzero_defects, _probe_points, _probe_verdict,
+                    _side_by_side, _stacked_nonzero_defects, _stacked_screen_failures,
+                    canonical_j, max_rank_probe)
 
 
 class GeneratorError(RuntimeError):
@@ -139,6 +144,8 @@ def gen_special_symplectic(n: int, k: int, field: Field, probe_trials: int = 50,
 
 # Rank-probe points per isotropic candidate, in the generator and the search alike.
 _ISOTROPIC_PROBE_TRIALS = 20
+# Bound on the entries of the stacked Q columns in one chunk of the search (8 MiB).
+_CHUNK_ENTRIES = 2**20
 
 
 @functools.lru_cache(maxsize=32)
@@ -281,25 +288,46 @@ class SearchSummary:
                    for r in self.rows)
 
 
+def _search_chunk(n: int, k: int) -> int:
+    """Trials checked as one stack: at most ``_PROBE_BATCH`` probe points and
+    ``_CHUNK_ENTRIES`` entries of stacked Q columns, and at least one trial."""
+    r, c = 2 * n + 2, 2 * n + 2 * k
+    q_entries = k * (k + 1) // 2 * r * k * c  # the used block rows of Q's first k block columns
+    return max(1, min(_PROBE_BATCH // _ISOTROPIC_PROBE_TRIALS, _CHUNK_ENTRIES // q_entries))
+
+
 def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchSummary:
     """Run seeded isotropic draws, perturbing every other one within the
-    isotropic subspace, and tabulate how each candidate fails."""
+    isotropic subspace, and tabulate how each candidate fails.
+
+    Each trial draws its data and probe points from its own seed, as the
+    isotropic generator does.  The trials are then checked in chunks of
+    :func:`_search_chunk` trials, each chunk as one stack: one product
+    gives every trial's defects, one the Q*S of :func:`verify_syzygy`, and
+    one screen tests every trial's probe points, whose failures get the
+    exact test trial by trial.  Q is eliminated only for a trial with a
+    nonzero defect, where no certificate exists.
+    """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     field = GF(p)
-    form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
     span = isotropic_basis(field, 2 * n + 2 * k)
+    chunk = _search_chunk(n, k)
     rows = []
-    for t in range(trials):
-        trial_seed = seed + t
-        perturbed = t % 2 == 1
-        data = _isotropic_data(n, k, span, trial_seed, perturbed)
-        verdict = orthogonal_verdict(data)
-        # Q is eliminated only when a defect is nonzero and no certificate exists
-        det_q_zero = verdict.excluded or det_q(data) == 0
-        probe = max_rank_probe(data, form, _ISOTROPIC_PROBE_TRIALS, trial_seed)
-        rows.append(TrialRow(trial_seed, perturbed, verdict.status != DEFECT_NONZERO,
-                             det_q_zero, not probe.ok))
+    for start in range(0, trials, chunk):
+        trial = range(start, min(start + chunk, trials))
+        data = [_isotropic_data(n, k, span, seed + t, t % 2 == 1) for t in trial]
+        points = [_probe_points(field, 2 * n + 2, _ISOTROPIC_PROBE_TRIALS, seed + t, _POINT_BOX)
+                  for t in trial]
+        stacks = np.array([d.stack for d in data])  # over GF(p) each data's ints
+        bad = _stacked_nonzero_defects(field, stacks, ORTHOGONAL_IDENTITY)
+        residual_zero = (~_q_s(field, stacks).any(axis=(-2, -1))).tolist()
+        failures = _stacked_screen_failures(p, stacks, points)
+        for i, (t, d) in enumerate(zip(trial, data)):
+            verdict = _verdict(d.is_zero(), bad[i], lambda: residual_zero[i])
+            probe = _probe_verdict(d, points[i], failures[i])
+            rows.append(TrialRow(seed + t, t % 2 == 1, verdict.status != DEFECT_NONZERO,
+                                 verdict.excluded or det_q(d) == 0, not probe.ok))
     return SearchSummary(tuple(rows))

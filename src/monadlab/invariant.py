@@ -11,7 +11,9 @@ zero rows of S.  Row block i of Q*S equals M_a*M_b^t + M_b*M_a^t (or
 M_a*M_a^t on the diagonal) for the rows indexed by monomials i_1^{n-1} i_a i_b,
 and vanishes identically elsewhere: only these k(k+1)/2 row blocks are
 multiplied, from the data's integer form ``ints`` (L times the blocks, so
-L**2 times Q*S).  Hence when the identity-pairing quadratic conditions hold,
+L**2 times Q*S).  The product also takes a stack of data, one product for all of them,
+which is how the orthogonal search checks its trials.
+Hence when the identity-pairing quadratic conditions hold,
 Q*S = 0 with S != 0 and Q is singular over any field.
 :func:`orthogonal_verdict` packages that chain of implications: the product
 Q*S it checks is the certificate, and Q itself is never eliminated there.
@@ -19,13 +21,15 @@ Q*S it checks is the certificate, and Q itself is never eliminated there.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .exact import ExactMatrix, _matmul_zz
+from .exact import ExactMatrix, Field, _matmul_zz
 from .monad import ORTHOGONAL_IDENTITY, MonadData, _nonzero_defects, _side_by_side
 from .symcomb import q_layout
 
@@ -53,9 +57,12 @@ def _place(a: np.ndarray, table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Put block alpha of ``stack`` into block row table[j, alpha] of block
     column j of the zero array ``a``, for every j < len(table) and alpha:
     one broadcast assignment on ``a`` viewed as (block row, row, block
-    column, column)."""
-    count, (_, br, bc) = len(table), stack.shape
-    a.reshape(-1, br, count, bc)[table, :, np.arange(count)[:, None], :] = stack
+    column, column).  Leading axes of ``stack``, (..., k, r, c), are a stack
+    of data, and ``a`` has them too."""
+    count, (_, br, bc), lead = len(table), stack.shape[-3:], stack.shape[:-3]
+    # the indexed axes come out first: (j, alpha, ..., row, column)
+    a.reshape(*lead, -1, br, count, bc)[..., table, :, np.arange(count)[:, None], :] = \
+        np.moveaxis(stack, -3, 0)
     return a
 
 
@@ -89,14 +96,47 @@ def build_syzygy(d: MonadData) -> SyzygyMatrix:
 
 @dataclass(frozen=True)
 class SyzygyReport:
-    residual: ExactMatrix
     residual_is_zero: bool
     syzygy_is_zero: bool  # all blocks zero: the singularity argument is vacuous
     defects_all_zero: bool
+    # builds the residual Q*S; called on its first read only
+    make_residual: Callable[[], ExactMatrix] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def residual(self) -> ExactMatrix:
+        return self.make_residual()
 
     @property
     def det_zero_forced(self) -> bool:
         return self.residual_is_zero and not self.syzygy_is_zero
+
+    def __eq__(self, other):
+        if not isinstance(other, SyzygyReport):
+            return NotImplemented
+        return ((self.residual_is_zero, self.syzygy_is_zero, self.defects_all_zero, self.residual)
+                == (other.residual_is_zero, other.syzygy_is_zero, other.defects_all_zero,
+                    other.residual))
+
+
+def _used_block_rows(n: int, k: int) -> np.ndarray:
+    """The block rows of Q's first k block columns that hold a block, in order."""
+    # sorted(set()), not np.unique: that one's first call imports numpy.ma
+    return np.array(sorted(set(q_layout(n, k).table[:k].flat)))
+
+
+def _q_s(field: Field, ints: np.ndarray) -> np.ndarray:
+    """Q*S in the block rows of :func:`_used_block_rows`, from data in
+    integer form ``ints``, a (..., k, r, c) array: mod p over GF(p), over Q
+    exactly, which is L**2 times Q*S.  Leading axes hold a stack of data,
+    multiplied pairwise; a (..., used * r, r) array."""
+    (k, br, bc), lead = ints.shape[-3:], ints.shape[:-3]
+    table = q_layout(br // 2 - 1, k).table[:k]
+    used = _used_block_rows(br // 2 - 1, k)
+    # Q's first k block columns, in the used block rows only
+    q = _place(np.zeros((*lead, len(used) * br, k * bc), ints.dtype),
+               np.searchsorted(used, table), ints)
+    s = np.swapaxes(_side_by_side(ints), -1, -2)
+    return field.matmul(q, s) if field.is_prime_field else _matmul_zz(q, s)
 
 
 def verify_syzygy(d: MonadData) -> SyzygyReport:
@@ -107,29 +147,27 @@ def verify_syzygy(d: MonadData) -> SyzygyReport:
     multiplied: at n=4, k=5, 90 of 1260 columns and 15 of 126 block rows (all at n=1).
     Both factors come from ``d.ints``: over Q their integer product is L**2
     times Q*S, so it decides the zero test, and the residual's nonzero
-    entries are its entries over L**2.  Over GF(p) it is Q*S itself.
+    entries are its entries over L**2.  Over GF(p) it is Q*S itself.  The
+    residual matrix is built only when it is first read.
     """
-    layout, k, br, bc = q_layout(d.n, d.k), d.k, d.block_rows, d.block_cols
-    table = layout.table[:k]
-    # sorted(set()), not np.unique: that one's first call imports numpy.ma
-    used = np.array(sorted(set(table.flat)))
-    # Q's first k block columns, in the used block rows only
-    q = _place(np.zeros((len(used) * br, k * bc), d.ints.dtype), np.searchsorted(used, table),
-               d.ints)
-    s = _side_by_side(d.ints).T
-    rows = (used[:, None] * br + np.arange(br)).ravel()
-    residual = d.field.zeros(layout.block_rows * br, br)
-    if d.field.is_prime_field:
-        product = residual[rows] = d.field.matmul(q, s)
-    else:
-        product, square = _matmul_zz(q, s), d.scale**2
-        i, j = product.nonzero()
-        residual[rows[i], j] = [Fraction(x, square) for x in product[i, j].tolist()]
+    product, br = _q_s(d.field, d.ints), d.block_rows
+
+    def make_residual() -> ExactMatrix:
+        used = _used_block_rows(d.n, d.k)
+        rows = (used[:, None] * br + np.arange(br)).ravel()
+        residual = d.field.zeros(q_layout(d.n, d.k).block_rows * br, br)
+        if d.field.is_prime_field:
+            residual[rows] = product
+        else:
+            i, j = product.nonzero()
+            residual[rows[i], j] = [Fraction(x, d.scale**2) for x in product[i, j].tolist()]
+        return ExactMatrix._wrap(d.field, residual)
+
     return SyzygyReport(
-        residual=ExactMatrix._wrap(d.field, residual),
         residual_is_zero=not product.any(),
         syzygy_is_zero=d.is_zero(),
         defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
+        make_residual=make_residual,
     )
 
 
@@ -151,23 +189,32 @@ class OrthogonalVerdict:
         return self.status in (DET_ZERO_BY_SYZYGY, DEGENERATE)
 
 
-def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
-    """Executable form of the non-existence argument for one candidate.
-
-    If the identity-pairing quadratic conditions hold and the syzygy is
-    nonzero, the residual Q*S of :func:`verify_syzygy` must be zero, which
-    proves det Q = 0 without eliminating Q, so the candidate fails the
-    non-degeneracy requirement and cannot define an instanton bundle.
-    Otherwise the violated condition is reported.
-    """
-    if d.is_zero():
+def _verdict(zero: bool, bad: tuple[tuple[int, int], ...],
+             residual_is_zero: Callable[[], bool]) -> OrthogonalVerdict:
+    """The verdict on data that are ``zero`` or not, with nonzero-defect pairs
+    ``bad``; ``residual_is_zero`` tells whether Q*S = 0 and is called only
+    for nonzero data whose defects vanish."""
+    if zero:
         return OrthogonalVerdict(DEGENERATE, "degenerate: A = 0, never of maximal rank")
-    bad = _nonzero_defects(d, ORTHOGONAL_IDENTITY)
     if bad:
         a, b = bad[0]
         return OrthogonalVerdict(DEFECT_NONZERO, "orthogonal conditions violated at "
                                  f"(alpha,beta)=({a},{b})")
-    if not verify_syzygy(d).residual_is_zero:
+    if not residual_is_zero():
         raise RuntimeError("syzygy argument violated: quadratic conditions hold "
                            "but Q*S != 0; this is a bug")
     return OrthogonalVerdict(DET_ZERO_BY_SYZYGY, "not an instanton: det Q = 0 by syzygy")
+
+
+def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
+    """Executable form of the non-existence argument for one candidate.
+
+    If the identity-pairing quadratic conditions hold and the syzygy is
+    nonzero, the product Q*S of :func:`verify_syzygy` must be zero, which
+    proves det Q = 0 without eliminating Q, so the candidate fails the
+    non-degeneracy requirement and cannot define an instanton bundle.
+    Otherwise the violated condition is reported.
+    """
+    zero = d.is_zero()
+    bad = () if zero else _nonzero_defects(d, ORTHOGONAL_IDENTITY)
+    return _verdict(zero, bad, lambda: verify_syzygy(d).residual_is_zero)

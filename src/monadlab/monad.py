@@ -33,6 +33,11 @@ tested again exactly.
 Either way the first point in draw order that fails goes through
 :func:`evaluate_a` and exact elimination, so a counterexample is still an
 exact certificate, with exact field-element coordinates.
+
+The defect product and the screen also take a (T, k, 2n+2, 2n+2k) stack of
+data over GF(p), one product and one elimination for all T; the orthogonal
+search checks its trials so.  A screen takes at most ``_PROBE_BATCH``
+points, one data's or the stack's, which bounds its working memory.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -54,6 +59,8 @@ SYMPLECTIC_CANONICAL = "symplectic-canonical"
 
 # Points screened per elimination; bounds the probe's working memory.
 _PROBE_BATCH = 1024
+# Default bound on the coordinates of probe points over Q.
+_POINT_BOX = 10
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,8 @@ class MonadData:
 
 
 def _side_by_side(stack: np.ndarray) -> np.ndarray:
-    """[M_1 | ... | M_k] from a (k, rows, cols) stack of blocks."""
-    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+    """[M_1 | ... | M_k] from a (..., k, rows, cols) stack of blocks."""
+    return np.swapaxes(stack, -3, -2).reshape(*stack.shape[:-3], stack.shape[-2], -1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -166,6 +173,29 @@ def _check_pairing(d: MonadData, j: ExactMatrix):
         raise ValueError(f"pairing is over {j.field}, data over {d.field}")
 
 
+@functools.lru_cache(maxsize=32)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block pairs a <= b, in order, as two index arrays: made once per k."""
+    pairs = np.triu_indices(k)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _defect_stack(field: Field, v: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
+    """sym(M_a * J * M_b^t) for the pairs a <= b, in order, from the blocks
+    stacked as V, a (..., k*r, c) array: the (..., pairs, r, r) array of
+    canonical entries, read off the blocks of V * J * V^t.  Leading axes
+    hold a stack of data, multiplied pairwise; over Q there are none."""
+    *lead, kr, _ = v.shape
+    r = kr // k
+    x = field.matmul(field.matmul(v, j), np.swapaxes(v, -1, -2)).reshape(*lead, k, r, k, r)
+    first, second = _pairs(k)
+    # block (a, b) of V * J * V^t is M_a * J * M_b^t; the pair axis comes out first
+    xab = np.moveaxis(x[..., first, :, second, :], 0, -3)
+    return field.reduce(xab + np.swapaxes(xab, -1, -2))
+
+
 def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, ExactMatrix]]:
     """Defects D_ab = sym(M_a * J * M_b^t) for 1 <= a <= b <= k, read off the
     blocks of the one product V * J * V^t, where V stacks the blocks.
@@ -174,11 +204,8 @@ def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, Exact
     """
     _check_pairing(d, j)
     k, r, c = d.stack.shape
-    v = d.stack.reshape(k * r, c)
-    first, second = np.triu_indices(k)  # the pairs a <= b, in order
-    # block (a, b) of V * J * V^t is M_a * J * M_b^t: one (pair, row, column) array
-    xab = d.field.matmul(d.field.matmul(v, j._a), v.T).reshape(k, r, k, r)[first, :, second, :]
-    sym = d.field.reduce(xab + xab.transpose(0, 2, 1))
+    sym = _defect_stack(d.field, d.stack.reshape(k * r, c), j._a, k)
+    first, second = _pairs(k)
     return [(a + 1, b + 1, ExactMatrix._wrap(d.field, m))
             for a, b, m in zip(first.tolist(), second.tolist(), sym)]
 
@@ -193,6 +220,17 @@ def _nonzero_defects(d: MonadData, kind: str) -> tuple[tuple[int, int], ...]:
         defects = quadratic_defect(d, canonical_j(kind, d.n, d.k, d.field))
         d._memo[kind] = tuple((a, b) for a, b, mat in defects if not mat.is_zero())
     return d._memo[kind]
+
+
+def _stacked_nonzero_defects(field: Field, stacks: np.ndarray,
+                             kind: str) -> list[tuple[tuple[int, int], ...]]:
+    """:func:`_nonzero_defects` for each data of a (T, k, r, c) stack over
+    GF(p), from one product V * J * V^t for the whole stack."""
+    t, k, r, c = stacks.shape
+    j = canonical_j(kind, r // 2 - 1, k, field)._a
+    flags = _defect_stack(field, stacks.reshape(t, k * r, c), j, k).any(axis=(-2, -1))
+    pairs = [(a + 1, b + 1) for a, b in zip(*(index.tolist() for index in _pairs(k)))]
+    return [tuple(pairs[i] for i in np.flatnonzero(row)) for row in flags]
 
 
 @dataclass(frozen=True)
@@ -244,6 +282,16 @@ def _residues(d: MonadData) -> tuple[int, np.ndarray]:
     return q, (d.ints % q).astype(np.int64, copy=False)
 
 
+def _screen(q: int, residues: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Where A(x) has rank below k modulo q, for blocks given as residues,
+    a (..., k, r, c) array, and points, a (..., P, r) array with the same
+    leading axes: a (..., P) boolean array, from one product for A(x) at
+    every point and one elimination of the whole stack."""
+    k = residues.shape[-3]
+    a = _matmul_gf(points % q, _side_by_side(residues), q)  # row j of A(x) is x^t * M_j
+    return ~_full_row_rank_gf(a.reshape(-1, k, a.shape[-1] // k), q).reshape(a.shape[:-1])
+
+
 def _screen_failures(d: MonadData, points: np.ndarray) -> Iterator[int]:
     """Indices, in order, of the points where A(x) has rank below k modulo q;
     lazily, one batch of points at a time.
@@ -255,16 +303,44 @@ def _screen_failures(d: MonadData, points: np.ndarray) -> Iterator[int]:
     Over Q the blocks are read as ``d.ints``, which multiplies each row of
     A(x) by the nonzero constant L.
     """
-    q, stack = _residues(d)
-    stacked = _side_by_side(stack)  # row j of A(x) is x^t * M_j
+    q, residues = _residues(d)
     for start in range(0, len(points), _PROBE_BATCH):
-        x = points[start:start + _PROBE_BATCH] % q
-        a = _matmul_gf(x, stacked, q).reshape(len(x), d.k, -1)  # A(x) of each point
-        yield from (start + np.flatnonzero(~_full_row_rank_gf(a, q))).tolist()
+        failed = _screen(q, residues, points[start:start + _PROBE_BATCH])
+        yield from (start + np.flatnonzero(failed)).tolist()
+
+
+def _stacked_screen_failures(p: int, stacks: np.ndarray,
+                             points: list[np.ndarray]) -> list[list[int]]:
+    """:func:`_screen_failures` for each data of a (T, k, r, c) stack over
+    GF(p), at its own points: one screen for every point of the stack, so
+    the caller bounds T times the points per data."""
+    padded = np.zeros((len(points), max(map(len, points)), stacks.shape[-2]), dtype=np.int64)
+    for row, x in zip(padded, points):
+        row[:len(x)] = x
+    # a zero row fails the screen; only the drawn points are read
+    return [np.flatnonzero(failed[:len(x)]).tolist()
+            for failed, x in zip(_screen(p, stacks, padded), points)]
+
+
+def _probe_points(field: Field, dim: int, trials: int, seed: int, box: int) -> np.ndarray:
+    """The points :func:`max_rank_probe` tests, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return _draw_points(field, dim, rng, box, trials, 50 * trials + 100)
+
+
+def _probe_verdict(d: MonadData, points: np.ndarray, failures: Iterable[int]) -> RankProbeVerdict:
+    """The exact test of the screen's ``failures``, in order, up to the first
+    that fails it: a counterexample there, otherwise every point passed."""
+    for i in failures:
+        x = Point.of(d.field, points[i].tolist())
+        rank = evaluate_a(d, x).rank()
+        if rank != d.k:
+            return RankProbeVerdict(False, i + 1, RankCounterexample(x, rank))
+    return RankProbeVerdict(True, len(points))
 
 
 def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
-                   box: int = 10) -> RankProbeVerdict:
+                   box: int = _POINT_BOX) -> RankProbeVerdict:
     """Check rank A(x) = k at ``trials`` distinct random points.
 
     J must be nondegenerate, so B(x) = A(x) * J has the rank of A(x) and is
@@ -281,14 +357,8 @@ def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
     _check_pairing(d, j)
     if j.det() == 0:
         raise ValueError("pairing is degenerate: det J = 0")
-    rng = np.random.default_rng(seed)
-    points = _draw_points(d.field, d.block_rows, rng, box, trials, 50 * trials + 100)
-    for i in _screen_failures(d, points):
-        x = Point.of(d.field, points[i].tolist())
-        rank = evaluate_a(d, x).rank()
-        if rank != d.k:
-            return RankProbeVerdict(False, i + 1, RankCounterexample(x, rank))
-    return RankProbeVerdict(True, len(points))
+    points = _probe_points(d.field, d.block_rows, trials, seed, box)
+    return _probe_verdict(d, points, _screen_failures(d, points))
 
 
 def chern_coefficients(k: int, terms: int) -> list[int]:

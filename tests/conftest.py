@@ -2,7 +2,7 @@
 
 import pytest
 
-from monadlab import exact
+from monadlab import exact, monad
 
 
 class Elimination(str):
@@ -26,3 +26,18 @@ def eliminations(monkeypatch):
 
     monkeypatch.setattr(exact, "_echelon_gf", counting_gf)
     return calls
+
+
+@pytest.fixture
+def screens(monkeypatch):
+    """The rank probe's screens run from here on: for each call of
+    ``_full_row_rank_gf``, the number of matrices in its stack."""
+    sizes = []
+    screen = monad._full_row_rank_gf
+
+    def counting_screen(a, p):
+        sizes.append(a.shape[0])
+        return screen(a, p)
+
+    monkeypatch.setattr(monad, "_full_row_rank_gf", counting_screen)
+    return sizes

@@ -11,7 +11,9 @@ division, 0/1 determinants from a triangular order, Q entry by entry from
 the monomial bases with plain loops, block mixes as sums of scaled blocks,
 random SL matrices and isotropic trial data from one scalar draw per value,
 the syzygy residual and the probe's screen residues from the Fraction
-blocks as they were read before the data kept an integer form,
+blocks as they were read before the data kept an integer form, the
+orthogonal search one trial at a time through the single-candidate
+verdict and probe, as it ran before its trials were checked as one stack,
 and the 20x10 block table for n=2, k=4 was worked out by hand from the
 single-variable multiplication rule.
 """
@@ -21,9 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from monadlab import (ORTHOGONAL_IDENTITY, ExactMatrix, GeneratorError, MonadData, Point,
-                      RankCounterexample, RankProbeVerdict, SyzygyReport, evaluate_a, exact,
-                      q_layout)
+from monadlab import (DEFECT_NONZERO, GF, ORTHOGONAL_IDENTITY, ExactMatrix, GeneratorError,
+                      MonadData, Point, RankCounterexample, RankProbeVerdict, SearchSummary,
+                      SyzygyReport, TrialRow, canonical_j, det_q, evaluate_a, exact, gens,
+                      isotropic_basis, max_rank_probe, orthogonal_verdict, q_layout)
 from monadlab.invariant import _q_columns
 from monadlab.monad import _nonzero_defects, _side_by_side
 
@@ -357,10 +360,10 @@ def verify_syzygy_fraction(d) -> SyzygyReport:
     residual = d.field.zeros(q.shape[0], br)
     residual[rows] = d.field.matmul(q[rows], _side_by_side(d.stack).T)
     return SyzygyReport(
-        residual=ExactMatrix._wrap(d.field, residual),
         residual_is_zero=not residual.any(),
         syzygy_is_zero=not d.stack.any(),
         defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
+        make_residual=lambda: ExactMatrix._wrap(d.field, residual),
     )
 
 
@@ -523,3 +526,26 @@ def isotropic_data_sequential(n: int, k: int, span: ExactMatrix, seed: int,
         blocks = tuple(summed(random_sl_sequential(span.field, 2 * n + 2, rng) @ b, mix)
                        for b, mix in zip(blocks, blocks_in_span_sequential(n, k, span, rng)))
     return MonadData(n, k, span.field, blocks)
+
+
+def search_orthogonal_reference(n: int, k: int, p: int, trials: int, seed: int) -> SearchSummary:
+    """``search_orthogonal`` one trial at a time: each trial's draw (looked up
+    on ``gens``, so a test's replacement is used), then its own
+    ``orthogonal_verdict``, det Q only for a nonzero defect, and its own
+    ``max_rank_probe`` at 20 points from the trial's seed."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    field = GF(p)
+    form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
+    span = isotropic_basis(field, 2 * n + 2 * k)
+    rows = []
+    for t in range(trials):
+        data = gens._isotropic_data(n, k, span, seed + t, t % 2 == 1)
+        verdict = orthogonal_verdict(data)
+        det_q_zero = verdict.excluded or det_q(data) == 0
+        probe = max_rank_probe(data, form, 20, seed + t)
+        rows.append(TrialRow(seed + t, t % 2 == 1, verdict.status != DEFECT_NONZERO,
+                             det_q_zero, not probe.ok))
+    return SearchSummary(tuple(rows))

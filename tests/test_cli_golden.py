@@ -107,6 +107,9 @@ CASES = [
                          "--trials", "4", "--seed", "3"], None, []),
     ("search-n1k1-gf7", ["search-orthogonal", "--n", "1", "--k", "1", "--field", "gf:7",
                          "--trials", "5", "--seed", "3"], None, []),
+    # more trials than one stacked chunk of the search holds
+    ("search-n3k4-gf101", ["search-orthogonal", "--n", "3", "--k", "4", "--trials", "60"],
+     None, []),
     ("search-n0k0", ["search-orthogonal", "--n", "0", "--k", "0", "--trials", "3"], None, []),
     ("search-n0k1", ["search-orthogonal", "--n", "0", "--k", "1", "--trials", "3"], None, []),
     ("search-n1k0", ["search-orthogonal", "--n", "1", "--k", "0", "--trials", "3"], None, []),

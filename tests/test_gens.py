@@ -18,7 +18,7 @@ from monadlab import (DET_ZERO_BY_SYZYGY, GF, QQ, ExactMatrix, GeneratorError, M
                       verify_syzygy)
 
 from oracles import (isotropic_data_sequential, matmul_naive, mix_blocks_sum,
-                     random_sl_sequential, scaled)
+                     random_sl_sequential, scaled, search_orthogonal_reference)
 
 
 def test_special_symplectic_n1_k1_structure():
@@ -425,8 +425,8 @@ def test_isotropic_draws_reject_negative_seed():
 # search_orthogonal at 25 trials, recorded when every perturbed trial still
 # ran the whole isotropic generator on its base data: one "seed:PDZR" token
 # per row (perturbed, defects_ok, det_q_zero, rank_counterexample), and the
-# sha256 of every trial's final data in the monad text format, taken from
-# the one rank probe each trial runs.
+# sha256 of every trial's final data in the monad text format, in trial
+# order, as each trial's draw returns it.
 PINNED_SEARCHES = {
     (1, 2, 101, 0): (
         "0:0110 1:1110 2:0110 3:1110 4:0110 5:1110 6:0110 7:1110 8:0110 9:1110 "
@@ -453,18 +453,19 @@ PINNED_SEARCHES = {
 
 @pytest.mark.parametrize("n, k, p, seed", sorted(PINNED_SEARCHES))
 def test_search_orthogonal_rows_and_data_are_pinned(monkeypatch, n, k, p, seed):
-    probed = []
-    probe = gens.max_rank_probe
+    drawn = []
+    draw = gens._isotropic_data
 
-    def recording_probe(d, *args, **kwargs):
-        probed.append(format_monad(d))
-        return probe(d, *args, **kwargs)
+    def recording_draw(*args):
+        d = draw(*args)
+        drawn.append(format_monad(d))
+        return d
 
-    monkeypatch.setattr(gens, "max_rank_probe", recording_probe)
+    monkeypatch.setattr(gens, "_isotropic_data", recording_draw)
     summary = search_orthogonal(n, k, p, trials=25, seed=seed)
     rows = " ".join(f"{r.seed}:{r.perturbed:d}{r.defects_ok:d}{r.det_q_zero:d}"
                     f"{r.rank_counterexample:d}" for r in summary.rows)
-    digest = hashlib.sha256("".join(probed).encode("ascii")).hexdigest()
+    digest = hashlib.sha256("".join(drawn).encode("ascii")).hexdigest()
     assert (rows, digest) == PINNED_SEARCHES[(n, k, p, seed)]
 
 
@@ -478,3 +479,83 @@ def test_search_orthogonal_never_builds_q_for_zero_defects(monkeypatch, n, k, p,
     monkeypatch.setattr(monadlab.invariant, "build_q", unused)
     summary = search_orthogonal(n, k, p, trials=25, seed=seed)
     assert summary.det_zero_count == 25 and all(r.defects_ok for r in summary.rows)
+
+
+# over GF(7) at n = k = 2, seeds 12 and 56 give a rank counterexample within 20 points
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 4), p=st.sampled_from([7, 13, 101, 103]),
+       trials=st.integers(1, 60), seed=st.integers(0, 10**6))
+@example(n=2, k=2, p=7, trials=3, seed=12)
+@example(n=2, k=2, p=7, trials=60, seed=0)
+@example(n=2, k=2, p=7, trials=1, seed=56)
+def test_search_rows_equal_the_per_trial_reference(n, k, p, trials, seed):
+    # chunks of 51 trials at these shapes, so 52 to 60 trials cross a boundary
+    summary = search_orthogonal(n, k, p, trials, seed)
+    assert summary == search_orthogonal_reference(n, k, p, trials, seed)
+
+
+def test_search_rows_equal_the_reference_on_zero_and_defective_draws(monkeypatch):
+    # zero data (degenerate: excluded, and the probe fails at once), random
+    # data (a nonzero defect: det Q decides) and isotropic data, across a chunk
+    draw = gens._isotropic_data
+
+    def mixed(n, k, span, seed, perturbed):
+        if seed % 3 == 0:
+            return MonadData(n, k, span.field, (ExactMatrix.zeros(span.field, 2 * n + 2,
+                                                                  2 * n + 2 * k),) * k)
+        if seed % 3 == 1:
+            rng = np.random.default_rng(seed)
+            return MonadData(n, k, span.field, tuple(
+                ExactMatrix.random(span.field, 2 * n + 2, 2 * n + 2 * k, rng) for _ in range(k)))
+        return draw(n, k, span, seed, perturbed)
+
+    monkeypatch.setattr(gens, "_isotropic_data", mixed)
+    summary = search_orthogonal(1, 2, 7, trials=60, seed=0)
+    assert summary == search_orthogonal_reference(1, 2, 7, trials=60, seed=0)
+    zero, random = summary.rows[::3], summary.rows[1::3]
+    assert all(r.defects_ok and r.det_q_zero and r.rank_counterexample for r in zero)
+    assert not any(r.defects_ok for r in random)
+    assert {r.det_q_zero for r in random} == {False, True}
+
+
+def test_search_screens_its_trials_as_one_stack(monkeypatch, screens):
+    # 25 trials of 20 points: one screen of 500 matrices, not 25 of 20, and
+    # neither the single-candidate verdict nor the probe runs per trial
+    def unused(*args, **kwargs):
+        raise AssertionError("a trial was checked on its own")
+
+    monkeypatch.setattr(gens, "orthogonal_verdict", unused)
+    monkeypatch.setattr(gens, "max_rank_probe", unused)
+    summary = search_orthogonal(2, 4, 101, trials=25, seed=0)
+    assert len(summary.rows) == 25
+    assert screens == [25 * 20]
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (3, 4)])
+def test_search_checks_its_trials_in_chunks(screens, n, k):
+    chunk = gens._search_chunk(n, k)
+    assert chunk == gens._PROBE_BATCH // 20 == 51
+    search_orthogonal(n, k, 101, trials=2 * chunk + 9, seed=0)
+    assert screens == [chunk * 20, chunk * 20, 9 * 20]
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 4), (3, 4), (4, 6), (6, 8), (10, 10), (20, 20)])
+def test_search_chunk_bounds_points_and_stacked_q_columns(n, k):
+    # as many trials as fit both bounds, and one when a single trial exceeds
+    # them; Q's first k block columns hold a block in k(k+1)/2 block rows
+    used_rows, cols = k * (k + 1) // 2 * (2 * n + 2), k * (2 * n + 2 * k)
+
+    def fits(trials):
+        return (trials * 20 <= gens._PROBE_BATCH
+                and trials * used_rows * cols <= gens._CHUNK_ENTRIES)
+
+    chunk = gens._search_chunk(n, k)
+    assert (fits(chunk) or chunk == 1) and not fits(chunk + 1)
+
+
+def test_search_raises_when_the_defects_vanish_but_q_s_does_not(monkeypatch):
+    q_s = gens._q_s
+    monkeypatch.setattr(gens, "_q_s", lambda field, ints: q_s(field, ints) + 1)
+    with pytest.raises(RuntimeError, match="^syzygy argument violated: quadratic conditions "
+                                           "hold but Q\\*S != 0; this is a bug$"):
+        search_orthogonal(1, 2, 101, trials=3, seed=0)

@@ -6,6 +6,7 @@ i_1^{n-1} i_a i_b must equal M_a M_b^t + M_b M_a^t (M_a M_a^t on the
 diagonal) and every other row block must vanish, for arbitrary data.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -386,6 +387,29 @@ def test_integer_form_matches_the_fraction_path(d, kind, trials, box, seed):
         assert orthogonal_verdict(d) == verdict
         assert max_rank_probe(d, j, trials, seed, box=box) == probe
     assert probe == rank_probe_pointwise(d, j, trials, seed, box)
+
+
+def test_verify_syzygy_over_q_builds_the_residual_only_when_read(monkeypatch):
+    # the flags come from the integer product; the Fraction residual is made
+    # on the first read of ``residual`` and kept
+    d = random_data(2, 3, QQ, np.random.default_rng(4))
+    expected = verify_syzygy_fraction(d)
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(monadlab.invariant, "Fraction", counting)
+    report = verify_syzygy(d)
+    assert (report.residual_is_zero, report.syzygy_is_zero, report.defects_all_zero) == \
+        (False, False, False)
+    assert orthogonal_verdict(d).status == DEFECT_NONZERO
+    assert made == []
+    assert report.residual == expected.residual
+    assert made and report.residual is report.residual
+    zero = ExactMatrix.zeros(QQ, *report.residual.shape)
+    assert report == expected != dataclasses.replace(expected, make_residual=lambda: zero)
 
 
 def test_q_s_and_the_screen_over_q_clear_no_denominator_after_construction(monkeypatch):

@@ -12,7 +12,7 @@ from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
                       defects_vanish, evaluate_a, format_monad, max_rank_probe,
                       parse_monad, quadratic_defect, random_sl)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
-from monadlab import exact, monad
+from monadlab import exact, gens, invariant, monad
 from monadlab.monad import _draw_points
 
 from oracles import (block_matrix, distinct_points_pointwise, pairing_rows,
@@ -460,6 +460,71 @@ def test_max_rank_probe_over_q_clears_each_block_by_one_scale():
     verdict = max_rank_probe(d, j, trials=20, seed=0)
     assert not verdict.ok and verdict.points_tested == 1
     assert verdict == rank_probe_pointwise(d, j, 20, 0)
+
+
+@st.composite
+def data_stacks(draw):
+    """A stack of data over one GF(p), each drawn as zero, random, random with
+    a zero first block (its pairs (1, b) vanish), random with a repeated
+    block (A(x) drops rank everywhere), isotropic (orthogonal defects zero)
+    or the special family (symplectic defects zero); and for each data its
+    own number of probe points, from 1 to 30, and seed."""
+    p, n, k = draw(st.sampled_from([3, 7, 101])), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    field, rng = GF(p), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data, points = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["zero", "random", "first zero", "repeated", "isotropic",
+                                     "special"]))
+        if kind == "zero":
+            d = zero_data(n, k, field)
+        elif kind == "isotropic":
+            span = gens.isotropic_basis(field, 2 * n + 2 * k)
+            d = gens._isotropic_data(n, k, span, int(rng.integers(100)), bool(rng.integers(2)))
+        elif kind == "special":
+            d = MonadData(n, k, field, gens._special_blocks(n, k, field))
+        else:
+            blocks = list(random_data(n, k, field, rng).blocks)
+            if kind == "first zero":
+                blocks[0] = ExactMatrix.zeros(field, 2 * n + 2, 2 * n + 2 * k)
+            if kind == "repeated":
+                blocks[-1] = blocks[0]
+            d = MonadData(n, k, field, tuple(blocks))
+        data.append(d)
+        points.append(monad._probe_points(field, 2 * n + 2, draw(st.integers(1, 30)),
+                                          draw(st.integers(0, 1000)), 10))
+    return field, data, points
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=data_stacks())
+def test_stacked_defects_q_s_and_screen_equal_each_data_alone(case):
+    # the stacked search's checks give, data by data, what the single-data
+    # paths give: nonzero-defect pairs for both pairings, Q*S, and the screen's
+    # failures at each data's own points, however many
+    field, data, points = case
+    stacks = np.array([d.stack for d in data])
+    for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
+        assert monad._stacked_nonzero_defects(field, stacks, kind) == \
+            [monad._nonzero_defects(d, kind) for d in data]
+    q_s = invariant._q_s(field, stacks)
+    assert all(np.array_equal(got, invariant._q_s(field, d.ints)) for got, d in zip(q_s, data))
+    assert monad._stacked_screen_failures(field.p, stacks, points) == \
+        [list(monad._screen_failures(d, x)) for d, x in zip(data, points)]
+
+
+def test_pair_indices_are_made_once_per_k(monkeypatch):
+    first, second = monad._pairs(3)
+    assert [first.tolist(), second.tolist()] == [x.tolist() for x in np.triu_indices(3)]
+    assert not first.flags.writeable and not second.flags.writeable
+    d = random_data(1, 3, GF101, np.random.default_rng(0))
+    expected = quadratic_defect(d, canonical_j(SYMPLECTIC_CANONICAL, 1, 3, GF101))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair indices made again")
+
+    monkeypatch.setattr(np, "triu_indices", refuse)
+    assert quadratic_defect(d, canonical_j(SYMPLECTIC_CANONICAL, 1, 3, GF101)) == expected
+    assert monad._pairs(3) is monad._pairs(3)
 
 
 def test_chern_coefficients():
