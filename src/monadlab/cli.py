@@ -139,8 +139,7 @@ def _cmd_syzygy(args) -> int:
         sys.stdout.write(format_matrix(build_syzygy(data).matrix))
         return 0
     report = verify_syzygy(data)
-    rows, cols = report.residual.shape  # Q is square, so Q*S has the shape of S
-    print(f"S shape: {rows}x{cols}")
+    print(f"S shape: {dimension_identity(data.n, data.k)[0]}x{data.block_rows}")  # Q's order
     print(f"S nonzero: {_yes(not report.syzygy_is_zero)}")
     print(f"residual Q*S zero: {_yes(report.residual_is_zero)}")
     print(f"orthogonal defects zero: {_yes(report.defects_all_zero)}")

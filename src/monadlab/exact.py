@@ -155,6 +155,13 @@ class Field:
             return _matmul_qq(a, b)
         return _matmul_gf(a, b, self.p)
 
+    def matmul_ints(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b for arrays in integer form: residues mod p over GF(p),
+        integers over Q (``_matmul_zz``).  Stacks multiply pairwise."""
+        if self.p is None:
+            return _matmul_zz(a, b)
+        return _matmul_gf(a, b, self.p)
+
     def det(self, a: np.ndarray):
         """Determinant of a square storage array: over GF(p) ``_det_gf``,
         expansion along rows of one nonzero and then elimination of what is

@@ -27,9 +27,8 @@ from .exact import GF, ExactMatrix, Field
 from .invariant import (DEFECT_NONZERO, DET_ZERO_BY_SYZYGY, _q_s, _verdict, det_q,
                         orthogonal_verdict)
 from .monad import (_POINT_BOX, _PROBE_BATCH, ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL,
-                    MonadData, RankProbeVerdict, _nonzero_defects, _probe_points, _probe_verdict,
-                    _side_by_side, _stacked_nonzero_defects, _stacked_screen_failures,
-                    canonical_j, max_rank_probe)
+                    MonadData, RankProbeVerdict, _defect_pairs, _nonzero_defects, _probe_points,
+                    _probe_verdict, _screen, _side_by_side, canonical_j, max_rank_probe)
 
 
 class GeneratorError(RuntimeError):
@@ -321,13 +320,16 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
         data = [_isotropic_data(n, k, span, seed + t, t % 2 == 1) for t in trial]
         points = [_probe_points(field, 2 * n + 2, _ISOTROPIC_PROBE_TRIALS, seed + t, _POINT_BOX)
                   for t in trial]
-        stacks = np.array([d.stack for d in data])  # over GF(p) each data's ints
-        bad = _stacked_nonzero_defects(field, stacks, ORTHOGONAL_IDENTITY)
+        stacks = np.array([d.ints for d in data])  # over GF(p) also the residues mod p
+        bad = _defect_pairs(field, stacks, ORTHOGONAL_IDENTITY)
         residual_zero = (~_q_s(field, stacks).any(axis=(-2, -1))).tolist()
-        failures = _stacked_screen_failures(p, stacks, points)
+        padded = np.zeros((len(trial), _ISOTROPIC_PROBE_TRIALS, 2 * n + 2), dtype=np.int64)
+        for row, x in zip(padded, points):  # a zero row fails the screen; it is not read
+            row[:len(x)] = x
+        failed = _screen(p, stacks, padded)
         for i, (t, d) in enumerate(zip(trial, data)):
             verdict = _verdict(d.is_zero(), bad[i], lambda: residual_zero[i])
-            probe = _probe_verdict(d, points[i], failures[i])
+            probe = _probe_verdict(d, points[i], failed[i, :len(points[i])].nonzero()[0].tolist())
             rows.append(TrialRow(seed + t, t % 2 == 1, verdict.status != DEFECT_NONZERO,
                                  verdict.excluded or det_q(d) == 0, not probe.ok))
     return SearchSummary(tuple(rows))

@@ -10,9 +10,9 @@ first k block columns, and only those are assembled for it; the rest meet
 zero rows of S.  Row block i of Q*S equals M_a*M_b^t + M_b*M_a^t (or
 M_a*M_a^t on the diagonal) for the rows indexed by monomials i_1^{n-1} i_a i_b,
 and vanishes identically elsewhere: only these k(k+1)/2 row blocks are
-multiplied, from the data's integer form ``ints`` (L times the blocks, so
-L**2 times Q*S).  The product also takes a stack of data, one product for all of them,
-which is how the orthogonal search checks its trials.
+multiplied, by ``Field.matmul_ints`` on the integer form ``ints`` (L times
+the blocks, so L**2 times Q*S) of one data or of a stack of data, such as
+the orthogonal search's trials; only whether the product is zero is kept.
 Hence when the identity-pairing quadratic conditions hold,
 Q*S = 0 with S != 0 and Q is singular over any field.
 :func:`orthogonal_verdict` packages that chain of implications: the product
@@ -21,15 +21,13 @@ Q*S it checks is the certificate, and Q itself is never eliminated there.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .exact import ExactMatrix, Field, _matmul_zz
+from .exact import ExactMatrix, Field
 from .monad import ORTHOGONAL_IDENTITY, MonadData, _nonzero_defects, _side_by_side
 from .symcomb import q_layout
 
@@ -99,23 +97,10 @@ class SyzygyReport:
     residual_is_zero: bool
     syzygy_is_zero: bool  # all blocks zero: the singularity argument is vacuous
     defects_all_zero: bool
-    # builds the residual Q*S; called on its first read only
-    make_residual: Callable[[], ExactMatrix] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def residual(self) -> ExactMatrix:
-        return self.make_residual()
 
     @property
     def det_zero_forced(self) -> bool:
         return self.residual_is_zero and not self.syzygy_is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, SyzygyReport):
-            return NotImplemented
-        return ((self.residual_is_zero, self.syzygy_is_zero, self.defects_all_zero, self.residual)
-                == (other.residual_is_zero, other.syzygy_is_zero, other.defects_all_zero,
-                    other.residual))
 
 
 def _used_block_rows(n: int, k: int) -> np.ndarray:
@@ -135,39 +120,22 @@ def _q_s(field: Field, ints: np.ndarray) -> np.ndarray:
     # Q's first k block columns, in the used block rows only
     q = _place(np.zeros((*lead, len(used) * br, k * bc), ints.dtype),
                np.searchsorted(used, table), ints)
-    s = np.swapaxes(_side_by_side(ints), -1, -2)
-    return field.matmul(q, s) if field.is_prime_field else _matmul_zz(q, s)
+    return field.matmul_ints(q, np.swapaxes(_side_by_side(ints), -1, -2))
 
 
 def verify_syzygy(d: MonadData) -> SyzygyReport:
-    """Residual Q*S, identity-pairing defects, and whether singularity is forced.
+    """Whether Q*S = 0, S = 0 and the identity-pairing defects vanish.
 
     Only Q's first k block columns meet S's nonzero rows, M_1^t..M_k^t, so only
     they are assembled, and only their k(k+1)/2 block rows that hold a block are
     multiplied: at n=4, k=5, 90 of 1260 columns and 15 of 126 block rows (all at n=1).
     Both factors come from ``d.ints``: over Q their integer product is L**2
-    times Q*S, so it decides the zero test, and the residual's nonzero
-    entries are its entries over L**2.  Over GF(p) it is Q*S itself.  The
-    residual matrix is built only when it is first read.
+    times Q*S, which has the same zeros.
     """
-    product, br = _q_s(d.field, d.ints), d.block_rows
-
-    def make_residual() -> ExactMatrix:
-        used = _used_block_rows(d.n, d.k)
-        rows = (used[:, None] * br + np.arange(br)).ravel()
-        residual = d.field.zeros(q_layout(d.n, d.k).block_rows * br, br)
-        if d.field.is_prime_field:
-            residual[rows] = product
-        else:
-            i, j = product.nonzero()
-            residual[rows[i], j] = [Fraction(x, d.scale**2) for x in product[i, j].tolist()]
-        return ExactMatrix._wrap(d.field, residual)
-
     return SyzygyReport(
-        residual_is_zero=not product.any(),
+        residual_is_zero=not _q_s(d.field, d.ints).any(),
         syzygy_is_zero=d.is_zero(),
         defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
-        make_residual=make_residual,
     )
 
 

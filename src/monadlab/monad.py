@@ -7,9 +7,9 @@ homogeneous coordinates.  The blocks are copied once into one (k, 2n+2, 2n+2k)
 array, ``stack``; every arrangement of them is a reshape or transpose of it.
 Beside it the data keeps ``ints``, L * stack for the lcm L of all
 denominators (``scale``): over Q an integer array made once, over GF(p)
-``stack`` itself with L = 1.  Scaling every block by L scales Q*S by L**2
-and each row of A(x) by L, so Q*S, the zero test and the probe's screen
-read ``ints``.
+``stack`` itself with L = 1.  Scaling every block by L scales Q*S and
+each defect D_ab below by L**2 and each row of A(x) by L, so Q*S, the
+defect flags, the zero test and the probe's screen read ``ints``.
 A pairing is given by its matrix J alone, an :class:`ExactMatrix`: the
 identity for orthogonal data, the canonical skew form for symplectic data
 (:func:`canonical_j`).  The quadratic condition A*J*A^t = 0 holds
@@ -34,10 +34,11 @@ Either way the first point in draw order that fails goes through
 :func:`evaluate_a` and exact elimination, so a counterexample is still an
 exact certificate, with exact field-element coordinates.
 
-The defect product and the screen also take a (T, k, 2n+2, 2n+2k) stack of
-data over GF(p), one product and one elimination for all T; the orthogonal
-search checks its trials so.  A screen takes at most ``_PROBE_BATCH``
-points, one data's or the stack's, which bounds its working memory.
+The defect flags and the screen each take a stack of data in integer form,
+(T, k, 2n+2, 2n+2k), one product and one elimination for all T: one data
+alone, or the orthogonal search's trials.  A screen takes at most
+``_PROBE_BATCH`` points, which bounds its working memory, and the probe
+screens a batch only once its exact tests reach it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Optional
+from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
@@ -135,6 +136,16 @@ def canonical_j(kind: str, n: int, k: int, field: Field) -> ExactMatrix:
     raise ValueError(f"no canonical pairing of kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=32)
+def _pairing_ints(kind: str, n: int, k: int, field: Field) -> np.ndarray:
+    """:func:`canonical_j` in integer form, read-only: its entries' numerators,
+    0 and +-1 (residues over GF(p)), as int64.  Memoised on its arguments."""
+    j = canonical_j(kind, n, k, field)._a
+    ints = np.array([x.numerator for x in j.ravel().tolist()], dtype=np.int64).reshape(j.shape)
+    ints.flags.writeable = False
+    return ints
+
+
 @dataclass(frozen=True)
 class Point:
     """A nonzero coordinate vector, representing a point of projective space."""
@@ -182,14 +193,14 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _defect_stack(field: Field, v: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
+def _defect_stack(field: Field, product, v: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
     """sym(M_a * J * M_b^t) for the pairs a <= b, in order, from the blocks
     stacked as V, a (..., k*r, c) array: the (..., pairs, r, r) array of
-    canonical entries, read off the blocks of V * J * V^t.  Leading axes
-    hold a stack of data, multiplied pairwise; over Q there are none."""
+    canonical entries, read off the blocks of V * J * V^t, which ``product``
+    multiplies.  Leading axes hold a stack of data, multiplied pairwise."""
     *lead, kr, _ = v.shape
     r = kr // k
-    x = field.matmul(field.matmul(v, j), np.swapaxes(v, -1, -2)).reshape(*lead, k, r, k, r)
+    x = product(product(v, j), np.swapaxes(v, -1, -2)).reshape(*lead, k, r, k, r)
     first, second = _pairs(k)
     # block (a, b) of V * J * V^t is M_a * J * M_b^t; the pair axis comes out first
     xab = np.moveaxis(x[..., first, :, second, :], 0, -3)
@@ -204,7 +215,7 @@ def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, Exact
     """
     _check_pairing(d, j)
     k, r, c = d.stack.shape
-    sym = _defect_stack(d.field, d.stack.reshape(k * r, c), j._a, k)
+    sym = _defect_stack(d.field, d.field.matmul, d.stack.reshape(k * r, c), j._a, k)
     first, second = _pairs(k)
     return [(a + 1, b + 1, ExactMatrix._wrap(d.field, m))
             for a, b, m in zip(first.tolist(), second.tolist(), sym)]
@@ -214,23 +225,23 @@ def defects_vanish(defects: list[tuple[int, int, ExactMatrix]]) -> bool:
     return all(mat.is_zero() for _, _, mat in defects)
 
 
-def _nonzero_defects(d: MonadData, kind: str) -> tuple[tuple[int, int], ...]:
-    """Pairs (a, b), in order, with D_ab != 0 for the canonical ``kind`` pairing."""
-    if kind not in d._memo:
-        defects = quadratic_defect(d, canonical_j(kind, d.n, d.k, d.field))
-        d._memo[kind] = tuple((a, b) for a, b, mat in defects if not mat.is_zero())
-    return d._memo[kind]
-
-
-def _stacked_nonzero_defects(field: Field, stacks: np.ndarray,
-                             kind: str) -> list[tuple[tuple[int, int], ...]]:
-    """:func:`_nonzero_defects` for each data of a (T, k, r, c) stack over
-    GF(p), from one product V * J * V^t for the whole stack."""
-    t, k, r, c = stacks.shape
-    j = canonical_j(kind, r // 2 - 1, k, field)._a
-    flags = _defect_stack(field, stacks.reshape(t, k * r, c), j, k).any(axis=(-2, -1))
+def _defect_pairs(field: Field, ints: np.ndarray, kind: str) -> list[tuple[tuple[int, int], ...]]:
+    """Pairs (a, b), in order, with D_ab != 0 for the canonical ``kind``
+    pairing, for each data of a (T, k, r, c) stack in integer form, whose
+    defects are L**2 * D_ab: one product V * J * V^t for the whole stack."""
+    t, k, r, c = ints.shape
+    j = _pairing_ints(kind, r // 2 - 1, k, field)
+    sym = _defect_stack(field, field.matmul_ints, ints.reshape(t, k * r, c), j, k)
     pairs = [(a + 1, b + 1) for a, b in zip(*(index.tolist() for index in _pairs(k)))]
-    return [tuple(pairs[i] for i in np.flatnonzero(row)) for row in flags]
+    flags = sym.reshape(t, len(pairs), -1).any(axis=-1)
+    return [tuple(p for p, bad in zip(pairs, row) if bad) for row in flags.tolist()]
+
+
+def _nonzero_defects(d: MonadData, kind: str) -> tuple[tuple[int, int], ...]:
+    """The pairs of :func:`_defect_pairs` for ``d.ints`` alone, kept by the data."""
+    if kind not in d._memo:
+        d._memo[kind] = _defect_pairs(d.field, d.ints[None], kind)[0]
+    return d._memo[kind]
 
 
 @dataclass(frozen=True)
@@ -286,40 +297,17 @@ def _screen(q: int, residues: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Where A(x) has rank below k modulo q, for blocks given as residues,
     a (..., k, r, c) array, and points, a (..., P, r) array with the same
     leading axes: a (..., P) boolean array, from one product for A(x) at
-    every point and one elimination of the whole stack."""
-    k = residues.shape[-3]
-    a = _matmul_gf(points % q, _side_by_side(residues), q)  # row j of A(x) is x^t * M_j
-    return ~_full_row_rank_gf(a.reshape(-1, k, a.shape[-1] // k), q).reshape(a.shape[:-1])
-
-
-def _screen_failures(d: MonadData, points: np.ndarray) -> Iterator[int]:
-    """Indices, in order, of the points where A(x) has rank below k modulo q;
-    lazily, one batch of points at a time.
+    every point and one elimination of the whole stack, whose size the
+    caller bounds.
 
     q is p over GF(p), where this is the exact answer, and the first CRT
     prime over Q, where full rank mod q certifies full rank (a nonzero k x k
     minor mod q is nonzero over Q) and a failure only says the point needs the
     exact test.
-    Over Q the blocks are read as ``d.ints``, which multiplies each row of
-    A(x) by the nonzero constant L.
     """
-    q, residues = _residues(d)
-    for start in range(0, len(points), _PROBE_BATCH):
-        failed = _screen(q, residues, points[start:start + _PROBE_BATCH])
-        yield from (start + np.flatnonzero(failed)).tolist()
-
-
-def _stacked_screen_failures(p: int, stacks: np.ndarray,
-                             points: list[np.ndarray]) -> list[list[int]]:
-    """:func:`_screen_failures` for each data of a (T, k, r, c) stack over
-    GF(p), at its own points: one screen for every point of the stack, so
-    the caller bounds T times the points per data."""
-    padded = np.zeros((len(points), max(map(len, points)), stacks.shape[-2]), dtype=np.int64)
-    for row, x in zip(padded, points):
-        row[:len(x)] = x
-    # a zero row fails the screen; only the drawn points are read
-    return [np.flatnonzero(failed[:len(x)]).tolist()
-            for failed, x in zip(_screen(p, stacks, padded), points)]
+    k = residues.shape[-3]
+    a = _matmul_gf(points % q, _side_by_side(residues), q)  # row j of A(x) is x^t * M_j
+    return ~_full_row_rank_gf(a.reshape(-1, k, a.shape[-1] // k), q).reshape(a.shape[:-1])
 
 
 def _probe_points(field: Field, dim: int, trials: int, seed: int, box: int) -> np.ndarray:
@@ -358,7 +346,11 @@ def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
     if j.det() == 0:
         raise ValueError("pairing is degenerate: det J = 0")
     points = _probe_points(d.field, d.block_rows, trials, seed, box)
-    return _probe_verdict(d, points, _screen_failures(d, points))
+    q, residues = _residues(d)
+    # one screen per batch, run only once the exact tests reach the batch
+    failures = (start + i for start in range(0, len(points), _PROBE_BATCH) for i in
+                _screen(q, residues, points[start:start + _PROBE_BATCH]).nonzero()[0].tolist())
+    return _probe_verdict(d, points, failures)
 
 
 def chern_coefficients(k: int, terms: int) -> list[int]:

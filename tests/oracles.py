@@ -10,8 +10,9 @@ from elimination that reduces every entry at every step, primality from trial
 division, 0/1 determinants from a triangular order, Q entry by entry from
 the monomial bases with plain loops, block mixes as sums of scaled blocks,
 random SL matrices and isotropic trial data from one scalar draw per value,
-the syzygy residual and the probe's screen residues from the Fraction
-blocks as they were read before the data kept an integer form, the
+the syzygy residual, its report's defect flag (through ``quadratic_defect``)
+and the probe's screen residues from the Fraction blocks as they were read
+before the data kept an integer form, the
 orthogonal search one trial at a time through the single-candidate
 verdict and probe, as it ran before its trials were checked as one stack,
 and the 20x10 block table for n=2, k=4 was worked out by hand from the
@@ -25,10 +26,11 @@ import numpy as np
 
 from monadlab import (DEFECT_NONZERO, GF, ORTHOGONAL_IDENTITY, ExactMatrix, GeneratorError,
                       MonadData, Point, RankCounterexample, RankProbeVerdict, SearchSummary,
-                      SyzygyReport, TrialRow, canonical_j, det_q, evaluate_a, exact, gens,
-                      isotropic_basis, max_rank_probe, orthogonal_verdict, q_layout)
+                      SyzygyReport, TrialRow, canonical_j, defects_vanish, det_q, evaluate_a,
+                      exact, gens, isotropic_basis, max_rank_probe, orthogonal_verdict, q_layout,
+                      quadratic_defect)
 from monadlab.invariant import _q_columns
-from monadlab.monad import _nonzero_defects, _side_by_side
+from monadlab.monad import _side_by_side
 
 
 def det_cofactor(m: ExactMatrix):
@@ -350,20 +352,27 @@ def rank_probe_pointwise(d, j, trials: int, seed: int, box: int = 10) -> RankPro
     return RankProbeVerdict(True, tested)
 
 
-def verify_syzygy_fraction(d) -> SyzygyReport:
-    """``verify_syzygy`` on the field's storage, as it was before the data
-    kept an integer form: over Q, Q's used rows times S by ``Field.matmul``
-    on the Fraction blocks, and the zero tests on the Fraction arrays."""
+def residual_fraction(d) -> ExactMatrix:
+    """Q*S as ``verify_syzygy`` made it before the data kept an integer form:
+    Q's used rows times S by ``Field.matmul`` on the Fraction blocks, every
+    other row zero."""
     q, br = _q_columns(d, d.k)._a, d.block_rows
     used = np.array(sorted(set(q_layout(d.n, d.k).table[:d.k].flat)))
     rows = (used[:, None] * br + np.arange(br)).ravel()
     residual = d.field.zeros(q.shape[0], br)
     residual[rows] = d.field.matmul(q[rows], _side_by_side(d.stack).T)
+    return ExactMatrix._wrap(d.field, residual)
+
+
+def verify_syzygy_fraction(d) -> SyzygyReport:
+    """``verify_syzygy`` on the field's storage, as it was before the data
+    kept an integer form: the zero tests on :func:`residual_fraction` and on
+    the Fraction blocks, and the defects by ``quadratic_defect`` with J = I."""
+    j = canonical_j(ORTHOGONAL_IDENTITY, d.n, d.k, d.field)
     return SyzygyReport(
-        residual_is_zero=not residual.any(),
+        residual_is_zero=residual_fraction(d).is_zero(),
         syzygy_is_zero=not d.stack.any(),
-        defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
-        make_residual=lambda: ExactMatrix._wrap(d.field, residual),
+        defects_all_zero=defects_vanish(quadratic_defect(d, j)),
     )
 
 

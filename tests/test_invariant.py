@@ -6,7 +6,6 @@ i_1^{n-1} i_a i_b must equal M_a M_b^t + M_b M_a^t (M_a M_a^t on the
 diagonal) and every other row block must vanish, for arbitrary data.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -22,14 +21,14 @@ from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF,
                       ExactMatrix, MonadData, RankProbeVerdict, build_q, build_syzygy,
                       canonical_j, det_q, dimension_identity, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
-                      orthogonal_verdict, q_layout, random_sl, transform_monad,
-                      verify_syzygy)
+                      orthogonal_verdict, q_layout, quadratic_defect, random_sl,
+                      transform_monad, verify_syzygy)
 from monadlab.gens import _special_blocks
 from monadlab.invariant import _q_columns
 
 from oracles import (block_of, build_q_blockwise, det_cofactor, layout_entries,
-                     rank_probe_pointwise, residues_per_block, scaled, summed,
-                     unitriangular_det, verify_syzygy_fraction)
+                     rank_probe_pointwise, residual_fraction, residues_per_block, scaled,
+                     summed, unitriangular_det, verify_syzygy_fraction)
 
 GF101 = GF(101)
 # the rational rank probe screens modulo the first CRT prime
@@ -60,6 +59,19 @@ def expected_residual_block(d, eta):
     if a == b:
         return ma @ ma.transpose()
     return summed(ma @ mb.transpose(), mb @ ma.transpose())
+
+
+def assert_q_s_is(d, residual):
+    """``_q_s`` of ``d.ints``, over L**2, is the used block rows of
+    ``residual``, Q*S in full, and every other row of ``residual`` is zero."""
+    br = d.block_rows
+    used = monadlab.invariant._used_block_rows(d.n, d.k)
+    rows = (used[:, None] * br + np.arange(br)).ravel().tolist()
+    got = monadlab.invariant._q_s(d.field, d.ints).tolist()
+    expected = residual.tolist()
+    assert [[d.field.coerce(Fraction(x, d.scale**2)) for x in row] for row in got] \
+        == [expected[i] for i in rows]
+    assert not any(any(row) for i, row in enumerate(expected) if i not in set(rows))
 
 
 def test_dimension_identity_examples():
@@ -227,13 +239,13 @@ def test_build_syzygy_shapes():
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
 def test_residual_matches_blockwise_formula(n, k):
     # arbitrary data: the residual's row blocks follow the two-case formula, and
-    # verify_syzygy's product over Q's first k block columns is the whole Q*S
-    # (at n = 1, s = k and S has no zero block rows)
+    # the product verify_syzygy tests, over Q's first k block columns, is the
+    # whole Q*S (at n = 1, s = k and S has no zero block rows)
     rng = np.random.default_rng(100 * n + k)
     for field in (GF101, GF(7), QQ):
         d = random_data(n, k, field, rng)
         residual = build_q(d).matrix @ build_syzygy(d).matrix
-        assert verify_syzygy(d).residual == residual
+        assert_q_s_is(d, residual)
         lay = q_layout(n, k)
         for i in range(1, lay.block_rows + 1):
             got = block_of(residual, i - 1, 0, d.block_rows, d.block_rows)
@@ -281,9 +293,10 @@ def test_rational_residual_at_order_280_reduces_to_the_gf_residual(denominators)
     if denominators:  # a different denominator in each block, none divisible by p
         blocks = [[[Fraction(x, j + 2) for x in row] for row in b]
                   for j, b in enumerate(blocks)]
-    rational = verify_syzygy(MonadData(n, k, QQ, tuple(ExactMatrix(QQ, b) for b in blocks)))
-    assert rational.residual.shape == (280, 2 * n + 2)
-    assert not rational.residual_is_zero
+    rational = MonadData(n, k, QQ, tuple(ExactMatrix(QQ, b) for b in blocks))
+    product = monadlab.invariant._q_s(QQ, rational.ints)  # L**2 times Q*S, used rows only
+    assert product.shape == (k * (k + 1) // 2 * (2 * n + 2), 2 * n + 2) and product.any()
+    assert not verify_syzygy(rational).residual_is_zero
     for p in (101, 32003):
         def mod_p(x):
             x = Fraction(x)
@@ -292,8 +305,8 @@ def test_rational_residual_at_order_280_reduces_to_the_gf_residual(denominators)
         field = GF(p)
         reduced = tuple(ExactMatrix(field, [[mod_p(x) for x in row] for row in b])
                         for b in blocks)
-        modular = verify_syzygy(MonadData(n, k, field, reduced)).residual
-        assert [[mod_p(x) for x in row] for row in rational.residual.tolist()] \
+        modular = monadlab.invariant._q_s(field, MonadData(n, k, field, reduced).ints)
+        assert [[mod_p(Fraction(x, rational.scale**2)) for x in row] for row in product.tolist()] \
             == modular.tolist()
 
 
@@ -304,9 +317,11 @@ def test_verify_syzygy_does_not_build_all_of_q(monkeypatch):
     for field in (GF101, QQ):
         d = random_data(2, 3, field, np.random.default_rng(23))
         residual = build_q_blockwise(d) @ build_syzygy(d).matrix
+        expected = verify_syzygy_fraction(d)
         with monkeypatch.context() as m:
             m.setattr(monadlab.invariant, "build_q", refuse)
-            assert verify_syzygy(d).residual == residual
+            assert verify_syzygy(d) == expected
+            assert_q_s_is(d, residual)
 
 
 @pytest.mark.parametrize("field", [GF101, QQ])
@@ -315,26 +330,26 @@ def test_verify_syzygy_multiplies_only_the_block_rows_that_hold_a_block(
         field, n, k, monkeypatch):
     # Q's first k block columns have a block only in the k(k+1)/2 block rows
     # i_1^{n-1} i_a i_b (every block row at n = 1); only those are multiplied,
-    # by Field.matmul over GF(p) and by the integer product over Q
+    # by the integer-form product Field.matmul_ints, and nothing else is
     d = random_data(n, k, field, np.random.default_rng(7 * n + k))
     residual = build_q_blockwise(d) @ build_syzygy(d).matrix
     monadlab.monad._nonzero_defects(d, ORTHOGONAL_IDENTITY)  # its products run now, unspied
     shapes = []
-    matmul, matmul_zz = monadlab.exact.Field.matmul, monadlab.invariant._matmul_zz
 
-    def spy(self, a, b):
-        shapes.append((a.shape, b.shape))
-        return matmul(self, a, b)
+    def spying(name):
+        product = getattr(monadlab.exact.Field, name)
 
-    def spy_zz(a, b):
-        shapes.append((a.shape, b.shape))
-        return matmul_zz(a, b)
+        def spy(self, a, b):
+            shapes.append((a.shape, b.shape))
+            return product(self, a, b)
+        monkeypatch.setattr(monadlab.exact.Field, name, spy)
 
-    monkeypatch.setattr(monadlab.exact.Field, "matmul", spy)
-    monkeypatch.setattr(monadlab.invariant, "_matmul_zz", spy_zz)
-    assert verify_syzygy(d).residual == residual
+    spying("matmul")
+    spying("matmul_ints")
+    verify_syzygy(d)
     used = k * (k + 1) // 2 * d.block_rows
     assert shapes == [((used, k * d.block_cols), (k * d.block_cols, d.block_rows))]
+    assert_q_s_is(d, residual)
     if n == 1:
         assert used == residual.rows
 
@@ -370,14 +385,17 @@ def rational_data(draw):
 @given(d=rational_data(), kind=st.sampled_from([ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL]),
        trials=st.integers(1, 12), box=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_integer_form_matches_the_fraction_path(d, kind, trials, box, seed):
-    # Q*S from d.ints, is_zero and the screen on d.ints mod q give what the
-    # Fraction blocks gave: the report entry for entry, the verdict and the probe
+    # Q*S and the defect flags from d.ints, is_zero and the screen on d.ints
+    # mod q give what the Fraction blocks gave: Q*S entry for entry, the
+    # nonzero defects of both pairings, the report, the verdict and the probe
     scale = math.lcm(*(x.denominator for x in d.stack.flat))
     assert d.scale == scale and d.ints.tolist() == (d.stack * scale).tolist()
-    report, expected = verify_syzygy(d), verify_syzygy_fraction(d)
-    assert report == expected
-    assert report.residual.tolist() == expected.residual.tolist()
-    assert all(type(x) is Fraction for row in report.residual.tolist() for x in row)
+    assert_q_s_is(d, residual_fraction(d))
+    for each in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
+        defects = quadratic_defect(d, canonical_j(each, d.n, d.k, QQ))
+        assert monadlab.monad._nonzero_defects(d, each) == \
+            tuple((a, b) for a, b, m in defects if not m.is_zero())
+    assert verify_syzygy(d) == verify_syzygy_fraction(d)
     j = canonical_j(kind, d.n, d.k, QQ)
     verdict, probe = orthogonal_verdict(d), max_rank_probe(d, j, trials, seed, box=box)
     with pytest.MonkeyPatch.context() as m:
@@ -389,39 +407,15 @@ def test_integer_form_matches_the_fraction_path(d, kind, trials, box, seed):
     assert probe == rank_probe_pointwise(d, j, trials, seed, box)
 
 
-def test_verify_syzygy_over_q_builds_the_residual_only_when_read(monkeypatch):
-    # the flags come from the integer product; the Fraction residual is made
-    # on the first read of ``residual`` and kept
-    d = random_data(2, 3, QQ, np.random.default_rng(4))
-    expected = verify_syzygy_fraction(d)
-    made = []
-
-    def counting(*args):
-        made.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(monadlab.invariant, "Fraction", counting)
-    report = verify_syzygy(d)
-    assert (report.residual_is_zero, report.syzygy_is_zero, report.defects_all_zero) == \
-        (False, False, False)
-    assert orthogonal_verdict(d).status == DEFECT_NONZERO
-    assert made == []
-    assert report.residual == expected.residual
-    assert made and report.residual is report.residual
-    zero = ExactMatrix.zeros(QQ, *report.residual.shape)
-    assert report == expected != dataclasses.replace(expected, make_residual=lambda: zero)
-
-
 def test_q_s_and_the_screen_over_q_clear_no_denominator_after_construction(monkeypatch):
-    # the data clears its blocks once, when it is built; Q*S and the probe's
-    # screen read that integer form, and the special family passes the screen
-    # at every point, so no point needs the exact (Fraction) test
+    # the data clears its blocks once, when it is built; Q*S, the defect flags
+    # and the probe's screen read that integer form, and the special family
+    # passes the screen at every point, so no point needs the exact (Fraction) test
     n, k = 2, 3
     blocks = gen_special_symplectic(n, k, QQ, probe_trials=1, compute_det=False).data.blocks
     d = MonadData(n, k, QQ, tuple(scaled(b, Fraction(2, 3 + i)) for i, b in enumerate(blocks)))
     j = canonical_j(SYMPLECTIC_CANONICAL, n, k, QQ)
     j.det()  # kept by the memoised pairing
-    monadlab.monad._nonzero_defects(d, ORTHOGONAL_IDENTITY)  # kept by the data
     expected = verify_syzygy_fraction(d)
 
     def refuse(a):
@@ -588,7 +582,7 @@ def test_orthogonal_verdict_twice_never_eliminates_q(monkeypatch):
 
     counting(monadlab.exact, "_echelon_gf", "echelon")
     counting(monadlab.exact, "_det_gf", "det")
-    counting(monadlab.monad, "quadratic_defect", "defects")
+    counting(monadlab.monad, "_defect_pairs", "defects")
     first, second = orthogonal_verdict(d), orthogonal_verdict(d)
     assert first == second
     assert first.status == DET_ZERO_BY_SYZYGY

@@ -400,6 +400,15 @@ def test_draw_points_stops_once_every_point_is_drawn(field):
     assert [tuple(p) for p in points.tolist()] == expected
 
 
+def test_max_rank_probe_screens_a_batch_only_when_its_exact_tests_are_reached(screens):
+    # zero data fail the screen and the exact test at the first point, so of
+    # three batches of points only the first is screened
+    j = canonical_j(ORTHOGONAL_IDENTITY, 1, 2, GF101)
+    verdict = max_rank_probe(zero_data(1, 2), j, trials=3 * monad._PROBE_BATCH, seed=0)
+    assert not verdict.ok and verdict.points_tested == 1
+    assert screens == [monad._PROBE_BATCH]
+
+
 def test_max_rank_probe_finds_rare_failure_past_the_first_batch():
     # A(x) = (x_0, x_1, 0, 0) vanishes only where x_0 = x_1 = 0; at this seed
     # the first such point is the 1988th, past the first batch of screened points
@@ -498,18 +507,26 @@ def data_stacks(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=data_stacks())
 def test_stacked_defects_q_s_and_screen_equal_each_data_alone(case):
-    # the stacked search's checks give, data by data, what the single-data
-    # paths give: nonzero-defect pairs for both pairings, Q*S, and the screen's
-    # failures at each data's own points, however many
+    # each check on a stack gives, data by data, what it gives on each data
+    # alone as a stack of one: nonzero-defect pairs for both pairings (also
+    # those of quadratic_defect), Q*S, and the screen at each data's own
+    # points, however many, padded with zero rows as the search pads them
     field, data, points = case
-    stacks = np.array([d.stack for d in data])
+    stacks = np.array([d.ints for d in data])
     for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
-        assert monad._stacked_nonzero_defects(field, stacks, kind) == \
-            [monad._nonzero_defects(d, kind) for d in data]
+        alone = [monad._defect_pairs(field, d.ints[None], kind)[0] for d in data]
+        assert monad._defect_pairs(field, stacks, kind) == alone
+        assert alone == [tuple((a, b) for a, b, m in quadratic_defect(d, canonical_j(
+            kind, d.n, d.k, field)) if not m.is_zero()) for d in data]
     q_s = invariant._q_s(field, stacks)
-    assert all(np.array_equal(got, invariant._q_s(field, d.ints)) for got, d in zip(q_s, data))
-    assert monad._stacked_screen_failures(field.p, stacks, points) == \
-        [list(monad._screen_failures(d, x)) for d, x in zip(data, points)]
+    assert all(np.array_equal(got, invariant._q_s(field, d.ints[None])[0])
+               for got, d in zip(q_s, data))
+    padded = np.zeros((len(data), max(map(len, points)), data[0].block_rows), dtype=np.int64)
+    for row, x in zip(padded, points):
+        row[:len(x)] = x
+    failed = monad._screen(field.p, stacks, padded)
+    assert [f[:len(x)].tolist() for f, x in zip(failed, points)] == \
+        [monad._screen(field.p, d.ints[None], x[None])[0].tolist() for d, x in zip(data, points)]
 
 
 def test_pair_indices_are_made_once_per_k(monkeypatch):
