@@ -3,17 +3,16 @@
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always in lowest terms with positive denominator) and canonical ``int``
 representatives in ``[0, p)`` over GF(p).  Matrices are immutable after
-construction.  GF(p) data lives in int64 numpy arrays with the prime bounded
-by 2**31 so every intermediate product fits in 64-bit arithmetic; rational
-data lives in object arrays of Fractions.  :class:`Field` owns everything
-that differs between the two: storage, reduction, products and elimination.
-
-Rational products are computed over Z, as FLINT's ``fmpq_mat_mul_cleared``
-does: each row of the left factor and each column of the right one is
-multiplied by the lcm of its denominators, and the integer arrays go
-through the one integer product, ``_matmul_zz``: int64 when every sum of
-products fits in it, Python ints otherwise.  Only the nonzero entries of
-the result become Fractions.
+construction.  A matrix is an integer array over one positive denominator
+(FLINT's ``fmpq_mat_get_fmpz_mat_matwise``): residues over 1 for GF(p), with
+p < 2**31 so every product of two fits in 64-bit arithmetic; over Q the
+numerators over the lcm of the entries' denominators, so no prime divides
+the denominator and every entry.  The array is int64 when every entry fits
+in it, Python ints otherwise.  Fractions are made only by ``coerce`` (parsed
+entries, point coordinates), ``m[i, j]``, ``tolist`` and ``det``.  :class:`Field`
+owns what differs between the fields: products, det, rank and kernel of
+integer arrays.  Rational products are ``_matmul_zz`` over the product of
+the denominators.
 
 There is one elimination, over GF(p): it touches only the rows with a
 nonzero entry in the pivot column, and in them only the columns between the
@@ -25,14 +24,14 @@ Otherwise each update is reduced as it is made.  The GF(p) det first
 expands along every row with one nonzero in the columns left, round after
 round, and eliminates only the rest: the special family's Q, a permuted
 unitriangular matrix, is never eliminated.  Over the rationals ``det``,
-``rank`` and ``kernel_basis`` work on the denominator-cleared rows modulo
-CRT primes: ``det`` by the CRT on GF(p) dets up to twice the Hadamard
-bound (for the random order-280 Q, 49-50 primes, about 0.6 s),
-``kernel_basis`` by rational reconstruction of the joined modular kernels,
-checked exactly, and ``rank`` as the pivot count of that verified kernel.
-A matrix keeps its det and rank, never an echelon array; a nonzero det
-shows full rank, so ``rank`` after ``det`` eliminates again only when det
-is zero.
+``rank`` and ``kernel_basis`` work modulo CRT primes on the integer array
+with each row divided by its content: ``det`` by the CRT on GF(p) dets up to
+twice the Hadamard bound (for the random order-280 Q, 49-50 primes, about
+0.6 s), ``kernel_basis`` by rational reconstruction of the joined modular
+kernels, checked exactly, and ``rank`` as the pivot count of that verified
+kernel.  A matrix keeps its det and rank, never an echelon array; a nonzero
+det shows full rank, so ``rank`` after ``det`` eliminates again only when
+det is zero.
 """
 
 from __future__ import annotations
@@ -86,8 +85,8 @@ def _is_prime(n: int) -> bool:
 class Field:
     """An exact coefficient field: the rationals or GF(p) for an odd prime p.
 
-    Besides scalars, a field owns the storage of matrices over it: the array
-    type, reduction to canonical entries, products, det, rank and kernel.
+    Besides scalars, a field owns the work on the integer arrays of matrices
+    over it: storage of entries, reduction, products, det, rank and kernel.
     """
 
     __slots__ = ("p",)
@@ -117,32 +116,26 @@ class Field:
             x = x.numerator
         return int(x) % self.p
 
-    def one(self):
-        return self.coerce(1)
+    def element(self, x: int, den: int = 1):
+        """x / den for an integer x: a Fraction over Q, x itself over GF(p)."""
+        return x if self.p is not None else Fraction(x, den)
 
     def sample(self, rng: np.random.Generator, size, box: int) -> np.ndarray:
-        """Uniform entries of shape ``size`` (one entry for None): all of GF(p),
-        or integers in [-box, box] over Q."""
+        """Uniform int64 entries of shape ``size`` (one entry for None): all of
+        GF(p), or integers in [-box, box] over Q."""
+        low, high = (0, self.p) if self.p is not None else (-box, box + 1)
+        return rng.integers(low, high, size=size, dtype=np.int64)
+
+    # -- integer arrays ---------------------------------------------------------
+
+    def store(self, rows: list, cols: int) -> tuple[np.ndarray, int]:
+        """The integer array and denominator of ``rows``, lists of ``cols``
+        canonical entries: over Q, the lcm of the Fractions' denominators."""
         if self.p is not None:
-            return rng.integers(0, self.p, size=size, dtype=np.int64)
-        ints = rng.integers(-box, box + 1, size=size)
-        fractions = [Fraction(x) for x in ints.ravel().tolist()]
-        return np.array(fractions, dtype=object).reshape(ints.shape)
-
-    # -- storage arrays ---------------------------------------------------------
-
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        """Zero storage array: int64 over GF(p), Fractions over Q."""
-        if self.p is None:
-            return np.full((rows, cols), Fraction(0), dtype=object)
-        return np.zeros((rows, cols), dtype=np.int64)
-
-    def array(self, rows: list, cols: int) -> np.ndarray:
-        """Storage array of ``rows``, each a list of ``cols`` canonical entries."""
-        a = self.zeros(len(rows), cols)
-        if rows:
-            a[...] = rows
-        return a
+            return np.array(rows, dtype=np.int64).reshape(len(rows), cols), 1
+        pairs = [x.as_integer_ratio() for row in rows for x in row]
+        den = math.lcm(*(d for _, d in pairs))
+        return _int_array([x * (den // d) for x, d in pairs]).reshape(len(rows), cols), den
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         """Make the entries of a sum, difference or scalar product canonical, in place."""
@@ -151,19 +144,13 @@ class Field:
         return a
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.p is None:
-            return _matmul_qq(a, b)
-        return _matmul_gf(a, b, self.p)
-
-    def matmul_ints(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b for arrays in integer form: residues mod p over GF(p),
-        integers over Q (``_matmul_zz``).  Stacks multiply pairwise."""
+        """a @ b for integer arrays, mod p or by ``_matmul_zz``; stacks pairwise."""
         if self.p is None:
             return _matmul_zz(a, b)
         return _matmul_gf(a, b, self.p)
 
-    def det(self, a: np.ndarray):
-        """Determinant of a square storage array: over GF(p) ``_det_gf``,
+    def det(self, a: np.ndarray) -> int:
+        """Determinant of a square integer array: over GF(p) ``_det_gf``,
         expansion along rows of one nonzero and then elimination of what is
         left, stopped at the first column without a pivot; over Q the Chinese
         remainder theorem on such determinants."""
@@ -179,12 +166,13 @@ class Field:
             return len(_kernel_qq(a if a.shape[1] <= a.shape[0] else a.T)[0])
         return len(_echelon_gf(a, self.p, det_only=False)[1])
 
-    def kernel(self, a: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """Pivot columns and a storage array whose columns are a right kernel
-        basis: ``_kernel_gf``, over Q ``_kernel_qq``."""
+    def kernel(self, a: np.ndarray) -> tuple[list[int], np.ndarray, list[int]]:
+        """Pivot columns, an integer array whose columns are a right kernel
+        basis, and each column's denominator: ``_kernel_gf``, over Q ``_kernel_qq``."""
         if self.p is None:
             return _kernel_qq(a)
-        return _kernel_gf(a, self.p)
+        pivots, basis = _kernel_gf(a, self.p)
+        return pivots, basis, [1] * basis.shape[1]
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -223,41 +211,40 @@ def _check_same_field(a: "ExactMatrix", b: "ExactMatrix"):
 
 
 class ExactMatrix:
-    """Immutable dense matrix with all entries in one exact field."""
+    """Immutable dense matrix over one exact field: the array ``_a`` over ``_den``."""
 
-    __slots__ = ("field", "_a", "_det", "_rank")  # scalars kept once computed
+    __slots__ = ("field", "_a", "_den", "_det", "_rank")  # scalars kept once computed
 
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         rows = [list(r) for r in rows]
         cols = len(rows[0]) if rows else 0
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        self._adopt(field, field.array([[field.coerce(x) for x in r] for r in rows], cols))
+        self._adopt(field, *field.store([[field.coerce(x) for x in r] for r in rows], cols))
 
-    def _adopt(self, field: Field, a: np.ndarray):
+    def _adopt(self, field: Field, a: np.ndarray, den: int):
         self.field = field
-        self._a = a
+        self._a, self._den = a, den
         self._det = self._rank = None
         a.flags.writeable = False
 
     @classmethod
-    def _wrap(cls, field: Field, a: np.ndarray) -> "ExactMatrix":
-        """Adopt an ndarray that is already canonical for ``field``."""
+    def _wrap(cls, field: Field, a: np.ndarray, den: int = 1) -> "ExactMatrix":
+        """Adopt the integer array ``a`` over ``den``, already in the form the
+        module docstring says (``_lowest`` puts a computed one in it)."""
         m = cls.__new__(cls)
-        m._adopt(field, a)
+        m._adopt(field, a, den)
         return m
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "ExactMatrix":
-        return cls._wrap(field, field.zeros(rows, cols))
+        return cls._wrap(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        a = field.zeros(n, n)
-        np.fill_diagonal(a, field.one())
-        return cls._wrap(field, a)
+        return cls._wrap(field, np.identity(n, dtype=np.int64))
 
     @classmethod
     def random(cls, field: Field, rows: int, cols: int, rng: np.random.Generator,
@@ -280,10 +267,13 @@ class ExactMatrix:
         return self._a.shape  # type: ignore[return-value]
 
     def __getitem__(self, ij):
-        return self._a.item(*ij)
+        return self.field.element(self._a.item(*ij), self._den)
 
     def tolist(self) -> list[list]:
-        return self._a.tolist()
+        rows = self._a.tolist()
+        if self.field.is_prime_field:
+            return rows
+        return [[Fraction(x, self._den) for x in row] for row in rows]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -291,10 +281,11 @@ class ExactMatrix:
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        return ExactMatrix._wrap(self.field, self.field.matmul(self._a, other._a))
+        return ExactMatrix._wrap(self.field, *_lowest(self.field.matmul(self._a, other._a),
+                                                      self._den * other._den))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._wrap(self.field, self._a.T.copy())
+        return ExactMatrix._wrap(self.field, self._a.T.copy(), self._den)
 
     # -- predicates ----------------------------------------------------------
 
@@ -305,10 +296,10 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (self.field == other.field and self.shape == other.shape
-                and bool(np.array_equal(self._a, other._a)))
+                and self._den == other._den and bool(np.array_equal(self._a, other._a)))
 
     def __hash__(self):
-        return hash((self.field, self.shape, tuple(self._a.flat)))
+        return hash((self.field, self.shape, self._den, tuple(self._a.flat)))
 
     def __repr__(self):
         return f"ExactMatrix({self.field!r}, {self.tolist()!r})"
@@ -316,14 +307,14 @@ class ExactMatrix:
     # -- elimination-based operations -----------------------------------------
 
     def det(self):
-        """Exact determinant by :meth:`Field.det`, kept once computed; a nonzero
-        one also gives the rank.  It is never read off the elimination ``rank``
-        runs, so over GF(p) ``rank`` then ``det`` eliminates twice, unless
-        expansion along rows of one nonzero leaves ``det`` nothing to eliminate."""
+        """:meth:`Field.det` of ``_a`` over ``_den`` to the order, kept once
+        computed; a nonzero one also gives the rank.  It is never read off the
+        elimination ``rank`` runs, so over GF(p) ``rank`` then ``det`` eliminates
+        twice, unless expansion along rows of one nonzero leaves nothing."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.shape} matrix")
         if self._det is None:
-            self._det = self.field.det(self._a)
+            self._det = self.field.element(self.field.det(self._a), self._den ** self.rows)
             if self._det:
                 self._rank = self.rows
         return self._det
@@ -340,9 +331,40 @@ class ExactMatrix:
         One vector per free column f: entry f is 1, the other free entries are
         0, and the pivot entries follow by back-substitution (:meth:`Field.kernel`).
         """
-        pivots, basis = self.field.kernel(self._a)
+        pivots, basis, dens = self.field.kernel(self._a)
         self._rank = len(pivots)
-        return [ExactMatrix._wrap(self.field, basis[:, [j]]) for j in range(basis.shape[1])]
+        return [ExactMatrix._wrap(self.field, *_lowest(basis[:, [j]], den))
+                for j, den in enumerate(dens)]
+
+
+# -- integer arrays --------------------------------------------------------------
+
+
+def _int_array(values: list) -> np.ndarray:
+    """Nested lists of Python ints as an array: int64 when every entry fits
+    in it, Python ints otherwise."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _fit(a: np.ndarray) -> np.ndarray:
+    """An integer array as int64 when every entry fits in it, else as it is."""
+    if a.dtype == object and -2**63 <= a.min(initial=0) and a.max(initial=0) < 2**63:
+        return a.astype(np.int64)
+    return a
+
+
+def _lowest(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """a / den with both divided by gcd(den, entries), which leaves a zero
+    array over 1, and the array ``_fit``."""
+    if den != 1:
+        g = math.gcd(den, int(np.gcd.reduce(a, axis=None)))
+        if g != 1:
+            # a zero array's gcd is den itself, which need not fit in int64
+            a, den = a // g if a.any() else np.zeros(a.shape, dtype=np.int64), den // g
+    return _fit(a), den
 
 
 # -- GF(p) kernels -------------------------------------------------------------
@@ -556,39 +578,6 @@ def _matmul_zz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(object) @ b.astype(object)
 
 
-def _cleared_rows(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Each row of a Fraction array times the lcm of its denominators: the
-    integer rows, an array of ``a``'s shape, int64 when every entry fits in
-    it and object otherwise, and each row's lcm.  Each entry is read once."""
-    rows, scales = [], []
-    for row in a.tolist():
-        nums, dens = list(zip(*map(Fraction.as_integer_ratio, row))) or ((), ())
-        scale = math.lcm(*dens)
-        rows.append([n * (scale // d) for n, d in zip(nums, dens)] if scale > 1 else list(nums))
-        scales.append(scale)
-    try:
-        ints = np.array(rows, dtype=np.int64)
-    except OverflowError:  # an entry outside int64
-        ints = np.array(rows, dtype=object)
-    return ints.reshape(a.shape), scales
-
-
-def _matmul_qq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over Q, multiplied over Z (FLINT's ``fmpq_mat_mul_cleared``).
-
-    Row i of ``a`` is cleared by r_i and column j of ``b`` by c_j, so entry
-    (i, j) of the integer product is r_i * c_j times that of ``a @ b``; only
-    the result's nonzero entries become new Fractions, the zeros share one.
-    """
-    ia, row_scales = _cleared_rows(a)
-    ib, col_scales = _cleared_rows(b.T)
-    prod = _matmul_zz(ia, ib.T)
-    zero = Fraction(0)
-    out = [[Fraction(x, r * c) if x else zero for x, c in zip(row, col_scales)]
-           for row, r in zip(prod.tolist(), row_scales)]
-    return np.array(out, dtype=object).reshape(prod.shape)
-
-
 # CRT primes: the largest primes below this bound, in descending order.  From
 # 2**27 to 2**31 the order-280 det takes about as long (54 to 47 primes).  At
 # these primes elimination delays reduction up to order 16, and the rational
@@ -622,16 +611,25 @@ def _crt_images(ints: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield p, residues.reshape(ints.shape)
 
 
-def _det_qq(a: np.ndarray) -> Fraction:
-    """Determinant over Q from determinants over GF(p) and the Chinese
-    remainder theorem (Abbott, Bronstein and Mulders, ISSAC 1999).
+def _primitive(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each row of an integer array divided by its content, the gcd of its
+    entries, and the contents; a zero row has content 0 and stays as it is."""
+    contents = np.gcd.reduce(a, axis=1).tolist()
+    divisors = np.array([c or 1 for c in contents], dtype=a.dtype)
+    return a // divisors[:, None], contents
 
-    Clearing the rows multiplies det by the scales.  The integer det D has
-    |D| <= B = prod(isqrt(row norm**2) + 1) (Hadamard), so once the primes'
-    product m exceeds 2B, D mod m in (-m/2, m/2] is D: the result is exact."""
-    ints, scales = _cleared_rows(a)
-    if not ints.any(axis=1).all():
-        return Fraction(0)
+
+def _det_qq(a: np.ndarray) -> int:
+    """Determinant of an integer array from determinants over GF(p) and the
+    Chinese remainder theorem (Abbott, Bronstein and Mulders, ISSAC 1999).
+
+    Dividing each row by its content divides det by the product of the
+    contents.  The det D of the primitive rows has |D| <= B =
+    prod(isqrt(row norm**2) + 1) (Hadamard), so once the primes' product m
+    exceeds 2B, D mod m in (-m/2, m/2] is D: the result is exact."""
+    ints, contents = _primitive(a)
+    if not all(contents):
+        return 0
     bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in ints.tolist())
     det, m = 0, 1
     for p, residues in _crt_images(ints):
@@ -642,12 +640,12 @@ def _det_qq(a: np.ndarray) -> Fraction:
             break
     if det > m // 2:
         det -= m
-    return Fraction(det, math.prod(scales))
+    return det * math.prod(contents)
 
 
-def _rational(u: int, m: int) -> Fraction | None:
-    """The unique r/s = u mod m with |r|, s <= sqrt(m/2), if any, by Euclid on
-    (m, u) to the first remainder within the bound (Wang 1981)."""
+def _rational(u: int, m: int) -> tuple[int, int] | None:
+    """The unique (r, s), s > 0, with r/s = u mod m and |r|, s <= sqrt(m/2), if
+    any, by Euclid on (m, u) to the first remainder within the bound (Wang 1981)."""
     bound = math.isqrt(m // 2)
     r0, r1, s0, s1 = m, u, 0, 1
     while r1 > bound:
@@ -655,46 +653,51 @@ def _rational(u: int, m: int) -> Fraction | None:
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _lift(joined: np.ndarray, m: int) -> np.ndarray | None:
-    """``_rational`` of every entry of ``joined``, or None if one has none.
+def _lift(joined: np.ndarray, m: int) -> tuple[np.ndarray, list[int]] | None:
+    """``_rational`` of every entry of ``joined``, or None if one has none, as
+    an integer array whose column j is over the j-th denominator returned.
 
     The entries of a kernel vector share a denominator, so each column keeps
     the lcm d of the denominators found so far.  When d and u * d mod m, taken
     in (-m/2, m/2], are both within the bound, u * d / d is the fraction Wang
-    would find (it is unique), and Euclid runs only for the other entries."""
+    would find (it is unique), and Euclid runs only for the other entries.
+    The column's denominator is its last d."""
     bound = math.isqrt(m // 2)
-    lifted = np.empty(joined.shape, dtype=object)
+    lifted, dens = np.empty(joined.shape, dtype=object), []
     for j, column in enumerate(joined.T.tolist()):
-        d = 1
-        for i, u in enumerate(column):
+        d, pairs = 1, []
+        for u in column:
             x = u * d % m
             if x > m // 2:
                 x -= m
             if d <= bound and abs(x) <= bound:
-                lifted[i, j] = Fraction(x, d)
+                pairs.append((x, d))
                 continue
             r = _rational(u, m)
             if r is None:
                 return None
-            lifted[i, j] = r
-            d = math.lcm(d, r.denominator)
-    return lifted
+            pairs.append(r)
+            d = math.lcm(d, r[1])
+        lifted[:, j] = [x * (d // s) for x, s in pairs]
+        dens.append(d)
+    return lifted, dens
 
 
-def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """``_kernel_gf`` over Q: the cleared rows' kernels mod CRT primes, joined
-    by the CRT and reconstructed (Monagan, ISSAC 2004).  A prime can lose or
-    delay pivots, never gain them, so only the most and earliest are joined.
-    A v = 0 is checked exactly, as one integer product of the rows cleared
-    once per call and the basis cleared column by column (scales change no
-    zero); v is nonzero only at f and at pivots before f, so then f is free
-    over Q too.  No vector to check means full column rank
-    mod p, hence over Q.  The entries are ratios of minors, at most the
-    Hadamard bound B, so the loop ends once the joined primes pass 2B**2."""
-    ints = _cleared_rows(a)[0]
+def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray, list[int]]:
+    """``_kernel_gf`` over Q, with each column's denominator: the primitive
+    rows' kernels mod CRT primes, joined by the CRT and reconstructed
+    (Monagan, ISSAC 2004).  A prime can lose or delay pivots, never gain
+    them, so only the most and earliest are joined.  A v = 0 is checked
+    exactly, as one integer product of the rows and the basis over its
+    column denominators (scales change no zero); v is nonzero only at f and
+    at pivots before f, so then f is free over Q too.  No vector to check
+    means full column rank mod p, hence over Q.  The entries are ratios of
+    minors, at most the Hadamard bound B, so the loop ends once the joined
+    primes pass 2B**2."""
+    ints = _primitive(a)[0]
     pivots, joined, m = None, None, 1
     for p, residues in _crt_images(ints):
         piv, vecs = _kernel_gf(residues, p)
@@ -704,10 +707,9 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray]:
             continue
         joined += m * ((vecs.astype(object) - joined) * pow(m, -1, p) % p)
         m *= p
-        basis = _lift(joined, m)
-        if basis is not None and (not basis.size
-                                  or not _matmul_zz(ints, _cleared_rows(basis.T)[0].T).any()):
-            return pivots, basis
+        lifted = _lift(joined, m)
+        if lifted is not None and (not lifted[0].size or not _matmul_zz(ints, lifted[0]).any()):
+            return pivots, *lifted
 
 
 # -- text format ------------------------------------------------------------------
@@ -724,13 +726,17 @@ _ENTRY_ROW = {prime: re.compile(rf"{e.pattern}(?:\s+{e.pattern})*")
 
 def entry_lines(m: ExactMatrix) -> list[str]:
     """One line of space-separated entries per row of ``m``.  Only a row's
-    nonzero entries go through ``str``; the rest stay "0", which is also
-    what a zero Fraction prints as."""
-    lines = []
+    nonzero entries are formatted, with one gcd each and no Fraction when
+    the denominator is not 1; the rest stay "0"."""
+    lines, den = [], m._den
     for row in m._a:
         cells = ["0"] * len(row)
         nz = row.nonzero()[0]
-        for j, x in zip(nz.tolist(), map(str, row[nz].tolist())):
+        values = row[nz].tolist()
+        if den != 1:  # x / den in lowest terms, as str of that Fraction prints it
+            values = [x // g if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}"
+                      for x in values]
+        for j, x in zip(nz.tolist(), map(str, values)):
             cells[j] = x
         lines.append(" ".join(cells))
     return lines

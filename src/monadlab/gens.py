@@ -17,13 +17,13 @@ So a seed keeps its data whatever the batch size.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
 
-from .exact import GF, ExactMatrix, Field
+from .exact import GF, ExactMatrix, Field, _int_array, _lowest
 from .invariant import (DEFECT_NONZERO, DET_ZERO_BY_SYZYGY, _q_s, _verdict, det_q,
                         orthogonal_verdict)
 from .monad import (_POINT_BOX, _PROBE_BATCH, ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL,
@@ -56,7 +56,7 @@ def _random_sl_arrays(field: Field, size: int, count: int,
     draw them, from one ``rng.integers`` call on tiled bounds: transvection
     (i, j, lambda) adds lambda times row j != i to row i, lambda in GF(p) or
     in [-3, 3] over Q.  Rows are int lists, reduced mod p at each update;
-    over Q the entries are integers until the end."""
+    over Q the entries are integers over 1."""
     if size < 0:
         raise ValueError("need size >= 0")
     p = field.p
@@ -75,9 +75,7 @@ def _random_sl_arrays(field: Field, size: int, count: int,
                 a[i] = [x + lam * y for x, y in zip(a[i], a[j])]
             else:
                 a[i] = [(x + lam * y) % p for x, y in zip(a[i], a[j])]
-        if p is None:
-            a = [[Fraction(x) for x in row] for row in a]
-        arrays.append(field.array(a, size))
+        arrays.append(_int_array(a).reshape(size, size))
     return arrays
 
 
@@ -96,7 +94,8 @@ def transform_monad(d: MonadData, on_w: ExactMatrix | None = None,
         s = f.matmul(on_v._a, _side_by_side(s)).reshape(r, k, c).transpose(1, 0, 2)
     if on_w is not None:
         s = f.matmul(s.reshape(k * r, c), on_w._a).reshape(k, r, c)
-    return MonadData(d.n, d.k, f, tuple(ExactMatrix._wrap(f, b) for b in s))
+    den = d.scale * math.prod(m._den for m in (on_i, on_v, on_w) if m is not None)
+    return MonadData(d.n, d.k, f, tuple(ExactMatrix._wrap(f, *_lowest(b, den)) for b in s))
 
 
 # -- special symplectic family -----------------------------------------------------
@@ -112,8 +111,8 @@ def _special_blocks(n: int, k: int, field: Field) -> tuple[ExactMatrix, ...]:
     a + b, a symmetric expression, so the skew pairing cancels it exactly.
     """
     half, c, j = n + k, np.arange(n + 1), np.arange(k)[:, None]
-    a = field.zeros(k * (2 * n + 2), 2 * half).reshape(k, 2 * n + 2, 2 * half)
-    a[j, c, j + c] = a[j, n + 1 + c, 2 * half - 1 - j - c] = field.one()
+    a = np.zeros((k, 2 * n + 2, 2 * half), dtype=np.int64)
+    a[j, c, j + c] = a[j, n + 1 + c, 2 * half - 1 - j - c] = 1
     return tuple(ExactMatrix._wrap(field, b) for b in a)
 
 
@@ -320,7 +319,7 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
         data = [_isotropic_data(n, k, span, seed + t, t % 2 == 1) for t in trial]
         points = [_probe_points(field, 2 * n + 2, _ISOTROPIC_PROBE_TRIALS, seed + t, _POINT_BOX)
                   for t in trial]
-        stacks = np.array([d.ints for d in data])  # over GF(p) also the residues mod p
+        stacks = np.array([d.stack for d in data])
         bad = _defect_pairs(field, stacks, ORTHOGONAL_IDENTITY)
         residual_zero = (~_q_s(field, stacks).any(axis=(-2, -1))).tolist()
         padded = np.zeros((len(trial), _ISOTROPIC_PROBE_TRIALS, 2 * n + 2), dtype=np.int64)

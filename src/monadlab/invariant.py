@@ -10,9 +10,9 @@ first k block columns, and only those are assembled for it; the rest meet
 zero rows of S.  Row block i of Q*S equals M_a*M_b^t + M_b*M_a^t (or
 M_a*M_a^t on the diagonal) for the rows indexed by monomials i_1^{n-1} i_a i_b,
 and vanishes identically elsewhere: only these k(k+1)/2 row blocks are
-multiplied, by ``Field.matmul_ints`` on the integer form ``ints`` (L times
-the blocks, so L**2 times Q*S) of one data or of a stack of data, such as
-the orthogonal search's trials; only whether the product is zero is kept.
+multiplied, by ``Field.matmul`` on the integer ``stack`` (L times the
+blocks, so L**2 times Q*S) of one data or of a stack of data, such as the
+orthogonal search's trials; only whether the product is zero is kept.
 Hence when the identity-pairing quadratic conditions hold,
 Q*S = 0 with S != 0 and Q is singular over any field.
 :func:`orthogonal_verdict` packages that chain of implications: the product
@@ -64,17 +64,12 @@ def _place(a: np.ndarray, table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return a
 
 
-def _q_columns(d: MonadData, count: int) -> ExactMatrix:
-    """Q's first ``count`` block columns: block column j holds M_alpha in the
-    block row of zeta_j * i_alpha for every alpha."""
-    layout = q_layout(d.n, d.k)
-    a = d.field.zeros(layout.block_rows * d.block_rows, count * d.block_cols)
-    return ExactMatrix._wrap(d.field, _place(a, layout.table[:count], d.stack))
-
-
 def build_q(d: MonadData) -> QMatrix:
-    """Assemble the square matrix: all of its block columns."""
-    return QMatrix(_q_columns(d, math.comb(d.k + d.n - 1, d.n)))
+    """Q: M_alpha in block row zeta_j * i_alpha of block column j, over ``scale``."""
+    layout = q_layout(d.n, d.k)
+    a = np.zeros((layout.block_rows * d.block_rows, len(layout.table) * d.block_cols),
+                 d.stack.dtype)
+    return QMatrix(ExactMatrix._wrap(d.field, _place(a, layout.table, d.stack), d.scale))
 
 
 def det_q(d: MonadData):
@@ -87,9 +82,9 @@ def det_q(d: MonadData):
 def build_syzygy(d: MonadData) -> SyzygyMatrix:
     """Stack M_1^t..M_k^t over s-k zero blocks; shape ((2n+2k)*s) x (2n+2)."""
     s = math.comb(d.k + d.n - 1, d.n)
-    a = d.field.zeros(s * d.block_cols, d.block_rows)
+    a = np.zeros((s * d.block_cols, d.block_rows), d.stack.dtype)
     a[:d.k * d.block_cols] = _side_by_side(d.stack).T
-    return SyzygyMatrix(ExactMatrix._wrap(d.field, a))
+    return SyzygyMatrix(ExactMatrix._wrap(d.field, a, d.scale))
 
 
 @dataclass(frozen=True)
@@ -109,18 +104,18 @@ def _used_block_rows(n: int, k: int) -> np.ndarray:
     return np.array(sorted(set(q_layout(n, k).table[:k].flat)))
 
 
-def _q_s(field: Field, ints: np.ndarray) -> np.ndarray:
-    """Q*S in the block rows of :func:`_used_block_rows`, from data in
-    integer form ``ints``, a (..., k, r, c) array: mod p over GF(p), over Q
-    exactly, which is L**2 times Q*S.  Leading axes hold a stack of data,
-    multiplied pairwise; a (..., used * r, r) array."""
-    (k, br, bc), lead = ints.shape[-3:], ints.shape[:-3]
+def _q_s(field: Field, stack: np.ndarray) -> np.ndarray:
+    """Q*S in the block rows of :func:`_used_block_rows`, from the data's
+    ``stack``, a (..., k, r, c) array: mod p over GF(p), over Q exactly,
+    which is L**2 times Q*S.  Leading axes hold a stack of data, multiplied
+    pairwise; a (..., used * r, r) array."""
+    (k, br, bc), lead = stack.shape[-3:], stack.shape[:-3]
     table = q_layout(br // 2 - 1, k).table[:k]
     used = _used_block_rows(br // 2 - 1, k)
     # Q's first k block columns, in the used block rows only
-    q = _place(np.zeros((*lead, len(used) * br, k * bc), ints.dtype),
-               np.searchsorted(used, table), ints)
-    return field.matmul_ints(q, np.swapaxes(_side_by_side(ints), -1, -2))
+    q = _place(np.zeros((*lead, len(used) * br, k * bc), stack.dtype),
+               np.searchsorted(used, table), stack)
+    return field.matmul(q, np.swapaxes(_side_by_side(stack), -1, -2))
 
 
 def verify_syzygy(d: MonadData) -> SyzygyReport:
@@ -129,11 +124,11 @@ def verify_syzygy(d: MonadData) -> SyzygyReport:
     Only Q's first k block columns meet S's nonzero rows, M_1^t..M_k^t, so only
     they are assembled, and only their k(k+1)/2 block rows that hold a block are
     multiplied: at n=4, k=5, 90 of 1260 columns and 15 of 126 block rows (all at n=1).
-    Both factors come from ``d.ints``: over Q their integer product is L**2
+    Both factors come from ``d.stack``: over Q their integer product is L**2
     times Q*S, which has the same zeros.
     """
     return SyzygyReport(
-        residual_is_zero=not _q_s(d.field, d.ints).any(),
+        residual_is_zero=not _q_s(d.field, d.stack).any(),
         syzygy_is_zero=d.is_zero(),
         defects_all_zero=not _nonzero_defects(d, ORTHOGONAL_IDENTITY),
     )

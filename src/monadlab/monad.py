@@ -3,13 +3,12 @@
 The central object is :class:`MonadData`: k blocks M_1, ..., M_k, each a
 (2n+2) x (2n+2k) matrix over an exact field.  Block j packages row j of the
 linear-form matrix A via  row_j(A) = x^t * M_j,  where x runs over the 2n+2
-homogeneous coordinates.  The blocks are copied once into one (k, 2n+2, 2n+2k)
-array, ``stack``; every arrangement of them is a reshape or transpose of it.
-Beside it the data keeps ``ints``, L * stack for the lcm L of all
-denominators (``scale``): over Q an integer array made once, over GF(p)
-``stack`` itself with L = 1.  Scaling every block by L scales Q*S and
-each defect D_ab below by L**2 and each row of A(x) by L, so Q*S, the
-defect flags, the zero test and the probe's screen read ``ints``.
+homogeneous coordinates.  The blocks are copied once, over their common
+denominator L (``scale``, 1 over GF(p)), into one integer (k, 2n+2, 2n+2k)
+array, ``stack``: L times the blocks.  Every arrangement of them is a
+reshape or transpose of it.  Scaling every block by L scales Q*S and each
+defect D_ab below by L**2 and each row of A(x) by L, so Q*S, the defect
+flags, the zero test and the probe's screen read ``stack`` alone.
 A pairing is given by its matrix J alone, an :class:`ExactMatrix`: the
 identity for orthogonal data, the canonical skew form for symplectic data
 (:func:`canonical_j`).  The quadratic condition A*J*A^t = 0 holds
@@ -27,16 +26,16 @@ The probe works on batches: it draws all its points as one integer array,
 evaluates A at every point with one product against [M_1 | ... | M_k],
 and tests full row rank of the whole stack with one elimination modulo a
 prime q.  Over GF(p), q = p and the batch test is exact.  Over Q, q is the
-largest prime below 2**29 and the batch test is a screen on ``ints`` mod q:
+largest prime below 2**29 and the batch test is a screen on ``stack`` mod q:
 full rank mod q implies full rank over Q, and a point that fails it is
 tested again exactly.
 Either way the first point in draw order that fails goes through
 :func:`evaluate_a` and exact elimination, so a counterexample is still an
 exact certificate, with exact field-element coordinates.
 
-The defect flags and the screen each take a stack of data in integer form,
-(T, k, 2n+2, 2n+2k), one product and one elimination for all T: one data
-alone, or the orthogonal search's trials.  A screen takes at most
+The defect flags and the screen each take the ``stack`` arrays of T data
+stacked, (T, k, 2n+2, 2n+2k), one product and one elimination for all T:
+one data alone, or the orthogonal search's trials.  A screen takes at most
 ``_PROBE_BATCH`` points, which bounds its working memory, and the probe
 screens a batch only once its exact tests reach it.
 """
@@ -51,9 +50,9 @@ from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
-from .exact import (ExactMatrix, Field, MatrixFormatError, _cleared_rows, _crt_primes,
-                    _full_row_rank_gf, _matmul_gf, content_lines, entry_lines, parse_entry_row,
-                    parse_field)
+from .exact import (ExactMatrix, Field, MatrixFormatError, _crt_primes, _fit,
+                    _full_row_rank_gf, _lowest, _matmul_gf, content_lines, entry_lines,
+                    parse_entry_row, parse_field)
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
@@ -72,11 +71,10 @@ class MonadData:
     k: int
     field: Field
     blocks: tuple[ExactMatrix, ...]
-    # the blocks copied once into one read-only (k, 2n+2, 2n+2k) array; Q, S, V, A(x) read it
+    # the read-only integer (k, 2n+2, 2n+2k) array of the blocks over the lcm
+    # ``scale`` of their denominators; Q, S, V and A(x) read it
     stack: np.ndarray = field(init=False, compare=False, repr=False)
-    # L and the read-only integer array L * stack, as the module docstring says
     scale: int = field(init=False, compare=False, repr=False)
-    ints: np.ndarray = field(init=False, compare=False, repr=False)
     # det Q and the nonzero canonical defects once computed; never Q or a product
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -91,15 +89,11 @@ class MonadData:
                 raise ValueError(f"block {j} is over {b.field}, data is over {self.field}")
             if b.shape != shape:
                 raise ValueError(f"block {j} has shape {b.shape}, expected {shape}")
-        object.__setattr__(self, "stack", np.array([b._a for b in self.blocks]))
-        self.stack.flags.writeable = False
-        if self.field.is_prime_field:
-            ints, scale = self.stack, 1
-        else:
-            ints, (scale,) = _cleared_rows(self.stack.reshape(1, -1))
-            ints = ints.reshape(self.stack.shape)
-            ints.flags.writeable = False
-        object.__setattr__(self, "ints", ints)
+        scale = math.lcm(*(b._den for b in self.blocks))
+        stack = np.array([b._a if b._den == scale else _fit(b._a.astype(object) * (scale // b._den))
+                          for b in self.blocks])
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "scale", scale)
 
     @property
@@ -111,7 +105,7 @@ class MonadData:
         return 2 * self.n + 2 * self.k
 
     def is_zero(self) -> bool:
-        return not self.ints.any()
+        return not self.stack.any()
 
 
 def _side_by_side(stack: np.ndarray) -> np.ndarray:
@@ -129,21 +123,11 @@ def canonical_j(kind: str, n: int, k: int, field: Field) -> ExactMatrix:
     if kind == ORTHOGONAL_IDENTITY:
         return ExactMatrix.identity(field, size)
     if kind == SYMPLECTIC_CANONICAL:
-        half, a = size // 2, field.zeros(size, size)
-        np.fill_diagonal(a[:half, half:], field.one())
-        np.fill_diagonal(a[half:, :half], field.coerce(-1))
-        return ExactMatrix._wrap(field, a)
+        half, a = size // 2, np.zeros((size, size), dtype=np.int64)
+        np.fill_diagonal(a[:half, half:], 1)
+        np.fill_diagonal(a[half:, :half], -1)
+        return ExactMatrix._wrap(field, field.reduce(a))
     raise ValueError(f"no canonical pairing of kind {kind!r}")
-
-
-@functools.lru_cache(maxsize=32)
-def _pairing_ints(kind: str, n: int, k: int, field: Field) -> np.ndarray:
-    """:func:`canonical_j` in integer form, read-only: its entries' numerators,
-    0 and +-1 (residues over GF(p)), as int64.  Memoised on its arguments."""
-    j = canonical_j(kind, n, k, field)._a
-    ints = np.array([x.numerator for x in j.ravel().tolist()], dtype=np.int64).reshape(j.shape)
-    ints.flags.writeable = False
-    return ints
 
 
 @dataclass(frozen=True)
@@ -171,8 +155,9 @@ def evaluate_a(d: MonadData, x: Point) -> ExactMatrix:
         raise ValueError(f"point is over {x.field}, data over {d.field}")
     if len(x.coords) != d.block_rows:
         raise ValueError(f"point has {len(x.coords)} coordinates, expected {d.block_rows}")
-    a = d.field.matmul(ExactMatrix(x.field, [x.coords])._a, _side_by_side(d.stack))
-    return ExactMatrix._wrap(d.field, a.reshape(d.k, d.block_cols))
+    row = ExactMatrix(x.field, [x.coords])
+    a = d.field.matmul(row._a, _side_by_side(d.stack))
+    return ExactMatrix._wrap(d.field, *_lowest(a.reshape(d.k, d.block_cols), row._den * d.scale))
 
 
 def _check_pairing(d: MonadData, j: ExactMatrix):
@@ -193,14 +178,14 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _defect_stack(field: Field, product, v: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
-    """sym(M_a * J * M_b^t) for the pairs a <= b, in order, from the blocks
-    stacked as V, a (..., k*r, c) array: the (..., pairs, r, r) array of
-    canonical entries, read off the blocks of V * J * V^t, which ``product``
-    multiplies.  Leading axes hold a stack of data, multiplied pairwise."""
+def _defect_stack(field: Field, v: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
+    """sym(M_a * J * M_b^t) for the pairs a <= b, in order, from the integer
+    arrays of the blocks stacked as V, a (..., k*r, c) array, and of J: the
+    (..., pairs, r, r) integer array read off the blocks of V * J * V^t.
+    Leading axes hold a stack of data, multiplied pairwise."""
     *lead, kr, _ = v.shape
     r = kr // k
-    x = product(product(v, j), np.swapaxes(v, -1, -2)).reshape(*lead, k, r, k, r)
+    x = field.matmul(field.matmul(v, j), np.swapaxes(v, -1, -2)).reshape(*lead, k, r, k, r)
     first, second = _pairs(k)
     # block (a, b) of V * J * V^t is M_a * J * M_b^t; the pair axis comes out first
     xab = np.moveaxis(x[..., first, :, second, :], 0, -3)
@@ -215,9 +200,10 @@ def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, Exact
     """
     _check_pairing(d, j)
     k, r, c = d.stack.shape
-    sym = _defect_stack(d.field, d.field.matmul, d.stack.reshape(k * r, c), j._a, k)
+    sym = _defect_stack(d.field, d.stack.reshape(k * r, c), j._a, k)
     first, second = _pairs(k)
-    return [(a + 1, b + 1, ExactMatrix._wrap(d.field, m))
+    den = d.scale ** 2 * j._den
+    return [(a + 1, b + 1, ExactMatrix._wrap(d.field, *_lowest(m, den)))
             for a, b, m in zip(first.tolist(), second.tolist(), sym)]
 
 
@@ -225,22 +211,22 @@ def defects_vanish(defects: list[tuple[int, int, ExactMatrix]]) -> bool:
     return all(mat.is_zero() for _, _, mat in defects)
 
 
-def _defect_pairs(field: Field, ints: np.ndarray, kind: str) -> list[tuple[tuple[int, int], ...]]:
+def _defect_pairs(field: Field, stacks: np.ndarray, kind: str) -> list[tuple[tuple[int, int], ...]]:
     """Pairs (a, b), in order, with D_ab != 0 for the canonical ``kind``
-    pairing, for each data of a (T, k, r, c) stack in integer form, whose
-    defects are L**2 * D_ab: one product V * J * V^t for the whole stack."""
-    t, k, r, c = ints.shape
-    j = _pairing_ints(kind, r // 2 - 1, k, field)
-    sym = _defect_stack(field, field.matmul_ints, ints.reshape(t, k * r, c), j, k)
+    pairing, for each data of a (T, k, r, c) array of their ``stack``,
+    whose defects are L**2 * D_ab: one product V * J * V^t for the whole stack."""
+    t, k, r, c = stacks.shape
+    j = canonical_j(kind, r // 2 - 1, k, field)._a
+    sym = _defect_stack(field, stacks.reshape(t, k * r, c), j, k)
     pairs = [(a + 1, b + 1) for a, b in zip(*(index.tolist() for index in _pairs(k)))]
     flags = sym.reshape(t, len(pairs), -1).any(axis=-1)
     return [tuple(p for p, bad in zip(pairs, row) if bad) for row in flags.tolist()]
 
 
 def _nonzero_defects(d: MonadData, kind: str) -> tuple[tuple[int, int], ...]:
-    """The pairs of :func:`_defect_pairs` for ``d.ints`` alone, kept by the data."""
+    """The pairs of :func:`_defect_pairs` for ``d.stack`` alone, kept by the data."""
     if kind not in d._memo:
-        d._memo[kind] = _defect_pairs(d.field, d.ints[None], kind)[0]
+        d._memo[kind] = _defect_pairs(d.field, d.stack[None], kind)[0]
     return d._memo[kind]
 
 
@@ -284,13 +270,13 @@ def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
 
 
 def _residues(d: MonadData) -> tuple[int, np.ndarray]:
-    """(q, ``d.ints`` as int64 residues mod q): (p, ``d.stack``) over GF(p);
+    """(q, ``d.stack`` as int64 residues mod q): (p, ``d.stack``) over GF(p);
     over Q, q is the first CRT prime and the residues are those of L times
     the blocks, a nonzero scalar that keeps every rank."""
     if d.field.is_prime_field:
-        return d.field.p, d.ints
+        return d.field.p, d.stack
     q = next(_crt_primes())
-    return q, (d.ints % q).astype(np.int64, copy=False)
+    return q, (d.stack % q).astype(np.int64, copy=False)
 
 
 def _screen(q: int, residues: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -397,7 +383,7 @@ def parse_monad(text: str) -> MonadData:
         if pos + rows >= len(lines):
             raise MatrixFormatError(f"block {j} is truncated")
         data = [parse_entry_row(field, line, cols) for line in lines[pos + 1:pos + 1 + rows]]
-        blocks.append(ExactMatrix._wrap(field, field.array(data, cols)))
+        blocks.append(ExactMatrix._wrap(field, *field.store(data, cols)))
     if len(lines) > (end := 1 + k * (rows + 1)):
         raise MatrixFormatError(f"trailing content after block {k}: {lines[end]!r}")
     return MonadData(n, k, field, tuple(blocks))

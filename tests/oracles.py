@@ -10,9 +10,9 @@ from elimination that reduces every entry at every step, primality from trial
 division, 0/1 determinants from a triangular order, Q entry by entry from
 the monomial bases with plain loops, block mixes as sums of scaled blocks,
 random SL matrices and isotropic trial data from one scalar draw per value,
-the syzygy residual, its report's defect flag (through ``quadratic_defect``)
-and the probe's screen residues from the Fraction blocks as they were read
-before the data kept an integer form, the
+the syzygy residual entry by entry in Fractions from Q's first block
+columns, its report's defect flag (through ``quadratic_defect``) and the
+probe's screen residues from each block's Fractions, the
 orthogonal search one trial at a time through the single-candidate
 verdict and probe, as it ran before its trials were checked as one stack,
 and the 20x10 block table for n=2, k=4 was worked out by hand from the
@@ -26,11 +26,9 @@ import numpy as np
 
 from monadlab import (DEFECT_NONZERO, GF, ORTHOGONAL_IDENTITY, ExactMatrix, GeneratorError,
                       MonadData, Point, RankCounterexample, RankProbeVerdict, SearchSummary,
-                      SyzygyReport, TrialRow, canonical_j, defects_vanish, det_q, evaluate_a,
-                      exact, gens, isotropic_basis, max_rank_probe, orthogonal_verdict, q_layout,
-                      quadratic_defect)
-from monadlab.invariant import _q_columns
-from monadlab.monad import _side_by_side
+                      SyzygyReport, TrialRow, build_q, build_syzygy, canonical_j, defects_vanish,
+                      det_q, evaluate_a, exact, gens, isotropic_basis, max_rank_probe,
+                      orthogonal_verdict, quadratic_defect)
 
 
 def det_cofactor(m: ExactMatrix):
@@ -107,12 +105,52 @@ def kernel_oracle(m: ExactMatrix) -> list[list]:
     basis = []
     for f in sorted(set(range(m.cols)) - set(pivots)):
         v = [m.field.coerce(0)] * m.cols
-        v[f] = m.field.one()
+        v[f] = m.field.coerce(1)
         for row, c in reversed(list(zip(rows, pivots))):
             tail = -sum(x * y for x, y in zip(row[c + 1:], v[c + 1:]))
             v[c] = Fraction(tail, row[c]) if p is None else tail * pow(row[c], -1, p) % p
         basis.append(v)
     return basis
+
+
+def assert_canonical(m: ExactMatrix):
+    """The storage invariant: an integer array over a positive denominator
+    that shares no factor with all its entries (a zero matrix is over 1),
+    int64 exactly when every entry fits in it; over GF(p) residues over 1."""
+    values = [int(x) for x in m._a.flat]
+    assert type(m._den) is int and m._den > 0 and math.gcd(m._den, *values) == 1
+    fits = all(-2**63 <= x < 2**63 for x in values)
+    assert m._a.dtype == (np.int64 if fits else object)
+    if m.field.is_prime_field:
+        assert m._den == 1 and all(0 <= x < m.field.p for x in values)
+
+
+# Denominators of ``mixed_rows``: small ones and multiples of the prime
+# 2**31 - 1, whose lcm with the small ones takes integer entries past int64.
+MERSENNE = 2**31 - 1
+MIXED_DENOMINATORS = [1, 2, 3, 4, 6, 9, 12, MERSENNE, 2 * MERSENNE, 3 * MERSENNE, MERSENNE**2]
+
+
+def mixed_rows(rng: np.random.Generator, rows: int, cols: int) -> list[list[Fraction]]:
+    """Fractions over ``MIXED_DENOMINATORS``, about a third of them zero,
+    with numerators in [-9, 9] or, for one entry in four, up to 2**62."""
+    def entry():
+        if rng.random() < 1 / 3:
+            return Fraction(0)
+        big = rng.random() < 1 / 4
+        num = int(rng.integers(-2**62, 2**62)) if big else int(rng.integers(-9, 10))
+        return Fraction(num, int(rng.choice(MIXED_DENOMINATORS)))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def syzygy_rows(d) -> list[list]:
+    """S entry by entry: the transposed blocks M_1^t..M_k^t, then zero rows
+    up to (2n+2k) * C(k+n-1, n)."""
+    rows = [list(column) for b in d.blocks for column in zip(*b.tolist())]
+    zero = d.field.coerce(0)
+    s = math.comb(d.k + d.n - 1, d.n)
+    return rows + [[zero] * d.block_rows for _ in range((s - d.k) * d.block_cols)]
 
 
 def matmul_naive(a: ExactMatrix, b: ExactMatrix) -> list:
@@ -241,7 +279,7 @@ def build_q_blockwise(d) -> ExactMatrix:
     monomial is the j-th degree-n monomial times i_alpha, zero otherwise.
 
     Every entry is a canonical zero or a canonical block entry, so the rows
-    become storage as they are, without coercing each of the order**2 entries."""
+    are stored as they are, without coercing each of the order**2 entries."""
     br, bc = d.block_rows, d.block_cols
     row_monomials = enum_monomials_brute(d.k, d.n + 1)
     col_monomials = enum_monomials_brute(d.k, d.n)
@@ -257,7 +295,7 @@ def build_q_blockwise(d) -> ExactMatrix:
             for r in range(br):
                 for c in range(bc):
                     rows[i * br + r][j * bc + c] = block[r][c]
-    return ExactMatrix._wrap(d.field, d.field.array(rows, cols))
+    return ExactMatrix._wrap(d.field, *d.field.store(rows, cols))
 
 
 def mix_blocks_sum(c: ExactMatrix, blocks) -> list[ExactMatrix]:
@@ -353,41 +391,40 @@ def rank_probe_pointwise(d, j, trials: int, seed: int, box: int = 10) -> RankPro
 
 
 def residual_fraction(d) -> ExactMatrix:
-    """Q*S as ``verify_syzygy`` made it before the data kept an integer form:
-    Q's used rows times S by ``Field.matmul`` on the Fraction blocks, every
-    other row zero."""
-    q, br = _q_columns(d, d.k)._a, d.block_rows
-    used = np.array(sorted(set(q_layout(d.n, d.k).table[:d.k].flat)))
-    rows = (used[:, None] * br + np.arange(br)).ravel()
-    residual = d.field.zeros(q.shape[0], br)
-    residual[rows] = d.field.matmul(q[rows], _side_by_side(d.stack).T)
-    return ExactMatrix._wrap(d.field, residual)
+    """Q*S entry by entry on field elements (Fractions over Q): the first k
+    block columns of ``build_q``, sliced, times S's first k block rows,
+    which hold the transposed blocks; the rest of S is zero."""
+    width = d.k * d.block_cols
+    q = ExactMatrix(d.field, [row[:width] for row in build_q(d).matrix.tolist()])
+    s = ExactMatrix(d.field, build_syzygy(d).matrix.tolist()[:width])
+    return ExactMatrix(d.field, matmul_naive(q, s))
 
 
 def verify_syzygy_fraction(d) -> SyzygyReport:
-    """``verify_syzygy`` on the field's storage, as it was before the data
-    kept an integer form: the zero tests on :func:`residual_fraction` and on
-    the Fraction blocks, and the defects by ``quadratic_defect`` with J = I."""
+    """``verify_syzygy`` on field elements: the zero tests on
+    :func:`residual_fraction` and on the blocks, and the defects by
+    ``quadratic_defect`` with J = I."""
     j = canonical_j(ORTHOGONAL_IDENTITY, d.n, d.k, d.field)
     return SyzygyReport(
         residual_is_zero=residual_fraction(d).is_zero(),
-        syzygy_is_zero=not d.stack.any(),
+        syzygy_is_zero=all(b.is_zero() for b in d.blocks),
         defects_all_zero=defects_vanish(quadratic_defect(d, j)),
     )
 
 
-def residues_per_block(stack: np.ndarray, field) -> tuple[int, np.ndarray]:
-    """The rank probe's screen input as it was before the data kept one
-    scale: (p, ``stack``) over GF(p); over Q, with q the first CRT prime,
-    each block times the lcm of its own denominators, mod q, entry by entry."""
-    if field.is_prime_field:
-        return field.p, stack
+def residues_per_block(d) -> tuple[int, np.ndarray]:
+    """The rank probe's screen input, block by block: (p, the blocks) over
+    GF(p); over Q, with q the first CRT prime, each block's Fractions times
+    the lcm of its own denominators, mod q, entry by entry."""
+    if d.field.is_prime_field:
+        return d.field.p, np.array([b.tolist() for b in d.blocks], dtype=np.int64)
     q = next(exact._crt_primes())
     out = []
-    for block in stack.tolist():
-        scale = math.lcm(*(Fraction(x).denominator for row in block for x in row))
-        out.append([[int(x * scale) % q for x in row] for row in block])
-    return q, np.array(out, dtype=np.int64).reshape(stack.shape)
+    for block in d.blocks:
+        rows = block.tolist()
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        out.append([[int(x * scale) % q for x in row] for row in rows])
+    return q, np.array(out, dtype=np.int64)
 
 
 def echelon_gf_reference(a: np.ndarray, p: int, det_only: bool):
@@ -448,7 +485,7 @@ def unitriangular_det(m: ExactMatrix):
     a = m._a
     nz = a != 0
     ii, jj = nz.nonzero()
-    if m.rows != m.cols or not (a[ii, jj] == 1).all():
+    if m.rows != m.cols or m._den != 1 or not (a[ii, jj] == 1).all():
         return None
     left = [set() for _ in range(m.rows)]  # each row's remaining columns
     col_rows = [[] for _ in range(m.cols)]
@@ -499,16 +536,17 @@ def _permutation_sign(perm: list[int]) -> int:
 
 
 def random_sl_sequential(field, size: int, rng: np.random.Generator) -> ExactMatrix:
-    """Unit-determinant matrix built as a product of 3 * size random transvections."""
-    a = ExactMatrix.identity(field, size)._a.copy()
+    """Unit-determinant matrix built as a product of 3 * size random
+    transvections, on rows of field elements (Fractions over Q)."""
+    a = [[field.coerce(int(r == c)) for c in range(size)] for r in range(size)]
     for _ in range(3 * size):
         i = int(rng.integers(0, size))
         j = int(rng.integers(0, size - 1))
         if j >= i:
             j += 1
-        lam = field.sample(rng, None, 3)
-        a[i] = field.reduce(a[i] + lam * a[j])
-    return ExactMatrix._wrap(field, a)
+        lam = field.coerce(int(field.sample(rng, None, 3)))
+        a[i] = [field.coerce(x + lam * y) for x, y in zip(a[i], a[j])]
+    return ExactMatrix(field, a)
 
 
 def blocks_in_span_sequential(n: int, k: int, span: ExactMatrix,

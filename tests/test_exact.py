@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,10 @@ from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, 
                       parse_monad)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
-from oracles import (_permutation_sign, bareiss_echelon, block_matrix, det_cofactor,
-                     echelon_gf_reference, format_matrix_dense, format_monad_dense,
-                     is_prime_trial, kernel_oracle, matmul_naive, scaled, summed,
-                     unitriangular_det)
+from oracles import (MERSENNE, _permutation_sign, assert_canonical, bareiss_echelon,
+                     block_matrix, det_cofactor, echelon_gf_reference, format_matrix_dense,
+                     format_monad_dense, is_prime_trial, kernel_oracle, matmul_naive, mixed_rows,
+                     scaled, summed, unitriangular_det)
 
 GF101 = GF(101)
 
@@ -140,12 +141,6 @@ def rational_matrix(rng, rows, cols):
                             for rn, rd in zip(nums, dens)])
 
 
-def assert_canonical_fractions(m):
-    for x in m._a.flat:
-        assert type(x) is Fraction
-        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
-
-
 @pytest.mark.parametrize("shape", [(3, 4, 5), (1, 4, 4), (5, 1, 2), (0, 3, 4), (3, 4, 0),
                                    (3, 0, 4), (0, 0, 0), (0, 3, 0)])
 def test_mat_mul_qq_mixed_denominators_matches_oracle(shape):
@@ -157,7 +152,7 @@ def test_mat_mul_qq_mixed_denominators_matches_oracle(shape):
         got = a @ b
         assert got.shape == (r, c2)
         assert got.tolist() == matmul_naive(a, b)
-        assert_canonical_fractions(got)
+        assert_canonical(got)
 
 
 @pytest.mark.parametrize("field", [GF101, GF(2147483629)])
@@ -177,7 +172,7 @@ def test_det_of_rational_product_is_product_of_dets(data, n):
     a, b = (ExactMatrix(QQ, data.draw(square)) if n else ExactMatrix.zeros(QQ, 0, 0)
             for _ in range(2))
     product = a @ b
-    assert_canonical_fractions(product)
+    assert_canonical(product)
     assert product.det() == a.det() * b.det()
 
 
@@ -508,7 +503,7 @@ def test_crt_rank_survives_primes_that_lower_it(eliminations):
     # is p1 * p2 (times 4 when scaled by 2/7)
     p1, p2 = itertools.islice(exact._crt_primes(), 2)
     minor = [[1, 1, 0], [1, 1 + p1 * p2, 0], [0, 0, 0]]
-    for rows, scale, rank, primes in [([[p1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 3, 2),
+    for rows, scale, rank, primes in [([[p1, 1, 0], [0, 1, 0], [0, 0, 1]], 1, 3, 2),
                                       (minor, 1, 2, 3), (minor, Fraction(2, 7), 2, 3)]:
         for p in (p1, p2)[:primes - 1]:
             assert ExactMatrix(GF(p), rows).rank() < rank
@@ -539,24 +534,29 @@ def test_kernel_basis_checks_its_reconstruction(eliminations):
     # reconstructs; only the exact check A v = 0 rejects it
     p1 = next(exact._crt_primes())
     m = ExactMatrix(QQ, [[3, -(1 + 15 * p1)]])
-    assert exact._rational(pow(3, -1, p1), p1) == Fraction(1, 3)
+    assert exact._rational(pow(3, -1, p1), p1) == (1, 3)
     assert columns(m.kernel_basis()) == [[Fraction(1 + 15 * p1, 3), 1]] == kernel_oracle(m)
     assert len(eliminations) > 1
 
 
 def test_kernel_basis_over_q_clears_the_matrix_once_per_call(monkeypatch):
-    # the exact check A v = 0 at each reconstruction attempt reads the rows the
-    # call cleared at its start; only the candidate basis is cleared again
+    # the exact check A v = 0 at each reconstruction attempt reads the
+    # primitive rows the call made at its start, and the basis is lifted
+    # straight to integers over column denominators, so nothing is cleared
     rng = np.random.default_rng(40)
     rows = rational_matrix(rng, 39, 40).tolist()
     rows.append([x + y for x, y in zip(rows[3], rows[17])])
     m = ExactMatrix(QQ, rows)
-    cleared, calls = exact._cleared_rows, []
-    monkeypatch.setattr(exact, "_cleared_rows", lambda a: calls.append(a) or cleared(a))
-    basis = columns(m.kernel_basis())
-    assert sum(a is m._a for a in calls) == 1
-    assert len(calls) > 1  # the checks ran, on the basis
-    assert basis == kernel_oracle(m) and len(basis) == 1
+    calls, checks = [], []
+    primitive, matmul_zz = exact._primitive, exact._matmul_zz
+    monkeypatch.setattr(exact, "_primitive", lambda a: calls.append(a) or primitive(a))
+    monkeypatch.setattr(exact, "_matmul_zz", lambda a, b: checks.append(a) or matmul_zz(a, b))
+    monkeypatch.setattr(exact, "Fraction", None)  # no Fraction is made
+    basis = m.kernel_basis()
+    assert len(calls) == 1 and calls[0] is m._a
+    assert checks and all(a is checks[0] for a in checks)  # the checks ran, on those rows
+    monkeypatch.undo()
+    assert columns(basis) == kernel_oracle(m) and len(basis) == 1
 
 
 @pytest.mark.parametrize("dependent", [1, 2])
@@ -586,10 +586,12 @@ def test_rational_reconstruction_inverts_reduction(r, s, primes):
     # below that any result is at least congruent to r/s
     m = math.prod(itertools.islice(exact._crt_primes(), primes))
     x = exact._rational(r * pow(s, -1, m) % m, m)
+    if x is not None:
+        assert x[1] > 0 and math.gcd(*x) == 1
     if m > 2 * max(abs(r), s) ** 2:
-        assert x == Fraction(r, s)
+        assert Fraction(*x) == Fraction(r, s)
     elif x is not None:
-        assert (x.numerator - x.denominator * r * pow(s, -1, m)) % m == 0
+        assert (x[0] - x[1] * r * pow(s, -1, m)) % m == 0
 
 
 # -- sympy as an independent det, rank and nullspace oracle ---------------------
@@ -815,8 +817,56 @@ def test_any_call_order_matches_a_fresh_matrix(m, order):
     for name in order:
         if name == "det" and m.rows != m.cols:
             continue
-        fresh = ExactMatrix._wrap(m.field, m._a.copy())
+        fresh = ExactMatrix._wrap(m.field, m._a.copy(), m._den)
         assert getattr(m, name)() == getattr(fresh, name)()
+
+
+def rational(rows: list[list[Fraction]], cols: int) -> ExactMatrix:
+    return ExactMatrix(QQ, rows) if rows else ExactMatrix.zeros(QQ, 0, cols)
+
+
+def test_entries_past_int64_are_stored_as_python_ints():
+    # 1 over 12 * (2**31 - 1)**2 is 12 * (2**31 - 1)**2 > 2**63 over it
+    m = ExactMatrix(QQ, [[1, Fraction(1, 12 * MERSENNE**2)]])
+    assert m._a.dtype == object and m._den == 12 * MERSENNE**2
+    assert_canonical(m)
+    assert (m @ m.transpose())._a.dtype == object
+    assert m.tolist() == [[1, Fraction(1, 12 * MERSENNE**2)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(0, 4), c=st.integers(0, 4), c2=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_rational_matrices_match_the_fraction_path(r, c, c2, seed):
+    # every operation on the integer array over one denominator gives what
+    # the Fractions give: entries, transpose, product, det, rank, kernel,
+    # equality with hash, and text; every result is in canonical form
+    rng = np.random.default_rng(seed)
+    rows = mixed_rows(rng, r, c)
+    m, other = rational(rows, c), rational(mixed_rows(rng, c, c2), c2)
+    assert_canonical(m)
+    assert m.tolist() == rows and all(type(x) is Fraction for row in m.tolist() for x in row)
+    assert all(m[i, j] == x and type(m[i, j]) is Fraction
+               for i, row in enumerate(rows) for j, x in enumerate(row))
+    transpose = m.transpose()
+    assert_canonical(transpose)
+    assert transpose.tolist() == [[row[j] for row in rows] for j in range(c)]
+    product = m @ other
+    assert_canonical(product)
+    assert product.tolist() == matmul_naive(m, other)
+    for same in (rational([[str(x) for x in row] for row in rows], c), transpose.transpose()):
+        assert same == m and hash(same) == hash(m)
+    doubled = rational([[2 * x for x in row] for row in rows], c)
+    assert (doubled == m) == m.is_zero()
+    assert format_matrix(m) == format_matrix_dense(m)
+    _, pivots, det = bareiss_echelon(m)
+    if r == c:
+        assert m.det() == det and type(m.det()) is Fraction
+    assert m.rank() == len(pivots)
+    basis = m.kernel_basis()
+    assert columns(basis) == kernel_oracle(m)
+    for v in basis:
+        assert_canonical(v)
 
 
 def test_elimination_keeps_no_array():
@@ -856,7 +906,7 @@ def sparse_matrices(draw, field, rows=st.integers(0, 6), cols=st.integers(0, 6))
     entry = st.one_of(st.just(0), nonzero)
     r, c = draw(rows), draw(cols)
     vals = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
-    return ExactMatrix._wrap(field, field.array([[field.coerce(x) for x in row] for row in vals], c))
+    return ExactMatrix(field, vals) if r else ExactMatrix.zeros(field, 0, c)
 
 
 @settings(max_examples=150, deadline=None)
@@ -886,27 +936,25 @@ def test_format_monad_matches_dense_oracle(data, field, n, k):
     assert parse_monad(text) == d
 
 
-class CountedFraction(Fraction):
-    """A Fraction that counts the calls of its ``__str__``."""
-
-    calls = 0
-
-    def __str__(self):
-        CountedFraction.calls += 1
-        return super().__str__()
-
-
-def test_writers_convert_only_nonzero_entries():
+def test_writers_convert_only_nonzero_entries(monkeypatch):
+    # one gcd for each nonzero entry of a matrix over a denominator, none for
+    # an integer matrix, and no Fraction made for either
     vals = [[0, 3, 0, 0], [0, 0, 0, 0], [Fraction(-1, 2), 0, 0, 7], [0, 0, Fraction(5, 3), 0]]
-    block = ExactMatrix._wrap(QQ, np.array([[CountedFraction(x) for x in row] for row in vals],
-                                           dtype=object))
-    CountedFraction.calls = 0
+    block, integral = ExactMatrix(QQ, vals), ExactMatrix(QQ, [[0, 3, 0, 0], [-7, 0, 0, 1]] * 2)
+    gcds = []
+    monkeypatch.setattr(exact, "Fraction", None)
+    monkeypatch.setattr(exact, "math", types.SimpleNamespace(
+        gcd=lambda *args: gcds.append(args) or math.gcd(*args)))
     text = format_matrix(block)
-    assert CountedFraction.calls == 4
+    assert len(gcds) == 4
     assert text.splitlines()[1:] == ["0 3 0 0", "0 0 0 0", "-1/2 0 0 7", "0 0 5/3 0"]
-    CountedFraction.calls = 0
+    del gcds[:]
     format_monad(MonadData(1, 1, QQ, (block,)))
-    assert CountedFraction.calls == 4
+    assert len(gcds) == 4
+    del gcds[:]
+    assert format_monad(MonadData(1, 1, QQ, (integral,))).splitlines()[2:] == \
+        ["0 3 0 0", "-7 0 0 1"] * 2
+    assert gcds == []
 
 
 def test_matrix_format_comments_and_errors():
@@ -951,8 +999,8 @@ def test_rational_entries_always_canonical():
     (v,) = a.kernel_basis()
     zero = a @ v
     assert zero.is_zero() and zero.shape == (2, 1)
-    for x in zero._a.flat:
-        assert type(x) is Fraction and x == Fraction(0) and x.denominator == 1
+    assert_canonical(zero)
+    assert zero._den == 1 and zero.tolist() == [[Fraction(0)]] * 2
 
 
 @settings(max_examples=100, deadline=None)

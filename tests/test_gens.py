@@ -17,7 +17,7 @@ from monadlab import (DET_ZERO_BY_SYZYGY, GF, QQ, ExactMatrix, GeneratorError, M
                       search_orthogonal, transform_monad,
                       verify_syzygy)
 
-from oracles import (isotropic_data_sequential, matmul_naive, mix_blocks_sum,
+from oracles import (assert_canonical, isotropic_data_sequential, matmul_naive, mix_blocks_sum,
                      random_sl_sequential, scaled, search_orthogonal_reference)
 
 
@@ -284,7 +284,8 @@ def test_random_sl_equals_one_scalar_draw_per_value(field, size, seed):
     expected = random_sl_sequential(field, size, expected_rng)
     assert m._a.dtype == expected._a.dtype
     assert m.tolist() == expected.tolist()
-    assert [type(x) for x in m._a.ravel()] == [type(x) for x in expected._a.ravel()]
+    assert m == expected and m._den == 1
+    assert_canonical(m)
     assert rng.integers(0, 2**62) == expected_rng.integers(0, 2**62)
 
 

@@ -5,8 +5,10 @@
 - Every module-level private function, class or constant is referenced
   somewhere in ``src/monadlab``, not only where it is defined.
 - No module reads a ``_private`` attribute that it does not define itself,
-  apart from ``ExactMatrix``'s storage (``_a``, ``_wrap``) and
+  apart from ``ExactMatrix``'s storage (``_a``, ``_den``, ``_wrap``) and
   ``MonadData._memo``.
+- Only ``exact`` imports ``fractions``: everywhere else a rational matrix is
+  its integer array over one denominator.
 - Every private name that a docstring or comment quotes in double
   backticks is defined somewhere in ``src/monadlab``.
 """
@@ -84,9 +86,10 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
-# ExactMatrix storage, read by every module that works on the raw array, and
-# the per-data memo that invariant.det_q and monad._nonzero_defects fill
-SHARED_PRIVATE_ATTRIBUTES = {"_a", "_wrap", "_memo"}
+# ExactMatrix storage, the integer array and its denominator, read by every
+# module that works on the raw array, and the per-data memo that
+# invariant.det_q and monad._nonzero_defects fill
+SHARED_PRIVATE_ATTRIBUTES = {"_a", "_den", "_wrap", "_memo"}
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
@@ -97,6 +100,14 @@ def test_no_module_reads_another_modules_private_attribute(module):
             and node.attr.startswith("_") and not node.attr.startswith("__")}
     foreign = sorted(read - _defined(tree) - SHARED_PRIVATE_ATTRIBUTES)
     assert foreign == [], f"{module} reads private attributes {foreign} defined elsewhere"
+
+
+def test_only_exact_imports_fractions():
+    importers = sorted(module for module, tree in TREES.items() for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                       or isinstance(node, ast.Import)
+                       and any(alias.name == "fractions" for alias in node.names))
+    assert importers == ["exact.py"]
 
 
 @pytest.mark.parametrize("module", [name for name in TREES if name != "__init__.py"])

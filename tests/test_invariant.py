@@ -8,6 +8,7 @@ diagonal) and every other row block must vanish, for arbitrary data.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +22,9 @@ from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF,
                       ExactMatrix, MonadData, RankProbeVerdict, build_q, build_syzygy,
                       canonical_j, det_q, dimension_identity, gen_isotropic_orthogonal,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
-                      orthogonal_verdict, q_layout, quadratic_defect, random_sl,
-                      transform_monad, verify_syzygy)
+                      orthogonal_verdict, parse_monad, q_layout, quadratic_defect,
+                      random_sl, transform_monad, verify_syzygy)
 from monadlab.gens import _special_blocks
-from monadlab.invariant import _q_columns
 
 from oracles import (block_of, build_q_blockwise, det_cofactor, layout_entries,
                      rank_probe_pointwise, residual_fraction, residues_per_block, scaled,
@@ -62,12 +62,12 @@ def expected_residual_block(d, eta):
 
 
 def assert_q_s_is(d, residual):
-    """``_q_s`` of ``d.ints``, over L**2, is the used block rows of
+    """``_q_s`` of ``d.stack``, over L**2, is the used block rows of
     ``residual``, Q*S in full, and every other row of ``residual`` is zero."""
     br = d.block_rows
     used = monadlab.invariant._used_block_rows(d.n, d.k)
     rows = (used[:, None] * br + np.arange(br)).ravel().tolist()
-    got = monadlab.invariant._q_s(d.field, d.ints).tolist()
+    got = monadlab.invariant._q_s(d.field, d.stack).tolist()
     expected = residual.tolist()
     assert [[d.field.coerce(Fraction(x, d.scale**2)) for x in row] for row in got] \
         == [expected[i] for i in rows]
@@ -136,9 +136,10 @@ def test_build_q_matches_blockwise_oracle(field, n, k, zero, seed):
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (3, 2)])
 def test_q_columns_are_the_first_block_columns_of_q(field, n, k):
     d = random_data(n, k, field, np.random.default_rng(10 * n + k))
-    q = build_q_blockwise(d)
+    q, expected = build_q(d).matrix, build_q_blockwise(d)
     for count in range(1, math.comb(k + n - 1, n) + 1):
-        assert _q_columns(d, count) == block_of(q, 0, 0, q.rows, count * d.block_cols)
+        width = count * d.block_cols
+        assert block_of(q, 0, 0, q.rows, width) == block_of(expected, 0, 0, q.rows, width)
 
 
 def test_build_q_k1_is_single_block():
@@ -198,6 +199,19 @@ def test_special_family_q_is_permuted_unitriangular(eliminations, k):
         for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
             assert field.det(canonical_j(kind, n, k, field)._a) != 0
     assert eliminations == []
+
+
+@pytest.mark.parametrize("name, primes", [("special_scaled_n1k2_rational.mnd", 5),
+                                          ("dependent_n1k2_rational.mnd", 8),
+                                          ("random_n1k1_rational.mnd", 2)])
+def test_det_q_of_the_golden_rational_inputs_takes_as_few_crt_primes(monkeypatch, name, primes):
+    # rows divided by their content keep the Hadamard bound of rows cleared
+    # one by one, so one denominator for all of Q costs no extra prime
+    d = parse_monad((Path(__file__).parent / "golden" / "cli" / "inputs" / name).read_text())
+    det_gf, calls = monadlab.exact._det_gf, []
+    monkeypatch.setattr(monadlab.exact, "_det_gf", lambda a, p: calls.append(p) or det_gf(a, p))
+    det_q(d)
+    assert len(calls) == primes
 
 
 def test_unitriangular_det_matches_cofactor_oracle():
@@ -294,7 +308,7 @@ def test_rational_residual_at_order_280_reduces_to_the_gf_residual(denominators)
         blocks = [[[Fraction(x, j + 2) for x in row] for row in b]
                   for j, b in enumerate(blocks)]
     rational = MonadData(n, k, QQ, tuple(ExactMatrix(QQ, b) for b in blocks))
-    product = monadlab.invariant._q_s(QQ, rational.ints)  # L**2 times Q*S, used rows only
+    product = monadlab.invariant._q_s(QQ, rational.stack)  # L**2 times Q*S, used rows only
     assert product.shape == (k * (k + 1) // 2 * (2 * n + 2), 2 * n + 2) and product.any()
     assert not verify_syzygy(rational).residual_is_zero
     for p in (101, 32003):
@@ -305,7 +319,7 @@ def test_rational_residual_at_order_280_reduces_to_the_gf_residual(denominators)
         field = GF(p)
         reduced = tuple(ExactMatrix(field, [[mod_p(x) for x in row] for row in b])
                         for b in blocks)
-        modular = monadlab.invariant._q_s(field, MonadData(n, k, field, reduced).ints)
+        modular = monadlab.invariant._q_s(field, MonadData(n, k, field, reduced).stack)
         assert [[mod_p(Fraction(x, rational.scale**2)) for x in row] for row in product.tolist()] \
             == modular.tolist()
 
@@ -330,7 +344,7 @@ def test_verify_syzygy_multiplies_only_the_block_rows_that_hold_a_block(
         field, n, k, monkeypatch):
     # Q's first k block columns have a block only in the k(k+1)/2 block rows
     # i_1^{n-1} i_a i_b (every block row at n = 1); only those are multiplied,
-    # by the integer-form product Field.matmul_ints, and nothing else is
+    # by the integer product Field.matmul, and nothing else is
     d = random_data(n, k, field, np.random.default_rng(7 * n + k))
     residual = build_q_blockwise(d) @ build_syzygy(d).matrix
     monadlab.monad._nonzero_defects(d, ORTHOGONAL_IDENTITY)  # its products run now, unspied
@@ -345,7 +359,6 @@ def test_verify_syzygy_multiplies_only_the_block_rows_that_hold_a_block(
         monkeypatch.setattr(monadlab.exact.Field, name, spy)
 
     spying("matmul")
-    spying("matmul_ints")
     verify_syzygy(d)
     used = k * (k + 1) // 2 * d.block_rows
     assert shapes == [((used, k * d.block_cols), (k * d.block_cols, d.block_rows))]
@@ -356,8 +369,8 @@ def test_verify_syzygy_multiplies_only_the_block_rows_that_hold_a_block(
 
 @st.composite
 def rational_data(draw):
-    """Rational data with mixed denominators, for the integer form against the
-    Fraction path.  Density 0 gives zero data; with ``big`` numerators beyond
+    """Rational data with mixed denominators, for the integer ``stack`` against
+    the Fraction path.  Density 0 gives zero data; with ``big`` numerators beyond
     2**62 the integer form is an object array and Q*S runs in Python ints; the
     screen prime is a denominator in at most one block, which makes every other
     block's integer form zero modulo it; a last block that is a multiple of
@@ -385,11 +398,13 @@ def rational_data(draw):
 @given(d=rational_data(), kind=st.sampled_from([ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL]),
        trials=st.integers(1, 12), box=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_integer_form_matches_the_fraction_path(d, kind, trials, box, seed):
-    # Q*S and the defect flags from d.ints, is_zero and the screen on d.ints
-    # mod q give what the Fraction blocks gave: Q*S entry for entry, the
+    # Q*S and the defect flags from d.stack, is_zero and the screen on d.stack
+    # mod q give what the Fraction blocks give: Q*S entry for entry, the
     # nonzero defects of both pairings, the report, the verdict and the probe
-    scale = math.lcm(*(x.denominator for x in d.stack.flat))
-    assert d.scale == scale and d.ints.tolist() == (d.stack * scale).tolist()
+    blocks = [b.tolist() for b in d.blocks]
+    scale = math.lcm(*(x.denominator for b in blocks for row in b for x in row))
+    assert d.scale == scale
+    assert d.stack.tolist() == [[[x * scale for x in row] for row in b] for b in blocks]
     assert_q_s_is(d, residual_fraction(d))
     for each in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
         defects = quadratic_defect(d, canonical_j(each, d.n, d.k, QQ))
@@ -400,17 +415,18 @@ def test_integer_form_matches_the_fraction_path(d, kind, trials, box, seed):
     verdict, probe = orthogonal_verdict(d), max_rank_probe(d, j, trials, seed, box=box)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(monadlab.invariant, "verify_syzygy", verify_syzygy_fraction)
-        m.setattr(MonadData, "is_zero", lambda self: not self.stack.any())
-        m.setattr(monadlab.monad, "_residues", lambda d: residues_per_block(d.stack, d.field))
+        m.setattr(MonadData, "is_zero", lambda self: all(b.is_zero() for b in self.blocks))
+        m.setattr(monadlab.monad, "_residues", residues_per_block)
         assert orthogonal_verdict(d) == verdict
         assert max_rank_probe(d, j, trials, seed, box=box) == probe
     assert probe == rank_probe_pointwise(d, j, trials, seed, box)
 
 
 def test_q_s_and_the_screen_over_q_clear_no_denominator_after_construction(monkeypatch):
-    # the data clears its blocks once, when it is built; Q*S, the defect flags
-    # and the probe's screen read that integer form, and the special family
-    # passes the screen at every point, so no point needs the exact (Fraction) test
+    # the data puts its blocks over one denominator once, when it is built;
+    # Q*S, the defect flags and the probe's screen read that integer stack, and
+    # the special family passes the screen at every point, so no point needs
+    # the exact test, and no Fraction is stored or made
     n, k = 2, 3
     blocks = gen_special_symplectic(n, k, QQ, probe_trials=1, compute_det=False).data.blocks
     d = MonadData(n, k, QQ, tuple(scaled(b, Fraction(2, 3 + i)) for i, b in enumerate(blocks)))
@@ -418,11 +434,11 @@ def test_q_s_and_the_screen_over_q_clear_no_denominator_after_construction(monke
     j.det()  # kept by the memoised pairing
     expected = verify_syzygy_fraction(d)
 
-    def refuse(a):
-        raise AssertionError("denominators cleared after construction")
+    def refuse(*args):
+        raise AssertionError("Fractions stored or made after construction")
 
-    monkeypatch.setattr(monadlab.exact, "_cleared_rows", refuse)
-    monkeypatch.setattr(monadlab.monad, "_cleared_rows", refuse)
+    monkeypatch.setattr(monadlab.exact.Field, "store", refuse)
+    monkeypatch.setattr(monadlab.exact, "Fraction", refuse)
     assert verify_syzygy(d) == expected
     assert max_rank_probe(d, j, trials=50, seed=0) == RankProbeVerdict(True, 50)
 

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
-                      Point, RankProbeVerdict, canonical_j, chern_coefficients,
-                      defects_vanish, evaluate_a, format_monad, max_rank_probe,
-                      parse_monad, quadratic_defect, random_sl)
+                      Point, RankProbeVerdict, build_q, build_syzygy, canonical_j,
+                      chern_coefficients, defects_vanish, evaluate_a, format_monad,
+                      max_rank_probe, parse_monad, quadratic_defect, random_sl)
 from monadlab import ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL
 from monadlab import exact, gens, invariant, monad
 from monadlab.monad import _draw_points
 
-from oracles import (block_matrix, distinct_points_pointwise, pairing_rows,
-                     quadratic_defect_blockwise, rank_probe_pointwise, scaled, summed)
+from oracles import (assert_canonical, block_matrix, build_q_blockwise, distinct_points_pointwise,
+                     format_monad_dense, matmul_naive, mixed_rows, pairing_rows,
+                     quadratic_defect_blockwise, rank_probe_pointwise, scaled, summed, syzygy_rows)
 
 GF101 = GF(101)
 # the rational rank probe screens modulo the first CRT prime
@@ -512,21 +513,56 @@ def test_stacked_defects_q_s_and_screen_equal_each_data_alone(case):
     # those of quadratic_defect), Q*S, and the screen at each data's own
     # points, however many, padded with zero rows as the search pads them
     field, data, points = case
-    stacks = np.array([d.ints for d in data])
+    stacks = np.array([d.stack for d in data])
     for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
-        alone = [monad._defect_pairs(field, d.ints[None], kind)[0] for d in data]
+        alone = [monad._defect_pairs(field, d.stack[None], kind)[0] for d in data]
         assert monad._defect_pairs(field, stacks, kind) == alone
         assert alone == [tuple((a, b) for a, b, m in quadratic_defect(d, canonical_j(
             kind, d.n, d.k, field)) if not m.is_zero()) for d in data]
     q_s = invariant._q_s(field, stacks)
-    assert all(np.array_equal(got, invariant._q_s(field, d.ints[None])[0])
+    assert all(np.array_equal(got, invariant._q_s(field, d.stack[None])[0])
                for got, d in zip(q_s, data))
     padded = np.zeros((len(data), max(map(len, points)), data[0].block_rows), dtype=np.int64)
     for row, x in zip(padded, points):
         row[:len(x)] = x
     failed = monad._screen(field.p, stacks, padded)
     assert [f[:len(x)].tolist() for f, x in zip(failed, points)] == \
-        [monad._screen(field.p, d.ints[None], x[None])[0].tolist() for d, x in zip(data, points)]
+        [monad._screen(field.p, d.stack[None], x[None])[0].tolist() for d, x in zip(data, points)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_rational_data_match_the_fraction_path(k, seed):
+    # over mixed denominators, some whose integer entries pass int64: the
+    # stack is scale times the blocks, and Q, S, A(x), the defects for the
+    # canonical pairings and a rational one, and the text are what the
+    # Fractions give, each in canonical form
+    rng = np.random.default_rng(seed)
+    n, r, c = 1, 4, 2 + 2 * k
+    blocks = [mixed_rows(rng, r, c) for _ in range(k)]
+    d = MonadData(n, k, QQ, tuple(ExactMatrix(QQ, b) for b in blocks))
+    scale = math.lcm(*(x.denominator for b in blocks for row in b for x in row))
+    values = [x * scale for b in blocks for row in b for x in row]
+    assert d.scale == scale and d.stack.tolist() == np.reshape(values, (k, r, c)).tolist()
+    assert d.stack.dtype == (np.int64 if all(abs(x) < 2**63 for x in values) else object)
+    q, s = build_q(d).matrix, build_syzygy(d).matrix
+    assert q.tolist() == build_q_blockwise(d).tolist() and s.tolist() == syzygy_rows(d)
+    coords = [x for row in mixed_rows(rng, 1, r) for x in row]
+    if not any(coords):  # a point needs a nonzero coordinate
+        coords[0] = Fraction(1)
+    a = evaluate_a(d, Point(QQ, tuple(coords)))
+    assert a.tolist() == [matmul_naive(ExactMatrix(QQ, [coords]), m)[0] for m in d.blocks]
+    pairings = [canonical_j(kind, n, k, QQ) for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL)]
+    for j in pairings + [ExactMatrix(QQ, mixed_rows(rng, c, c))]:
+        defects = quadratic_defect(d, j)
+        assert [(a, b, m.tolist()) for a, b, m in defects] == \
+            [(a, b, m.tolist()) for a, b, m in quadratic_defect_blockwise(d, j)]
+        for *_, m in defects:
+            assert_canonical(m)
+    for m in (q, s, a):
+        assert_canonical(m)
+    assert format_monad(d) == format_monad_dense(d)
+    assert parse_monad(format_monad(d)) == d
 
 
 def test_pair_indices_are_made_once_per_k(monkeypatch):
