@@ -8,11 +8,12 @@ construction.  A matrix is an integer array over one positive denominator
 p < 2**31 so every product of two fits in 64-bit arithmetic; over Q the
 numerators over the lcm of the entries' denominators, so no prime divides
 the denominator and every entry.  The array is int64 when every entry fits
-in it, Python ints otherwise.  Fractions are made only by ``coerce`` (parsed
-entries, point coordinates), ``m[i, j]``, ``tolist`` and ``det``.  :class:`Field`
-owns what differs between the fields: products, det, rank and kernel of
-integer arrays.  Rational products are ``_matmul_zz`` over the product of
-the denominators.
+in it, Python ints otherwise.  Fractions are made only by ``coerce`` (entries
+of rational files, point coordinates), ``m[i, j]``, ``tolist`` and ``det``; a
+GF(p) file's entries are read as one integer array, and text is written from
+the integer array alone (``entry_text``).  :class:`Field` owns what differs
+between the fields: products, det, rank and kernel of integer arrays.
+Rational products are ``_matmul_zz`` over the product of the denominators.
 
 There is one elimination, over GF(p): it touches only the rows with a
 nonzero entry in the pivot column, and in them only the columns between the
@@ -36,6 +37,7 @@ det is zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -718,33 +720,88 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray, list[int]]:
 # then R lines of C space-separated entries.  Entry rows are read in monad files, where
 # '#' lines are comments.  An entry is an integer over GF(p), and an integer or a/b over Q.
 
-# one entry and one row of entries, keyed by Field.is_prime_field
+# one entry, keyed by Field.is_prime_field
 _ENTRY = {True: re.compile(r"-?[0-9]+"), False: re.compile(r"-?[0-9]+(?:/[0-9]+)?")}
-_ENTRY_ROW = {prime: re.compile(rf"{e.pattern}(?:\s+{e.pattern})*")
-              for prime, e in _ENTRY.items()}
+# bytes of padded rows ``entry_text`` lays out at once; it writes larger matrices a slice
+# of rows at a time
+_TEXT_BYTES = 2**17
 
 
-def entry_lines(m: ExactMatrix) -> list[str]:
-    """One line of space-separated entries per row of ``m``.  Only a row's
-    nonzero entries are formatted, with one gcd each and no Fraction when
-    the denominator is not 1; the rest stay "0"."""
-    lines, den = [], m._den
-    for row in m._a:
-        cells = ["0"] * len(row)
-        nz = row.nonzero()[0]
-        values = row[nz].tolist()
-        if den != 1:  # x / den in lowest terms, as str of that Fraction prints it
-            values = [x // g if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}"
-                      for x in values]
-        for j, x in zip(nz.tolist(), map(str, values)):
-            cells[j] = x
-        lines.append(" ".join(cells))
-    return lines
+def _put_digits(out: np.ndarray, end: np.ndarray, x: np.ndarray):
+    """Write the decimal digits of the positive integers ``x`` into the byte
+    array ``out``, each number's last digit at its ``end``: one digit of
+    every int64 number not yet done per pass.  Python ints are split into
+    their last 18 digits, written as int64 with leading zeros where the
+    quotient is nonzero, and the quotient, written the same way."""
+    if x.dtype == object:
+        x, low = x // 10**18, (x % 10**18).astype(np.int64)
+        wide = x.nonzero()[0]
+        out[end[wide, None] - np.arange(18)] = ord("0")
+        _put_digits(out, end, low)
+        return _put_digits(out, end[wide] - 18, _fit(x[wide]))
+    while x.size:
+        out[end] = x % 10 + ord("0")
+        x = x // 10
+        live = x.nonzero()[0]
+        end, x = end[live] - 1, x[live]
+
+
+def entry_text(a: np.ndarray, den: int) -> str:
+    """The rows of the integer array ``a`` over ``den`` as text, one line per
+    row: each entry x / den in lowest terms, as ``str`` of that Fraction
+    prints it, separated by single spaces.
+
+    Every entry gets a field of one width, padded with NUL bytes that one
+    ``bytes.translate`` deletes: the sign, the numerator's digits, '/' and
+    the denominator's if an entry needs them, and the separator.  Only the
+    nonzero entries get text, all in one byte array, with one ``np.gcd`` for
+    their lowest terms; int64 and Python-int arrays take the same path.  A
+    zero entry is the byte '0'.  The rows are laid out a slice at a time in
+    at most ``_TEXT_BYTES`` (or one row), so one wide entry cannot make the
+    padding of the zeros rows x cols times its width at once."""
+    rows, cols = a.shape
+    if not cols:
+        return "\n" * rows
+    flat = a.ravel()
+    nz = flat.nonzero()[0]
+    x = flat[nz]
+    if x.dtype != object and (den >= 2**63 or x.min(initial=0) == -2**63):
+        x = x.astype(object)  # den, or |x| for x = -2**63, does not fit in int64
+    neg = x < 0
+    x = abs(x)
+    if den != 1:
+        x, d = x // (g := np.gcd(x, den)), den // g
+        frac = d != 1
+    # a field: the sign if any entry has one, the numerator's digits ending at
+    # num_end, '/' and the denominator's ending at den_end, the separator
+    num_end = int(neg.any()) + len(str(x.max(initial=0))) - 1
+    den_end = num_end + (1 + len(str(d.max(initial=1))) if den != 1 else 0)
+    width = den_end + 2
+    texts = np.zeros((x.size, width), dtype=np.uint8)  # a field per nonzero entry
+    out = texts.reshape(-1)
+    first = np.arange(x.size) * width  # each field's first byte
+    out[first[neg]] = ord("-")
+    _put_digits(out, first + num_end, x)
+    if den != 1:
+        first = first[frac]
+        out[first + num_end + 1] = ord("/")
+        _put_digits(out, first + den_end, d[frac])
+    step = max(1, _TEXT_BYTES // (cols * width))  # rows per slice
+    cuts = np.searchsorted(nz, np.arange(0, rows + step, step) * cols).tolist()
+    parts = []
+    for r0, s, e in zip(range(0, rows, step), cuts, cuts[1:]):  # nz[s:e] are in the slice
+        fields = np.zeros((min(step, rows - r0) * cols, width), dtype=np.uint8)
+        fields[:, num_end] = ord("0")
+        fields[nz[s:e] - r0 * cols] = texts[s:e]
+        fields[:, -1] = ord(" ")
+        fields[cols - 1::cols, -1] = ord("\n")
+        parts.append(fields.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
 
 
 def format_matrix(m: ExactMatrix) -> str:
     header = f"matrix rows={m.rows} cols={m.cols} field={m.field.spec}"
-    return "\n".join([header, *entry_lines(m)]) + "\n"
+    return f"{header}\n{entry_text(m._a, m._den)}"
 
 
 def content_lines(text: str) -> list[str]:
@@ -757,16 +814,56 @@ def content_lines(text: str) -> list[str]:
     return out
 
 
-def parse_entry_row(field: Field, line: str, expected: int) -> list:
-    """The entries of one stripped line; the whole row is matched at once."""
+@functools.lru_cache(maxsize=64)
+def _rows_pattern(prime: bool, rows: int, cols: int) -> re.Pattern:
+    """``rows`` lines of ``cols`` entries each, joined by newlines."""
+    e = _ENTRY[prime].pattern
+    row = rf"{e}(?:[^\S\n]+{e}){{{cols - 1}}}"
+    return re.compile(rf"{row}(?:\n{row}){{{rows - 1}}}")
+
+
+def _check_row(field: Field, line: str, expected: int):
+    """Raise the error of one stripped line: its entry count, an entry outside
+    the grammar, or an entry int() or Fraction() cannot read."""
     toks = line.split()
     if len(toks) != expected:
         raise MatrixFormatError(f"expected {expected} entries, got {len(toks)}: {line!r}")
-    prime = field.is_prime_field
-    if not _ENTRY_ROW[prime].fullmatch(line):
-        bad = next(t for t in toks if not _ENTRY[prime].fullmatch(t))
-        raise MatrixFormatError(f"bad entry {bad!r} in {line!r}")
+    for t in toks:
+        if not _ENTRY[field.is_prime_field].fullmatch(t):
+            raise MatrixFormatError(f"bad entry {t!r} in {line!r}")
     try:
-        return [field.coerce(t) for t in toks]
+        for t in toks:
+            field.coerce(t)
     except ZeroDivisionError as e:
         raise MatrixFormatError(f"bad entry in {line!r}: {e}") from None
+
+
+def parse_entry_rows(field: Field, lines: list[str], cols: int) -> tuple[np.ndarray, int]:
+    """The integer array and denominator of stripped lines of ``cols``
+    entries each, as ``Field.store`` gives them.
+
+    One pattern checks all the lines at once.  Over GF(p) one conversion
+    reads every token, as int64 or, if one overflows it, as Python ints, and
+    one ``%`` reduces them; over Q ``Field.coerce`` reads each.  Only when
+    the pattern fails, or a rational entry has a zero denominator, are the
+    lines checked one by one, and the first bad one raises what a reader of
+    one line after another would."""
+    text = "\n".join(lines)
+    if _rows_pattern(field.is_prime_field, len(lines), cols).fullmatch(text):
+        tokens = text.split()
+        if field.is_prime_field:
+            try:
+                ints = np.array(tokens, dtype=np.int64)
+            except OverflowError:
+                ints = np.array([int(t) for t in tokens], dtype=object)
+            return (ints % field.p).astype(np.int64, copy=False).reshape(len(lines), cols), 1
+        try:
+            values = [field.coerce(t) for t in tokens]
+        except ZeroDivisionError:
+            pass
+        else:
+            ints, den = field.store([values], len(values))
+            return ints.reshape(len(lines), cols), den
+    for line in lines:
+        _check_row(field, line, cols)
+    raise AssertionError("no bad line in lines the pattern rejects")

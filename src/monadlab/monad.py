@@ -51,8 +51,8 @@ from typing import ClassVar, Iterable, Optional
 import numpy as np
 
 from .exact import (ExactMatrix, Field, MatrixFormatError, _crt_primes, _fit,
-                    _full_row_rank_gf, _lowest, _matmul_gf, content_lines, entry_lines,
-                    parse_entry_row, parse_field)
+                    _full_row_rank_gf, _lowest, _matmul_gf, content_lines, entry_text,
+                    parse_entry_rows, parse_field)
 
 ORTHOGONAL_IDENTITY = "orthogonal-identity"
 SYMPLECTIC_CANONICAL = "symplectic-canonical"
@@ -178,14 +178,14 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _defect_stack(field: Field, v: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
+def _defect_stack(field: Field, v: np.ndarray, vj: np.ndarray, k: int) -> np.ndarray:
     """sym(M_a * J * M_b^t) for the pairs a <= b, in order, from the integer
-    arrays of the blocks stacked as V, a (..., k*r, c) array, and of J: the
-    (..., pairs, r, r) integer array read off the blocks of V * J * V^t.
+    arrays of the blocks stacked as V, a (..., k*r, c) array, and of V * J:
+    the (..., pairs, r, r) integer array read off the blocks of V * J * V^t.
     Leading axes hold a stack of data, multiplied pairwise."""
     *lead, kr, _ = v.shape
     r = kr // k
-    x = field.matmul(field.matmul(v, j), np.swapaxes(v, -1, -2)).reshape(*lead, k, r, k, r)
+    x = field.matmul(vj, np.swapaxes(v, -1, -2)).reshape(*lead, k, r, k, r)
     first, second = _pairs(k)
     # block (a, b) of V * J * V^t is M_a * J * M_b^t; the pair axis comes out first
     xab = np.moveaxis(x[..., first, :, second, :], 0, -3)
@@ -200,7 +200,8 @@ def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, Exact
     """
     _check_pairing(d, j)
     k, r, c = d.stack.shape
-    sym = _defect_stack(d.field, d.stack.reshape(k * r, c), j._a, k)
+    v = d.stack.reshape(k * r, c)
+    sym = _defect_stack(d.field, v, d.field.matmul(v, j._a), k)
     first, second = _pairs(k)
     den = d.scale ** 2 * j._den
     return [(a + 1, b + 1, ExactMatrix._wrap(d.field, *_lowest(m, den)))
@@ -216,8 +217,12 @@ def _defect_pairs(field: Field, stacks: np.ndarray, kind: str) -> list[tuple[tup
     pairing, for each data of a (T, k, r, c) array of their ``stack``,
     whose defects are L**2 * D_ab: one product V * J * V^t for the whole stack."""
     t, k, r, c = stacks.shape
-    j = canonical_j(kind, r // 2 - 1, k, field)._a
-    sym = _defect_stack(field, stacks.reshape(t, k * r, c), j, k)
+    v = stacks.reshape(t, k * r, c)
+    if kind == ORTHOGONAL_IDENTITY:  # V * J is V itself
+        vj = v
+    else:
+        vj = field.matmul(v, canonical_j(kind, r // 2 - 1, k, field)._a)
+    sym = _defect_stack(field, v, vj, k)
     pairs = [(a + 1, b + 1) for a, b in zip(*(index.tolist() for index in _pairs(k)))]
     flags = sym.reshape(t, len(pairs), -1).any(axis=-1)
     return [tuple(p for p, bad in zip(pairs, row) if bad) for row in flags.tolist()]
@@ -355,11 +360,12 @@ _MONAD_HEADER = re.compile(r"monad n=(\d+) k=(\d+) field=(\S+)")
 
 
 def format_monad(d: MonadData) -> str:
-    lines = [f"monad n={d.n} k={d.k} field={d.field.spec}"]
-    for j, b in enumerate(d.blocks, start=1):
-        lines.append(f"block {j}")
-        lines += entry_lines(b)
-    return "\n".join(lines) + "\n"
+    """The header, then each 'block j' line and its rows: one ``entry_text``
+    of all the blocks, ``stack`` over ``scale``, split at the blocks."""
+    r = d.block_rows
+    rows = entry_text(d.stack.reshape(-1, d.block_cols), d.scale).splitlines(keepends=True)
+    blocks = (f"block {j}\n" + "".join(rows[(j - 1) * r:j * r]) for j in range(1, d.k + 1))
+    return "".join([f"monad n={d.n} k={d.k} field={d.field.spec}\n", *blocks])
 
 
 def parse_monad(text: str) -> MonadData:
@@ -382,8 +388,8 @@ def parse_monad(text: str) -> MonadData:
             raise MatrixFormatError(f"expected 'block {j}', got {got!r}")
         if pos + rows >= len(lines):
             raise MatrixFormatError(f"block {j} is truncated")
-        data = [parse_entry_row(field, line, cols) for line in lines[pos + 1:pos + 1 + rows]]
-        blocks.append(ExactMatrix._wrap(field, *field.store(data, cols)))
+        block = lines[pos + 1:pos + 1 + rows]
+        blocks.append(ExactMatrix._wrap(field, *parse_entry_rows(field, block, cols)))
     if len(lines) > (end := 1 + k * (rows + 1)):
         raise MatrixFormatError(f"trailing content after block {k}: {lines[end]!r}")
     return MonadData(n, k, field, tuple(blocks))

@@ -4,7 +4,8 @@ Nothing here goes through the code paths under test: determinants come from
 Laplace expansion or fraction-free (Bareiss) elimination, rational echelon
 forms and kernels from Bareiss elimination, products from the
 definition, monomial enumerations from a recursive generator, matrix and
-monad text from ``str`` on every entry, rank probes
+monad text from ``str`` on every entry, monad files read one token at a
+time through ``Field.coerce``, rank probes
 from one draw and one exact test per point, GF(p) echelon forms and kernels
 from elimination that reduces every entry at every step, primality from trial
 division, 0/1 determinants from a triangular order, Q entry by entry from
@@ -20,15 +21,16 @@ single-variable multiplication rule.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from monadlab import (DEFECT_NONZERO, GF, ORTHOGONAL_IDENTITY, ExactMatrix, GeneratorError,
-                      MonadData, Point, RankCounterexample, RankProbeVerdict, SearchSummary,
-                      SyzygyReport, TrialRow, build_q, build_syzygy, canonical_j, defects_vanish,
-                      det_q, evaluate_a, exact, gens, isotropic_basis, max_rank_probe,
-                      orthogonal_verdict, quadratic_defect)
+                      MatrixFormatError, MonadData, Point, RankCounterexample, RankProbeVerdict,
+                      SearchSummary, SyzygyReport, TrialRow, build_q, build_syzygy, canonical_j,
+                      defects_vanish, det_q, evaluate_a, exact, gens, isotropic_basis,
+                      max_rank_probe, orthogonal_verdict, parse_field, quadratic_defect)
 
 
 def det_cofactor(m: ExactMatrix):
@@ -257,6 +259,54 @@ def format_monad_dense(d) -> str:
         lines.append(f"block {j}")
         lines += [" ".join(map(str, row)) for row in b.tolist()]
     return "\n".join(lines) + "\n"
+
+
+_ENTRY = {True: re.compile(r"-?[0-9]+"), False: re.compile(r"-?[0-9]+(?:/[0-9]+)?")}
+
+
+def _entry_row_per_token(field, line: str, expected: int) -> list:
+    """One stripped line's entries, checked and coerced token by token."""
+    toks = line.split()
+    if len(toks) != expected:
+        raise MatrixFormatError(f"expected {expected} entries, got {len(toks)}: {line!r}")
+    for t in toks:
+        if not _ENTRY[field.is_prime_field].fullmatch(t):
+            raise MatrixFormatError(f"bad entry {t!r} in {line!r}")
+    try:
+        return [field.coerce(t) for t in toks]
+    except ZeroDivisionError as e:
+        raise MatrixFormatError(f"bad entry in {line!r}: {e}") from None
+
+
+def parse_monad_per_token(text: str) -> MonadData:
+    """The monad reader one line and one token at a time, as it ran before
+    blocks were checked and converted at once: each row's tokens through
+    ``Field.coerce``, each block through ``ExactMatrix``."""
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if not lines:
+        raise MatrixFormatError("empty monad input")
+    m = re.fullmatch(r"monad n=(\d+) k=(\d+) field=(\S+)", lines[0])
+    if not m:
+        raise MatrixFormatError(f"bad monad header: {lines[0]!r}")
+    n, k = int(m.group(1)), int(m.group(2))
+    field = parse_field(m.group(3))
+    if n < 1 or k < 1:
+        raise MatrixFormatError(f"bad parameters n={n}, k={k}")
+    rows, cols = 2 * n + 2, 2 * n + 2 * k
+    blocks = []
+    for j in range(1, k + 1):
+        pos = 1 + (j - 1) * (rows + 1)
+        got = lines[pos] if pos < len(lines) else "<eof>"
+        if got != f"block {j}":
+            raise MatrixFormatError(f"expected 'block {j}', got {got!r}")
+        if pos + rows >= len(lines):
+            raise MatrixFormatError(f"block {j} is truncated")
+        blocks.append(ExactMatrix(field, [_entry_row_per_token(field, line, cols)
+                                          for line in lines[pos + 1:pos + 1 + rows]]))
+    if len(lines) > (end := 1 + k * (rows + 1)):
+        raise MatrixFormatError(f"trailing content after block {k}: {lines[end]!r}")
+    return MonadData(n, k, field, tuple(blocks))
 
 
 def enum_monomials_brute(k: int, d: int) -> list[tuple[int, ...]]:

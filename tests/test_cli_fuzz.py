@@ -1,5 +1,6 @@
 """CLI robustness: mutated monad files end in exit 0, 1 or 2 with at most one
-line on stderr, and no exception escapes ``cli.run``.
+line on stderr, and no exception escapes ``cli.run``; the reader and its
+per-token oracle agree on every mutated file.
 
 The mutations start from the golden inputs: truncated, duplicated or deleted
 lines, a token replaced by a malformed, huge or zero one, and header numbers (n, k
@@ -9,9 +10,11 @@ or the field's prime) shifted by two.  Files are written under ``tmp_path``.
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from monadlab import cli
+from monadlab import MatrixFormatError, cli, parse_monad
+from oracles import parse_monad_per_token
 
 INPUTS = sorted((Path(__file__).parent / "golden" / "cli" / "inputs").glob("*.mnd"))
 COMMANDS = [["det-q"], ["syzygy"], ["syzygy", "--verify"], ["build-q"],
@@ -58,3 +61,16 @@ def test_mutated_monad_file_ends_in_an_exit_code_and_at_most_one_error_line(
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert len(err.splitlines()) <= 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mutated_monad_text())
+def test_mutated_monad_file_reads_as_the_per_token_oracle_reads_it(text):
+    try:
+        want = parse_monad_per_token(text)
+    except MatrixFormatError as e:
+        with pytest.raises(MatrixFormatError) as got:
+            parse_monad(text)
+        assert str(got.value) == str(e)
+        return
+    assert parse_monad(text) == want

@@ -3,7 +3,6 @@
 import itertools
 import math
 import re
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -900,9 +899,14 @@ FORMAT_FIELDS = [GF101, GF(2147483629), QQ]
 @st.composite
 def sparse_matrices(draw, field, rows=st.integers(0, 6), cols=st.integers(0, 6)):
     """Matrices over ``field`` with about half their entries zero: over QQ
-    fractions of either sign, integral or not; over GF(p) integers of either
-    sign, reduced by the field."""
-    nonzero = st.fractions(max_denominator=60) if field == QQ else st.integers(-2**40, 2**40)
+    fractions of either sign, integral or not, with numerators or
+    denominators beyond int64 too (an object array, or a denominator of
+    2**63 or more); over GF(p) integers of either sign, reduced by the field."""
+    big = st.integers(-2**70, 2**70)
+    nonzero = st.one_of(
+        st.fractions(max_denominator=60), big, st.builds(Fraction, big, st.integers(2**63, 2**66)),
+        st.sampled_from([Fraction(-2**63), Fraction(2**63, 3), Fraction(-2**63, 2**63 - 1)]),
+    ) if field == QQ else st.integers(-2**40, 2**40)
     entry = st.one_of(st.just(0), nonzero)
     r, c = draw(rows), draw(cols)
     vals = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
@@ -923,6 +927,29 @@ def test_format_matrix_of_zero_and_empty_matrices(field, shape):
     m = ExactMatrix.zeros(field, *shape)
     text = format_matrix(m)
     assert text == format_matrix_dense(m)
+    rows, cols = shape
+    assert text.split("\n", 1)[1] == ("0 " * (cols - 1) + "0\n" if cols else "\n") * rows
+
+
+def test_format_matrix_of_int64_extremes():
+    # |-2**63| does not fit in int64, over 1 and over a denominator, and nor
+    # does a denominator of 2**63 or more over int64 numerators
+    big = 2**63 + 1
+    for rows in ([[-2**63, 2**63 - 1], [0, -1]], [[Fraction(-2**63, 3), 1], [0, Fraction(2, 3)]],
+                 [[Fraction(1, big), 0], [0, Fraction(-5, big)]]):
+        m = ExactMatrix(QQ, rows)
+        assert m._a.dtype == np.int64
+        assert format_matrix(m) == format_matrix_dense(m)
+
+
+@pytest.mark.parametrize("limit", [1, 40, 200])
+def test_format_matrix_writes_a_few_rows_at_a_time_beyond_its_buffer(monkeypatch, limit):
+    # a buffer of ``limit`` bytes holds no row, one row or a few
+    monkeypatch.setattr(exact, "_TEXT_BYTES", limit)
+    rng = np.random.default_rng(limit)
+    for m in (ExactMatrix(QQ, mixed_rows(rng, 7, 5)), ExactMatrix.random(GF101, 6, 9, rng),
+              ExactMatrix(QQ, [[Fraction(2**70, 3), 0], [0, 1], [-1, Fraction(1, 2**64)]])):
+        assert format_matrix(m) == format_matrix_dense(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -936,30 +963,22 @@ def test_format_monad_matches_dense_oracle(data, field, n, k):
     assert parse_monad(text) == d
 
 
-def test_writers_convert_only_nonzero_entries(monkeypatch):
-    # one gcd for each nonzero entry of a matrix over a denominator, none for
-    # an integer matrix, and no Fraction made for either
+def test_writers_make_no_fraction(monkeypatch):
+    # entries over a denominator and integer entries are written from the
+    # integer array alone: no Fraction is made for either
     vals = [[0, 3, 0, 0], [0, 0, 0, 0], [Fraction(-1, 2), 0, 0, 7], [0, 0, Fraction(5, 3), 0]]
     block, integral = ExactMatrix(QQ, vals), ExactMatrix(QQ, [[0, 3, 0, 0], [-7, 0, 0, 1]] * 2)
-    gcds = []
     monkeypatch.setattr(exact, "Fraction", None)
-    monkeypatch.setattr(exact, "math", types.SimpleNamespace(
-        gcd=lambda *args: gcds.append(args) or math.gcd(*args)))
-    text = format_matrix(block)
-    assert len(gcds) == 4
-    assert text.splitlines()[1:] == ["0 3 0 0", "0 0 0 0", "-1/2 0 0 7", "0 0 5/3 0"]
-    del gcds[:]
-    format_monad(MonadData(1, 1, QQ, (block,)))
-    assert len(gcds) == 4
-    del gcds[:]
+    lines = ["0 3 0 0", "0 0 0 0", "-1/2 0 0 7", "0 0 5/3 0"]
+    assert format_matrix(block).splitlines()[1:] == lines
+    assert format_monad(MonadData(1, 1, QQ, (block,))).splitlines()[2:] == lines
     assert format_monad(MonadData(1, 1, QQ, (integral,))).splitlines()[2:] == \
         ["0 3 0 0", "-7 0 0 1"] * 2
-    assert gcds == []
 
 
 def test_matrix_format_comments_and_errors():
     with pytest.raises(MatrixFormatError, match="^expected 2 entries, got 3: '1 2 3'$"):
-        exact.parse_entry_row(GF101, "1 2 3", 2)
+        exact.parse_entry_rows(GF101, ["1 2 3"], 2)
     with pytest.raises(MatrixFormatError):
         parse_field("gf:6")
     with pytest.raises(MatrixFormatError):
@@ -979,18 +998,24 @@ def test_matrix_format_comments_and_errors():
 def test_matrix_entries_outside_the_grammar_are_rejected(spec, row, bad):
     # int() and Fraction() alone would accept decimals, exponents, underscores and '+'
     with pytest.raises(MatrixFormatError, match=f"^bad entry {re.escape(repr(bad))} in "):
-        exact.parse_entry_row(parse_field(spec), row, 3)
+        exact.parse_entry_rows(parse_field(spec), ["0 0 0", row], 3)
 
 
 def test_matrix_entries_in_the_grammar_parse():
-    assert exact.parse_entry_row(QQ, "-2/4 007 0/5", 3) == [Fraction(-1, 2), 7, 0]
-    assert exact.parse_entry_row(GF(7), "-1   10\t0", 3) == [6, 3, 0]
-    with pytest.raises(MatrixFormatError, match="bad entry in"):
-        exact.parse_entry_row(QQ, "1/0 0 0", 3)
+    # entries come out canonical: in lowest terms over Q, reduced over GF(p)
+    rational = ExactMatrix._wrap(QQ, *exact.parse_entry_rows(QQ, ["-2/4 007 0/5", "1 2 3"], 3))
+    assert_canonical(rational)
+    assert rational.tolist() == [[Fraction(-1, 2), 7, 0], [1, 2, 3]]
+    ints, den = exact.parse_entry_rows(GF(7), ["-1   10\t0", "7 -14 99999999999999999999"], 3)
+    assert ints.dtype == np.int64 and den == 1
+    assert ints.tolist() == [[6, 3, 0], [0, 0, 99999999999999999999 % 7]]
+    message = "bad entry in '1/0 0 0': Fraction(1, 0)"
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(message)}$"):
+        exact.parse_entry_rows(QQ, ["0 0 0", "1/0 0 0"], 3)
 
 
 def test_rational_entries_always_canonical():
-    m = ExactMatrix(QQ, [exact.parse_entry_row(QQ, "2/4 -6/3", 2)])
+    m = ExactMatrix._wrap(QQ, *exact.parse_entry_rows(QQ, ["2/4 -6/3"], 2))
     assert m[0, 0] == Fraction(1, 2)
     assert format_matrix(m).splitlines()[1] == "1/2 -2"
     # a product that cancels exactly: A times a vector of its kernel

@@ -17,7 +17,8 @@ from monadlab.monad import _draw_points
 
 from oracles import (assert_canonical, block_matrix, build_q_blockwise, distinct_points_pointwise,
                      format_monad_dense, matmul_naive, mixed_rows, pairing_rows,
-                     quadratic_defect_blockwise, rank_probe_pointwise, scaled, summed, syzygy_rows)
+                     parse_monad_per_token, quadratic_defect_blockwise, rank_probe_pointwise,
+                     scaled, summed, syzygy_rows)
 
 GF101 = GF(101)
 # the rational rank probe screens modulo the first CRT prime
@@ -658,6 +659,76 @@ def test_monad_format_skips_comments_and_blank_lines():
         parse_monad("# only comments\n\n   # and blanks\n")
 
 
+# entry tokens: negative, unreduced (2/4 over Q) and beyond int64, with
+# leading zeros; the separators include tabs and runs of spaces
+_BIG = st.integers(-2**70, 2**70)
+_INT_TOKEN = st.one_of(st.just("0"), st.just("-0"), st.integers(-300, 300).map(str),
+                       _BIG.map(str), st.integers(0, 99).map(lambda x: f"00{x}"))
+_FRACTION_TOKEN = st.one_of(
+    _INT_TOKEN, st.tuples(_BIG, st.integers(1, 2**66)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["2/4", "-6/3", "0/5", "-2/4", "3/9223372036854775808"]))
+_GAP = st.sampled_from([" ", "  ", "\t", " \t "])
+_NOISE = st.sampled_from(["", "   ", "# a comment", "  # 1 2 3", "\t"])
+
+
+@st.composite
+def monad_texts(draw) -> str:
+    """A well-formed monad file over GF(101), GF(2**31 - 19) or Q, with
+    comment and blank lines, indentation and mixed separators."""
+    spec = draw(st.sampled_from(["gf:101", "gf:2147483629", "rational"]))
+    n, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    token = _FRACTION_TOKEN if spec == "rational" else _INT_TOKEN
+    lines = [f"monad n={n} k={k} field={spec}"]
+    for j in range(1, k + 1):
+        lines.append(f"block {j}")
+        for _ in range(2 * n + 2):
+            tokens = draw(st.lists(token, min_size=2 * n + 2 * k, max_size=2 * n + 2 * k))
+            gaps = draw(st.lists(_GAP, min_size=len(tokens), max_size=len(tokens)))
+            lines.append(draw(_GAP) + "".join(g + t for g, t in zip(gaps, tokens)).lstrip(" "))
+    out = []
+    for line in lines:
+        out += draw(st.lists(_NOISE, max_size=1))
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def _same_outcome(text: str):
+    """parse_monad and the per-token oracle give equal data, int64 where
+    the oracle's is, or raise the same error with the same message."""
+    try:
+        want = parse_monad_per_token(text)
+    except (MatrixFormatError, ValueError) as e:
+        with pytest.raises(type(e)) as got:
+            parse_monad(text)
+        assert str(got.value) == str(e)
+        return
+    got = parse_monad(text)
+    assert got == want
+    assert [b._a.dtype for b in got.blocks] == [b._a.dtype for b in want.blocks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=monad_texts())
+def test_parse_monad_matches_the_per_token_oracle(text):
+    _same_outcome(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=monad_texts(), data=st.data())
+def test_parse_monad_raises_the_per_token_oracles_error(text, data):
+    # one entry, or a whole row, made bad: the first bad row names the error
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line.strip() and line.strip()[0] in "-0123456789"]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.sampled_from(rows))
+        bad = data.draw(st.sampled_from(["1/0", "-3/00", "0/0", "x", "1.5", "+1", "1_0", "2/4",
+                                         "1/-2", "", "0 0"]))
+        tokens = lines[i].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = bad
+        lines[i] = " ".join(tokens)
+    _same_outcome("\n".join(lines) + "\n")
+
+
 def test_monad_format_errors():
     with pytest.raises(MatrixFormatError):
         parse_monad("")
@@ -675,3 +746,7 @@ def test_monad_format_errors():
     rational = format_monad(zero_data(1, 1, QQ))
     with pytest.raises(MatrixFormatError, match=r"^bad entry '0\.5' in '0 0\.5 0 0'$"):
         parse_monad(rational.replace("0 0 0 0", "0 0.5 0 0", 1))
+    # a row one entry short before a row one entry long: the entry count is
+    # checked per row, not per block
+    with pytest.raises(MatrixFormatError, match="^expected 4 entries, got 3: '0 0 0'$"):
+        parse_monad(good.replace("0 0 0 0\n0 0 0 0", "0 0 0\n0 0 0 0 0", 1))
