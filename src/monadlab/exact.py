@@ -137,7 +137,8 @@ class Field:
             return np.array(rows, dtype=np.int64).reshape(len(rows), cols), 1
         pairs = [x.as_integer_ratio() for row in rows for x in row]
         den = math.lcm(*(d for _, d in pairs))
-        return _int_array([x * (den // d) for x, d in pairs]).reshape(len(rows), cols), den
+        ints = _fit(np.array([x * (den // d) for x, d in pairs], dtype=object))
+        return ints.reshape(len(rows), cols), den
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         """Make the entries of a sum, difference or scalar product canonical, in place."""
@@ -340,15 +341,6 @@ class ExactMatrix:
 
 
 # -- integer arrays --------------------------------------------------------------
-
-
-def _int_array(values: list) -> np.ndarray:
-    """Nested lists of Python ints as an array: int64 when every entry fits
-    in it, Python ints otherwise."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _fit(a: np.ndarray) -> np.ndarray:

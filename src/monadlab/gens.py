@@ -5,13 +5,12 @@ Every generator re-verifies its own claims before returning, the isotropic
 one through :func:`orthogonal_verdict`; a failed self-check raises
 :class:`GeneratorError` and is never an accepted outcome.  The search draws
 its trials as the isotropic generator does, but tabulates instead of raising.
-It checks its trials in bounded chunks, each as one stack (see
+It draws and checks its trials in bounded chunks, each as one stack (see
 :func:`search_orthogonal`), so its working memory does not grow with them.
 
-Random draws are batched: each kind of draw (block coefficients, transvection
-triples) is one ``rng.integers`` call for all the values it needs, which
-consumes the stream as one scalar draw per value in the same order would.
-So a seed keeps its data whatever the batch size.
+Random draws are batched: each kind of draw is one ``rng.integers`` call per
+seed, which consumes the stream as one scalar draw per value would, so a seed
+keeps its data whatever the batch size.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .exact import GF, ExactMatrix, Field, _int_array, _lowest
+from .exact import GF, ExactMatrix, Field, _fit, _lowest
 from .invariant import (DEFECT_NONZERO, DET_ZERO_BY_SYZYGY, _q_s, _verdict, det_q,
                         orthogonal_verdict)
 from .monad import (_POINT_BOX, _PROBE_BATCH, ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL,
@@ -44,39 +43,31 @@ class GeneratorReport:
 
 
 def random_sl(field: Field, size: int, rng: np.random.Generator) -> ExactMatrix:
-    """Unit-determinant matrix built as a product of 3 * size random transvections,
-    whose triples are one draw that consumes the stream as one scalar draw per
-    value would.  Sizes 0 and 1 give the identity and draw nothing."""
-    return ExactMatrix._wrap(field, _random_sl_arrays(field, size, 1, rng)[0])
-
-
-def _random_sl_arrays(field: Field, size: int, count: int,
-                      rng: np.random.Generator) -> list[np.ndarray]:
-    """``count`` storage arrays of :func:`random_sl`, as that many calls would
-    draw them, from one ``rng.integers`` call on tiled bounds: transvection
-    (i, j, lambda) adds lambda times row j != i to row i, lambda in GF(p) or
-    in [-3, 3] over Q.  Rows are int lists, reduced mod p at each update;
-    over Q the entries are integers over 1."""
+    """Unit-determinant matrix: the identity times 3 * size transvections of
+    :func:`_transvect`, on Python ints over Q so that no step can wrap."""
     if size < 0:
         raise ValueError("need size >= 0")
-    p = field.p
-    steps = [[]] * count
-    if size > 1:
-        lam_low, lam_high = (0, p) if p is not None else (-3, 4)
-        steps = rng.integers((0, 0, lam_low), (size, size - 1, lam_high),
-                             size=(count, 3 * size, 3)).tolist()
-    eye = [[int(r == c) for c in range(size)] for r in range(size)]
-    arrays = []
-    for triples in steps:
-        a = [row[:] for row in eye]
-        for i, j, lam in triples:
-            j += j >= i
-            if p is None:
-                a[i] = [x + lam * y for x, y in zip(a[i], a[j])]
-            else:
-                a[i] = [(x + lam * y) % p for x, y in zip(a[i], a[j])]
-        arrays.append(_int_array(a).reshape(size, size))
-    return arrays
+    eye = np.identity(size, dtype=np.int64 if field.p is not None else object)
+    return ExactMatrix._wrap(field, _fit(_transvect(field, eye[None], [rng])[0]))
+
+
+def _transvect(field: Field, a: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Each matrix of a (N, size, cols) stack ``a``, in place, times 3 * size
+    random transvections (none for size < 2), drawn for N / len(rngs) matrices
+    from each generator in one ``rng.integers`` call on tiled bounds: triple
+    (i, j, lambda) adds lambda times row j + (j >= i) to row i, lambda in GF(p)
+    (an update stays below p**2 < 2**62) or in [-3, 3] over Q.  That is g * M."""
+    size = a.shape[1]
+    if size < 2:
+        return a
+    low, high = (0, field.p) if field.p is not None else (-3, 4)
+    steps = np.concatenate([rng.integers((0, 0, low), (size, size - 1, high),
+                                         size=(len(a) // len(rngs), 3 * size, 3)) for rng in rngs])
+    rows, (i, j, lam) = np.arange(len(a)), np.moveaxis(steps, -1, 0)
+    j = j + (j >= i)
+    for s in range(3 * size):
+        a[rows, i[:, s]] = field.reduce(a[rows, i[:, s]] + lam[:, s, None] * a[rows, j[:, s]])
+    return a
 
 
 def transform_monad(d: MonadData, on_w: ExactMatrix | None = None,
@@ -200,39 +191,35 @@ def _sum_of_squares_minus_one(p: int) -> tuple[int, int]:
     raise GeneratorError(f"cannot write -1 as a sum of two squares mod {p}")
 
 
-def _blocks_in_span(n: int, k: int, span: ExactMatrix,
-                    rng: np.random.Generator) -> np.ndarray:
-    """k random blocks whose rows are combinations of the span's rows, as one
-    (k, 2n+2, cols) array: one draw of all their coefficients, consuming the
-    stream as k draws of one block's would, and one product."""
-    field = span.field
-    coeffs = field.sample(rng, (k * (2 * n + 2), span.rows), 10)
-    return field.matmul(coeffs, span._a).reshape(k, 2 * n + 2, span.cols)
+def _isotropic_stack(n: int, k: int, span: ExactMatrix, seeds: list[int],
+                     perturbed: list[bool]) -> np.ndarray:
+    """One candidate per seed, as one (T, k, 2n+2, 2n+2k) array of blocks: from
+    ``default_rng(seed)`` the first draw of coefficients on the span's rows with
+    a nonzero product; if perturbed, each block M_a becomes g_a M_a + mix_a,
+    keeping every M_a * M_b^t zero, the mix and then the k matrices g drawn from
+    ``default_rng(seed + 0x5EED)``.  One product gives all blocks, one all mixes."""
+    if min(seeds) < 0:
+        raise ValueError(f"need seed >= 0, got {min(seeds)}")
+    field, r = span.field, 2 * n + 2
 
+    def blocks(rngs):
+        coeffs = np.array([field.sample(rng, (k * r, span.rows), 10) for rng in rngs])
+        return field.matmul(coeffs, span._a).reshape(len(rngs), k, r, span.cols)
 
-def _isotropic_data(n: int, k: int, span: ExactMatrix, seed: int,
-                    perturbed: bool) -> MonadData:
-    """The first draw of :func:`_blocks_in_span` from ``seed`` with a nonzero
-    block; if ``perturbed``, each block M_a becomes g_a M_a + mix_a, row
-    operations inside the span that keep every M_a * M_b^t zero.  From
-    ``seed + 0x5EED`` the stack mix is drawn first, then the k matrices g of
-    :func:`random_sl` in one call, so a seed keeps its data."""
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got {seed}")
-    field = span.field
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        stack = _blocks_in_span(n, k, span, rng)
-        if stack.any():
-            break
-    else:
-        raise GeneratorError("could not draw nonzero blocks")
-    if perturbed:
-        rng = np.random.default_rng(seed + 0x5EED)
-        mix = _blocks_in_span(n, k, span, rng)
-        sl = _random_sl_arrays(field, 2 * n + 2, k, rng)
-        stack = field.reduce(np.array([field.matmul(g, b) for g, b in zip(sl, stack)]) + mix)
-    return MonadData(n, k, field, tuple(ExactMatrix._wrap(field, b) for b in stack))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    stack = blocks(rngs)
+    for t in (~stack.reshape(len(seeds), -1).any(axis=1)).nonzero()[0].tolist():
+        redrawn = (blocks(rngs[t:t + 1])[0] for _ in range(99))  # up to 100 draws in all
+        stack[t] = next(filter(np.any, redrawn), stack[t])
+        if not stack[t].any():
+            raise GeneratorError("could not draw nonzero blocks")
+    moved = [t for t, flag in enumerate(perturbed) if flag]
+    if moved:
+        rngs = [np.random.default_rng(seeds[t] + 0x5EED) for t in moved]
+        mix = blocks(rngs)
+        moved_blocks = _transvect(field, stack[moved].reshape(-1, r, span.cols), rngs)
+        stack[moved] = field.reduce(moved_blocks.reshape(mix.shape) + mix)
+    return stack
 
 
 def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int) -> GeneratorReport:
@@ -246,7 +233,8 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int) -> GeneratorRepo
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     field = GF(p)
-    data = _isotropic_data(n, k, isotropic_basis(field, 2 * n + 2 * k), seed, False)
+    (stack,) = _isotropic_stack(n, k, isotropic_basis(field, 2 * n + 2 * k), [seed], [False])
+    data = MonadData(n, k, field, tuple(ExactMatrix._wrap(field, b) for b in stack))
     verdict = orthogonal_verdict(data)
     if verdict.status != DET_ZERO_BY_SYZYGY:
         raise GeneratorError(f"isotropic construction failed its verdict: {verdict.message}")
@@ -299,12 +287,12 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
     isotropic subspace, and tabulate how each candidate fails.
 
     Each trial draws its data and probe points from its own seed, as the
-    isotropic generator does.  The trials are then checked in chunks of
-    :func:`_search_chunk` trials, each chunk as one stack: one product
-    gives every trial's defects, one the Q*S of :func:`verify_syzygy`, and
-    one screen tests every trial's probe points, whose failures get the
-    exact test trial by trial.  Q is eliminated only for a trial with a
-    nonzero defect, where no certificate exists.
+    isotropic generator does, in chunks of :func:`_search_chunk` trials, each
+    drawn and checked as one stack: one product gives every trial's defects,
+    one the Q*S of :func:`verify_syzygy`, and one screen tests every trial's
+    probe points, whose failures get the exact test trial by trial.  Q is
+    eliminated only for a trial with a nonzero defect, where no certificate
+    exists; only such a trial, a zero one or a failing one is a :class:`MonadData`.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -316,19 +304,18 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
     rows = []
     for start in range(0, trials, chunk):
         trial = range(start, min(start + chunk, trials))
-        data = [_isotropic_data(n, k, span, seed + t, t % 2 == 1) for t in trial]
-        points = [_probe_points(field, 2 * n + 2, _ISOTROPIC_PROBE_TRIALS, seed + t, _POINT_BOX)
-                  for t in trial]
-        stacks = np.array([d.stack for d in data])
+        seeds, perturbed = [seed + t for t in trial], [t % 2 == 1 for t in trial]
+        stacks = _isotropic_stack(n, k, span, seeds, perturbed)
+        points, found = _probe_points(field, 2 * n + 2, _ISOTROPIC_PROBE_TRIALS, seeds, _POINT_BOX)
         bad = _defect_pairs(field, stacks, ORTHOGONAL_IDENTITY)
         residual_zero = (~_q_s(field, stacks).any(axis=(-2, -1))).tolist()
-        padded = np.zeros((len(trial), _ISOTROPIC_PROBE_TRIALS, 2 * n + 2), dtype=np.int64)
-        for row, x in zip(padded, points):  # a zero row fails the screen; it is not read
-            row[:len(x)] = x
-        failed = _screen(p, stacks, padded)
-        for i, (t, d) in enumerate(zip(trial, data)):
-            verdict = _verdict(d.is_zero(), bad[i], lambda: residual_zero[i])
-            probe = _probe_verdict(d, points[i], failed[i, :len(points[i])].nonzero()[0].tolist())
-            rows.append(TrialRow(seed + t, t % 2 == 1, verdict.status != DEFECT_NONZERO,
-                                 verdict.excluded or det_q(d) == 0, not probe.ok))
+        failed = _screen(p, stacks, points)  # a zero row pads; it fails the screen, unread
+        for i, (s, flag, x, m) in enumerate(zip(seeds, perturbed, points, found)):
+            fails, zero = failed[i, :m].nonzero()[0].tolist(), not stacks[i].any()
+            d = (MonadData(n, k, field, tuple(ExactMatrix._wrap(field, b) for b in stacks[i]))
+                 if zero or bad[i] or fails else None)
+            verdict = _verdict(zero, bad[i], lambda: residual_zero[i])
+            rows.append(TrialRow(s, flag, verdict.status != DEFECT_NONZERO,
+                                 verdict.excluded or det_q(d) == 0,
+                                 not _probe_verdict(d, x[:m], fails).ok))
     return SearchSummary(tuple(rows))

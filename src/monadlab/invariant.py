@@ -21,6 +21,7 @@ Q*S it checks is the certificate, and Q itself is never eliminated there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -98,10 +99,15 @@ class SyzygyReport:
         return self.residual_is_zero and not self.syzygy_is_zero
 
 
-def _used_block_rows(n: int, k: int) -> np.ndarray:
-    """The block rows of Q's first k block columns that hold a block, in order."""
-    # sorted(set()), not np.unique: that one's first call imports numpy.ma
-    return np.array(sorted(set(q_layout(n, k).table[:k].flat)))
+@functools.lru_cache(maxsize=32)
+def _used_block_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block rows of Q's first k block columns that hold a block, in order,
+    and each block's place among them: read-only, made once per (n, k)."""
+    table = q_layout(n, k).table[:k]
+    used = np.array(sorted(set(table.flat)))  # np.unique's first call imports numpy.ma
+    places = np.searchsorted(used, table)
+    used.flags.writeable = places.flags.writeable = False
+    return used, places
 
 
 def _q_s(field: Field, stack: np.ndarray) -> np.ndarray:
@@ -110,11 +116,9 @@ def _q_s(field: Field, stack: np.ndarray) -> np.ndarray:
     which is L**2 times Q*S.  Leading axes hold a stack of data, multiplied
     pairwise; a (..., used * r, r) array."""
     (k, br, bc), lead = stack.shape[-3:], stack.shape[:-3]
-    table = q_layout(br // 2 - 1, k).table[:k]
-    used = _used_block_rows(br // 2 - 1, k)
+    used, places = _used_block_rows(br // 2 - 1, k)
     # Q's first k block columns, in the used block rows only
-    q = _place(np.zeros((*lead, len(used) * br, k * bc), stack.dtype),
-               np.searchsorted(used, table), stack)
+    q = _place(np.zeros((*lead, len(used) * br, k * bc), stack.dtype), places, stack)
     return field.matmul(q, np.swapaxes(_side_by_side(stack), -1, -2))
 
 

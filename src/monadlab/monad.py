@@ -249,29 +249,44 @@ class RankProbeVerdict:
     counterexample: Optional[RankCounterexample] = None
 
 
-def _draw_points(field: Field, dim: int, rng: np.random.Generator, box: int,
-                 count: int, max_attempts: int) -> np.ndarray:
-    """The first ``count`` distinct points among the first ``max_attempts``
-    nonzero draws, in draw order, as a (points x dim) int64 array.
+def _firsts(drawn: np.ndarray) -> np.ndarray:
+    """Which rows of a (T, m, dim) array are nonzero and equal no earlier row
+    of their trial, as a (T, m) mask: a stable sort of each trial's row keys."""
+    t, m, dim = drawn.shape
+    keys = drawn.view(np.dtype((np.void, drawn.itemsize * dim)))[..., 0]  # whole rows
+    rows, order = np.arange(t)[:, None], np.argsort(keys, axis=1, kind="stable")
+    ranked, repeat = keys[rows, order], np.zeros((t, m), dtype=bool)  # equal keys side by side
+    repeat[rows, order[:, 1:]] = ranked[:, 1:] == ranked[:, :-1]
+    return ~repeat & drawn.any(axis=2)
 
-    Zero draws are skipped without counting as attempts; duplicates count.
-    Coordinates are canonical over GF(p) and integers in [-box, box] over Q.
-    Draws come in batches, which consume the generator exactly as one draw
-    per point would, and stop once every nonzero point is drawn.
-    """
+
+def _draw_points(field: Field, dim: int, rngs: list[np.random.Generator], box: int,
+                 count: int, max_attempts: int) -> tuple[np.ndarray, list[int]]:
+    """For each generator, the first ``count`` distinct points of its first
+    ``max_attempts`` nonzero draws (zeros are skipped, repeats count), in draw
+    order, as a (T, <= count, dim) int64 array padded with zero rows, and how many
+    there are.  Coordinates are canonical over GF(p), in [-box, box] over Q.
+    Batched draws consume each generator as one draw per point would and stop once
+    every nonzero point is drawn.  The first batches are checked as one array; a
+    generator with a zero or repeated draw there goes on alone."""
     if box < 1:
         raise ValueError(f"point box must be >= 1, got {box}")
     low, high = (0, field.p) if field.is_prime_field else (-box, box + 1)
     count = min(count, (high - low) ** dim - 1)
-    drawn = np.empty((0, dim), dtype=np.int64)
-    first = np.empty(0, dtype=np.intp)  # where each distinct point was first drawn
-    key = np.dtype((np.void, drawn.itemsize * dim))  # one key per point
-    while len(first) < count and len(drawn) < max_attempts:
-        size = min(max(count - len(first), len(drawn)), max_attempts - len(drawn))
-        batch = rng.integers(low, high, size=(size, dim), dtype=np.int64)
-        drawn = np.concatenate([drawn, batch[batch.any(axis=1)]])
-        first = np.sort(np.unique(drawn.view(key).ravel(), return_index=True)[1])
-    return drawn[first[:count]]
+    size = min(count, max_attempts)  # no generator keeps more points than its first batch
+    points = np.array([rng.integers(low, high, size=(size, dim), dtype=np.int64) for rng in rngs])
+    keep, found = _firsts(points), [size] * len(rngs)
+    for t in (~keep.all(axis=1)).nonzero()[0].tolist():
+        nonzero = points[t].any(axis=1)
+        drawn, first = points[t][nonzero], keep[t][nonzero].nonzero()[0]
+        while len(first) < count and len(drawn) < max_attempts:
+            size = min(max(count - len(first), len(drawn)), max_attempts - len(drawn))
+            batch = rngs[t].integers(low, high, size=(size, dim), dtype=np.int64)
+            drawn = np.concatenate([drawn, batch[batch.any(axis=1)]])
+            first = _firsts(drawn[None])[0].nonzero()[0][:count]
+        found[t], points[t] = len(first), 0
+        points[t, :len(first)] = drawn[first]
+    return points, found
 
 
 def _residues(d: MonadData) -> tuple[int, np.ndarray]:
@@ -301,10 +316,10 @@ def _screen(q: int, residues: np.ndarray, points: np.ndarray) -> np.ndarray:
     return ~_full_row_rank_gf(a.reshape(-1, k, a.shape[-1] // k), q).reshape(a.shape[:-1])
 
 
-def _probe_points(field: Field, dim: int, trials: int, seed: int, box: int) -> np.ndarray:
-    """The points :func:`max_rank_probe` tests, from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    return _draw_points(field, dim, rng, box, trials, 50 * trials + 100)
+def _probe_points(field: Field, dim: int, trials: int, seeds: list[int], box: int) -> tuple:
+    """The points :func:`max_rank_probe` tests, from ``default_rng(seed)`` for each seed."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return _draw_points(field, dim, rngs, box, trials, 50 * trials + 100)
 
 
 def _probe_verdict(d: MonadData, points: np.ndarray, failures: Iterable[int]) -> RankProbeVerdict:
@@ -336,7 +351,8 @@ def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
     _check_pairing(d, j)
     if j.det() == 0:
         raise ValueError("pairing is degenerate: det J = 0")
-    points = _probe_points(d.field, d.block_rows, trials, seed, box)
+    (points,), (found,) = _probe_points(d.field, d.block_rows, trials, [seed], box)
+    points = points[:found]
     q, residues = _residues(d)
     # one screen per batch, run only once the exact tests reach the batch
     failures = (start + i for start in range(0, len(points), _PROBE_BATCH) for i in

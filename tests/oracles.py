@@ -625,9 +625,14 @@ def isotropic_data_sequential(n: int, k: int, span: ExactMatrix, seed: int,
     return MonadData(n, k, span.field, blocks)
 
 
+def stack_data(n: int, k: int, field, blocks: np.ndarray) -> MonadData:
+    """The data whose blocks are a (k, 2n+2, 2n+2k) array, entry by entry."""
+    return MonadData(n, k, field, tuple(ExactMatrix(field, b.tolist()) for b in blocks))
+
+
 def search_orthogonal_reference(n: int, k: int, p: int, trials: int, seed: int) -> SearchSummary:
-    """``search_orthogonal`` one trial at a time: each trial's draw (looked up
-    on ``gens``, so a test's replacement is used), then its own
+    """``search_orthogonal`` one trial at a time: each trial's draw, a stack
+    of one (looked up on ``gens``, so a test's replacement is used), then its own
     ``orthogonal_verdict``, det Q only for a nonzero defect, and its own
     ``max_rank_probe`` at 20 points from the trial's seed."""
     if n < 1 or k < 1:
@@ -639,7 +644,8 @@ def search_orthogonal_reference(n: int, k: int, p: int, trials: int, seed: int) 
     span = isotropic_basis(field, 2 * n + 2 * k)
     rows = []
     for t in range(trials):
-        data = gens._isotropic_data(n, k, span, seed + t, t % 2 == 1)
+        data = stack_data(n, k, field, gens._isotropic_stack(n, k, span, [seed + t],
+                                                             [t % 2 == 1])[0])
         verdict = orthogonal_verdict(data)
         det_q_zero = verdict.excluded or det_q(data) == 0
         probe = max_rank_probe(data, form, 20, seed + t)

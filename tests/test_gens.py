@@ -18,7 +18,7 @@ from monadlab import (DET_ZERO_BY_SYZYGY, GF, QQ, ExactMatrix, GeneratorError, M
                       verify_syzygy)
 
 from oracles import (assert_canonical, isotropic_data_sequential, matmul_naive, mix_blocks_sum,
-                     random_sl_sequential, scaled, search_orthogonal_reference)
+                     random_sl_sequential, scaled, search_orthogonal_reference, stack_data)
 
 
 def test_special_symplectic_n1_k1_structure():
@@ -203,6 +203,14 @@ def test_isotropic_orthogonal_gf5():
             assert (a @ b.transpose()).is_zero()
 
 
+def test_isotropic_generator_draws_seeds_past_int64():
+    # trial seeds stay Python ints: no seed is ever put in an int64 array
+    seed = 2**64 - 1
+    data = gen_isotropic_orthogonal(1, 2, 101, seed).data
+    expected = isotropic_data_sequential(1, 2, isotropic_basis(GF(101), 6), seed, False)
+    assert data.stack.tolist() == expected.stack.tolist()
+
+
 @pytest.mark.parametrize("n,k,p,seed", [(1, 2, 7, 0), (2, 3, 101, 8), (1, 4, 13, 2)])
 def test_isotropic_orthogonal_syzygy_chain(n, k, p, seed):
     report = gen_isotropic_orthogonal(n, k, p, seed=seed)
@@ -221,8 +229,9 @@ def test_isotropic_candidates_have_rank_q_at_most_half_its_order(n, k):
     # syzygy does.  That covers the generator's draws and the perturbed ones
     # that every other search trial uses.
     span = isotropic_basis(GF(101), 2 * n + 2 * k)
+    perturbed = gens._isotropic_stack(n, k, span, [0], [True])[0]
     for data in (gen_isotropic_orthogonal(n, k, 101, seed=0).data,
-                 gens._isotropic_data(n, k, span, 0, perturbed=True)):
+                 stack_data(n, k, GF(101), perturbed)):
         q = build_q(data).matrix
         assert 2 * q.rank() <= q.rows
 
@@ -235,22 +244,43 @@ TRIAL_PRIMES = [5, 7, 13, 101, 32003, 2147483629, 2147483647]
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.sampled_from(TRIAL_PRIMES), n=st.integers(1, 3), k=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1), perturbed=st.booleans())
-@example(p=5, n=1, k=1, seed=0, perturbed=True)
-@example(p=7, n=2, k=1, seed=1, perturbed=True)
-@example(p=13, n=3, k=4, seed=2, perturbed=True)
-@example(p=101, n=2, k=4, seed=3, perturbed=False)
-@example(p=32003, n=1, k=2, seed=4, perturbed=True)
-@example(p=2147483629, n=3, k=4, seed=5, perturbed=True)
-@example(p=2147483647, n=2, k=3, seed=6, perturbed=True)
+       seed=st.integers(0, 2**32 - 1), perturbed=st.lists(st.booleans(), min_size=1, max_size=60))
+@example(p=5, n=1, k=1, seed=0, perturbed=[True])
+@example(p=7, n=2, k=1, seed=1, perturbed=[True, False])
+@example(p=13, n=3, k=4, seed=2, perturbed=[True] * 3)
+@example(p=101, n=2, k=4, seed=3, perturbed=[False])
+@example(p=32003, n=1, k=2, seed=4, perturbed=[True])
+@example(p=2147483629, n=3, k=4, seed=5, perturbed=[True])
+@example(p=2147483647, n=2, k=3, seed=6, perturbed=[False, True] * 2)
+@example(p=101, n=3, k=4, seed=7, perturbed=[False, True] * 26)
+@example(p=7, n=1, k=2, seed=8, perturbed=[True, False] * 30)
+@example(p=101, n=1, k=2, seed=2**64 - 1, perturbed=[False, True, False])
 def test_isotropic_data_equals_one_scalar_draw_per_value(p, n, k, seed, perturbed):
-    # the batched draws and the single block product give, entry for entry,
-    # the data of one scalar draw per value and one product per block
+    # the stack of one draw per seed, its batched draws, products and row
+    # updates give, entry for entry, each seed's data of one scalar draw per
+    # value and one product per block, also past the search's chunk of 51
     span = isotropic_basis(GF(p), 2 * n + 2 * k)
-    data = gens._isotropic_data(n, k, span, seed, perturbed)
-    expected = isotropic_data_sequential(n, k, span, seed, perturbed)
-    assert data.stack.dtype == expected.stack.dtype
-    assert data.stack.tolist() == expected.stack.tolist()
+    seeds = [seed + t for t in range(len(perturbed))]
+    stack = gens._isotropic_stack(n, k, span, seeds, perturbed)
+    assert stack.shape == (len(seeds), k, 2 * n + 2, 2 * n + 2 * k)
+    for s, flag, got in zip(seeds, perturbed, stack):
+        expected = isotropic_data_sequential(n, k, span, s, flag)
+        assert got.dtype == expected.stack.dtype
+        assert got.tolist() == expected.stack.tolist()
+
+
+def test_isotropic_stack_draws_again_where_the_blocks_are_zero():
+    # over one isotropic row of GF(5) four zero coefficients give zero blocks,
+    # at seeds 1312, 1827 and 3386; those trials draw again from their own
+    # generator, as the one-trial oracle does, and a zero span fails at once
+    span = ExactMatrix(GF(5), [[1, 2, 0, 0]])
+    seeds, perturbed = [1312, 0, 1827, 3386], [False, False, True, True]
+    stack = gens._isotropic_stack(1, 1, span, seeds, perturbed)
+    for seed, flag, got in zip(seeds, perturbed, stack):
+        assert got.any()
+        assert got.tolist() == isotropic_data_sequential(1, 1, span, seed, flag).stack.tolist()
+    with pytest.raises(GeneratorError, match="^could not draw nonzero blocks$"):
+        gens._isotropic_stack(1, 1, ExactMatrix.zeros(GF(5), 1, 4), [0], [False])
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,16 +296,19 @@ def test_isotropic_data_equals_one_scalar_draw_per_value(p, n, k, seed, perturbe
 def test_isotropic_data_det_q_is_zero_as_its_verdict_proves(p, n, k, seed, perturbed):
     # the verdict proves det Q = 0 by Q*S = 0 alone; the elimination of Q on
     # a fresh copy of the data, with nothing memoised, must agree
-    d = gens._isotropic_data(n, k, isotropic_basis(GF(p), 2 * n + 2 * k), seed, perturbed)
+    stack = gens._isotropic_stack(n, k, isotropic_basis(GF(p), 2 * n + 2 * k), [seed], [perturbed])
+    d = stack_data(n, k, GF(p), stack[0])
     assert orthogonal_verdict(d).status == DET_ZERO_BY_SYZYGY
     assert det_q(MonadData(d.n, d.k, d.field, d.blocks)) == 0
 
 
 @settings(max_examples=100, deadline=None)
-@given(field=st.sampled_from([QQ] + [GF(p) for p in TRIAL_PRIMES]), size=st.integers(2, 8),
+@given(field=st.sampled_from([QQ] + [GF(p) for p in TRIAL_PRIMES]), size=st.integers(2, 24),
        seed=st.integers(0, 2**32 - 1))
 @example(field=QQ, size=2, seed=0)
+@example(field=QQ, size=24, seed=1)
 @example(field=GF(2147483647), size=8, seed=0)
+@example(field=GF(2147483647), size=24, seed=2)
 def test_random_sl_equals_one_scalar_draw_per_value(field, size, seed):
     # the stream after the call matches too: a numpy that consumed it
     # differently for array bounds would fail here first
@@ -373,18 +406,19 @@ def test_search_orthogonal_with_nonzero_defects_eliminates_q(monkeypatch):
     # trials, whose blocks share a zero column
     drawn = []
 
-    def random_data(n, k, span, seed, perturbed):
-        rng = np.random.default_rng(seed)
-        blocks = [ExactMatrix.random(span.field, 2 * n + 2, 2 * n + 2 * k, rng).tolist()
-                  for _ in range(k)]
-        if perturbed:
-            for row in sum(blocks, []):
-                row[0] = 0
-        drawn.append(MonadData(n, k, span.field,
-                               tuple(ExactMatrix(span.field, b) for b in blocks)))
-        return drawn[-1]
+    def random_data(n, k, span, seeds, perturbed):
+        for seed, flag in zip(seeds, perturbed):
+            rng = np.random.default_rng(seed)
+            blocks = [ExactMatrix.random(span.field, 2 * n + 2, 2 * n + 2 * k, rng).tolist()
+                      for _ in range(k)]
+            if flag:
+                for row in sum(blocks, []):
+                    row[0] = 0
+            drawn.append(MonadData(n, k, span.field,
+                                   tuple(ExactMatrix(span.field, b) for b in blocks)))
+        return np.array([d.stack for d in drawn[-len(seeds):]])
 
-    monkeypatch.setattr(gens, "_isotropic_data", random_data)
+    monkeypatch.setattr(gens, "_isotropic_stack", random_data)
     summary = search_orthogonal(1, 2, 101, trials=6, seed=0)
     assert len(drawn) == 6
     for row, d in zip(summary.rows, drawn):
@@ -455,14 +489,14 @@ PINNED_SEARCHES = {
 @pytest.mark.parametrize("n, k, p, seed", sorted(PINNED_SEARCHES))
 def test_search_orthogonal_rows_and_data_are_pinned(monkeypatch, n, k, p, seed):
     drawn = []
-    draw = gens._isotropic_data
+    draw = gens._isotropic_stack
 
-    def recording_draw(*args):
-        d = draw(*args)
-        drawn.append(format_monad(d))
-        return d
+    def recording_draw(n, k, span, seeds, perturbed):
+        stack = draw(n, k, span, seeds, perturbed)
+        drawn.extend(format_monad(stack_data(n, k, span.field, blocks)) for blocks in stack)
+        return stack
 
-    monkeypatch.setattr(gens, "_isotropic_data", recording_draw)
+    monkeypatch.setattr(gens, "_isotropic_stack", recording_draw)
     summary = search_orthogonal(n, k, p, trials=25, seed=seed)
     rows = " ".join(f"{r.seed}:{r.perturbed:d}{r.defects_ok:d}{r.det_q_zero:d}"
                     f"{r.rank_counterexample:d}" for r in summary.rows)
@@ -489,6 +523,7 @@ def test_search_orthogonal_never_builds_q_for_zero_defects(monkeypatch, n, k, p,
 @example(n=2, k=2, p=7, trials=3, seed=12)
 @example(n=2, k=2, p=7, trials=60, seed=0)
 @example(n=2, k=2, p=7, trials=1, seed=56)
+@example(n=1, k=2, p=101, trials=3, seed=10**23)
 def test_search_rows_equal_the_per_trial_reference(n, k, p, trials, seed):
     # chunks of 51 trials at these shapes, so 52 to 60 trials cross a boundary
     summary = search_orthogonal(n, k, p, trials, seed)
@@ -498,19 +533,20 @@ def test_search_rows_equal_the_per_trial_reference(n, k, p, trials, seed):
 def test_search_rows_equal_the_reference_on_zero_and_defective_draws(monkeypatch):
     # zero data (degenerate: excluded, and the probe fails at once), random
     # data (a nonzero defect: det Q decides) and isotropic data, across a chunk
-    draw = gens._isotropic_data
+    draw = gens._isotropic_stack
 
-    def mixed(n, k, span, seed, perturbed):
-        if seed % 3 == 0:
-            return MonadData(n, k, span.field, (ExactMatrix.zeros(span.field, 2 * n + 2,
-                                                                  2 * n + 2 * k),) * k)
-        if seed % 3 == 1:
-            rng = np.random.default_rng(seed)
-            return MonadData(n, k, span.field, tuple(
-                ExactMatrix.random(span.field, 2 * n + 2, 2 * n + 2 * k, rng) for _ in range(k)))
-        return draw(n, k, span, seed, perturbed)
+    def mixed(n, k, span, seeds, perturbed):
+        stack = draw(n, k, span, seeds, perturbed)
+        for seed, blocks in zip(seeds, stack):
+            if seed % 3 == 0:
+                blocks[...] = 0
+            if seed % 3 == 1:
+                rng = np.random.default_rng(seed)
+                blocks[...] = [ExactMatrix.random(span.field, 2 * n + 2, 2 * n + 2 * k, rng)._a
+                               for _ in range(k)]
+        return stack
 
-    monkeypatch.setattr(gens, "_isotropic_data", mixed)
+    monkeypatch.setattr(gens, "_isotropic_stack", mixed)
     summary = search_orthogonal(1, 2, 7, trials=60, seed=0)
     assert summary == search_orthogonal_reference(1, 2, 7, trials=60, seed=0)
     zero, random = summary.rows[::3], summary.rows[1::3]
@@ -527,6 +563,7 @@ def test_search_screens_its_trials_as_one_stack(monkeypatch, screens):
 
     monkeypatch.setattr(gens, "orthogonal_verdict", unused)
     monkeypatch.setattr(gens, "max_rank_probe", unused)
+    monkeypatch.setattr(gens, "MonadData", unused)  # no trial here is zero, defective or fails
     summary = search_orthogonal(2, 4, 101, trials=25, seed=0)
     assert len(summary.rows) == 25
     assert screens == [25 * 20]

@@ -65,7 +65,7 @@ def assert_q_s_is(d, residual):
     """``_q_s`` of ``d.stack``, over L**2, is the used block rows of
     ``residual``, Q*S in full, and every other row of ``residual`` is zero."""
     br = d.block_rows
-    used = monadlab.invariant._used_block_rows(d.n, d.k)
+    used, _ = monadlab.invariant._used_block_rows(d.n, d.k)
     rows = (used[:, None] * br + np.arange(br)).ravel().tolist()
     got = monadlab.invariant._q_s(d.field, d.stack).tolist()
     expected = residual.tolist()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, MatrixFormatError, MonadData,
                       Point, RankProbeVerdict, build_q, build_syzygy, canonical_j,
@@ -18,7 +18,7 @@ from monadlab.monad import _draw_points
 from oracles import (assert_canonical, block_matrix, build_q_blockwise, distinct_points_pointwise,
                      format_monad_dense, matmul_naive, mixed_rows, pairing_rows,
                      parse_monad_per_token, quadratic_defect_blockwise, rank_probe_pointwise,
-                     scaled, summed, syzygy_rows)
+                     scaled, stack_data, summed, syzygy_rows)
 
 GF101 = GF(101)
 # the rational rank probe screens modulo the first CRT prime
@@ -358,14 +358,28 @@ def test_max_rank_probe_over_q_does_not_depend_on_the_screening_prime(case, seed
 
 
 @settings(max_examples=100, deadline=None)
-@given(field=st.sampled_from([GF(3), GF(101), QQ]), dim=st.integers(4, 6),
+@given(field=st.sampled_from([GF(3), GF(5), GF(101), QQ]), dim=st.integers(4, 6),
        box=st.integers(1, 2), count=st.integers(1, 90), max_attempts=st.integers(1, 200),
-       seed=st.integers(0, 2**32 - 1))
-def test_draw_points_matches_pointwise_draws(field, dim, box, count, max_attempts, seed):
-    points = _draw_points(field, dim, np.random.default_rng(seed), box, count, max_attempts)
-    expected = distinct_points_pointwise(field, dim, np.random.default_rng(seed), box,
-                                         count, max_attempts)
-    assert [tuple(p) for p in points.tolist()] == expected
+       trials=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+@example(field=GF(3), dim=4, box=1, count=90, max_attempts=200, trials=60, seed=0)
+@example(field=GF(5), dim=4, box=1, count=30, max_attempts=40, trials=60, seed=1)
+@example(field=QQ, dim=4, box=1, count=60, max_attempts=70, trials=45, seed=2)
+@example(field=GF(3), dim=4, box=1, count=5, max_attempts=3, trials=7, seed=3)
+def test_draw_points_matches_pointwise_draws(field, dim, box, count, max_attempts, trials, seed):
+    # one call draws for every generator; over GF(3), GF(5) and box 1 zero and
+    # repeated draws are common, so some generators go on alone.  Each gets
+    # the pointwise points and is left where a call for it alone leaves it
+    rngs = [np.random.default_rng(seed + t) for t in range(trials)]
+    points, found = _draw_points(field, dim, rngs, box, count, max_attempts)
+    assert points.dtype == np.int64 and len(points) == len(found) == trials
+    for t, (rng, x, m) in enumerate(zip(rngs, points, found)):
+        expected = distinct_points_pointwise(field, dim, np.random.default_rng(seed + t), box,
+                                             count, max_attempts)
+        assert [tuple(p) for p in x[:m].tolist()] == expected and not x[m:].any()
+        alone = np.random.default_rng(seed + t)
+        x_alone, m_alone = _draw_points(field, dim, [alone], box, count, max_attempts)
+        assert m_alone == [m] and np.array_equal(x_alone[0, :m], x[:m])
+        assert rng.integers(0, 2**62) == alone.integers(0, 2**62)
 
 
 def test_max_rank_probe_stops_at_attempt_cap():
@@ -392,14 +406,15 @@ class CountingRng:
 def test_draw_points_stops_once_every_point_is_drawn(field):
     # GF(3)^4 and {-1, 0, 1}^4 have 80 nonzero points; asked for 1000, the
     # draw used to run on to the attempt cap, about 50 700 rows
-    rng = CountingRng(5)
-    points = _draw_points(field, 4, rng, 1, 1000, 50 * 1000 + 100)
-    assert len({tuple(p) for p in points.tolist()}) == len(points) == 80
-    assert rng.rows < 2000
-    # the same points in the same order as a draw that asks for all 80
-    expected = distinct_points_pointwise(field, 4, np.random.default_rng(5), 1, 80,
-                                         50 * 1000 + 100)
-    assert [tuple(p) for p in points.tolist()] == expected
+    rngs = [CountingRng(seed) for seed in range(5, 9)]
+    points, found = _draw_points(field, 4, rngs, 1, 1000, 50 * 1000 + 100)
+    for seed, rng, x, m in zip(range(5, 9), rngs, points, found):
+        assert len({tuple(p) for p in x[:m].tolist()}) == m == 80
+        assert rng.rows < 2000
+        # the same points in the same order as a draw that asks for all 80
+        expected = distinct_points_pointwise(field, 4, np.random.default_rng(seed), 1, 80,
+                                             50 * 1000 + 100)
+        assert [tuple(p) for p in x[:m].tolist()] == expected
 
 
 def test_max_rank_probe_screens_a_batch_only_when_its_exact_tests_are_reached(screens):
@@ -490,7 +505,9 @@ def data_stacks(draw):
             d = zero_data(n, k, field)
         elif kind == "isotropic":
             span = gens.isotropic_basis(field, 2 * n + 2 * k)
-            d = gens._isotropic_data(n, k, span, int(rng.integers(100)), bool(rng.integers(2)))
+            stack = gens._isotropic_stack(n, k, span, [int(rng.integers(100))],
+                                          [bool(rng.integers(2))])
+            d = stack_data(n, k, field, stack[0])
         elif kind == "special":
             d = MonadData(n, k, field, gens._special_blocks(n, k, field))
         else:
@@ -501,8 +518,9 @@ def data_stacks(draw):
                 blocks[-1] = blocks[0]
             d = MonadData(n, k, field, tuple(blocks))
         data.append(d)
-        points.append(monad._probe_points(field, 2 * n + 2, draw(st.integers(1, 30)),
-                                          draw(st.integers(0, 1000)), 10))
+        x, found = monad._probe_points(field, 2 * n + 2, draw(st.integers(1, 30)),
+                                       [draw(st.integers(0, 1000))], 10)
+        points.append(x[0, :found[0]])
     return field, data, points
 
 
