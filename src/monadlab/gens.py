@@ -2,15 +2,19 @@
 orthogonal candidates, and the randomized orthogonal-search harness.
 
 Every generator re-verifies its own claims before returning, the isotropic
-one through :func:`orthogonal_verdict`; a failed self-check raises
-:class:`GeneratorError` and is never an accepted outcome.  The search draws
-its trials as the isotropic generator does, but tabulates instead of raising.
-It draws and checks its trials in bounded chunks, each as one stack (see
-:func:`search_orthogonal`), so its working memory does not grow with them.
+one through :func:`orthogonal_verdict`, whose det Q = 0 rests on the
+per-shape syzygy lemma, not on a product Q*S per candidate; a failed
+self-check raises :class:`GeneratorError` and is never an accepted outcome.
+The search draws its trials as the isotropic generator does, but tabulates
+instead of raising.  It draws and checks its trials in bounded chunks, each
+as one stack (see :func:`search_orthogonal`), so its working memory does not
+grow with them.
 
 Random draws are batched: each kind of draw is one ``rng.integers`` call per
 seed, which consumes the stream as one scalar draw per value would, so a seed
-keeps its data whatever the batch size.
+keeps its data whatever the batch size.  A seed's data and its probe points
+are drawn from one ``SeedSequence``, each by its own ``Generator(PCG64(ss))``,
+which draws what ``default_rng(seed)`` draws.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exact import GF, ExactMatrix, Field, _fit, _lowest
-from .invariant import (DEFECT_NONZERO, DET_ZERO_BY_SYZYGY, _q_s, _verdict, det_q,
-                        orthogonal_verdict)
+from .invariant import DEFECT_NONZERO, DET_ZERO_BY_SYZYGY, _verdict, det_q, orthogonal_verdict
 from .monad import (_POINT_BOX, _PROBE_BATCH, ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL,
                     MonadData, RankProbeVerdict, _defect_pairs, _nonzero_defects, _probe_points,
                     _probe_verdict, _screen, _side_by_side, canonical_j, max_rank_probe)
@@ -133,7 +136,8 @@ def gen_special_symplectic(n: int, k: int, field: Field, probe_trials: int = 50,
 
 # Rank-probe points per isotropic candidate, in the generator and the search alike.
 _ISOTROPIC_PROBE_TRIALS = 20
-# Bound on the entries of the stacked Q columns in one chunk of the search (8 MiB).
+# Bound on one chunk of the search (8 MiB), counted per trial as the entries of the
+# used block rows of Q's first k block columns, which are at least those of V * V^t.
 _CHUNK_ENTRIES = 2**20
 
 
@@ -191,22 +195,28 @@ def _sum_of_squares_minus_one(p: int) -> tuple[int, int]:
     raise GeneratorError(f"cannot write -1 as a sum of two squares mod {p}")
 
 
-def _isotropic_stack(n: int, k: int, span: ExactMatrix, seeds: list[int],
-                     perturbed: list[bool]) -> np.ndarray:
-    """One candidate per seed, as one (T, k, 2n+2, 2n+2k) array of blocks: from
-    ``default_rng(seed)`` the first draw of coefficients on the span's rows with
-    a nonzero product; if perturbed, each block M_a becomes g_a M_a + mix_a,
-    keeping every M_a * M_b^t zero, the mix and then the k matrices g drawn from
-    ``default_rng(seed + 0x5EED)``.  One product gives all blocks, one all mixes."""
+def _seed_sequences(seeds: list[int]) -> list[np.random.SeedSequence]:
+    """One ``SeedSequence`` per seed, for every draw from that seed."""
     if min(seeds) < 0:
         raise ValueError(f"need seed >= 0, got {min(seeds)}")
+    return [np.random.SeedSequence(s) for s in seeds]
+
+
+def _isotropic_stack(n: int, k: int, span: ExactMatrix, seeds: list[np.random.SeedSequence],
+                     perturbed: list[bool]) -> np.ndarray:
+    """One candidate per seed sequence, as one (T, k, 2n+2, 2n+2k) array of
+    blocks: from ``Generator(PCG64(ss))`` the first draw of coefficients on the
+    span's rows with a nonzero product; if perturbed, each block M_a becomes
+    g_a M_a + mix_a, keeping every M_a * M_b^t zero, the mix and then the k
+    matrices g drawn from ``default_rng(seed + 0x5EED)``, seed the sequence's
+    entropy.  One product gives all blocks, one all mixes."""
     field, r = span.field, 2 * n + 2
 
     def blocks(rngs):
         coeffs = np.array([field.sample(rng, (k * r, span.rows), 10) for rng in rngs])
         return field.matmul(coeffs, span._a).reshape(len(rngs), k, r, span.cols)
 
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     stack = blocks(rngs)
     for t in (~stack.reshape(len(seeds), -1).any(axis=1)).nonzero()[0].tolist():
         redrawn = (blocks(rngs[t:t + 1])[0] for _ in range(99))  # up to 100 draws in all
@@ -215,7 +225,7 @@ def _isotropic_stack(n: int, k: int, span: ExactMatrix, seeds: list[int],
             raise GeneratorError("could not draw nonzero blocks")
     moved = [t for t, flag in enumerate(perturbed) if flag]
     if moved:
-        rngs = [np.random.default_rng(seeds[t] + 0x5EED) for t in moved]
+        rngs = [np.random.default_rng(seeds[t].entropy + 0x5EED) for t in moved]
         mix = blocks(rngs)
         moved_blocks = _transvect(field, stack[moved].reshape(-1, r, span.cols), rngs)
         stack[moved] = field.reduce(moved_blocks.reshape(mix.shape) + mix)
@@ -228,19 +238,22 @@ def gen_isotropic_orthogonal(n: int, k: int, p: int, seed: int) -> GeneratorRepo
     All block rows are drawn from one totally isotropic subspace, so every
     product M_a * M_b^t vanishes outright, which is stronger than the
     symmetrised conditions.  The data must pass :func:`orthogonal_verdict`
-    as excluded by the syzygy, whose product Q*S = 0 proves det Q = 0.
+    as excluded by the syzygy: its zero defects and the per-shape lemma prove
+    det Q = 0, and Q*S is never formed.  The data and the probe points are
+    drawn from one ``SeedSequence`` of the seed.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     field = GF(p)
-    (stack,) = _isotropic_stack(n, k, isotropic_basis(field, 2 * n + 2 * k), [seed], [False])
+    span, ss = isotropic_basis(field, 2 * n + 2 * k), _seed_sequences([seed])
+    (stack,) = _isotropic_stack(n, k, span, ss, [False])
     data = MonadData(n, k, field, tuple(ExactMatrix._wrap(field, b) for b in stack))
     verdict = orthogonal_verdict(data)
     if verdict.status != DET_ZERO_BY_SYZYGY:
         raise GeneratorError(f"isotropic construction failed its verdict: {verdict.message}")
     form = canonical_j(ORTHOGONAL_IDENTITY, n, k, field)
-    probe = max_rank_probe(data, form, _ISOTROPIC_PROBE_TRIALS, seed)
-    return GeneratorReport(data, probe, 0)  # the verdict's Q*S = 0 proves det Q = 0
+    probe = max_rank_probe(data, form, _ISOTROPIC_PROBE_TRIALS, ss[0])
+    return GeneratorReport(data, probe, 0)  # the verdict proves det Q = 0
 
 
 # -- orthogonal search harness -----------------------------------------------------------
@@ -276,7 +289,7 @@ class SearchSummary:
 
 def _search_chunk(n: int, k: int) -> int:
     """Trials checked as one stack: at most ``_PROBE_BATCH`` probe points and
-    ``_CHUNK_ENTRIES`` entries of stacked Q columns, and at least one trial."""
+    ``_CHUNK_ENTRIES`` entries as that bound counts them, and at least one trial."""
     r, c = 2 * n + 2, 2 * n + 2 * k
     q_entries = k * (k + 1) // 2 * r * k * c  # the used block rows of Q's first k block columns
     return max(1, min(_PROBE_BATCH // _ISOTROPIC_PROBE_TRIALS, _CHUNK_ENTRIES // q_entries))
@@ -286,13 +299,15 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
     """Run seeded isotropic draws, perturbing every other one within the
     isotropic subspace, and tabulate how each candidate fails.
 
-    Each trial draws its data and probe points from its own seed, as the
-    isotropic generator does, in chunks of :func:`_search_chunk` trials, each
-    drawn and checked as one stack: one product gives every trial's defects,
-    one the Q*S of :func:`verify_syzygy`, and one screen tests every trial's
-    probe points, whose failures get the exact test trial by trial.  Q is
-    eliminated only for a trial with a nonzero defect, where no certificate
-    exists; only such a trial, a zero one or a failing one is a :class:`MonadData`.
+    Each trial draws its data and probe points from one ``SeedSequence`` of
+    its seed, as the isotropic generator does, in chunks of
+    :func:`_search_chunk` trials, each drawn and checked as one stack: one
+    product gives every trial's defects, and one screen tests every trial's
+    probe points, whose failures get the exact test trial by trial.  A
+    nonzero trial with zero defects has det Q = 0 by the per-shape lemma of
+    the verdict, with no Q*S.  Q is eliminated only for a trial with a
+    nonzero defect, where no certificate exists; only such a trial, a zero
+    one or a failing one is a :class:`MonadData`.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -305,16 +320,16 @@ def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchS
     for start in range(0, trials, chunk):
         trial = range(start, min(start + chunk, trials))
         seeds, perturbed = [seed + t for t in trial], [t % 2 == 1 for t in trial]
-        stacks = _isotropic_stack(n, k, span, seeds, perturbed)
-        points, found = _probe_points(field, 2 * n + 2, _ISOTROPIC_PROBE_TRIALS, seeds, _POINT_BOX)
+        ss = _seed_sequences(seeds)
+        stacks = _isotropic_stack(n, k, span, ss, perturbed)
+        points, found = _probe_points(field, 2 * n + 2, _ISOTROPIC_PROBE_TRIALS, ss, _POINT_BOX)
         bad = _defect_pairs(field, stacks, ORTHOGONAL_IDENTITY)
-        residual_zero = (~_q_s(field, stacks).any(axis=(-2, -1))).tolist()
         failed = _screen(p, stacks, points)  # a zero row pads; it fails the screen, unread
         for i, (s, flag, x, m) in enumerate(zip(seeds, perturbed, points, found)):
             fails, zero = failed[i, :m].nonzero()[0].tolist(), not stacks[i].any()
             d = (MonadData(n, k, field, tuple(ExactMatrix._wrap(field, b) for b in stacks[i]))
                  if zero or bad[i] or fails else None)
-            verdict = _verdict(zero, bad[i], lambda: residual_zero[i])
+            verdict = _verdict(n, k, zero, bad[i])
             rows.append(TrialRow(s, flag, verdict.status != DEFECT_NONZERO,
                                  verdict.excluded or det_q(d) == 0,
                                  not _probe_verdict(d, x[:m], fails).ok))

@@ -6,17 +6,18 @@ bases, block (i, j) is M_alpha when eta_i = zeta_j * i_alpha and zero
 otherwise.  Both sides have dimension (2n+2k)*C(k+n-1, n) = (2n+2)*C(k+n, n+1).
 
 The syzygy S stacks M_1^t..M_k^t over zero blocks, so Q*S needs only Q's
-first k block columns, and only those are assembled for it; the rest meet
-zero rows of S.  Row block i of Q*S equals M_a*M_b^t + M_b*M_a^t (or
-M_a*M_a^t on the diagonal) for the rows indexed by monomials i_1^{n-1} i_a i_b,
-and vanishes identically elsewhere: only these k(k+1)/2 row blocks are
-multiplied, by ``Field.matmul`` on the integer ``stack`` (L times the
-blocks, so L**2 times Q*S) of one data or of a stack of data, such as the
-orthogonal search's trials; only whether the product is zero is kept.
-Hence when the identity-pairing quadratic conditions hold,
-Q*S = 0 with S != 0 and Q is singular over any field.
-:func:`orthogonal_verdict` packages that chain of implications: the product
-Q*S it checks is the certificate, and Q itself is never eliminated there.
+first k block columns.  Row block i of Q*S sums M_a*M_b^t over the pairs
+(a, b) with M_a in row block i of block column b; the layout gives each row
+block that holds a block exactly the pairs {(a, a)} or {(a, b), (b, a)}, at
+the monomials i_1^{n-1} i_a i_b, so it is M_a*M_a^t or M_a*M_b^t + M_b*M_a^t,
+the identity-pairing defect D_ab (halved on the diagonal, and p is odd).
+Hence when the identity-pairing quadratic conditions hold, Q*S = 0 with
+S != 0 and Q is singular over any field.  :func:`_syzygy_rows` checks that
+lemma on the layout once per (n, k), and :func:`orthogonal_verdict` reads
+it: det Q = 0 follows from nonzero data with zero defects, and neither Q nor
+Q*S is formed there.  Only :func:`verify_syzygy` multiplies Q*S, over the
+k(k+1)/2 row blocks that hold a block, on the integer ``stack`` (L times
+the blocks, so L**2 times Q*S).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -53,15 +53,13 @@ class SyzygyMatrix:
 
 
 def _place(a: np.ndarray, table: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Put block alpha of ``stack`` into block row table[j, alpha] of block
-    column j of the zero array ``a``, for every j < len(table) and alpha:
-    one broadcast assignment on ``a`` viewed as (block row, row, block
-    column, column).  Leading axes of ``stack``, (..., k, r, c), are a stack
-    of data, and ``a`` has them too."""
-    count, (_, br, bc), lead = len(table), stack.shape[-3:], stack.shape[:-3]
-    # the indexed axes come out first: (j, alpha, ..., row, column)
-    a.reshape(*lead, -1, br, count, bc)[..., table, :, np.arange(count)[:, None], :] = \
-        np.moveaxis(stack, -3, 0)
+    """Put block alpha of ``stack``, a (k, r, c) array, into block row
+    table[j, alpha] of block column j of the zero array ``a``, for every
+    j < len(table) and alpha: one broadcast assignment on ``a`` viewed as
+    (block row, row, block column, column)."""
+    count, (_, br, bc) = len(table), stack.shape
+    # the indexed axes come out first: (j, alpha, row, column)
+    a.reshape(-1, br, count, bc)[table, :, np.arange(count)[:, None], :] = stack
     return a
 
 
@@ -100,26 +98,34 @@ class SyzygyReport:
 
 
 @functools.lru_cache(maxsize=32)
-def _used_block_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block rows of Q's first k block columns that hold a block, in order,
-    and each block's place among them: read-only, made once per (n, k)."""
+def _syzygy_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row blocks of Q*S that hold a product, in order, and the place among
+    them of each block of Q's first k block columns: read-only, made once per
+    (n, k).  S holds M_b^t in block row b < k, so M_a * M_b^t lands in row
+    block table[b, a]; that k x k table is symmetric with k(k+1)/2 distinct
+    entries, so each such row block is M_a*M_a^t or M_a*M_b^t + M_b*M_a^t,
+    and zero identity-pairing defects give Q*S = 0 for every data of the
+    shape.  That is the lemma :func:`orthogonal_verdict` reads; a layout that
+    breaks it raises ``RuntimeError``."""
     table = q_layout(n, k).table[:k]
     used = np.array(sorted(set(table.flat)))  # np.unique's first call imports numpy.ma
+    if not (table == table.T).all() or len(used) != k * (k + 1) // 2:
+        raise RuntimeError("syzygy argument violated: quadratic conditions hold "
+                           "but Q*S != 0; this is a bug")
     places = np.searchsorted(used, table)
     used.flags.writeable = places.flags.writeable = False
     return used, places
 
 
 def _q_s(field: Field, stack: np.ndarray) -> np.ndarray:
-    """Q*S in the block rows of :func:`_used_block_rows`, from the data's
-    ``stack``, a (..., k, r, c) array: mod p over GF(p), over Q exactly,
-    which is L**2 times Q*S.  Leading axes hold a stack of data, multiplied
-    pairwise; a (..., used * r, r) array."""
-    (k, br, bc), lead = stack.shape[-3:], stack.shape[:-3]
-    used, places = _used_block_rows(br // 2 - 1, k)
+    """Q*S in the row blocks of :func:`_syzygy_rows`, from the data's
+    ``stack``, a (k, r, c) array: mod p over GF(p), over Q exactly, which is
+    L**2 times Q*S; a (used * r, r) array."""
+    k, br, bc = stack.shape
+    used, places = _syzygy_rows(br // 2 - 1, k)
     # Q's first k block columns, in the used block rows only
-    q = _place(np.zeros((*lead, len(used) * br, k * bc), stack.dtype), places, stack)
-    return field.matmul(q, np.swapaxes(_side_by_side(stack), -1, -2))
+    q = _place(np.zeros((len(used) * br, k * bc), stack.dtype), places, stack)
+    return field.matmul(q, _side_by_side(stack).T)
 
 
 def verify_syzygy(d: MonadData) -> SyzygyReport:
@@ -156,20 +162,17 @@ class OrthogonalVerdict:
         return self.status in (DET_ZERO_BY_SYZYGY, DEGENERATE)
 
 
-def _verdict(zero: bool, bad: tuple[tuple[int, int], ...],
-             residual_is_zero: Callable[[], bool]) -> OrthogonalVerdict:
-    """The verdict on data that are ``zero`` or not, with nonzero-defect pairs
-    ``bad``; ``residual_is_zero`` tells whether Q*S = 0 and is called only
-    for nonzero data whose defects vanish."""
+def _verdict(n: int, k: int, zero: bool, bad: tuple[tuple[int, int], ...]) -> OrthogonalVerdict:
+    """The verdict on data of shape (n, k) that are ``zero`` or not, with
+    nonzero-defect pairs ``bad``: for nonzero data whose defects vanish,
+    det Q = 0 by the lemma of :func:`_syzygy_rows`."""
     if zero:
         return OrthogonalVerdict(DEGENERATE, "degenerate: A = 0, never of maximal rank")
     if bad:
         a, b = bad[0]
         return OrthogonalVerdict(DEFECT_NONZERO, "orthogonal conditions violated at "
                                  f"(alpha,beta)=({a},{b})")
-    if not residual_is_zero():
-        raise RuntimeError("syzygy argument violated: quadratic conditions hold "
-                           "but Q*S != 0; this is a bug")
+    _syzygy_rows(n, k)  # the shape's lemma: raises if the layout breaks it
     return OrthogonalVerdict(DET_ZERO_BY_SYZYGY, "not an instanton: det Q = 0 by syzygy")
 
 
@@ -177,11 +180,11 @@ def orthogonal_verdict(d: MonadData) -> OrthogonalVerdict:
     """Executable form of the non-existence argument for one candidate.
 
     If the identity-pairing quadratic conditions hold and the syzygy is
-    nonzero, the product Q*S of :func:`verify_syzygy` must be zero, which
-    proves det Q = 0 without eliminating Q, so the candidate fails the
+    nonzero, Q*S = 0 by the per-shape lemma of :func:`_syzygy_rows`, which
+    proves det Q = 0 without forming Q or Q*S, so the candidate fails the
     non-degeneracy requirement and cannot define an instanton bundle.
     Otherwise the violated condition is reported.
     """
     zero = d.is_zero()
     bad = () if zero else _nonzero_defects(d, ORTHOGONAL_IDENTITY)
-    return _verdict(zero, bad, lambda: verify_syzygy(d).residual_is_zero)
+    return _verdict(d.n, d.k, zero, bad)

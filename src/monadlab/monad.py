@@ -316,9 +316,10 @@ def _screen(q: int, residues: np.ndarray, points: np.ndarray) -> np.ndarray:
     return ~_full_row_rank_gf(a.reshape(-1, k, a.shape[-1] // k), q).reshape(a.shape[:-1])
 
 
-def _probe_points(field: Field, dim: int, trials: int, seeds: list[int], box: int) -> tuple:
-    """The points :func:`max_rank_probe` tests, from ``default_rng(seed)`` for each seed."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+def _probe_points(field: Field, dim: int, trials: int, seeds: list, box: int) -> tuple:
+    """The points :func:`max_rank_probe` tests, from ``Generator(PCG64(seed))``
+    for each seed, an int or a ``SeedSequence``: what ``default_rng(seed)`` draws."""
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     return _draw_points(field, dim, rngs, box, trials, 50 * trials + 100)
 
 
@@ -333,8 +334,8 @@ def _probe_verdict(d: MonadData, points: np.ndarray, failures: Iterable[int]) ->
     return RankProbeVerdict(True, len(points))
 
 
-def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
-                   box: int = _POINT_BOX) -> RankProbeVerdict:
+def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int,
+                   seed: int | np.random.SeedSequence, box: int = _POINT_BOX) -> RankProbeVerdict:
     """Check rank A(x) = k at ``trials`` distinct random points.
 
     J must be nondegenerate, so B(x) = A(x) * J has the rank of A(x) and is
@@ -342,11 +343,12 @@ def max_rank_probe(d: MonadData, j: ExactMatrix, trials: int, seed: int,
     A returned counterexample is an exact certificate that the data fails the
     everywhere-maximal-rank requirement; ``ok`` is probabilistic evidence only.
     The points are screened in batches; only the screen's failures, in draw
-    order, get the exact test, up to the first that fails it.
+    order, get the exact test, up to the first that fails it.  ``seed`` is an
+    int >= 0 or a ``SeedSequence``, which draws the points an int seed would.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if seed < 0:
+    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
     _check_pairing(d, j)
     if j.det() == 0:

@@ -1,8 +1,10 @@
 """Fixtures shared by the test modules."""
 
+import dataclasses
+
 import pytest
 
-from monadlab import exact, monad
+from monadlab import exact, invariant, monad
 
 
 class Elimination(str):
@@ -41,3 +43,23 @@ def screens(monkeypatch):
 
     monkeypatch.setattr(monad, "_full_row_rank_gf", counting_screen)
     return sizes
+
+
+@pytest.fixture
+def broken_lemma(monkeypatch):
+    """From here on, the layout the syzygy lemma reads has its first block
+    column's blocks in reversed block rows, so the lemma fails for every
+    shape with k >= 2; the lemma's cache is cleared before and after."""
+    q_layout = invariant.q_layout
+
+    def broken(n, k):
+        layout = q_layout(n, k)
+        table = layout.table.copy()
+        table[0] = table[0, ::-1]
+        return dataclasses.replace(layout, table=table)
+
+    invariant._syzygy_rows.cache_clear()
+    monkeypatch.setattr(invariant, "q_layout", broken)
+    yield
+    monkeypatch.undo()
+    invariant._syzygy_rows.cache_clear()

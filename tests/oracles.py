@@ -644,8 +644,8 @@ def search_orthogonal_reference(n: int, k: int, p: int, trials: int, seed: int) 
     span = isotropic_basis(field, 2 * n + 2 * k)
     rows = []
     for t in range(trials):
-        data = stack_data(n, k, field, gens._isotropic_stack(n, k, span, [seed + t],
-                                                             [t % 2 == 1])[0])
+        stack = gens._isotropic_stack(n, k, span, gens._seed_sequences([seed + t]), [t % 2 == 1])
+        data = stack_data(n, k, field, stack[0])
         verdict = orthogonal_verdict(data)
         det_q_zero = verdict.excluded or det_q(data) == 0
         probe = max_rank_probe(data, form, 20, seed + t)

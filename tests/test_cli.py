@@ -1,6 +1,5 @@
 """CLI subcommands: output, exit codes, round trips, golden layout."""
 
-import dataclasses
 import importlib
 import os
 import subprocess
@@ -195,13 +194,13 @@ def test_console_script_target_runs():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "120 = 120\n", "")
 
 
-def test_runtime_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+def test_runtime_error_exits_2_with_one_line(tmp_path, capsys, request):
+    # the verdict's det Q = 0 rests on the per-shape lemma: a layout that
+    # breaks it is a bug, reported in one line
     iso = tmp_path / "iso.mnd"
     assert run(["gen", "isotropic", "--n", "1", "--k", "2", "--out", str(iso)]) == 0
     capsys.readouterr()
-    syzygy = monadlab.invariant.verify_syzygy
-    monkeypatch.setattr(monadlab.invariant, "verify_syzygy",
-                        lambda d: dataclasses.replace(syzygy(d), residual_is_zero=False))
+    request.getfixturevalue("broken_lemma")
     assert run(["check", "--in", str(iso), "--form", "orthogonal"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

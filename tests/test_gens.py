@@ -229,7 +229,7 @@ def test_isotropic_candidates_have_rank_q_at_most_half_its_order(n, k):
     # syzygy does.  That covers the generator's draws and the perturbed ones
     # that every other search trial uses.
     span = isotropic_basis(GF(101), 2 * n + 2 * k)
-    perturbed = gens._isotropic_stack(n, k, span, [0], [True])[0]
+    perturbed = gens._isotropic_stack(n, k, span, gens._seed_sequences([0]), [True])[0]
     for data in (gen_isotropic_orthogonal(n, k, 101, seed=0).data,
                  stack_data(n, k, GF(101), perturbed)):
         q = build_q(data).matrix
@@ -261,7 +261,7 @@ def test_isotropic_data_equals_one_scalar_draw_per_value(p, n, k, seed, perturbe
     # value and one product per block, also past the search's chunk of 51
     span = isotropic_basis(GF(p), 2 * n + 2 * k)
     seeds = [seed + t for t in range(len(perturbed))]
-    stack = gens._isotropic_stack(n, k, span, seeds, perturbed)
+    stack = gens._isotropic_stack(n, k, span, gens._seed_sequences(seeds), perturbed)
     assert stack.shape == (len(seeds), k, 2 * n + 2, 2 * n + 2 * k)
     for s, flag, got in zip(seeds, perturbed, stack):
         expected = isotropic_data_sequential(n, k, span, s, flag)
@@ -275,12 +275,13 @@ def test_isotropic_stack_draws_again_where_the_blocks_are_zero():
     # generator, as the one-trial oracle does, and a zero span fails at once
     span = ExactMatrix(GF(5), [[1, 2, 0, 0]])
     seeds, perturbed = [1312, 0, 1827, 3386], [False, False, True, True]
-    stack = gens._isotropic_stack(1, 1, span, seeds, perturbed)
+    stack = gens._isotropic_stack(1, 1, span, gens._seed_sequences(seeds), perturbed)
     for seed, flag, got in zip(seeds, perturbed, stack):
         assert got.any()
         assert got.tolist() == isotropic_data_sequential(1, 1, span, seed, flag).stack.tolist()
     with pytest.raises(GeneratorError, match="^could not draw nonzero blocks$"):
-        gens._isotropic_stack(1, 1, ExactMatrix.zeros(GF(5), 1, 4), [0], [False])
+        gens._isotropic_stack(1, 1, ExactMatrix.zeros(GF(5), 1, 4), gens._seed_sequences([0]),
+                              [False])
 
 
 @settings(max_examples=100, deadline=None)
@@ -294,9 +295,11 @@ def test_isotropic_stack_draws_again_where_the_blocks_are_zero():
 @example(p=2147483629, n=3, k=4, seed=5, perturbed=True)
 @example(p=2147483647, n=2, k=4, seed=6, perturbed=True)
 def test_isotropic_data_det_q_is_zero_as_its_verdict_proves(p, n, k, seed, perturbed):
-    # the verdict proves det Q = 0 by Q*S = 0 alone; the elimination of Q on
-    # a fresh copy of the data, with nothing memoised, must agree
-    stack = gens._isotropic_stack(n, k, isotropic_basis(GF(p), 2 * n + 2 * k), [seed], [perturbed])
+    # the verdict proves det Q = 0 by zero defects and the per-shape lemma
+    # alone; the elimination of Q on a fresh copy of the data, with nothing
+    # memoised, must agree
+    stack = gens._isotropic_stack(n, k, isotropic_basis(GF(p), 2 * n + 2 * k),
+                                  gens._seed_sequences([seed]), [perturbed])
     d = stack_data(n, k, GF(p), stack[0])
     assert orthogonal_verdict(d).status == DET_ZERO_BY_SYZYGY
     assert det_q(MonadData(d.n, d.k, d.field, d.blocks)) == 0
@@ -506,7 +509,7 @@ def test_search_orthogonal_rows_and_data_are_pinned(monkeypatch, n, k, p, seed):
 
 @pytest.mark.parametrize("n, k, p, seed", sorted(PINNED_SEARCHES))
 def test_search_orthogonal_never_builds_q_for_zero_defects(monkeypatch, n, k, p, seed):
-    # every pinned trial has zero defects, so its verdict's Q*S = 0 decides
+    # every pinned trial has zero defects, so its verdict's lemma decides
     def unused(d):
         raise AssertionError("Q built for a trial with zero defects")
 
@@ -537,7 +540,7 @@ def test_search_rows_equal_the_reference_on_zero_and_defective_draws(monkeypatch
 
     def mixed(n, k, span, seeds, perturbed):
         stack = draw(n, k, span, seeds, perturbed)
-        for seed, blocks in zip(seeds, stack):
+        for seed, blocks in zip((s.entropy for s in seeds), stack):
             if seed % 3 == 0:
                 blocks[...] = 0
             if seed % 3 == 1:
@@ -591,9 +594,9 @@ def test_search_chunk_bounds_points_and_stacked_q_columns(n, k):
     assert (fits(chunk) or chunk == 1) and not fits(chunk + 1)
 
 
-def test_search_raises_when_the_defects_vanish_but_q_s_does_not(monkeypatch):
-    q_s = gens._q_s
-    monkeypatch.setattr(gens, "_q_s", lambda field, ints: q_s(field, ints) + 1)
+def test_search_raises_when_the_defects_vanish_but_q_s_does_not(broken_lemma):
+    # zero defects give Q*S = 0 only through the per-shape lemma; a layout
+    # that breaks it is a bug, not a tabulated row
     with pytest.raises(RuntimeError, match="^syzygy argument violated: quadratic conditions "
                                            "hold but Q\\*S != 0; this is a bug$"):
         search_orthogonal(1, 2, 101, trials=3, seed=0)

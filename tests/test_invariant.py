@@ -6,6 +6,7 @@ i_1^{n-1} i_a i_b must equal M_a M_b^t + M_b M_a^t (M_a M_a^t on the
 diagonal) and every other row block must vanish, for arbitrary data.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -24,11 +25,14 @@ from monadlab import (DEFECT_NONZERO, DEGENERATE, DET_ZERO_BY_SYZYGY, GF,
                       gen_special_symplectic, isotropic_basis, max_rank_probe,
                       orthogonal_verdict, parse_monad, q_layout, quadratic_defect,
                       random_sl, transform_monad, verify_syzygy)
+from monadlab import gens, search_orthogonal
+from monadlab.cli import run
 from monadlab.gens import _special_blocks
 
 from oracles import (block_of, build_q_blockwise, det_cofactor, layout_entries,
-                     rank_probe_pointwise, residual_fraction, residues_per_block, scaled,
-                     summed, unitriangular_det, verify_syzygy_fraction)
+                     quadratic_defect_blockwise, rank_probe_pointwise, residual_fraction,
+                     residues_per_block, scaled, stack_data, summed, unitriangular_det,
+                     verify_syzygy_fraction)
 
 GF101 = GF(101)
 # the rational rank probe screens modulo the first CRT prime
@@ -65,7 +69,7 @@ def assert_q_s_is(d, residual):
     """``_q_s`` of ``d.stack``, over L**2, is the used block rows of
     ``residual``, Q*S in full, and every other row of ``residual`` is zero."""
     br = d.block_rows
-    used, _ = monadlab.invariant._used_block_rows(d.n, d.k)
+    used, _ = monadlab.invariant._syzygy_rows(d.n, d.k)
     rows = (used[:, None] * br + np.arange(br)).ravel().tolist()
     got = monadlab.invariant._q_s(d.field, d.stack).tolist()
     expected = residual.tolist()
@@ -272,7 +276,8 @@ def test_residual_pairs_of_every_shape_up_to_order_2500():
     # eta = zeta_j * i_alpha.  Those pairs are {(a, b), (b, a)} at
     # eta = i_1^{n-1} i_a i_b, and there are none elsewhere: with D_ab = 0 this
     # proves Q*S = 0 for every candidate of the shape, and it is the k(k+1)/2
-    # row blocks verify_syzygy multiplies
+    # row blocks verify_syzygy multiplies.  _syzygy_rows, the verdict's check
+    # of the same lemma, accepts every shape and gives those row blocks
     shapes = 0
     for k in range(1, 2500):
         for n in range(1, 2500):
@@ -291,10 +296,127 @@ def test_residual_pairs_of_every_shape_up_to_order_2500():
                     eta[b - 1] += 1
                     expected[layout.row_basis.index(tuple(eta)) + 1] = {(a, b), (b, a)}
             assert pairs == expected, (n, k)
+            used, places = monadlab.invariant._syzygy_rows(n, k)
+            assert used.tolist() == sorted(i - 1 for i in expected)
+            assert (used[places] == layout.table[:k]).all()
             shapes += 1
         if n == 1:
             break
     assert shapes == 1341
+
+
+# p = 1 mod 4 (5, 13, 101) and p = 3 mod 4 (7, 32003) reach isotropic_basis
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from([GF(5), GF(7), GF(13), GF101, GF(32003), QQ]),
+       n=st.integers(1, 3), k=st.integers(1, 4),
+       kind=st.sampled_from(["isotropic", "random", "moved"]), perturbed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(field=QQ, n=3, k=4, kind="moved", perturbed=False, seed=0)
+@example(field=GF(7), n=1, k=1, kind="moved", perturbed=True, seed=1)
+@example(field=GF(32003), n=3, k=4, kind="isotropic", perturbed=True, seed=2)
+def test_q_s_is_zero_exactly_when_the_defects_are(field, n, k, kind, perturbed, seed):
+    # the oracle of the verdict's per-shape lemma: Q*S, as verify_syzygy forms
+    # it, vanishes iff the identity-pairing defects do, pair by pair.  Over
+    # GF(p) the base is an isotropic draw; over Q, where M * M^t = 0 forces
+    # M = 0, it is zero data.  "moved" adds e to entry (0, 0) of one block,
+    # which makes entry (0, 0) of M_a * M_a^t e * (2m + e) != 0
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        d = random_data(n, k, field, rng)
+    else:
+        if field.is_prime_field:
+            span = isotropic_basis(field, 2 * n + 2 * k)
+            stack = gens._isotropic_stack(n, k, span, gens._seed_sequences([seed]), [perturbed])[0]
+        else:
+            stack = zero_data(n, k, field).stack.copy()
+        if kind == "moved":
+            a = int(rng.integers(k))
+            m = int(stack[a, 0, 0])
+            e = 2 if field.p and (2 * m + 1) % field.p == 0 else 1
+            stack[a, 0, 0] = m + e if field.p is None else (m + e) % field.p
+        d = stack_data(n, k, field, stack)
+    defects = quadratic_defect_blockwise(d, canonical_j(ORTHOGONAL_IDENTITY, n, k, field))
+    zero_defects = all(m.is_zero() for _, _, m in defects)
+    if kind != "random":
+        assert zero_defects == (kind == "isotropic")
+    assert (not monadlab.invariant._q_s(field, d.stack).any()) == zero_defects
+    verdict = orthogonal_verdict(d)
+    assert (verdict.status == DET_ZERO_BY_SYZYGY) == (zero_defects and not d.is_zero())
+
+
+@pytest.fixture
+def q_s_calls(monkeypatch):
+    """The calls of ``invariant._q_s`` from here on, as their stacks' shapes."""
+    calls = []
+    q_s = monadlab.invariant._q_s
+
+    def counting(field, stack):
+        calls.append(stack.shape)
+        return q_s(field, stack)
+
+    monkeypatch.setattr(monadlab.invariant, "_q_s", counting)
+    return calls
+
+
+def test_only_verify_syzygy_forms_q_s(tmp_path, capsys, q_s_calls):
+    # no verdict, generator or search path multiplies Q*S; only verify_syzygy
+    # does, and syzygy --verify through it, once for its one data
+    iso = str(tmp_path / "iso.mnd")
+    assert run(["gen", "isotropic", "--n", "2", "--k", "3", "--out", iso]) == 0
+    made = gen_isotropic_orthogonal(2, 3, 101, seed=0).data
+    counts = {}
+
+    def count(path, action):
+        before = len(q_s_calls)
+        action()
+        counts[path] = len(q_s_calls) - before
+
+    count("orthogonal_verdict", lambda: orthogonal_verdict(MonadData(2, 3, made.field,
+                                                                     made.blocks)))
+    count("gen_isotropic_orthogonal", lambda: gen_isotropic_orthogonal(3, 4, 101, seed=1))
+    count("search_orthogonal", lambda: (search_orthogonal(2, 4, 101, 25, 0),
+                                        search_orthogonal(1, 1, 7, 25, 3)))
+    count("check --form orthogonal", lambda: run(["check", "--in", iso, "--form", "orthogonal"]))
+    count("verify_syzygy", lambda: verify_syzygy(MonadData(2, 3, made.field, made.blocks)))
+    count("syzygy --verify", lambda: run(["syzygy", "--in", iso, "--verify"]))
+    assert counts == {"orthogonal_verdict": 0, "gen_isotropic_orthogonal": 0,
+                      "search_orthogonal": 0, "check --form orthogonal": 0,
+                      "verify_syzygy": 1, "syzygy --verify": 1}
+    assert q_s_calls == [(3, 6, 10)] * 2
+
+
+def test_the_lemma_is_checked_once_per_shape():
+    lemma = monadlab.invariant._syzygy_rows
+    lemma.cache_clear()
+    for seed in range(10):
+        for n, k in ((1, 2), (2, 3)):
+            d = gen_isotropic_orthogonal(n, k, 101, seed).data  # one verdict inside
+            assert orthogonal_verdict(d).status == DET_ZERO_BY_SYZYGY
+    search_orthogonal(1, 2, 101, 30, 0)  # 30 nonzero trials with zero defects
+    info = lemma.cache_info()
+    assert (info.misses, info.hits) == (2, 10 * 2 * 2 + 30 - 2)
+
+
+@pytest.mark.parametrize("table", [[[1, 0], [1, 2]], [[0, 1], [1, 0]]])
+def test_the_lemma_rejects_a_layout_that_breaks_it(monkeypatch, table):
+    # at n = 1, k = 2 an asymmetric table, and a symmetric one that puts
+    # M_1*M_1^t and M_2*M_2^t in one row block; the cache is bypassed
+    layout = q_layout(1, 2)
+    assert layout.table.tolist() == [[0, 1], [1, 2]]
+    monkeypatch.setattr(monadlab.invariant, "q_layout",
+                        lambda n, k: dataclasses.replace(layout, table=np.array(table)))
+    with pytest.raises(RuntimeError, match="^syzygy argument violated: "):
+        monadlab.invariant._syzygy_rows.__wrapped__(1, 2)
+
+
+def test_a_broken_lemma_fails_only_the_verdicts_that_read_it(broken_lemma):
+    # zero data and data with a nonzero defect never reach the lemma
+    message = "^syzygy argument violated: quadratic conditions hold but Q\\*S != 0; this is a bug$"
+    with pytest.raises(RuntimeError, match=message):
+        gen_isotropic_orthogonal(1, 2, 101, seed=0)
+    assert orthogonal_verdict(zero_data(1, 2)).status == DEGENERATE
+    symplectic = MonadData(1, 2, GF101, _special_blocks(1, 2, GF101))
+    assert orthogonal_verdict(symplectic).status == DEFECT_NONZERO
 
 
 @pytest.mark.parametrize("denominators", [False, True])
@@ -414,7 +536,6 @@ def test_integer_form_matches_the_fraction_path(d, kind, trials, box, seed):
     j = canonical_j(kind, d.n, d.k, QQ)
     verdict, probe = orthogonal_verdict(d), max_rank_probe(d, j, trials, seed, box=box)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(monadlab.invariant, "verify_syzygy", verify_syzygy_fraction)
         m.setattr(MonadData, "is_zero", lambda self: all(b.is_zero() for b in self.blocks))
         m.setattr(monadlab.monad, "_residues", residues_per_block)
         assert orthogonal_verdict(d) == verdict
@@ -583,7 +704,8 @@ def test_orthogonal_verdict_cases():
 
 
 def test_orthogonal_verdict_twice_never_eliminates_q(monkeypatch):
-    # the verdict's proof of det Q = 0 is Q*S = 0; only det_q eliminates Q
+    # the verdict's proof of det Q = 0 is the per-shape lemma; only det_q
+    # eliminates Q
     made = gen_isotropic_orthogonal(1, 2, 101, seed=4).data
     d = MonadData(made.n, made.k, made.field, made.blocks)  # nothing computed yet
     calls = {"echelon": 0, "det": 0, "defects": 0}
