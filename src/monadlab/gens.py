@@ -136,8 +136,8 @@ def gen_special_symplectic(n: int, k: int, field: Field, probe_trials: int = 50,
 
 # Rank-probe points per isotropic candidate, in the generator and the search alike.
 _ISOTROPIC_PROBE_TRIALS = 20
-# Bound on one chunk of the search (8 MiB), counted per trial as the entries of the
-# used block rows of Q's first k block columns, which are at least those of V * V^t.
+# Bound on one chunk of the search (8 MiB), counted per trial as the entries of one
+# gathered operand of the defects, the largest array a chunk forms besides the screen.
 _CHUNK_ENTRIES = 2**20
 
 
@@ -155,25 +155,16 @@ def isotropic_basis(field: Field, dim: int) -> ExactMatrix:
     if not field.is_prime_field:
         raise GeneratorError("the dot product has no isotropic vectors over the rationals")
     p = field.p
-    rows: list[list[int]] = []
     if p % 4 == 1:
-        root = _sqrt_minus_one(p)
-        for t in range(dim // 2):
-            row = [0] * dim
-            row[2 * t] = 1
-            row[2 * t + 1] = root
-            rows.append(row)
+        pattern = [[1, _sqrt_minus_one(p)]]
     else:
         a, b = _sum_of_squares_minus_one(p)
-        for t in range(dim // 4):
-            u = [0] * dim
-            u[4 * t], u[4 * t + 2], u[4 * t + 3] = 1, a, b
-            v = [0] * dim
-            v[4 * t + 1], v[4 * t + 2], v[4 * t + 3] = 1, b, (p - a) % p
-            rows.extend([u, v])
-    if not rows:
+        pattern = [[1, 0, a, b], [0, 1, b, p - a]]
+    width = len(pattern[0])
+    if dim < width:
         raise GeneratorError(f"no isotropic subspace in dimension {dim} over GF({p})")
-    basis = ExactMatrix(field, rows)
+    span = np.kron(np.identity(dim // width, dtype=np.int64), pattern)
+    basis = ExactMatrix._wrap(field, np.pad(span, ((0, 0), (0, dim % width))))
     if not (basis @ basis.transpose()).is_zero():
         raise GeneratorError("isotropic construction failed its self-check")
     return basis
@@ -289,10 +280,10 @@ class SearchSummary:
 
 def _search_chunk(n: int, k: int) -> int:
     """Trials checked as one stack: at most ``_PROBE_BATCH`` probe points and
-    ``_CHUNK_ENTRIES`` entries as that bound counts them, and at least one trial."""
-    r, c = 2 * n + 2, 2 * n + 2 * k
-    q_entries = k * (k + 1) // 2 * r * k * c  # the used block rows of Q's first k block columns
-    return max(1, min(_PROBE_BATCH // _ISOTROPIC_PROBE_TRIALS, _CHUNK_ENTRIES // q_entries))
+    ``_CHUNK_ENTRIES`` entries of one operand ``monad._defect_stack`` gathers,
+    k(k+1)/2 blocks M_a * J or M_b^t, and at least one trial."""
+    gathered = k * (k + 1) // 2 * (2 * n + 2) * (2 * n + 2 * k)
+    return max(1, min(_PROBE_BATCH // _ISOTROPIC_PROBE_TRIALS, _CHUNK_ENTRIES // gathered))
 
 
 def search_orthogonal(n: int, k: int, p: int, trials: int, seed: int) -> SearchSummary:

@@ -34,8 +34,10 @@ Either way the first point in draw order that fails goes through
 exact certificate, with exact field-element coordinates.
 
 The defect flags and the screen each take the ``stack`` arrays of T data
-stacked, (T, k, 2n+2, 2n+2k), one product and one elimination for all T:
-one data alone, or the orthogonal search's trials.  A screen takes at most
+stacked, (T, k, 2n+2, 2n+2k): one data alone, or the orthogonal search's
+trials.  The defects are one product of the gathered pairs M_a * J and
+M_b^t, a <= b, for all T, so no block is formed only to be discarded; the
+screen is one elimination for all T.  A screen takes at most
 ``_PROBE_BATCH`` points, which bounds its working memory, and the probe
 screens a batch only once its exact tests reach it.
 """
@@ -72,7 +74,7 @@ class MonadData:
     field: Field
     blocks: tuple[ExactMatrix, ...]
     # the read-only integer (k, 2n+2, 2n+2k) array of the blocks over the lcm
-    # ``scale`` of their denominators; Q, S, V and A(x) read it
+    # ``scale`` of their denominators; Q, S, the defects and A(x) read it
     stack: np.ndarray = field(init=False, compare=False, repr=False)
     scale: int = field(init=False, compare=False, repr=False)
     # det Q and the nonzero canonical defects once computed; never Q or a product
@@ -178,31 +180,26 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _defect_stack(field: Field, v: np.ndarray, vj: np.ndarray, k: int) -> np.ndarray:
-    """sym(M_a * J * M_b^t) for the pairs a <= b, in order, from the integer
-    arrays of the blocks stacked as V, a (..., k*r, c) array, and of V * J:
-    the (..., pairs, r, r) integer array read off the blocks of V * J * V^t.
-    Leading axes hold a stack of data, multiplied pairwise."""
-    *lead, kr, _ = v.shape
-    r = kr // k
-    x = field.matmul(vj, np.swapaxes(v, -1, -2)).reshape(*lead, k, r, k, r)
-    first, second = _pairs(k)
-    # block (a, b) of V * J * V^t is M_a * J * M_b^t; the pair axis comes out first
-    xab = np.moveaxis(x[..., first, :, second, :], 0, -3)
-    return field.reduce(xab + np.swapaxes(xab, -1, -2))
+def _defect_stack(field: Field, stacks: np.ndarray, j: Optional[np.ndarray]) -> np.ndarray:
+    """sym(M_a * J * M_b^t) for the pairs a <= b, in order, as a (..., pairs,
+    r, r) integer array, from the (..., k, r, c) one of the blocks and J's,
+    None for the identity: each M_a * J once, then one product of the
+    gathered pairs.  Leading axes hold a stack of data, multiplied pairwise."""
+    mj = stacks if j is None else field.matmul(stacks, j)
+    first, second = _pairs(stacks.shape[-3])
+    x = field.matmul(mj[..., first, :, :], np.swapaxes(stacks[..., second, :, :], -1, -2))
+    return field.reduce(x + np.swapaxes(x, -1, -2))
 
 
 def quadratic_defect(d: MonadData, j: ExactMatrix) -> list[tuple[int, int, ExactMatrix]]:
-    """Defects D_ab = sym(M_a * J * M_b^t) for 1 <= a <= b <= k, read off the
-    blocks of the one product V * J * V^t, where V stacks the blocks.
+    """Defects D_ab = sym(M_a * J * M_b^t) for 1 <= a <= b <= k, each pair's
+    product formed once, from ``stack``.
 
     All defects vanish iff A * J * A^t = 0 identically in the coordinates.
     """
     _check_pairing(d, j)
-    k, r, c = d.stack.shape
-    v = d.stack.reshape(k * r, c)
-    sym = _defect_stack(d.field, v, d.field.matmul(v, j._a), k)
-    first, second = _pairs(k)
+    sym = _defect_stack(d.field, d.stack, j._a)
+    first, second = _pairs(d.k)
     den = d.scale ** 2 * j._den
     return [(a + 1, b + 1, ExactMatrix._wrap(d.field, *_lowest(m, den)))
             for a, b, m in zip(first.tolist(), second.tolist(), sym)]
@@ -215,16 +212,11 @@ def defects_vanish(defects: list[tuple[int, int, ExactMatrix]]) -> bool:
 def _defect_pairs(field: Field, stacks: np.ndarray, kind: str) -> list[tuple[tuple[int, int], ...]]:
     """Pairs (a, b), in order, with D_ab != 0 for the canonical ``kind``
     pairing, for each data of a (T, k, r, c) array of their ``stack``,
-    whose defects are L**2 * D_ab: one product V * J * V^t for the whole stack."""
-    t, k, r, c = stacks.shape
-    v = stacks.reshape(t, k * r, c)
-    if kind == ORTHOGONAL_IDENTITY:  # V * J is V itself
-        vj = v
-    else:
-        vj = field.matmul(v, canonical_j(kind, r // 2 - 1, k, field)._a)
-    sym = _defect_stack(field, v, vj, k)
+    whose defects are L**2 * D_ab: one :func:`_defect_stack` for the whole stack."""
+    t, k, r, _ = stacks.shape
+    j = None if kind == ORTHOGONAL_IDENTITY else canonical_j(kind, r // 2 - 1, k, field)._a
     pairs = [(a + 1, b + 1) for a, b in zip(*(index.tolist() for index in _pairs(k)))]
-    flags = sym.reshape(t, len(pairs), -1).any(axis=-1)
+    flags = _defect_stack(field, stacks, j).reshape(t, len(pairs), -1).any(axis=-1)
     return [tuple(p for p, bad in zip(pairs, row) if bad) for row in flags.tolist()]
 
 

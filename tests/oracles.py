@@ -599,6 +599,34 @@ def random_sl_sequential(field, size: int, rng: np.random.Generator) -> ExactMat
     return ExactMatrix(field, a)
 
 
+def isotropic_rows_listwise(field, dim: int) -> list[list[int]]:
+    """The rows of ``isotropic_basis`` built one list at a time: for p = 1 mod
+    4, e_{2t} + sqrt(-1) e_{2t+1}; for p = 3 mod 4, the two rows (1, 0, a, b)
+    and (0, 1, b, -a) on each group of four coordinates, a^2 + b^2 = -1."""
+    if not field.is_prime_field:
+        raise GeneratorError("the dot product has no isotropic vectors over the rationals")
+    p = field.p
+    rows: list[list[int]] = []
+    if p % 4 == 1:
+        root = gens._sqrt_minus_one(p)
+        for t in range(dim // 2):
+            row = [0] * dim
+            row[2 * t] = 1
+            row[2 * t + 1] = root
+            rows.append(row)
+    else:
+        a, b = gens._sum_of_squares_minus_one(p)
+        for t in range(dim // 4):
+            u = [0] * dim
+            u[4 * t], u[4 * t + 2], u[4 * t + 3] = 1, a, b
+            v = [0] * dim
+            v[4 * t + 1], v[4 * t + 2], v[4 * t + 3] = 1, b, (p - a) % p
+            rows.extend([u, v])
+    if not rows:
+        raise GeneratorError(f"no isotropic subspace in dimension {dim} over GF({p})")
+    return rows
+
+
 def blocks_in_span_sequential(n: int, k: int, span: ExactMatrix,
                               rng: np.random.Generator) -> tuple[ExactMatrix, ...]:
     """Random blocks whose rows are combinations of the span's rows."""

@@ -528,6 +528,25 @@ def test_kernel_basis_survives_primes_that_lose_or_move_pivots(eliminations):
         assert eliminations == ["gf"] * primes
 
 
+def test_kernel_basis_skips_a_prime_with_later_pivots(monkeypatch):
+    # modulo p2 the second row is (0, 0, 7): pivots [0, 2], later than the
+    # [0, 1] of p1 and of Q, so p2's vector is skipped, not joined; the
+    # kernel has p2 as a denominator and lifts from p1, p3 and p4
+    p1, p2 = itertools.islice(exact._crt_primes(), 2)
+    visited, kernel_gf = [], exact._kernel_gf
+
+    def spy(a, p):
+        pivots, basis = kernel_gf(a, p)
+        visited.append((p, pivots))
+        return pivots, basis
+
+    monkeypatch.setattr(exact, "_kernel_gf", spy)
+    m = ExactMatrix(QQ, [[1, 0, 5], [0, p2, 7]])
+    assert columns(m.kernel_basis()) == [[-5, Fraction(-7, p2), 1]] == kernel_oracle(m)
+    assert visited[:2] == [(p1, [0, 1]), (p2, [0, 2])]
+    assert all(pivots == [0, 1] for p, pivots in visited[2:])
+
+
 def test_kernel_basis_checks_its_reconstruction(eliminations):
     # the kernel entry 1/3 + 5 * p1 is 1/3 modulo p1, and 1/3 is what one prime
     # reconstructs; only the exact check A v = 0 rejects it

@@ -17,8 +17,9 @@ from monadlab import (DET_ZERO_BY_SYZYGY, GF, QQ, ExactMatrix, GeneratorError, M
                       search_orthogonal, transform_monad,
                       verify_syzygy)
 
-from oracles import (assert_canonical, isotropic_data_sequential, matmul_naive, mix_blocks_sum,
-                     random_sl_sequential, scaled, search_orthogonal_reference, stack_data)
+from oracles import (assert_canonical, isotropic_data_sequential, isotropic_rows_listwise,
+                     matmul_naive, mix_blocks_sum, random_sl_sequential, scaled,
+                     search_orthogonal_reference, stack_data)
 
 
 def test_special_symplectic_n1_k1_structure():
@@ -137,6 +138,24 @@ def test_isotropic_basis_needs_prime_field():
     for _ in range(2):  # a failed construction is not memoised: it raises every time
         with pytest.raises(GeneratorError):
             isotropic_basis(QQ, 6)
+
+
+def outcome(build, field, dim):
+    """The rows ``build`` gives, or the message of the ``GeneratorError`` it raises."""
+    try:
+        rows = build(field, dim)
+    except GeneratorError as error:
+        return str(error)
+    return rows.tolist() if isinstance(rows, ExactMatrix) else rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 103, 32003])
+def test_isotropic_basis_matches_the_listwise_rows(p):
+    # the Kronecker product of the pattern gives the rows of the list loops,
+    # in order, and raises as they do below the pattern's width
+    for dim in range(42):
+        assert outcome(isotropic_basis, GF(p), dim) == outcome(isotropic_rows_listwise, GF(p), dim)
+    assert outcome(isotropic_basis, QQ, 6) == outcome(isotropic_rows_listwise, QQ, 6)
 
 
 def test_transform_monad_rejects_a_wrong_size_block_mix():
@@ -581,17 +600,24 @@ def test_search_checks_its_trials_in_chunks(screens, n, k):
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 4), (3, 4), (4, 6), (6, 8), (10, 10), (20, 20)])
-def test_search_chunk_bounds_points_and_stacked_q_columns(n, k):
+def test_search_chunk_bounds_points_and_gathered_defect_operands(n, k):
     # as many trials as fit both bounds, and one when a single trial exceeds
-    # them; Q's first k block columns hold a block in k(k+1)/2 block rows
-    used_rows, cols = k * (k + 1) // 2 * (2 * n + 2), k * (2 * n + 2 * k)
+    # them; a trial's defects gather k(k+1)/2 blocks M_a or M_b^t per operand
+    gathered = k * (k + 1) // 2 * (2 * n + 2) * (2 * n + 2 * k)
 
     def fits(trials):
-        return (trials * 20 <= gens._PROBE_BATCH
-                and trials * used_rows * cols <= gens._CHUNK_ENTRIES)
+        return trials * 20 <= gens._PROBE_BATCH and trials * gathered <= gens._CHUNK_ENTRIES
 
     chunk = gens._search_chunk(n, k)
     assert (fits(chunk) or chunk == 1) and not fits(chunk + 1)
+
+
+@pytest.mark.parametrize("n, k, trials", [(1, 2, 51), (2, 4, 51), (3, 4, 51), (10, 10, 21),
+                                          (20, 20, 1)])
+def test_search_chunk_sizes(n, k, trials):
+    # the shapes the tests and the benchmark search fill a probe batch; at
+    # large shapes the gathered defect operands bound the chunk
+    assert gens._search_chunk(n, k) == trials
 
 
 def test_search_raises_when_the_defects_vanish_but_q_s_does_not(broken_lemma):

@@ -547,6 +547,57 @@ def test_stacked_defects_and_screen_equal_each_data_alone(case):
 
 
 @settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([GF(3), GF101, GF(2**31 - 1), QQ]), t=st.integers(1, 3),
+       k=st.integers(1, 5), n=st.integers(1, 2), pairing=st.sampled_from(["I", "skew", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(field=QQ, t=3, k=5, n=2, pairing="random", seed=1)
+@example(field=GF(2**31 - 1), t=2, k=5, n=2, pairing="skew", seed=2)
+def test_defect_stack_equals_the_blockwise_defects(field, t, k, n, pairing, seed):
+    # for each data of a (T, k, r, c) stack the pairs' products are the
+    # defects the blockwise oracle forms, over GF(p) and over Q, where some
+    # entries pass int64; J = I is given as None and as its array alike
+    rng = np.random.default_rng(seed)
+    r, c = 2 * n + 2, 2 * n + 2 * k
+    stacks = field.sample(rng, (t, k, r, c), 10)
+    if not field.is_prime_field:
+        stacks = stacks.astype(object)
+        stacks = exact._fit(np.where(rng.random(stacks.shape) < 0.2, stacks * 3**41, stacks))
+    if pairing == "random":
+        j = random_sl(field, c, rng)
+    else:
+        j = canonical_j(ORTHOGONAL_IDENTITY if pairing == "I" else SYMPLECTIC_CANONICAL, n, k, field)
+    sym = monad._defect_stack(field, stacks, j._a)
+    if pairing == "I":
+        assert monad._defect_stack(field, stacks, None).tolist() == sym.tolist()
+    for data, pairs in zip(stacks, sym):
+        expected = quadratic_defect_blockwise(stack_data(n, k, field, data), j)
+        assert [m.tolist() for *_, m in expected] == pairs.tolist()
+
+
+@pytest.mark.parametrize("field", [GF101, QQ])
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 4)])
+def test_defects_form_each_pair_once_and_no_stacked_product(monkeypatch, field, n, k):
+    # one M_a * J per block unless J = I, then one product of the gathered
+    # pairs; no product has the k(2n+2) x k(2n+2) shape of V * J * V^t
+    d = random_data(n, k, field, np.random.default_rng(n + k))
+    r, c, pairs, shapes = 2 * n + 2, 2 * n + 2 * k, k * (k + 1) // 2, []
+    matmul = exact.Field.matmul
+
+    def spy(self, a, b):
+        out = matmul(self, a, b)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(exact.Field, "matmul", spy)
+    for kind in (ORTHOGONAL_IDENTITY, SYMPLECTIC_CANONICAL):
+        quadratic_defect(d, canonical_j(kind, n, k, field))
+        monad._defect_pairs(field, np.array([d.stack] * 3), kind)
+    assert shapes == [(k, r, c), (pairs, r, r), (3, pairs, r, r),
+                      (k, r, c), (pairs, r, r), (3, k, r, c), (3, pairs, r, r)]
+    assert all(shape[-2:] != (k * r, k * r) for shape in shapes)
+
+
+@settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_rational_data_match_the_fraction_path(k, seed):
     # over mixed denominators, some whose integer entries pass int64: the
