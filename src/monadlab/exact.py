@@ -281,10 +281,18 @@ class ExactMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """self @ other over their one field.  An inner index whose row of
+        ``other`` is zero adds only a·0, so ``Field.matmul`` multiplies only
+        the other indices: for Q·S only Q's first k block columns, since S
+        is zero below its first k block rows.  Every entry is the full sum's."""
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        return ExactMatrix._wrap(self.field, *_lowest(self.field.matmul(self._a, other._a),
+        a, b = self._a, other._a
+        inner = b.any(axis=1)
+        if not inner.all():
+            a, b = a[:, inner], b[inner]
+        return ExactMatrix._wrap(self.field, *_lowest(self.field.matmul(a, b),
                                                       self._den * other._den))
 
     def transpose(self) -> "ExactMatrix":
@@ -534,19 +542,23 @@ def _kernel_gf(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
 
 
 def _full_row_rank_gf(a: np.ndarray, p: int) -> np.ndarray:
-    """For a stack of T matrices (T x r x c, entries in [0, p)): which have rank r.
+    """For a stack of T matrices (T x r x c, r >= 1, entries in [0, p)): which
+    have rank r.
 
     One elimination for the whole stack, r row steps and no row swaps: step i
     takes the first nonzero entry of row i as its pivot and clears that column
     from the rows below by row <- piv * row - x * (row i).  Scaling a row by
     the nonzero pivot keeps the row span, so no pivot inverse is needed, and
     both products stay below 2**62.  A row that is zero when its step comes
-    is a combination of the rows above it.
+    is a combination of the rows above it.  The last row has no rows below
+    to clear, so its step only tests it for a nonzero; with r = 1 that test
+    is the whole screen, on ``a`` itself rather than a copy.
     """
-    a = a.copy()
+    last = a.shape[1] - 1
+    a = a.copy() if last else a
     t = np.arange(a.shape[0])
     full = np.ones(a.shape[0], dtype=bool)
-    for i in range(a.shape[1]):
+    for i in range(last):
         row = a[:, i, :]
         col = (row != 0).argmax(axis=1)
         piv = row[t, col]
@@ -554,7 +566,7 @@ def _full_row_rank_gf(a: np.ndarray, p: int) -> np.ndarray:
         below = a[:, i + 1:, :]
         x = below[t, :, col]
         below[...] = (piv[:, None, None] * below - x[:, :, None] * row[:, None, :]) % p
-    return full
+    return full & a[:, last, :].any(axis=1)
 
 
 # -- rational kernels ------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
-                      format_matrix, format_monad, gen_special_symplectic, parse_field,
-                      parse_monad)
+                      build_syzygy, format_matrix, format_monad, gen_isotropic_orthogonal,
+                      gen_special_symplectic, parse_field, parse_monad)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
 from oracles import (MERSENNE, _permutation_sign, assert_canonical, bareiss_echelon,
@@ -161,6 +161,61 @@ def test_mat_mul_gf_zero_sizes(field, shape):
     rng = np.random.default_rng(0)
     got = ExactMatrix.random(field, r, c, rng) @ ExactMatrix.random(field, c, c2, rng)
     assert got == ExactMatrix.zeros(field, r, c2)
+
+
+@st.composite
+def products_with_zero_rows(draw):
+    """(field, (r, c, c2), rows of a, rows of b): every row of b zero or not,
+    so some, all or none are; any of r, c, c2 may be 0.  Over Q the entries
+    reach past 2**63, so products can be object arrays."""
+    field = draw(st.sampled_from([GF(3), GF101, GF(2147483629), QQ]))
+    entry = (st.integers(0, field.p - 1) if field.is_prime_field else
+             st.builds(Fraction, st.integers(-2**70, 2**70) | st.integers(-9, 9),
+                       st.integers(1, 12)))
+    r, c, c2 = (draw(st.integers(0, 5)) for _ in range(3))
+    a = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    b = [[0 if zero else draw(entry) for _ in range(c2)]
+         for zero in draw(st.lists(st.booleans(), min_size=c, max_size=c))]
+    return field, (r, c, c2), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=products_with_zero_rows())
+@example(case=(QQ, (1, 2, 1), [[2**64, 1]], [[2**64], [0]]))  # 2**128: object dtype
+@example(case=(QQ, (1, 2, 2), [[2**64, 3]], [[0, 0], [0, 0]]))  # every inner index dropped
+@example(case=(GF101, (2, 3, 0), [[1, 0, 2], [3, 4, 5]], [[], [], []]))
+@example(case=(GF101, (2, 0, 3), [[], []], []))
+def test_mat_mul_dropping_zero_rows_matches_oracle(case):
+    field, (r, c, c2), a_rows, b_rows = case
+    a, b = (ExactMatrix(field, rows) if rows else ExactMatrix.zeros(field, 0, cols)
+            for rows, cols in ((a_rows, c), (b_rows, c2)))
+    got = a @ b
+    assert got.shape == (r, c2)
+    assert got.tolist() == matmul_naive(a, b)
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (3, 4)])
+def test_q_times_s_multiplies_only_the_columns_of_q_that_meet_s(monkeypatch, n, k):
+    # S is zero below its first k block rows, so of Q's columns only the
+    # k * (2n + 2k) of its first k block columns reach the product: all of
+    # them at n = k = 1, 56 of 280 at (3, 4)
+    d = gen_isotropic_orthogonal(n, k, 101, seed=13 * n + k).data
+    q, s = build_q(d).matrix, build_syzygy(d).matrix
+    calls, matmul = [], Field.matmul
+
+    def spy(self, a, b):
+        calls.append((a, b))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(Field, "matmul", spy)
+    assert (q @ s).is_zero()
+    inner = k * (2 * n + 2 * k)
+    assert [(a.shape, b.shape) for a, b in calls] == [((q.rows, inner), (inner, s.cols))]
+    # a right factor without a zero row goes in whole, not gathered
+    calls.clear()
+    assert q @ ExactMatrix.identity(d.field, q.cols) == q
+    assert len(calls) == 1 and calls[0][0] is q._a
 
 
 @settings(max_examples=100, deadline=None)
@@ -1050,12 +1105,17 @@ def test_rational_entries_always_canonical():
 @settings(max_examples=100, deadline=None)
 @given(p=st.sampled_from([3, 7, 101, 2147483629]), r=st.integers(1, 4), c=st.integers(1, 7),
        seed=st.integers(0, 2**32 - 1))
+@example(p=101, r=1, c=3, seed=0)
+@example(p=7, r=3, c=4, seed=1)
 def test_full_row_rank_gf_matches_rank(p, r, c, seed):
-    # a stack of dense, sparse and low-rank r x c matrices, one elimination for all
+    # a stack of dense, sparse and low-rank r x c matrices, one elimination
+    # for all; some have a zero row (at r = 1 the whole screen is the last
+    # row's nonzero test), some a last row that is a combination of the
+    # rows above it, the only dependency, which only the last step can see
     field = GF(p)
     rng = np.random.default_rng(seed)
     stack = []
-    for kind in rng.integers(0, 3, size=40):
+    for kind in rng.integers(0, 5, size=40):
         m = ExactMatrix.random(field, r, c, rng)
         if kind == 1:
             m = ExactMatrix(field, np.where(rng.random((r, c)) < 0.7, 0, m.tolist()).tolist())
@@ -1063,8 +1123,18 @@ def test_full_row_rank_gf_matches_rank(p, r, c, seed):
             inner = int(rng.integers(1, r))
             left = ExactMatrix.random(field, r, inner, rng)
             m = left @ ExactMatrix.random(field, inner, c, rng)
+        elif kind == 3:
+            rows = m.tolist()
+            rows[int(rng.integers(r))] = [0] * c
+            m = ExactMatrix(field, rows)
+        elif kind == 4 and r > 1:
+            top = ExactMatrix.random(field, r - 1, c, rng)
+            last = ExactMatrix.random(field, 1, r - 1, rng) @ top
+            m = ExactMatrix(field, top.tolist() + last.tolist())
         stack.append(m)
-    full = _full_row_rank_gf(np.array([m.tolist() for m in stack], dtype=np.int64), p)
+    a = np.array([m.tolist() for m in stack], dtype=np.int64)
+    a.flags.writeable = False  # the screen writes only to its own copy
+    full = _full_row_rank_gf(a, p)
     assert full.tolist() == [m.rank() == r for m in stack]
 
 
