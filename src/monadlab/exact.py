@@ -15,16 +15,18 @@ the integer array alone (``entry_text``).  :class:`Field` owns what differs
 between the fields: products, det, rank and kernel of integer arrays.
 Rational products are ``_matmul_zz`` over the product of the denominators.
 
-There is one elimination, over GF(p): it touches only the rows with a
+There is one elimination, over GF(p), and one peel before it that det,
+rank and kernel share: round after round, every row with one nonzero in
+the columns left is taken with that column (singletons, the first step of
+sparse LU; Davis, Direct Methods for Sparse Linear Systems, 2006), and only
+the rest is eliminated.  The special family's Q, a permuted unitriangular
+matrix, is never eliminated.  Elimination touches only the rows with a
 nonzero entry in the pivot column, and in them only the columns between the
 pivot row's first and last nonzero right of the pivot (George and Liu's
 envelope; Q's blocks leave most of a row zero).  When int64 holds every
 update an entry can get, as at p = 32003, reduction is delayed: updates
 accumulate unreduced (Dumas, Giorgi and Pernet, arXiv:cs/0601133).
-Otherwise each update is reduced as it is made.  The GF(p) det first
-expands along every row with one nonzero in the columns left, round after
-round, and eliminates only the rest: the special family's Q, a permuted
-unitriangular matrix, is never eliminated.  Over the rationals ``det``,
+Otherwise each update is reduced as it is made.  Over the rationals ``det``,
 ``rank`` and ``kernel_basis`` work modulo CRT primes on the integer array
 with each row divided by its content: ``det`` by the CRT on GF(p) dets up to
 twice the Hadamard bound (for the random order-280 Q, 49-50 primes, about
@@ -154,7 +156,7 @@ class Field:
 
     def det(self, a: np.ndarray) -> int:
         """Determinant of a square integer array: over GF(p) ``_det_gf``,
-        expansion along rows of one nonzero and then elimination of what is
+        expansion along ``_peel``'s rows and then elimination of what is
         left, stopped at the first column without a pivot; over Q the Chinese
         remainder theorem on such determinants."""
         if self.p is None:
@@ -162,16 +164,18 @@ class Field:
         return _det_gf(a, self.p)
 
     def rank(self, a: np.ndarray) -> int:
-        """GF(p) elimination's pivot count, or over Q the pivot count of the
-        verified kernel of ``a`` or ``a``'s transpose, whichever has fewer
-        columns: the rank is the same and the kernel to lift is smaller."""
+        """Over GF(p) the rows ``_peel`` takes plus the pivots of the core's
+        elimination, or over Q the pivot count of the verified kernel of
+        ``a`` or ``a``'s transpose, whichever has fewer columns: the rank is
+        the same and the kernel to lift is smaller."""
         if self.p is None:
             return len(_kernel_qq(a if a.shape[1] <= a.shape[0] else a.T)[0])
-        return len(_echelon_gf(a, self.p, det_only=False)[1])
+        return len(_pivots_gf(a, self.p)[0])
 
     def kernel(self, a: np.ndarray) -> tuple[list[int], np.ndarray, list[int]]:
         """Pivot columns, an integer array whose columns are a right kernel
-        basis, and each column's denominator: ``_kernel_gf``, over Q ``_kernel_qq``."""
+        basis, and each column's denominator: ``_kernel_gf``, the core's
+        kernel with zeros at ``_peel``'s columns, over Q ``_kernel_qq``."""
         if self.p is None:
             return _kernel_qq(a)
         pivots, basis = _kernel_gf(a, self.p)
@@ -283,15 +287,17 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """self @ other over their one field.  An inner index whose row of
         ``other`` is zero adds only a·0, so ``Field.matmul`` multiplies only
-        the other indices: for Q·S only Q's first k block columns, since S
-        is zero below its first k block rows.  Every entry is the full sum's."""
+        views up to ``other``'s last nonzero row: for Q·S at most Q's first k
+        block columns, since S is zero below its first k block rows.  Every
+        entry is the full sum's."""
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
         a, b = self._a, other._a
-        inner = b.any(axis=1)
-        if not inner.all():
-            a, b = a[:, inner], b[inner]
+        rows = b.any(axis=1).nonzero()[0]
+        inner = int(rows[-1]) + 1 if rows.size else 0
+        if inner < len(b):
+            a, b = a[:, :inner], b[:inner]
         return ExactMatrix._wrap(self.field, *_lowest(self.field.matmul(a, b),
                                                       self._den * other._den))
 
@@ -321,7 +327,7 @@ class ExactMatrix:
         """:meth:`Field.det` of ``_a`` over ``_den`` to the order, kept once
         computed; a nonzero one also gives the rank.  It is never read off the
         elimination ``rank`` runs, so over GF(p) ``rank`` then ``det`` eliminates
-        twice, unless expansion along rows of one nonzero leaves nothing."""
+        twice, unless ``_peel`` leaves nothing."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.shape} matrix")
         if self._det is None:
@@ -463,50 +469,50 @@ def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list
     return a, pivots, det
 
 
-def _det_gf(a: np.ndarray, p: int) -> int:
-    """Determinant over GF(p) of a square array with canonical entries.
+def _peel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of one nonzero, peeled with their columns, and the core they leave.
 
-    Laplace expansion comes first: every row with exactly one nonzero among
-    the columns still left is expanded along at once; its entry multiplies
-    the det and its row and column are dropped, round after round until no
-    such row is left.  A row left with no nonzero, or two rows expanded
-    along one column, make the det zero.  The rest, rows and columns in
-    their original order, goes to ``_echelon_gf``.  With the expanded rows
-    and their columns ordered first the matrix is block lower triangular,
-    so the sign is the parity of that row order times that of the column
-    order.  A permuted triangular matrix, such as the special family's Q,
-    is never eliminated; one with no such row is eliminated as it is.
-    """
+    Round after round, every row with one nonzero among the columns left is
+    peeled with that column, one row per column; a row left with no nonzero
+    there, a zero row at once, is dropped.  With the peeled rows and columns
+    first ``a`` is [[T, 0], [X, C]], T permuted triangular with a nonzero
+    diagonal, and a dropped row, nonzero only in T's columns, is a
+    combination of T's rows: the rank is T's order plus C's, and the kernel
+    is C's, zero at T's columns.  Returns the peeled rows and their columns,
+    the core's rows and columns in their original order, and C: ``a`` itself
+    when nothing was peeled or dropped."""
     nz = a != 0
-    count = nz.sum(axis=1)  # each row's nonzeros in the columns left
-    least = count.min(initial=2)  # a 0 x 0 array has no row to expand along
-    if least != 1:
-        return 0 if least == 0 else _echelon_gf(a, p, det_only=True)[2]
-    order = len(a)
-    rows_left = np.ones(order, dtype=bool)
-    cols_left = np.ones(order, dtype=bool)
-    col_of = np.empty(order, dtype=np.int64)  # the column paired with each row
+    count = nz.sum(axis=1, dtype=np.int32)  # each row's nonzeros in the columns left
+    row_of = np.full(a.shape[1], -1)  # the row each column is peeled with
+    while (single := (count == 1).nonzero()[0]).size:
+        cols = (nz[single] & (row_of < 0)).argmax(axis=1)
+        row_of[cols] = single
+        cols = cols[row_of[cols] == single]  # of rows sharing a column, the one written
+        count -= nz[:, cols].sum(axis=1, dtype=np.int32)
+    cols, core_rows, core_cols = (x.nonzero()[0] for x in (row_of >= 0, count, row_of < 0))
+    core = a if core_rows.size == len(a) else a[core_rows[:, None], core_cols]
+    return row_of[cols], cols, core_rows, core_cols, core
+
+
+def _det_gf(a: np.ndarray, p: int) -> int:
+    """Determinant over GF(p) of a square array with canonical entries:
+    Laplace expansion along ``_peel``'s rows, 0 if it dropped one, times
+    ``_echelon_gf``'s det of the core.  Block triangular with the peeled rows
+    and columns first, the matrix's det is sign(row order) * sign(column
+    order) * det T * det C: the sign is that of the pairing of rows with
+    columns.  The special family's Q, permuted triangular, is never
+    eliminated; a matrix with no row of one nonzero is eliminated as it is."""
+    rows, cols, core_rows, core_cols, core = _peel(a)
+    if rows.size + core_rows.size < len(a):
+        return 0
     det = 1
-    while True:
-        rows = np.flatnonzero(rows_left & (count == 1))
-        if not rows.size:
-            break
-        cols = (nz[rows] & cols_left).argmax(axis=1)
-        if np.bincount(cols, minlength=order).max() > 1:
-            return 0
-        for x in a[rows, cols].tolist():
-            det = det * x % p
-        rows_left[rows] = cols_left[cols] = False
-        col_of[rows] = cols
-        count -= nz[:, cols].sum(axis=1)
-        if not count[rows_left].all():
-            return 0
-    core_rows, core_cols = np.flatnonzero(rows_left), np.flatnonzero(cols_left)
+    for x in a[rows, cols].tolist():
+        det = det * x % p
     if core_rows.size:
-        det = det * _echelon_gf(a[np.ix_(core_rows, core_cols)], p, det_only=True)[2] % p
-    col_of[core_rows] = core_cols
-    # sign(row order) * sign(column order) is the sign of the pairing
-    return det if _is_even(col_of.tolist()) else -det % p
+        det = det * _echelon_gf(core, p, det_only=True)[2] % p
+    col_of = np.empty(len(a), dtype=np.int64)
+    col_of[rows], col_of[core_rows] = cols, core_cols
+    return det if not rows.size or _is_even(col_of.tolist()) else -det % p
 
 
 def _is_even(perm: list[int]) -> bool:
@@ -524,20 +530,36 @@ def _is_even(perm: list[int]) -> bool:
     return (len(perm) - cycles) % 2 == 0
 
 
+def _pivots_gf(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray | None, list[int],
+                                               np.ndarray]:
+    """Pivot columns over GF(p): ``_peel``'s columns and those of the core's
+    elimination.  Also that elimination's echelon form (None when the peel
+    leaves no row) and pivots, and the core's columns."""
+    _, cols, core_rows, core_cols, core = _peel(a)
+    echelon, core_pivots = None, []
+    if core_rows.size:
+        echelon, core_pivots, _ = _echelon_gf(core, p, det_only=False)
+    pivots = sorted(cols.tolist() + core_cols[core_pivots].tolist())
+    return pivots, echelon, core_pivots, core_cols
+
+
 def _kernel_gf(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Pivot columns and right kernel basis over GF(p), the basis as the
     columns of an int64 array: for each free column f, 1 at f and 0 at the
-    other free columns.  Back-substitution runs over the pivot rows from the
-    last, one product per row for all the vectors at once."""
-    echelon, pivots, _ = _echelon_gf(a, p, det_only=False)
-    cols = a.shape[1]
-    free = sorted(set(range(cols)) - set(pivots))
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    basis[free, range(len(free))] = 1
+    other free columns.  The free columns are the core's (``_peel``), so the
+    basis is the core's, with zeros at the peeled columns.  Back-substitution
+    runs over the core's pivot rows from the last, one product per row for
+    all the vectors at once."""
+    pivots, echelon, core_pivots, core_cols = _pivots_gf(a, p)
+    free = sorted(set(range(core_cols.size)) - set(core_pivots))
+    vecs = np.zeros((core_cols.size, len(free)), dtype=np.int64)
+    vecs[free, range(len(free))] = 1
     if free:
-        for i, c in reversed(list(enumerate(pivots))):
-            tail = _matmul_gf(echelon[i:i + 1, c + 1:], basis[c + 1:], p)
-            basis[c] = tail[0] * (-pow(int(echelon[i, c]), -1, p) % p) % p
+        for i, c in reversed(list(enumerate(core_pivots))):
+            tail = _matmul_gf(echelon[i:i + 1, c + 1:], vecs[c + 1:], p)
+            vecs[c] = tail[0] * (-pow(int(echelon[i, c]), -1, p) % p) % p
+    basis = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    basis[core_cols] = vecs
     return pivots, basis
 
 
@@ -699,14 +721,16 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray, list[int]]:
     them, so only the most and earliest are joined.  A v = 0 is checked
     exactly, as one integer product of the rows and the basis over its
     column denominators (scales change no zero); v is nonzero only at f and
-    at pivots before f, so then f is free over Q too.  No vector to check
-    means full column rank mod p, hence over Q.  The entries are ratios of
-    minors, at most the Hadamard bound B, so the loop ends once the joined
-    primes pass 2B**2."""
+    at pivots before f, so then f is free over Q too.  Full column rank mod
+    p is full column rank over Q: such a prime returns at once, with nothing
+    to lift or check.  The entries are ratios of minors, at most the
+    Hadamard bound B, so the loop ends once the joined primes pass 2B**2."""
     ints = _primitive(a)[0]
     pivots, joined, m = None, None, 1
     for p, residues in _crt_images(ints):
         piv, vecs = _kernel_gf(residues, p)
+        if len(piv) == a.shape[1]:
+            return piv, vecs, []
         if pivots is None or (len(piv), pivots) > (len(pivots), piv):  # more or earlier
             pivots, joined, m = piv, np.zeros(vecs.shape, dtype=object), 1
         elif piv != pivots:
@@ -714,7 +738,7 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray, list[int]]:
         joined += m * ((vecs.astype(object) - joined) * pow(m, -1, p) % p)
         m *= p
         lifted = _lift(joined, m)
-        if lifted is not None and (not lifted[0].size or not _matmul_zz(ints, lifted[0]).any()):
+        if lifted is not None and not _matmul_zz(ints, lifted[0]).any():
             return pivots, *lifted
 
 

@@ -15,8 +15,9 @@ class Elimination(str):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The GF(p) eliminations run from here on, the only kind there is:
-    "gf" or "gf det", each with the shape of its array."""
+    """The GF(p) eliminations run from here on, the only kind there is, each
+    of the core ``exact._peel`` left: "gf" or "gf det", each with the shape
+    of its array.  A matrix the peel takes whole is never eliminated."""
     calls = []
     gf = exact._echelon_gf
 

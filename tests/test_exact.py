@@ -197,9 +197,11 @@ def test_mat_mul_dropping_zero_rows_matches_oracle(case):
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (3, 4)])
 def test_q_times_s_multiplies_only_the_columns_of_q_that_meet_s(monkeypatch, n, k):
-    # S is zero below its first k block rows, so of Q's columns only the
+    # S is zero below its first k block rows, so of Q's columns at most the
     # k * (2n + 2k) of its first k block columns reach the product: all of
-    # them at n = k = 1, 56 of 280 at (3, 4)
+    # them at n = k = 1, 56 of 280 at (3, 4).  The factors are views of Q's
+    # and S's arrays cut at S's last nonzero row, which is earlier when the
+    # last block of S ends in zero rows
     d = gen_isotropic_orthogonal(n, k, 101, seed=13 * n + k).data
     q, s = build_q(d).matrix, build_syzygy(d).matrix
     calls, matmul = [], Field.matmul
@@ -210,8 +212,10 @@ def test_q_times_s_multiplies_only_the_columns_of_q_that_meet_s(monkeypatch, n, 
 
     monkeypatch.setattr(Field, "matmul", spy)
     assert (q @ s).is_zero()
-    inner = k * (2 * n + 2 * k)
+    inner = 1 + max(i for i in range(s.rows) if any(s._a[i]))
+    assert inner <= k * (2 * n + 2 * k)
     assert [(a.shape, b.shape) for a, b in calls] == [((q.rows, inner), (inner, s.cols))]
+    assert all(np.shares_memory(x, m._a) for x, m in zip(calls[0], (q, s)))
     # a right factor without a zero row goes in whole, not gathered
     calls.clear()
     assert q @ ExactMatrix.identity(d.field, q.cols) == q
@@ -432,6 +436,130 @@ def test_det_eliminates_only_what_expansion_leaves(eliminations):
     assert eliminations == ["gf det"] and eliminations[0].shape == (2, 2)
 
 
+# -- the peel that det, rank and kernel_basis share ---------------------------------
+
+PEEL_FIELDS = [GF(3), GF101, GF(2147483629), QQ]
+PEEL_KINDS = ["plain", "zero row", "shared column", "emptying row", "crt zero"]
+
+
+@st.composite
+def peelable_matrices(draw):
+    """Matrices that peel in part, in any shape, 0 included: the rows and
+    columns of [[L, 0], [X, C]] permuted, L lower triangular with a nonzero
+    diagonal and sparse below it, over a core C of entries, some zero.  Then
+    one of: a zero row; two rows cut to one nonzero in one column; a row
+    whose nonzeros all lie in L's columns, so that it empties once they are
+    peeled; or, over Q, entries that are multiples of the first CRT prime,
+    so that modulo it more rows have one nonzero, or none."""
+    field = draw(st.sampled_from(PEEL_FIELDS))
+    t = draw(st.integers(0, 7))  # L's order; C is (rows - t) x (cols - t)
+    rows, cols = t + draw(st.integers(0, 4)), t + draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(PEEL_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p1 = next(exact._crt_primes())
+
+    def entry(nonzero=False):
+        x = int(rng.integers(1 if nonzero else 0, 10)) * int(rng.choice([-1, 1]))
+        if field.p is None:
+            return Fraction(x * (p1 if kind == "crt zero" and rng.random() < 0.4 else 1),
+                            int(rng.integers(1, 6)))
+        return x if field.p > 9 else int(rng.integers(1 if nonzero else 0, field.p))
+
+    density = rng.random()
+    b = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(i if i < t else cols):
+            b[i][j] = entry() if i >= t or rng.random() < density else 0
+        if i < t:
+            b[i][i] = entry(nonzero=True)
+    if kind == "zero row" and rows:
+        b[int(rng.integers(0, rows))] = [0] * cols
+    elif kind == "shared column" and rows >= 2 and cols:
+        i, k = rng.choice(rows, size=2, replace=False).tolist()
+        j = int(rng.integers(0, cols))
+        b[i], b[k] = [0] * cols, [0] * cols
+        b[i][j], b[k][j] = entry(nonzero=True), entry(nonzero=True)
+    elif kind == "emptying row" and t >= 2 and rows > t:
+        b[int(rng.integers(t, rows))] = [entry(nonzero=True) if j < t else 0 for j in range(cols)]
+    row_order, col_order = rng.permutation(rows).tolist(), rng.permutation(cols).tolist()
+    if not rows * cols:
+        return ExactMatrix.zeros(field, rows, cols)
+    return ExactMatrix(field, [[b[i][j] for j in col_order] for i in row_order])
+
+
+def reference_pivots_and_det(m: ExactMatrix) -> tuple[list[int], object]:
+    """Pivot columns and, for square m, det m: by Bareiss over Q, by
+    ``echelon_gf_reference`` over GF(p)."""
+    if m.field.p is None:
+        _, pivots, det = bareiss_echelon(m)
+    else:
+        _, pivots, det = echelon_gf_reference(m._a, m.field.p, False)
+    return pivots, m.field.coerce(det)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=peelable_matrices())
+@example(m=ExactMatrix(QQ, [[next(exact._crt_primes()), 1, 0], [0, 1, 0], [0, 0, 1]]))
+@example(m=ExactMatrix(GF(3), [[1, 1, 0, 0], [0, 1, 0, 0], [0, 2, 0, 0], [2, 0, 1, 1]]))
+def test_partly_peeled_matrices_match_the_oracles(m):
+    # every peeled column is a pivot and every kernel vector is zero there,
+    # so the pivots, the kernel in its normal form, the rank and the det are
+    # those of elimination of the whole matrix
+    pivots, det = reference_pivots_and_det(m)
+    assert m.field.kernel(m._a)[0] == pivots
+    assert m.rank() == len(pivots)
+    assert columns(m.kernel_basis()) == kernel_oracle(m)
+    if m.rows == m.cols:
+        assert ExactMatrix._wrap(m.field, m._a, m._den).det() == det
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=peelable_matrices())
+def test_partly_peeled_matrices_match_sympy(sympy_oracle, m):
+    to_sympy, from_sympy = sympy_oracle
+    assert m.rank() == to_sympy(m).rank()
+    assert columns(m.kernel_basis()) == sympy_kernel(sympy_oracle, m)
+    if m.rows == m.cols:
+        assert m.det() == from_sympy(m.field, to_sympy(m).det())
+
+
+@pytest.mark.parametrize("field", [GF101, GF(2147483629), QQ])
+def test_fully_peeled_matrices_are_never_eliminated(eliminations, field):
+    # a permuted unitriangular matrix; below it a row that empties once its
+    # columns are peeled, and a row that shares its one nonzero's column with
+    # a row of the triangle; beside it zero columns, which are free
+    rng = np.random.default_rng(8)
+    lower = np.tril(rng.integers(-3, 4, size=(6, 6)), -1) + np.eye(6, dtype=np.int64)
+    tall = np.vstack([lower, [[2, 0, -1, 0, 0, 0], [0, 0, 0, 0, 0, 5]]])
+    wide = np.hstack([lower, np.zeros((6, 2), dtype=np.int64)])
+    for a in (lower, tall, wide):
+        rows, cols = rng.permutation(a.shape[0]), rng.permutation(a.shape[1])
+        m = ExactMatrix(field, a[rows][:, cols].tolist())
+        assert m.rank() == 6 == len(reference_pivots_and_det(m)[0])
+        assert columns(m.kernel_basis()) == kernel_oracle(m)
+        if m.rows == m.cols:
+            assert ExactMatrix(field, m.tolist()).det() == reference_pivots_and_det(m)[1] != 0
+    assert eliminations == []
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ])
+def test_special_q_peels_whole_and_random_q_is_eliminated_once(eliminations, field):
+    # the special family's Q is a permuted unitriangular matrix: its rank and
+    # kernel eliminate nothing.  A Q of random blocks has no row of one
+    # nonzero, so its rank eliminates it as it is, once: over Q its first
+    # prime shows full column rank, which leaves nothing to lift
+    special = build_q(gen_special_symplectic(2, 3, field, probe_trials=1,
+                                             compute_det=False).data).matrix
+    rng = np.random.default_rng(2)
+    q = build_q(MonadData(2, 3, field, tuple(ExactMatrix.random(field, 6, 10, rng)
+                                             for _ in range(3)))).matrix
+    del eliminations[:]
+    assert special.rank() == special.rows and special.kernel_basis() == []
+    assert eliminations == []
+    assert q.rank() == q.rows
+    assert eliminations == ["gf"] and eliminations[0].shape == q.shape
+
+
 # -- primes and the rational determinant by the Chinese remainder theorem --------
 
 
@@ -550,21 +678,25 @@ def test_kernel_basis_large_prime_chunking(p):
     assert all((m @ v).is_zero() for v in basis)
 
 
-def test_crt_rank_survives_primes_that_lower_it(eliminations):
+def test_crt_rank_survives_primes_that_lower_it(monkeypatch):
     # modulo the first CRT prime, or the first two, the rank is below the rank
     # over Q; the kernel lifted from them fails A v = 0, and the prime that
     # shows the rank ends it.  In the 3 x 3 case the only nonzero 2 x 2 minor
-    # is p1 * p2 (times 4 when scaled by 2/7)
+    # is p1 * p2 (times 4 when scaled by 2/7).  The first matrix peels whole
+    # at every prime, so the primes are counted as modular kernels, not as
+    # eliminations
     p1, p2 = itertools.islice(exact._crt_primes(), 2)
+    visited, kernel_gf = [], exact._kernel_gf
+    monkeypatch.setattr(exact, "_kernel_gf", lambda a, p: visited.append(p) or kernel_gf(a, p))
     minor = [[1, 1, 0], [1, 1 + p1 * p2, 0], [0, 0, 0]]
     for rows, scale, rank, primes in [([[p1, 1, 0], [0, 1, 0], [0, 0, 1]], 1, 3, 2),
                                       (minor, 1, 2, 3), (minor, Fraction(2, 7), 2, 3)]:
         for p in (p1, p2)[:primes - 1]:
             assert ExactMatrix(GF(p), rows).rank() < rank
         m = scaled(ExactMatrix(QQ, rows), scale)
-        del eliminations[:]
+        del visited[:]
         assert m.rank() == rank
-        assert eliminations == ["gf"] * primes
+        assert visited == list(itertools.islice(exact._crt_primes(), primes))
 
 
 def test_kernel_basis_survives_primes_that_lose_or_move_pivots(eliminations):
