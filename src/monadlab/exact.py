@@ -20,13 +20,17 @@ rank and kernel share: round after round, every row with one nonzero in
 the columns left is taken with that column (singletons, the first step of
 sparse LU; Davis, Direct Methods for Sparse Linear Systems, 2006), and only
 the rest is eliminated.  The special family's Q, a permuted unitriangular
-matrix, is never eliminated.  Elimination touches only the rows with a
-nonzero entry in the pivot column, and in them only the columns between the
-pivot row's first and last nonzero right of the pivot (George and Liu's
-envelope; Q's blocks leave most of a row zero).  When int64 holds every
-update an entry can get, as at p = 32003, reduction is delayed: updates
-accumulate unreduced (Dumas, Giorgi and Pernet, arXiv:cs/0601133).
-Otherwise each update is reduced as it is made.  Over the rationals ``det``,
+matrix, is never eliminated.  Elimination works ``_PANEL`` columns at a
+time: in a panel it touches only the rows with a nonzero there, column by
+column, and it brings them up to date right of the panel with one product,
+over the columns between the panel's pivot rows' first and last nonzero
+there (George and Liu's envelope; Q's blocks leave most of a row zero).
+That product is one float64 BLAS call, exact while every partial sum stays
+below 2**53 (as at p = 32003), else ``_matmul_gf``'s int64 one (Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008).  When int64 holds every update an
+entry can get, as at p = 32003, reduction is delayed: updates accumulate
+unreduced (the same authors, arXiv:cs/0601133).  Otherwise each update is
+reduced as it is made.  Over the rationals ``det``,
 ``rank`` and ``kernel_basis`` work modulo CRT primes on the integer array
 with each row divided by its content: ``det`` by the CRT on GF(p) dets up to
 twice the Hadamard bound (for the random order-280 Q, 49-50 primes, about
@@ -52,6 +56,8 @@ _PRIME_LIMIT = 2**31
 # int64 headroom for sums of products below p**2: ``_matmul_gf`` chunks its
 # sums to it, and ``_echelon_gf`` delays reduction only while updates fit in it
 _INT64_BUDGET = 2**62
+# columns per panel of ``_echelon_gf``
+_PANEL = 32
 
 
 class MatrixFormatError(ValueError):
@@ -91,6 +97,9 @@ class Field:
 
     Besides scalars, a field owns the work on the integer arrays of matrices
     over it: storage of entries, reduction, products, det, rank and kernel.
+    Over GF(p) det, rank and kernel run one elimination, ``_echelon_gf``,
+    whose panels' products are float64 BLAS products where that is exact,
+    so their speed depends on numpy's BLAS but their results do not.
     """
 
     __slots__ = ("p",)
@@ -390,82 +399,132 @@ def _matmul_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _dot_gf(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b for int64 arrays with entries in [0, p), as int64 entries that
+    are congruent to it mod p and at most the inner dimension times
+    (p - 1)**2: one float64 BLAS product when that bound is below 2**53, so
+    every partial sum is an exact float64 integer (Dumas, Giorgi and Pernet,
+    ACM TOMS 35(3), 2008), else ``_matmul_gf``."""
+    if a.shape[1] * (p - 1) ** 2 < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return _matmul_gf(a, b, p)
+
+
 def _echelon_gf(a: np.ndarray, p: int, det_only: bool) -> tuple[np.ndarray, list[int], int]:
     """Row echelon form over GF(p), pivot columns and, for square ``a``, the
     determinant (zero once a column has no pivot); the kernel is ``a``'s.
 
-    The rank-1 update of the rows below covers only the columns [lo, hi)
-    from the pivot row's first to its last nonzero right of the pivot: the
-    pivot row is canonical, so elsewhere it would subtract factor * 0.  A
-    pivot row with no such nonzero updates nothing, and only the pivot
-    column of the rows below is cleared.
+    Right-looking and blocked, ``_PANEL`` columns at a time.  The live rows,
+    those at or below the rank with a nonzero in the panel, are gathered
+    into a compact array, in row order.  Column after column, the first of
+    them with a nonzero becomes the pivot and takes the rank's position, the
+    row there taking the pivot's, and the column is cleared from the rows
+    below it up to the last with a nonzero there.  When columns are left
+    right of the panel, each live row also carries its coefficients of the
+    panel's pivot rows as they were at its start, so one ``_dot_gf`` of them
+    and the pivot rows' span there, from their first to their last nonzero,
+    brings every live row up to date: the pivot rows to U12 = L11^-1 * A12,
+    the others to A22 - L21 * U12.  Rows with no nonzero in the panel are
+    left as they are, but for the swaps.
 
     Reduction is decided once: an update moves an entry by less than p**2,
     since the factor and the pivot row are canonical, and an entry gets at
-    most one per pivot.  When min(rows, cols) updates fit in
-    ``_INT64_BUDGET`` (``delayed``: at any size for p = 32003, up to order
-    16 at the CRT primes, order 1 just below 2**31) none is reduced, and
-    only what elimination reads is: the stored nonzeros of the pivot column,
-    since a nonzero multiple of p must not become the pivot, and the pivot
-    row.  Otherwise every update is reduced as it is made, and nothing on read.
+    most one per pivot; a panel's product adds at most (p - 1)**2 per pivot
+    of the panel.  When min(rows, cols) updates fit in ``_INT64_BUDGET``
+    (``delayed``: at any size for p = 32003, up to order 16 at the CRT
+    primes, order 1 just below 2**31) none is reduced, and only what
+    elimination reads is: the pivot column, since a nonzero multiple of p
+    must not become the pivot, the pivot row, a product's two factors, and
+    the panel's columns as they are written back.  Otherwise every update
+    is reduced as it is made.
 
-    Entries that elimination makes zero are stored as exact zeros: the
-    eliminated column of the updated rows, and pivot-column entries that
-    reduce to zero.  Pivot rows are canonical once chosen and every other
-    entry is such a zero, so the result needs no final reduction and is the
-    array that reducing at every step gives.  When ``det_only`` stops early,
-    the rows it did not finish are left as they are, right only mod p.
+    Entries that elimination makes zero are stored as exact zeros, pivot
+    rows are canonical, and the result is the array that eliminating one
+    column at a time and reducing at every step gives.  When ``det_only``
+    stops early, the panel's product is still made, and the rows it did not
+    finish are right only mod p.
     """
     a = a.copy()
     rows, cols = a.shape
     delayed = _INT64_BUDGET // p**2 >= min(rows, cols)
     pivots: list[int] = []
     det = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
+    for c0 in range(0, cols, _PANEL):
+        r0 = len(pivots)
+        if r0 == rows:
             break
-        col = a[r:, c]
-        nz = col.nonzero()[0]
-        vals = col[nz]
-        if delayed:
-            vals %= p
-            keep = vals.nonzero()[0]
-            if keep.size < nz.size:
-                col[nz] = vals
-                nz, vals = nz[keep], vals[keep]
-        if nz.size == 0:
-            det = 0
-            if det_only:
+        c1 = min(c0 + _PANEL, cols)
+        w, more = c1 - c0, c1 < cols  # more: columns are left right of the panel
+        live = r0 + a[r0:, c0:c1].any(axis=1).nonzero()[0]
+        # the live rows' panel columns, then, if more, their coefficients; the
+        # panel's pivot rows first, in pivot order, then the rest in row order
+        panel = np.zeros((live.size, 2 * w if more else w), dtype=np.int64)
+        panel[:, :w] = a[live, c0:c1]
+        # the live rows' positions, and {position: row} for the other rows moved
+        pos, at = live.tolist(), {}
+        t = 0  # the panel's pivots so far
+        for j in range(w):
+            r = r0 + t
+            if r == rows:
                 break
-            continue
-        if nz[0]:
-            i = r + int(nz[0])
-            row = a[i, c:].copy()
-            a[i, c:] = a[r, c:]
-            a[r, c:] = row
-            det = -det
-        if delayed:
-            a[r, c:] %= p
-        piv = int(vals[0])
-        det = det * piv % p
-        if nz.size > 1:
-            span = a[r, c + 1:].nonzero()[0]
-            if span.size:
-                lo, hi = c + 1 + int(span[0]), c + 2 + int(span[-1])
-                # after the swap the rows below r with a nonzero in column c
-                # are exactly r + nz[1:]; every other row is left as it is.  A
-                # run of consecutive rows is updated through a view, with no gather
-                below = r + nz[1:]
-                if below[-1] - below[0] == below.size - 1:
-                    below = slice(below[0], below[-1] + 1)
-                factors = vals[1:] * pow(piv, -1, p) % p
+            col = panel[t:, j]
+            if delayed:
+                col %= p
+            nz = col.nonzero()[0]
+            if nz.size == 0:
+                det = 0
+                if det_only:
+                    break
+                continue
+            k = t + int(nz[0])
+            if pos[k] != r:  # the pivot takes position r, the row there its position
+                det = -det
+                if pos[t] == r:  # a live row: the two swap
+                    into, order = [t, k], [k, t]
+                else:  # the others keep their order
+                    at[pos[k]] = at.pop(r, r)
+                    pos[t:k + 1] = [r, *pos[t:k]]
+                    into, order = range(t, k + 1), [k, *range(t, k)]
+                panel[into] = panel[order]
+                live[into] = live[order]
+            row = panel[t, j:w + t + 1 if more else w]
+            if delayed:
+                row %= p
+            piv = int(row[0])
+            det = det * piv % p
+            if more:
+                row[-1] = 1  # its coefficient of itself
+            if nz.size > 1:
+                # the pivot column too, left a multiple of p that the write-back makes 0
+                below = panel[t + 1:t + int(nz[-1]) + 1, j:j + row.size]
+                update = (below[:, 0] * pow(piv, -1, p) % p)[:, None] * row
                 if delayed:
-                    a[below, lo:hi] -= factors[:, None] * a[r, lo:hi]
+                    below -= update
                 else:
-                    a[below, lo:hi] = (a[below, lo:hi] - factors[:, None] * a[r, lo:hi]) % p
-            col[nz[1:]] = 0
-        pivots.append(c)
+                    below[...] = (below - update) % p
+            pivots.append(c0 + j)
+            t += 1
+        a[live, c0:c1] = panel[:, :w] % p if delayed else panel[:, :w]
+        if more and t:
+            u12 = a[live[:t], c1:]
+            span = u12.any(axis=0).nonzero()[0]
+            if span.size:
+                lo, hi = int(span[0]), int(span[-1]) + 1
+                update = _dot_gf(panel[:, w:w + t] % p, u12[:, lo:hi] % p, p)
+                span = slice(c1 + lo, c1 + hi)
+                a[live[:t], span] = update[:t] % p
+                if delayed:
+                    a[live[t:], span] += update[t:]
+                else:
+                    a[live[t:], span] = (a[live[t:], span] + update[t:]) % p
+        # the rows whose position changed move there
+        moved = [(d, s) for d, s in zip([*range(r0, r0 + t), *pos[t:], *at],
+                                        [*live.tolist(), *at.values()]) if d != s]
+        if moved:
+            d, s = zip(*moved)
+            a[list(d), c0:] = a[list(s), c0:]
+        if det_only and not det:
+            break
     return a, pivots, det
 
 
@@ -721,14 +780,27 @@ def _kernel_qq(a: np.ndarray) -> tuple[list[int], np.ndarray, list[int]]:
     them, so only the most and earliest are joined.  A v = 0 is checked
     exactly, as one integer product of the rows and the basis over its
     column denominators (scales change no zero); v is nonzero only at f and
-    at pivots before f, so then f is free over Q too.  Full column rank mod
-    p is full column rank over Q: such a prime returns at once, with nothing
-    to lift or check.  The entries are ratios of minors, at most the
-    Hadamard bound B, so the loop ends once the joined primes pass 2B**2."""
-    ints = _primitive(a)[0]
+    at pivots before f, so then f is free over Q too.  The entries are
+    ratios of minors, at most the Hadamard bound B, so the loop ends once
+    the joined primes pass 2B**2.
+
+    The first prime runs on the rows as given: full column rank mod p is
+    full column rank over Q, and then the call returns at once, with no row
+    made primitive and nothing to lift or check.  Only a kernel there makes
+    the rows primitive.  A row divided by a content prime to p spans the
+    same line mod p, so that prime's kernel is joined as it is unless p
+    divides a content."""
+    p, residues = next(_crt_images(a))
+    known = _kernel_gf(residues, p)
+    if len(known[0]) == a.shape[1]:
+        return *known, []
+    ints, contents = _primitive(a)
+    if any(c % p == 0 for c in contents if c):
+        known = None
     pivots, joined, m = None, None, 1
     for p, residues in _crt_images(ints):
-        piv, vecs = _kernel_gf(residues, p)
+        piv, vecs = known or _kernel_gf(residues, p)
+        known = None
         if len(piv) == a.shape[1]:
             return piv, vecs, []
         if pivots is None or (len(piv), pivots) > (len(pivots), piv):  # more or earlier

@@ -4,14 +4,16 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monadlab import (GF, QQ, ExactMatrix, Field, MatrixFormatError, MonadData, build_q,
-                      build_syzygy, format_matrix, format_monad, gen_isotropic_orthogonal,
-                      gen_special_symplectic, parse_field, parse_monad)
+from monadlab import (GF, ORTHOGONAL_IDENTITY, QQ, ExactMatrix, Field, MatrixFormatError,
+                      MonadData, Point, build_q, build_syzygy, canonical_j, evaluate_a,
+                      format_matrix, format_monad, gen_isotropic_orthogonal,
+                      gen_special_symplectic, max_rank_probe, parse_field, parse_monad)
 from monadlab import exact
 from monadlab.exact import _echelon_gf, _full_row_rank_gf
 from oracles import (MERSENNE, _permutation_sign, assert_canonical, bareiss_echelon,
@@ -764,6 +766,33 @@ def test_kernel_basis_over_q_clears_the_matrix_once_per_call(monkeypatch):
     assert columns(basis) == kernel_oracle(m) and len(basis) == 1
 
 
+def test_rational_kernel_makes_rows_primitive_only_for_a_kernel(monkeypatch):
+    # the first prime runs on the rows as given, and full column rank there
+    # ends the call with no row made primitive.  A kernel makes the rows
+    # primitive, and that prime's kernel is joined as it is, unless the prime
+    # divides a row's content: the rows as given then lose a pivot modulo p1
+    # that the primitive rows keep, and p1 runs again on those
+    p1 = next(exact._crt_primes())
+    calls, visited = [], []
+    primitive, kernel_gf = exact._primitive, exact._kernel_gf
+
+    def spy(a, p):
+        pivots, basis = kernel_gf(a, p)
+        visited.append((p, pivots))
+        return pivots, basis
+
+    monkeypatch.setattr(exact, "_primitive", lambda a: calls.append(a) or primitive(a))
+    monkeypatch.setattr(exact, "_kernel_gf", spy)
+    for rows, first in [([[2, 4], [3, 7]], [(p1, [0, 1])]),
+                        ([[2, 4, 6], [1, 1, 1]], [(p1, [0, 1])]),
+                        ([[p1, 2 * p1, 3 * p1], [1, 1, 1]], [(p1, [0]), (p1, [0, 1])])]:
+        m = ExactMatrix(QQ, rows)
+        del calls[:], visited[:]
+        assert columns(m.kernel_basis()) == kernel_oracle(m)
+        assert visited[:len(first)] == first and (p1, [0, 1]) not in visited[len(first):]
+        assert calls == ([] if len(rows[0]) == 2 else [m._a])
+
+
 @pytest.mark.parametrize("dependent", [1, 2])
 def test_kernel_reconstruction_runs_euclid_once_per_denominator(monkeypatch, dependent):
     # a kernel vector's entries share one denominator d: once Euclid has found
@@ -1287,18 +1316,11 @@ def assert_echelon_gf_matches_reference(a, p):
         assert (pivots, det) == (expected_pivots, expected_det)
 
 
-@settings(max_examples=200, deadline=None)
-@given(p=st.sampled_from([3, 101, 32003, P30, 2147483629]), rows=st.integers(0, 24),
-       cols=st.integers(0, 24),
-       kind=st.sampled_from(["dense", "sparse", "product", "repeats", "staircase"]),
-       seed=st.integers(0, 2**32 - 1))
-def test_echelon_gf_matches_reference(p, rows, cols, kind, seed):
-    # headroom: 5e17 / 4.5e14 / 4.5e9 / 4 / 1 updates, so at the two largest
-    # primes most shapes reduce every update as it is made and the rest delay
-    # reduction; products and repeated rows cancel to nonzero multiples of p
-    # that must not become pivots
+KINDS = ["dense", "sparse", "product", "repeats", "staircase"]
+
+
+def echelon_sample(p, rows, cols, kind, rng):
     field = GF(p)
-    rng = np.random.default_rng(seed)
     a = field.sample(rng, (rows, cols), 0)
     if kind == "sparse":
         a[rng.random(a.shape) < 0.6] = 0
@@ -1319,7 +1341,62 @@ def test_echelon_gf_matches_reference(p, rows, cols, kind, seed):
             if rng.random() < 0.3:
                 a[i, :end - 1] = 0
         a[rng.random(a.shape) < 0.3] = 0
-    assert_echelon_gf_matches_reference(a, p)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 101, 32003, P30, 2147483629]), rows=st.integers(0, 24),
+       cols=st.integers(0, 24), kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_echelon_gf_matches_reference(p, rows, cols, kind, seed):
+    # headroom: 5e17 / 4.5e14 / 4.5e9 / 4 / 1 updates, so at the two largest
+    # primes most shapes reduce every update as it is made and the rest delay
+    # reduction; products and repeated rows cancel to nonzero multiples of p
+    # that must not become pivots
+    assert_echelon_gf_matches_reference(echelon_sample(p, rows, cols, kind,
+                                                       np.random.default_rng(seed)), p)
+
+
+# -- panels: the elimination works _PANEL columns at a time ------------------------
+
+W = exact._PANEL
+
+
+def panel_shapes(widths):
+    # a panel width and a shape of up to three panels of it
+    return st.sampled_from(widths).flatmap(
+        lambda w: st.tuples(st.just(w), st.integers(0, 3 * w), st.integers(0, 3 * w)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([3, 101, 32003, P30, 2147483629]), shape=panel_shapes([W, 1, 3, 8]),
+       kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1),
+       blank=st.lists(st.integers(0, 3 * W - 1), max_size=2))
+# a column without a pivot first in a panel, then last in one: the panel goes on
+# past it, and a det_only stop there still brings the rows below up to date
+@example(p=101, shape=(W, 2 * W + 5, 2 * W + 5), kind="dense", seed=0, blank=[W])
+@example(p=32003, shape=(W, 3 * W, 3 * W), kind="dense", seed=1, blank=[2 * W - 1])
+# a det_only stop in the middle of a panel, the last one and an earlier one
+@example(p=P30, shape=(W, 2 * W + 9, 2 * W + 9), kind="sparse", seed=2, blank=[W + 4])
+@example(p=32003, shape=(W, 3 * W, 3 * W), kind="staircase", seed=3, blank=[W + W // 2])
+# the rows run out in the middle of a panel, by count and by rank: the panel's
+# later columns find no live row with a nonzero
+@example(p=101, shape=(W, W + 5, 3 * W), kind="dense", seed=4, blank=[])
+@example(p=2147483629, shape=(W, 3 * W, 2 * W + 7), kind="product", seed=5, blank=[])
+@example(p=32003, shape=(W, 2 * W + 3, 3 * W), kind="repeats", seed=6, blank=[])
+# 0-sized shapes
+@example(p=101, shape=(W, 0, 3 * W), kind="dense", seed=0, blank=[])
+@example(p=101, shape=(W, 3 * W, 0), kind="dense", seed=0, blank=[])
+@example(p=101, shape=(W, 0, 0), kind="dense", seed=0, blank=[])
+def test_panel_elimination_matches_reference(p, shape, kind, seed, blank):
+    # the panels gather their live rows, swap them in row order with the rows
+    # that hold no nonzero there (staircase and sparse rows), and bring the rest
+    # up to date with one product: the same echelon array, pivots and det as one
+    # column at a time, for the module's panel width and narrower ones
+    w, rows, cols = shape
+    a = echelon_sample(p, rows, cols, kind, np.random.default_rng(seed))
+    a[:, [c for c in blank if c < cols]] = 0
+    with mock.patch.object(exact, "_PANEL", w):
+        assert_echelon_gf_matches_reference(a, p)
 
 
 def _max_growth_lu(rows, cols, p):
@@ -1364,3 +1441,98 @@ def test_echelon_gf_matches_reference_on_special_q_near_2_31():
     q = build_q(data).matrix
     assert q.shape == (1260, 1260)
     assert_echelon_gf_matches_reference(q._a, p)
+
+
+def product_calls(monkeypatch, name):
+    # (left factor's shape, p) of each call of exact.<name> from here on
+    calls, product = [], getattr(exact, name)
+
+    def spy(a, b, p):
+        calls.append((a.shape, p))
+        return product(a, b, p)
+
+    monkeypatch.setattr(exact, name, spy)
+    return calls
+
+
+def test_echelon_gf_matches_reference_on_filled_in_q_over_gf32003(monkeypatch):
+    # the filled-in Q of the test above over GF(32003): reduction delayed at any
+    # size, and every panel's product one float64 BLAS call; at P30 the same
+    # elimination takes _matmul_gf's chunked int64 product
+    rng = np.random.default_rng(7)
+    blocks = tuple(ExactMatrix.random(GF(32003), 8, 14, rng) for _ in range(4))
+    q = build_q(MonadData(3, 4, GF(32003), blocks)).matrix
+    products = product_calls(monkeypatch, "_matmul_gf")
+    assert_echelon_gf_matches_reference(q._a, 32003)
+    assert products == []
+    _echelon_gf(q._a % P30, P30, False)
+    assert products and {p for _, p in products} == {P30}
+
+
+def _prime_from(n, step):
+    while not exact._is_prime(n):
+        n += step
+    return n
+
+
+# the largest prime with _PANEL * (p - 1)**2 < 2**53, where a panel's product is
+# one float64 BLAS call and exact, and the next prime, where it is int64
+FLOAT_TOP = _prime_from(math.isqrt((2**53 - 1) // W) + 1, -1)
+FLOAT_NEXT = _prime_from(FLOAT_TOP + 2, 2)
+
+
+@pytest.mark.parametrize("p", [FLOAT_TOP, FLOAT_NEXT])
+def test_dot_gf_takes_the_int64_product_past_the_float64_bound(p, monkeypatch):
+    # W - 1 products (p - 1)**2 and one (p - 2)**2: the sum is odd, and past
+    # the bound it is above 2**53, where float64 holds only even integers
+    assert W * (FLOAT_TOP - 1) ** 2 < 2**53 <= W * (FLOAT_NEXT - 1) ** 2
+    a = np.full((1, W), p - 1, dtype=np.int64)
+    a[0, -1] = p - 2
+    exact_sum = (W - 1) * (p - 1) ** 2 + (p - 2) ** 2
+    float_sum = int((a.astype(np.float64) @ a.T.astype(np.float64))[0, 0])
+    assert (float_sum == exact_sum) == (p == FLOAT_TOP)
+    products = product_calls(monkeypatch, "_matmul_gf")
+    assert int(exact._dot_gf(a, a.T.copy(), p)[0, 0]) % p == exact_sum % p
+    assert products == ([] if p == FLOAT_TOP else [((1, W), p)])
+
+
+@pytest.mark.parametrize("p", [32003, FLOAT_TOP, FLOAT_NEXT])
+def test_echelon_gf_exact_at_the_float64_bound(p, monkeypatch):
+    # the most growth elimination allows, in square, wide and tall shapes of
+    # two and three panels; every panel has W pivots, so its product sums W
+    # terms, each up to (p - 1)**2, and only past the bound is it int64
+    shapes = ((2 * W, 2 * W), (3 * W, 3 * W), (2 * W, 3 * W + 5), (3 * W + 5, 2 * W))
+    cases = [_max_growth_lu(rows, cols, p) for rows, cols in shapes]
+    products = product_calls(monkeypatch, "_matmul_gf")
+    for a in cases:
+        assert_echelon_gf_matches_reference(a, p)
+    assert bool(products) == (p == FLOAT_NEXT)
+    assert all(shape[1] == W for shape, _ in products)
+
+
+def test_one_panel_makes_no_product(monkeypatch, eliminations):
+    # a matrix of at most _PANEL columns is one panel: it carries no
+    # coefficients and makes no product, so the rational ranks at small orders,
+    # the probe's A(x) and the pairing's det pay nothing for the panels.  A
+    # wider one makes one product per panel with pivots and columns right of
+    # it, inside its one elimination
+    d = gen_isotropic_orthogonal(2, 4, 101, 0).data
+    products = product_calls(monkeypatch, "_dot_gf")
+    rng = np.random.default_rng(40)
+    for field in (GF101, GF(32003), QQ):
+        for rows, cols in ((W, W), (3 * W, W), (5, W), (W + 3, 7)):
+            m = ExactMatrix.random(field, rows, cols, rng)
+            m.rank()
+            m.kernel_basis()
+    for n, k in ((1, 2), (2, 2)):  # Q of orders 12 and 24 from random blocks, over Q
+        blocks = tuple(ExactMatrix.random(QQ, 2 * n + 2, 2 * n + 2 * k, rng) for _ in range(k))
+        q = build_q(MonadData(n, k, QQ, blocks)).matrix
+        assert q.cols <= W and q.rank() == q.rows
+    j = canonical_j(ORTHOGONAL_IDENTITY, 2, 4, GF101)
+    assert j.det() != 0 and evaluate_a(d, Point.of(GF101, [1, 2, 3, 4, 5, 6])).rank() <= 4
+    max_rank_probe(d, j, 20, 0)
+    assert products == [] and eliminations
+    m = ExactMatrix.random(GF(32003), 2 * W + 1, 2 * W + 1, rng)  # three panels
+    del eliminations[:]
+    assert m.det() != 0
+    assert eliminations == ["gf det"] and len(products) == 2
